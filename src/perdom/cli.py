@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cohom import (
     CohomologyTable,
@@ -19,6 +18,8 @@ from .cohom import (
     all_dim_polys,
     assemble_cohomology,
     build_group_data,
+    dim_induced,
+    dim_v,
     euler_characteristic,
     lefschetz_series,
 )
@@ -148,18 +149,11 @@ def instantiate(spec: GroupSpec) -> GroupData:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _frac_str(x: Fraction) -> str | int:
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _labels(gd: GroupData, I: frozenset[int]) -> list[str]:
     return [gd.orbits_delta.labels[k] for k in sorted(I)]
 
 
 def cohomology_block(gd: GroupData, table: CohomologyTable) -> dict:
-    from .cohom import dim_v
-
     summands = []
     for s in table.summands:
         summands.append(
@@ -272,7 +266,6 @@ def cmd_cohomology(spec: GroupSpec, fmt: str) -> tuple[int, str]:
 
 def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
     """Mandatory equality of the counting formula with actual point counts."""
-    from .cohom import dim_induced
     from .finflag import make_tower
 
     mode = verifier_mode(gd)

@@ -8,7 +8,7 @@ is an integer for every extension degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .galois import (
@@ -30,17 +30,11 @@ from .rootdata import (
     cocharacter,
     fundamental_coweights,
     inner_product_default,
+    mat_vec,
     num_positive_roots,
+    vec_add,
 )
-from .weyl import (
-    WeylElement,
-    WeylGroup,
-    act,
-    dominant_representative,
-    generate_weyl,
-    kostant_reps,
-    stabilizer_w_mu,
-)
+from .weyl import OrbitPoint, coweight_orbit, dominant_representative
 
 
 @dataclass(frozen=True)
@@ -98,17 +92,16 @@ class GroupData:
 
     datum: RootDatum
     ip: InnerProduct
-    weyl: WeylGroup
     action: GaloisAction
     orbits_delta: DeltaOrbits
     mu_input: LatticeVec
     mu: LatticeVec
     dominance_normalized: bool
-    w_mu: tuple[WeylElement, ...]
-    kostant: tuple[WeylElement, ...]
+    mu_orbit: tuple[OrbitPoint, ...]
     muclass: MuClass
     worbits: tuple[WOrbit, ...]
     q: int
+    dim_polys: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d_prime(self) -> int:
@@ -122,10 +115,9 @@ class GroupData:
     def q_e(self) -> int:
         return self.q ** self.muclass.e_degree
 
-    def orbit_pairing(self, w: WeylElement, orbit_index: int) -> Fraction:
+    def orbit_pairing(self, point: OrbitPoint, orbit_index: int) -> Fraction:
         """The sign quantity <w mu, orbit coweight> via the invariant form."""
-        wmu = act(w, self.mu)
-        return self.ip.value(wmu, self.orbits_delta.twisted_coweights[orbit_index])
+        return self.ip.value(point.vec, self.orbits_delta.twisted_coweights[orbit_index])
 
 
 def build_group_data(
@@ -134,7 +126,6 @@ def build_group_data(
     q: int,
     twist: tuple | None = None,
     ip: InnerProduct | None = None,
-    weyl_budget: int = 10**6,
 ) -> GroupData:
     """Assemble a problem instance; mu is conjugated dominant up front."""
     datum = build_root_datum(cartan_spec)
@@ -149,22 +140,18 @@ def build_group_data(
     if mu_in.dim != datum.ambient_dim:
         raise ValueError(f"mu must have length {datum.ambient_dim}")
     mu, moved = dominant_representative(datum, mu_in)
-    W = generate_weyl(datum, budget=weyl_budget)
-    w_mu = stabilizer_w_mu(W, mu)
-    reps = kostant_reps(W, w_mu)
+    points = coweight_orbit(datum, mu)
     muclass = gamma_e(datum, action, mu)
-    worb = weyl_orbits(W, reps, action, muclass)
+    worb = weyl_orbits(points, action, muclass)
     return GroupData(
         datum=datum,
         ip=ip,
-        weyl=W,
         action=action,
         orbits_delta=orbits,
         mu_input=mu_in,
         mu=mu,
         dominance_normalized=moved,
-        w_mu=w_mu,
-        kostant=reps,
+        mu_orbit=points,
         muclass=muclass,
         worbits=worb,
         q=q,
@@ -247,7 +234,7 @@ def assemble_cohomology(gd: GroupData) -> CohomologyTable:
 def assemble_split_table(gd: GroupData) -> CohomologyTable:
     """Split-case table computed without any orbit machinery.
 
-    Walks the Kostant representatives directly against the per-root
+    Walks the W-orbit points of mu directly against the per-root
     fundamental coweights; serves as an independent regression path for the
     orbit-based assembly.
     """
@@ -256,13 +243,12 @@ def assemble_split_table(gd: GroupData) -> CohomologyTable:
     coweights = fundamental_coweights(gd.datum, gd.ip)
     d = gd.datum.rank
     summands = []
-    for w in gd.kostant:
-        wmu = act(w, gd.mu)
-        I = frozenset(i for i in range(d) if gd.ip.value(wmu, coweights[i]) <= 0)
-        degree = 2 * w.length + (d - len(I))
-        orbit = next(o for o in gd.worbits if o.rep.matrix == w.matrix)
+    for p in gd.mu_orbit:
+        I = frozenset(i for i in range(d) if gd.ip.value(p.vec, coweights[i]) <= 0)
+        degree = 2 * p.length + (d - len(I))
+        orbit = next(o for o in gd.worbits if o.rep == p)
         summands.append(
-            CohomologySummand(orbit=orbit, I=I, degree=degree, twist=w.length, galois_dim=1)
+            CohomologySummand(orbit=orbit, I=I, degree=degree, twist=p.length, galois_dim=1)
         )
     summands.sort(key=_summand_sort_key)
     return CohomologyTable(
@@ -295,84 +281,54 @@ def euler_characteristic(table: CohomologyTable) -> tuple[EulerTerm, ...]:
 # ---------------------------------------------------------------------------
 # dimension polynomials
 
-def _roots_of_label(gd: GroupData, I: frozenset[int]) -> frozenset[int]:
-    roots: set[int] = set()
-    for k in I:
-        roots.update(gd.orbits_delta.orbits[k])
-    return frozenset(roots)
+def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]]:
+    """(induced, quotient) dimension polynomials for every label subset.
 
-
-def _minimal_coset_reps(gd: GroupData, root_set: frozenset[int]):
-    """Minimal-length representatives of W / W_I for a set of simple roots."""
-    reps = []
-    for w in gd.weyl.elements:
-        ok = True
-        for i in root_set:
-            sw = gd.weyl.multiply(w, gd.weyl.by_matrix[_reflection(gd, i)])
-            if sw.length < w.length:
-                ok = False
-                break
-        if ok:
-            reps.append(w)
-    return reps
-
-
-def _reflection(gd: GroupData, i: int):
-    from .rootdata import simple_reflection_matrix
-
-    return simple_reflection_matrix(gd.datum, i)
+    The induced one counts fixed Bruhat cells of the I-parabolic quotient:
+    minimal coset representatives of W / W_I fixed by the twisting diagram
+    automorphism, one cell of size q^l(w) each.  Those representatives are
+    the orbit points of lambda_I, a sigma-fixed coweight whose stabilizer is
+    W_I: the sum of the orbit coweights outside I.  The quotient one is the
+    inclusion-exclusion over larger label sets.  Computed once per instance.
+    """
+    if gd.dim_polys is None:
+        sigma = gd.action.matrix
+        induced = {}
+        for r in range(gd.d_prime + 1):
+            for I in itertools.combinations(range(gd.d_prime), r):
+                lam = (Fraction(0),) * gd.datum.ambient_dim
+                for k in range(gd.d_prime):
+                    if k not in I:
+                        lam = vec_add(lam, gd.orbits_delta.twisted_coweights[k].coords)
+                poly = DimPoly.zero()
+                for p in coweight_orbit(gd.datum, cocharacter(lam)):
+                    if mat_vec(sigma, p.vec.coords) == p.vec.coords:
+                        poly = poly + DimPoly.monomial(p.length)
+                induced[frozenset(I)] = poly
+        out = {}
+        for I, ipoly in induced.items():
+            rest = [k for k in range(gd.d_prime) if k not in I]
+            v = DimPoly.zero()
+            for r in range(len(rest) + 1):
+                for extra in itertools.combinations(rest, r):
+                    term = induced[I | frozenset(extra)]
+                    v = v + term if r % 2 == 0 else v - term
+            out[I] = (ipoly, v)
+        gd.dim_polys = out
+    return gd.dim_polys
 
 
 def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:
     """Point count of the I-parabolic quotient as a polynomial in q.
 
-    Counted over fixed Bruhat cells: minimal coset representatives fixed by
-    the twisting diagram automorphism, one cell of size q^l(w) each.  For
-    split instances this is the classical parabolic Poincare polynomial.
+    For split instances this is the classical parabolic Poincare polynomial.
     """
-    root_set = _roots_of_label(gd, I)
-    sigma = gd.action.matrix
-    from .rootdata import mat_inv, mat_mul
-
-    sigma_inv = mat_inv(sigma)
-    poly = DimPoly.zero()
-    for w in _minimal_coset_reps(gd, root_set):
-        conj = mat_mul(mat_mul(sigma, w.matrix), sigma_inv)
-        if conj == w.matrix:
-            poly = poly + DimPoly.monomial(w.length)
-    return poly
+    return all_dim_polys(gd)[I][0]
 
 
 def dim_v(gd: GroupData, I: frozenset[int]) -> DimPoly:
     """Inclusion-exclusion over larger label sets on the induced dimensions."""
-    rest = [k for k in range(gd.d_prime) if k not in I]
-    poly = DimPoly.zero()
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            term = dim_induced(gd, I | frozenset(extra))
-            if r % 2 == 0:
-                poly = poly + term
-            else:
-                poly = poly - term
-    return poly
-
-
-def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]]:
-    """(induced, quotient) dimension polynomials for every label subset."""
-    out = {}
-    induced = {}
-    for r in range(gd.d_prime + 1):
-        for I in itertools.combinations(range(gd.d_prime), r):
-            induced[frozenset(I)] = dim_induced(gd, frozenset(I))
-    for I, ipoly in induced.items():
-        rest = [k for k in range(gd.d_prime) if k not in I]
-        v = DimPoly.zero()
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                term = induced[I | frozenset(extra)]
-                v = v + term if r % 2 == 0 else v - term
-        out[I] = (ipoly, v)
-    return out
+    return all_dim_polys(gd)[I][1]
 
 
 def steinberg_dimension(gd: GroupData) -> int:
@@ -392,14 +348,11 @@ def lefschetz_series(gd: GroupData, table: CohomologyTable, m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    vdims = {}
     total = 0
     for s in table.summands:
-        if s.I not in vdims:
-            vdims[s.I] = dim_v(gd, s.I)(gd.q)
         f = s.galois_dim
         trace = f if m % f == 0 else 0
         if trace == 0:
             continue
-        total += (-1) ** s.degree * vdims[s.I] * trace * gd.q_e ** (m * s.twist)
+        total += (-1) ** s.degree * dim_v(gd, s.I)(gd.q) * trace * gd.q_e ** (m * s.twist)
     return total

@@ -1,9 +1,9 @@
 """Quasi-split Galois twist: diagram automorphisms, orbit coweights, W-orbits.
 
 The Galois group is cyclic, generated by one Cartan-preserving permutation of
-the simple roots; its action on the Weyl group is matrix conjugation, which is
-cross-checked downstream by the requirement that Kostant representatives stay
-Kostant representatives.
+the simple roots.  Its action on Kostant representatives is conjugation; since
+the reflex subgroup fixes mu, that is the linear action on the points ``w mu``
+of mu's W-orbit, checked to stay inside the orbit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .rootdata import (
     mat_vec,
     vec_add,
 )
-from .weyl import WeylElement, WeylGroup, dominant_representative, is_dominant
+from .weyl import OrbitPoint, is_dominant
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,10 @@ class MuClass:
 
 @dataclass(frozen=True)
 class WOrbit:
-    """An orbit of Kostant representatives under the reflex subgroup."""
+    """An orbit of Kostant representatives, as W-orbit points, under the reflex subgroup."""
 
-    rep: WeylElement
-    members: tuple[WeylElement, ...]
+    rep: OrbitPoint
+    members: tuple[OrbitPoint, ...]
     size: int
     length: int
 
@@ -235,45 +235,37 @@ def gamma_e(datum: RootDatum, action: GaloisAction, mu: LatticeVec) -> MuClass:
     return MuClass(mu=mu, e_degree=t, gamma_e_order=action.order // t)
 
 
-def normalize_dominant(datum: RootDatum, mu: LatticeVec) -> tuple[LatticeVec, bool]:
-    return dominant_representative(datum, mu)
-
-
 def weyl_orbits(
-    W: WeylGroup,
-    kostant: tuple[WeylElement, ...],
+    points: tuple[OrbitPoint, ...],
     action: GaloisAction,
     muclass: MuClass,
 ) -> tuple[WOrbit, ...]:
-    """Orbits of the Kostant set under conjugation by the reflex subgroup."""
+    """Orbits of the points ``w mu`` under the linear action of the reflex subgroup."""
     gen = action.power(muclass.e_degree)
-    gen_inv = mat_inv(gen)
-    kostant_set = {w.matrix for w in kostant}
-    seen: set[Matrix] = set()
+    by_coords = {p.vec.coords: p for p in points}
+    seen: set[OrbitPoint] = set()
     orbits: list[WOrbit] = []
-    for w in kostant:
-        if w.matrix in seen:
+    for p in points:
+        if p in seen:
             continue
         members = []
-        current = w
-        while current.matrix not in {m.matrix for m in members}:
+        current = p
+        while current not in members:
             members.append(current)
-            conj = mat_mul(mat_mul(gen, current.matrix), gen_inv)
-            if conj not in W.by_matrix:
-                raise AssertionError("conjugation left the Weyl group; inconsistent action")
-            current = W.by_matrix[conj]
-            if current.matrix not in kostant_set:
-                raise AssertionError("orbit escaped the Kostant set; inconsistent action")
+            image = mat_vec(gen, current.vec.coords)
+            if image not in by_coords:
+                raise AssertionError("orbit escaped the W-orbit of mu; inconsistent action")
+            current = by_coords[image]
         if len({m.length for m in members}) != 1:
             raise AssertionError("orbit members have unequal lengths")
         if muclass.gamma_e_order % len(members) != 0:
             raise AssertionError("orbit size does not divide the reflex group order")
         members.sort(key=lambda m: (m.length, m.word))
-        seen.update(m.matrix for m in members)
+        seen.update(members)
         orbits.append(
             WOrbit(rep=members[0], members=tuple(members), size=len(members), length=members[0].length)
         )
     orbits.sort(key=lambda o: (o.length, o.rep.word))
-    if sum(o.size for o in orbits) != len(kostant):
-        raise AssertionError("orbits do not partition the Kostant set")
+    if sum(o.size for o in orbits) != len(points):
+        raise AssertionError("orbits do not partition the W-orbit of mu")
     return tuple(orbits)

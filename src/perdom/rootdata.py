@@ -69,10 +69,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(vec_dot(row, frac_vec(col)) for col in bt) for row in a)
 
 
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(row) for row in zip(*m))
-
-
 def mat_inv(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination."""
     n = len(m)

@@ -357,22 +357,20 @@ def _relative_position(ctx: VerifierContext, x: FlagPoint):
 
 
 def bruhat_cells(ctx: VerifierContext) -> dict:
-    """Partition of the points into cells indexed by Kostant representatives."""
+    """Partition of the points into cells indexed by Kostant representatives,
+    each given by its point ``w mu`` of mu's W-orbit."""
     if ctx.mode != "split":
         raise ValueError("cell decomposition requires a split instance")
     gd = ctx.gd
-    from .weyl import act
-
     rep_invariants = {}
-    for w in gd.kostant:
-        wmu = act(w, gd.mu)
-        flag = _standard_flag_of(ctx, wmu.coords)
+    for p in gd.mu_orbit:
+        flag = _standard_flag_of(ctx, p.vec.coords)
         inv = _relative_position(ctx, flag)
         if inv in rep_invariants.values():
             raise AssertionError("distinct representatives share a cell invariant")
-        rep_invariants[w] = inv
-    cells: dict = {w: [] for w in gd.kostant}
-    by_inv = {inv: w for w, inv in rep_invariants.items()}
+        rep_invariants[p] = inv
+    cells: dict = {p: [] for p in gd.mu_orbit}
+    by_inv = {inv: p for p, inv in rep_invariants.items()}
     for i, x in enumerate(ctx.points):
         inv = _relative_position(ctx, x)
         if inv not in by_inv:
@@ -389,11 +387,11 @@ def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
 
     cells = bruhat_cells(ctx)
     q, m = gd.q, ctx.m
-    sizes_ok = all(len(idx) == q ** (m * w.length) for w, idx in cells.items())
-    allowed = {o.rep.matrix for o in omega_I(gd, I)}
+    sizes_ok = all(len(idx) == q ** (m * p.length) for p, idx in cells.items())
+    allowed = {o.rep for o in omega_I(gd, I)}
     union: set[int] = set()
-    for w, idx in cells.items():
-        if w.matrix in allowed:
+    for p, idx in cells.items():
+        if p in allowed:
             union.update(idx)
     y_set = y_I_points(ctx, I)
     return (union == set(y_set)) and sizes_ok, {

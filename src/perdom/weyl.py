@@ -1,7 +1,11 @@
-"""Weyl group enumeration: reduced words, lengths, actions, Kostant cosets.
+"""W-orbits of dominant coweights, and the Weyl group as their test oracle.
 
-Elements are identified by their exact matrix on the cocharacter space, which
-makes equality testing canonical; reduced words are the BFS witnesses.
+The engine only needs ``w mu`` for the minimal representatives w of W / W_mu;
+these are in bijection with the W-orbit of the dominant mu, which
+``coweight_orbit`` walks upwards in the Bruhat order (Bjorner-Brenti,
+*Combinatorics of Coxeter Groups*, 2.4).  ``generate_weyl``,
+``stabilizer_w_mu`` and ``kostant_reps`` enumerate the whole group as exact
+matrices; they stay as the independent oracle the orbit walk is tested against.
 """
 
 from __future__ import annotations
@@ -111,6 +115,50 @@ def inversion_count(W: WeylGroup, w: WeylElement, positives) -> int:
         if all(c <= 0 for c in coeffs):
             count += 1
     return count
+
+
+@dataclass(frozen=True)
+class OrbitPoint:
+    """A point ``w mu`` of a dominant coweight's W-orbit, with the reduced
+    word and length of the minimal-length such w."""
+
+    vec: LatticeVec
+    word: tuple[int, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.word)
+
+
+def coweight_orbit(datum: RootDatum, mu: LatticeVec) -> tuple[OrbitPoint, ...]:
+    """The W-orbit of a dominant coweight, sorted by (length, word).
+
+    Breadth-first from mu, applying s_i wherever <v, alpha_i> > 0, so BFS
+    depth is the length of the minimal coset representative.  The frontier is
+    kept in word order and the first word found is kept, which reproduces the
+    reduced words ``generate_weyl`` assigns to those representatives.
+    """
+    if not is_dominant(datum, mu):
+        raise ValueError("mu must be dominant")
+    first = OrbitPoint(vec=mu, word=())
+    seen = {mu.coords}
+    ordered = [first]
+    frontier = [first]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i, (alpha, coroot) in enumerate(zip(datum.simple_roots, datum.simple_coroots)):
+                c = pairing(p.vec, alpha)
+                if c <= 0:
+                    continue
+                coords = tuple(x - c * y for x, y in zip(p.vec.coords, coroot.coords))
+                if coords not in seen:
+                    seen.add(coords)
+                    nxt.append(OrbitPoint(LatticeVec(mu.side, coords), (i,) + p.word))
+        nxt.sort(key=lambda e: e.word)
+        ordered.extend(nxt)
+        frontier = nxt
+    return tuple(ordered)
 
 
 def is_dominant(datum: RootDatum, mu: LatticeVec) -> bool:

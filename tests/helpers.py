@@ -48,15 +48,24 @@ SPLIT_NAMES = tuple(
 )
 
 
-@functools.lru_cache(maxsize=None)
 def instance(name: str, q: int | None = None):
-    ctype, mu, default_q, twist = INSTANCES[name]
-    return build_group_data(list(ctype), list(mu), q or default_q, twist=twist)
+    return _instance(name, q or INSTANCES[name][2])
+
+
+def table(name: str, q: int | None = None):
+    return _table(name, q or INSTANCES[name][2])
+
+
+# keyed on the resolved q, so instance(name) and instance(name, None) share one build
+@functools.lru_cache(maxsize=None)
+def _instance(name: str, q: int):
+    ctype, mu, _, twist = INSTANCES[name]
+    return build_group_data(list(ctype), list(mu), q, twist=twist)
 
 
 @functools.lru_cache(maxsize=None)
-def table(name: str, q: int | None = None):
-    return assemble_cohomology(instance(name, q))
+def _table(name: str, q: int):
+    return assemble_cohomology(_instance(name, q))
 
 
 @functools.lru_cache(maxsize=None)

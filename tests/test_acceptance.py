@@ -204,10 +204,14 @@ def test_criterion_8_acyclicity_sweeps():
 
 def test_criterion_9_structural_suites():
     with criterion(9, "Kostant counts, Steinberg dims, sign-set laws, rescaling, torus pairing", 30.0):
-        # coset counting
+        # coset counting: orbit-stabilizer against the enumerated group
+        from perdom.rootdata import weyl_order
+        from perdom.weyl import generate_weyl, stabilizer_w_mu
+
         for name in INSTANCES:
             gd = instance(name)
-            assert len(gd.kostant) * len(gd.w_mu) == gd.weyl.order
+            stab = stabilizer_w_mu(generate_weyl(gd.datum), gd.mu)
+            assert len(gd.mu_orbit) * len(stab) == weyl_order(gd.datum.cartan_type)
         # Steinberg dimension for every catalog type
         for name in INSTANCES:
             gd = instance(name)
@@ -220,7 +224,7 @@ def test_criterion_9_structural_suites():
                 for r in range(gd.d_prime + 1)
                 for c in itertools.combinations(range(gd.d_prime), r)
             ]
-            member = {I: {o.rep.matrix for o in omega_I(gd, I)} for I in subsets}
+            member = {I: {o.rep for o in omega_I(gd, I)} for I in subsets}
             for I in subsets:
                 for J in subsets:
                     if I <= J:
@@ -229,16 +233,14 @@ def test_criterion_9_structural_suites():
             for orbit in gd.worbits:
                 iw = minimal_I(gd, orbit)
                 for I in subsets:
-                    assert (iw <= I) == (orbit.rep.matrix in member[I])
+                    assert (iw <= I) == (orbit.rep in member[I])
         # representative independence across orbit members
-        from perdom.weyl import act
-
         for name in ("u3_reg", "u4_mid", "u4_min", "res_sl2"):
             gd = instance(name)
             for orbit in gd.worbits:
                 for k in range(gd.d_prime):
                     signs = {
-                        gd.ip.value(act(w, gd.mu), gd.orbits_delta.twisted_coweights[k]) > 0
+                        gd.ip.value(w.vec, gd.orbits_delta.twisted_coweights[k]) > 0
                         for w in orbit.members
                     }
                     assert len(signs) == 1

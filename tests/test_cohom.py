@@ -59,9 +59,9 @@ def test_minimal_is_intersection_of_admitting_sets():
             for r in range(gd.d_prime + 1)
             for c in itertools.combinations(range(gd.d_prime), r)
         ]
-        member = {I: {o.rep.matrix for o in omega_I(gd, I)} for I in subsets}
+        member = {I: {o.rep for o in omega_I(gd, I)} for I in subsets}
         for orbit in gd.worbits:
-            admitting = [I for I in subsets if orbit.rep.matrix in member[I]]
+            admitting = [I for I in subsets if orbit.rep in member[I]]
             expected = frozenset(range(gd.d_prime))
             for I in admitting:
                 expected &= I
@@ -76,7 +76,7 @@ def test_omega_lattice_laws():
             for r in range(gd.d_prime + 1)
             for c in itertools.combinations(range(gd.d_prime), r)
         ]
-        member = {I: {o.rep.matrix for o in omega_I(gd, I)} for I in subsets}
+        member = {I: {o.rep for o in omega_I(gd, I)} for I in subsets}
         for I in subsets:
             for J in subsets:
                 if I <= J:
@@ -86,18 +86,16 @@ def test_omega_lattice_laws():
         for orbit in gd.worbits:
             iw = minimal_I(gd, orbit)
             for I in subsets:
-                assert (iw <= I) == (orbit.rep.matrix in member[I])
+                assert (iw <= I) == (orbit.rep in member[I])
 
 
 def test_representative_independence():
-    from perdom.weyl import act
-
     for name in ("u3_reg", "u4_mid", "u4_min", "res_sl2"):
         gd = instance(name)
         for orbit in gd.worbits:
             for k in range(gd.d_prime):
                 signs = {
-                    gd.ip.value(act(m, gd.mu), gd.orbits_delta.twisted_coweights[k]) > 0
+                    gd.ip.value(m.vec, gd.orbits_delta.twisted_coweights[k]) > 0
                     for m in orbit.members
                 }
                 assert len(signs) == 1

@@ -12,6 +12,7 @@ from perdom.rootdata import (
     fundamental_coweights,
     mat_vec,
     rescaled_inner_product,
+    weyl_order,
 )
 
 
@@ -117,21 +118,20 @@ def test_worbits_central_mu():
 def test_worbit_sizes_sum_to_kostant_count():
     for name in ("u3_reg", "u4_mid", "u4_min", "res_sl2", "a2_redundant_e"):
         gd = instance(name)
-        assert sum(o.size for o in gd.worbits) == len(gd.kostant)
+        assert sum(o.size for o in gd.worbits) == len(gd.mu_orbit)
         for orbit in gd.worbits:
             assert gd.muclass.gamma_e_order % orbit.size == 0
             assert len({m.length for m in orbit.members}) == 1
 
 
 def test_conjugation_preserves_length_on_whole_group():
+    # mu is regular and sigma-fixed: its orbit points w mu stand for all of W,
+    # and sigma (w mu) is the point of the conjugate sigma w sigma^-1
     gd = instance("u3_reg")
-    from perdom.rootdata import mat_inv, mat_mul
-
-    sigma = gd.action.matrix
-    sigma_inv = mat_inv(sigma)
-    for w in gd.weyl.elements:
-        conj = gd.weyl.by_matrix[mat_mul(mat_mul(sigma, w.matrix), sigma_inv)]
-        assert conj.length == w.length
+    assert len(gd.mu_orbit) == weyl_order(gd.datum.cartan_type)
+    by_coords = {p.vec.coords: p for p in gd.mu_orbit}
+    for p in gd.mu_orbit:
+        assert by_coords[mat_vec(gd.action.matrix, p.vec.coords)].length == p.length
 
 
 def test_orbit_data_survives_rescaling():
