@@ -24,8 +24,8 @@ from .cohom import (
     lefschetz_series,
 )
 from .complex import acyclicity_sweep
-from .finflag import BudgetError, flag_count, mu_flag_type
-from .rootdata import UnsupportedTypeError
+from .finflag import _factor_prime_power, flag_count, mu_flag_type
+from .rootdata import BudgetError, UnsupportedTypeError
 from .semistable import (
     brute_force_ss_count,
     bruhat_cells_check,
@@ -63,17 +63,6 @@ class GroupSpec:
         if self.twist is not None:
             out["twist"] = {"perm": list(self.twist[0]), "order": self.twist[1]}
         return out
-
-
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return False
 
 
 def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
@@ -115,8 +104,12 @@ def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
     if "q" not in raw:
         raise SpecError("q", "missing")
     q = raw["q"]
-    if not isinstance(q, int) or not _is_prime_power(q):
+    if not isinstance(q, int):
         raise SpecError("q", "expected a prime power >= 2")
+    try:
+        _factor_prime_power(q)
+    except ValueError as exc:
+        raise SpecError("q", "expected a prime power >= 2") from exc
 
     budget = raw.get("budget", budget)
     if not isinstance(budget, int) or budget < 1:
@@ -310,12 +303,16 @@ def build_verifier_for_guard(gd: GroupData, budget: int):
     return _rational_unitary_flags(herm, budget)
 
 
-def cmd_dims(spec: GroupSpec, fmt: str, budget: int) -> tuple[int, str]:
+def cmd_dims(spec: GroupSpec, fmt: str) -> tuple[int, str]:
     gd = instantiate(spec)
     report = base_report(spec, gd)
     report["dims"] = dims_block(gd)
     if verifier_mode(gd) is not None:
-        guard = _induced_dim_guard(gd, budget)
+        try:
+            guard = _induced_dim_guard(gd, spec.budget)
+        except BudgetError as exc:
+            report["verification"] = {"budget_error": str(exc)}
+            return EXIT_BUDGET, render(report, fmt)
         report["verification"] = {"induced_dim_guard": guard}
         if not guard["match"]:
             return EXIT_MISMATCH, render(report, fmt)
@@ -331,7 +328,7 @@ def _feasible_m(gd: GroupData, budget: int) -> int | None:
     return None
 
 
-def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], budget: int, seed: int,
+def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
                points_csv_path: str | None = None) -> tuple[int, str]:
     gd = instantiate(spec)
     if verifier_mode(gd) is None:
@@ -342,21 +339,20 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], budget: int, seed: 
     verification: dict = {}
     report["verification"] = verification
 
-    guard = _induced_dim_guard(gd, budget)
-    verification["induced_dim_guard"] = guard
-
     counts = []
     cell_rows = []
     cells_ok = True
     spot_ok = True
-    all_match = guard["match"]
     try:
         import itertools as _it
 
         from .semistable import semistable_indices
 
+        guard = _induced_dim_guard(gd, spec.budget)
+        verification["induced_dim_guard"] = guard
+        all_match = guard["match"]
         for pos, m in enumerate(m_list):
-            ctx = build_verifier(gd, m, budget=budget)
+            ctx = build_verifier(gd, m, budget=spec.budget)
             series = lefschetz_series(gd, table, m)
             brute = brute_force_ss_count(ctx)
             row = {"m": m, "series": series, "brute_force": brute, "match": series == brute}
@@ -395,7 +391,7 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], budget: int, seed: 
         verification["invariant_spot_checks"] = {"seed": seed, "parabolic_invariance": spot_ok}
         all_match = all_match and spot_ok
     except BudgetError as exc:
-        suggestion = _feasible_m(gd, budget)
+        suggestion = _feasible_m(gd, spec.budget)
         verification["budget_error"] = str(exc)
         if suggestion is not None:
             verification["smallest_feasible_m"] = suggestion
@@ -404,7 +400,7 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], budget: int, seed: 
     return (EXIT_OK if all_match else EXIT_MISMATCH), render(report, fmt)
 
 
-def cmd_sweep(spec: GroupSpec, fmt: str, m_list: list[int], budget: int, fail_fast: bool) -> tuple[int, str]:
+def cmd_sweep(spec: GroupSpec, fmt: str, m_list: list[int], fail_fast: bool) -> tuple[int, str]:
     gd = instantiate(spec)
     if verifier_mode(gd) is None:
         raise SpecError("type", "sweep supports split type-A instances and twisted A_2")
@@ -413,7 +409,7 @@ def cmd_sweep(spec: GroupSpec, fmt: str, m_list: list[int], budget: int, fail_fa
     ok = True
     try:
         for m in m_list:
-            ctx = build_verifier(gd, m, budget=budget)
+            ctx = build_verifier(gd, m, budget=spec.budget)
             sweep = acyclicity_sweep(ctx, fail_fast=fail_fast, keep_details=True)
             rows.append(
                 {
@@ -478,12 +474,12 @@ def main(argv=None) -> int:
         if args.command == "cohomology":
             code, out = cmd_cohomology(spec, args.format)
         elif args.command == "dims":
-            code, out = cmd_dims(spec, args.format, args.budget)
+            code, out = cmd_dims(spec, args.format)
         elif args.command == "verify":
-            code, out = cmd_verify(spec, args.format, _parse_m_list(args.m), args.budget, args.seed,
+            code, out = cmd_verify(spec, args.format, _parse_m_list(args.m), args.seed,
                                    points_csv_path=args.points_csv)
         else:
-            code, out = cmd_sweep(spec, args.format, _parse_m_list(args.m), args.budget, args.fail_fast)
+            code, out = cmd_sweep(spec, args.format, _parse_m_list(args.m), args.fail_fast)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -10,9 +10,9 @@ its vertex set.  Homology is reduced and rational, by exact rank computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .finflag import Subspace, contains
+from .rootdata import row_reduce
 from .semistable import VerifierContext, is_semistable
 
 
@@ -94,35 +94,12 @@ def boundary_matrices(complex_: TitsSubcomplex) -> list[list[list[int]]]:
     return mats
 
 
-def _rank_rational(matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
 def reduced_homology(complex_: TitsSubcomplex) -> tuple[int, ...]:
     """Reduced rational Betti numbers, one per simplex dimension present."""
     if complex_.num_vertices == 0:
         raise ValueError("empty complex")
     mats = boundary_matrices(complex_)
-    ranks = [_rank_rational(m) for m in mats]
+    ranks = [len(row_reduce(m)[1]) for m in mats]
     # check the complex property while we are at it
     for k in range(len(mats) - 1):
         if not _composes_to_zero(mats[k], mats[k + 1]):
@@ -169,10 +146,11 @@ def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False, keep_details
     per_point = []
     non_ss = 0
     for i in range(len(ctx.points)):
-        if is_semistable(ctx, i).verdict:
+        try:
+            complex_ = build_t_x(ctx, i)
+        except SemistablePointError:
             continue
         non_ss += 1
-        complex_ = build_t_x(ctx, i)
         betti = reduced_homology(complex_)
         counts = tuple(len(level) for level in complex_.simplices)
         if keep_details:

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .rootdata import BudgetError
+
 SUBSPACE_BUDGET = 10**7
-
-
-class BudgetError(RuntimeError):
-    """An enumeration would exceed its configured budget."""
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .rootdata import (
     mat_inv,
     mat_mul,
     mat_vec,
+    nullspace,
     vec_add,
 )
 from .weyl import OrbitPoint, is_dominant
@@ -117,65 +118,18 @@ def build_galois_action(datum: RootDatum, perm, order: int) -> GaloisAction:
     if order < 1 or order % base != 0:
         raise ValueError(f"order {order} is not a positive multiple of ord(perm) = {base}")
 
-    n = datum.ambient_dim
+    # complete the coroots to a basis by the dot-orthogonal complement of
+    # their span; it is also orthogonal for the invariant (block-scalar) form,
+    # so the matrix is the identity on the invariant complement
     coroots = [c.coords for c in datum.simple_coroots]
-    # complete the coroots to a basis with dot-orthogonal complement vectors
-    basis = [list(v) for v in coroots]
-    images = [list(datum.simple_coroots[perm[i]].coords) for i in range(datum.rank)]
-    for candidate in range(n):
-        e = [Fraction(0)] * n
-        e[candidate] = Fraction(1)
-        trial = basis + [e]
-        if _full_rank(trial):
-            # orthogonalize against the coroot span so "identity on the
-            # complement" is meant for the invariant (block-scalar) form
-            v = _project_out(e, coroots)
-            basis.append(list(v))
-            images.append(list(v))
-        if len(basis) == n:
-            break
-    b = tuple(tuple(row) for row in zip(*basis))
-    t = tuple(tuple(row) for row in zip(*images))
+    complement = nullspace(coroots, datum.ambient_dim)
+    b = tuple(zip(*coroots, *complement))
+    t = tuple(zip(*(coroots[p] for p in perm), *complement))
     matrix = mat_mul(t, mat_inv(b))
 
     action = GaloisAction(perm=perm, order=order, matrix=matrix)
     _validate_action(datum, action)
     return action
-
-
-def _full_rank(rows) -> bool:
-    work = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(work[0])
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank == len(work)
-
-
-def _project_out(v, span):
-    """Dot-orthogonal projection of v away from the span (Gram-Schmidt)."""
-    from .rootdata import vec_dot, vec_scale, vec_sub
-
-    ortho = []
-    for s in span:
-        u = tuple(s)
-        for t in ortho:
-            u = vec_sub(u, vec_scale(vec_dot(u, t) / vec_dot(t, t), t))
-        ortho.append(u)
-    w = tuple(v)
-    for t in ortho:
-        w = vec_sub(w, vec_scale(vec_dot(w, t) / vec_dot(t, t), t))
-    return w
 
 
 def _validate_action(datum: RootDatum, action: GaloisAction) -> None:

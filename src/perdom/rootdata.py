@@ -30,8 +30,12 @@ class UnsupportedTypeError(ValueError):
     """A Cartan family or rank outside the supported catalog."""
 
 
+class BudgetError(RuntimeError):
+    """An enumeration would exceed its configured budget."""
+
+
 # ---------------------------------------------------------------------------
-# small exact linear algebra kernel (Fraction entries throughout)
+# small exact linear algebra over Q, with one elimination kernel
 
 def frac_vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
@@ -69,54 +73,67 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(vec_dot(row, frac_vec(col)) for col in bt) for row in a)
 
 
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: the nonzero rows and their pivot columns.
+
+    The one exact elimination loop.  Entries may be ints or Fractions; only
+    the pivots are inverted, and each normalized row comes back as Fractions.
+    """
+    work = [list(r) for r in rows if any(r)]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = Fraction(1, work[r][col])
+        row = work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            f = work[i][col]
+            if i != r and f:
+                work[i] = [x - f * y for x, y in zip(work[i], row)]
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
 def mat_inv(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
+    """Exact inverse, read off the reduced form of ``[m | 1]``."""
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    rows, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def solve_in_span(vectors: Sequence[Vec], target: Vec) -> Vec | None:
     """Coefficients writing ``target`` in the span of ``vectors``, or None.
 
-    The vectors are assumed linearly independent (they are simple roots).
+    The vectors must be linearly independent (they are simple roots).
     """
-    rows = [list(v) + [t] for v, t in zip(zip(*vectors), target)]
     k = len(vectors)
-    pivots: list[int] = []
-    r = 0
-    for col in range(k):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("dependent vectors")
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(r)
-        r += 1
-    coeffs = [Fraction(0)] * k
-    for col, pr in enumerate(pivots):
-        coeffs[col] = rows[pr][-1]
-    # consistency on the non-pivot rows
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    return tuple(coeffs)
+    rows, pivots = row_reduce([list(v) + [t] for v, t in zip(zip(*vectors), target)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("dependent vectors")
+    if len(pivots) > k:
+        return None
+    return tuple(row[k] for row in rows)
+
+
+def nullspace(rows, ncols: int) -> tuple[Vec, ...]:
+    """Basis of the vectors dot-orthogonal to every row, one per free column."""
+    reduced, pivots = row_reduce(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +383,7 @@ def dualize(v: LatticeVec, datum: RootDatum, ip: InnerProduct | None = None) -> 
 
 def fundamental_weights(datum: RootDatum) -> tuple[LatticeVec, ...]:
     """Characters in the root span dual to the simple coroots."""
-    a_inv = mat_inv(tuple(tuple(Fraction(x) for x in row) for row in datum.cartan_matrix))
+    a_inv = mat_inv(datum.cartan_matrix)
     weights = []
     for alpha in range(datum.rank):
         coeffs = [a_inv[j][alpha] for j in range(datum.rank)]

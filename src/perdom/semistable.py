@@ -182,7 +182,7 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
     if mode == "split":
         if flag_count(n, dims, q**m) > budget:
             raise BudgetError(f"{flag_count(n, dims, q ** m)} flags exceed budget {budget}")
-        tower = make_tower(q, m)
+        tower = _budgeted_tower(q, m, budget)
         points = enumerate_flag_points(tower, n, weights, dims, budget=budget)
         tests = []
         for d in range(1, n):
@@ -202,7 +202,7 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
         s = t * m  # total Frobenius power defining the point field
         twisted = s % 2 == 1
         ext = 2 * m if (twisted or t == 2) else m
-        tower = make_tower(q, ext)
+        tower = _budgeted_tower(q, ext, budget)
         hermitian = HermitianData(tower=tower, n=n)
         if twisted:
             if dims not in ((), (1, 2)):
@@ -241,6 +241,13 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
     )
 
 
+def _budgeted_tower(q: int, ext: int, budget: int) -> FieldTower:
+    """The tower for F_{q^ext}, refused before its addition table outgrows the budget."""
+    if q ** (2 * ext) > budget:
+        raise BudgetError(f"{q ** (2 * ext)}-entry addition table of F_{q ** ext} exceeds budget {budget}")
+    return make_tower(q, ext)
+
+
 def _rational_unitary_flags(herm: HermitianData, budget: int) -> list[FlagPoint]:
     """Flags fixed by the single-step twisted Frobenius: the rational chambers."""
     t = herm.tower
@@ -272,7 +279,7 @@ def is_semistable(ctx: VerifierContext, index: int, collect_all: bool = False) -
 
 
 def brute_force_ss_count(ctx: VerifierContext) -> int:
-    return sum(1 for i in range(len(ctx.points)) if is_semistable(ctx, i).verdict)
+    return len(semistable_indices(ctx))
 
 
 def semistable_indices(ctx: VerifierContext) -> list[int]:

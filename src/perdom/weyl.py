@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 from .rootdata import (
     COCHARACTER,
+    WEYL_ORDER_BUDGET,
+    BudgetError,
     LatticeVec,
     Matrix,
     RootDatum,
@@ -25,12 +27,6 @@ from .rootdata import (
     simple_reflection_matrix,
     weyl_order,
 )
-
-WEYL_BUDGET = 10**6
-
-
-class BudgetError(RuntimeError):
-    """An enumeration would exceed its configured budget."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class WeylGroup:
         return max(e.length for e in self.elements)
 
 
-def generate_weyl(datum: RootDatum, budget: int = WEYL_BUDGET) -> WeylGroup:
+def generate_weyl(datum: RootDatum, budget: int = WEYL_ORDER_BUDGET) -> WeylGroup:
     """Close the simple reflections under composition, by word length.
 
     BFS depth in the Cayley graph equals Coxeter length, so each element

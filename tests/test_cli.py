@@ -33,8 +33,9 @@ def test_parse_rejects_missing_fields():
 
 
 def test_parse_rejects_bad_values():
-    with pytest.raises(cli.SpecError, match="q"):
-        cli.parse_group_spec({"type": [["A", 1]], "mu": [1, -1], "q": 6})
+    for q in (6, 1, 0):
+        with pytest.raises(cli.SpecError, match="q"):
+            cli.parse_group_spec({"type": [["A", 1]], "mu": [1, -1], "q": q})
     with pytest.raises(cli.SpecError, match="twist"):
         cli.parse_group_spec({"type": [["A", 2]], "mu": [0, 0, 0], "q": 2, "twist": {"perm": [2, 1]}})
     with pytest.raises(cli.SpecError, match=r"type\[0\]"):
@@ -113,6 +114,33 @@ def test_verify_budget_exit(tmp_path, capsys):
     report = json.loads(out)
     assert "budget_error" in report["verification"]
     assert report["verification"]["smallest_feasible_m"] == 1
+
+
+SL3_FLAGS = {"type": [["A", 2]], "mu": [1, 0, -1], "q": 2}
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_spec_budget_wins_over_flag(tmp_path, capsys, command):
+    path = write_spec(tmp_path, {**SL3_FLAGS, "budget": 5})
+    code, out, _ = run([command, "--spec", path, "--m", "2", "--budget", str(10**7)], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "budget_error" in json.loads(out)["verification"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--m", "2", "--budget", "5"], ["dims", "--budget", "2"]])
+def test_guard_budget_failure_writes_report(tmp_path, capsys, argv):
+    path = write_spec(tmp_path, SL3_FLAGS)
+    code, out, _ = run([argv[0], "--spec", path] + argv[1:], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "flags exceed budget" in json.loads(out)["verification"]["budget_error"]
+
+
+def test_field_tower_checked_against_budget(tmp_path, capsys):
+    # 257 flags fit the budget, the 65536-entry addition table of F_256 does not
+    path = write_spec(tmp_path, SL2)
+    code, out, _ = run(["verify", "--spec", path, "--m", "8", "--budget", "1000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "addition table" in json.loads(out)["verification"]["budget_error"]
 
 
 def test_dims_includes_guard(tmp_path, capsys):

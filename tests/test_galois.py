@@ -10,9 +10,29 @@ from perdom.rootdata import (
     build_root_datum,
     cocharacter,
     fundamental_coweights,
+    inner_product_default,
+    mat_mul,
     mat_vec,
+    nullspace,
     rescaled_inner_product,
+    vec_dot,
     weyl_order,
+)
+
+# (cartan type, 1-indexed perm, order): every diagram twist of the catalog
+# families up to rank 6, with the D4 triality and non-minimal orders
+TWISTS = (
+    ((("A", 3),), (3, 2, 1), 2),
+    ((("A", 4),), (4, 3, 2, 1), 2),
+    ((("A", 5),), (5, 4, 3, 2, 1), 2),
+    ((("D", 4),), (3, 2, 1, 4), 2),
+    ((("D", 4),), (1, 2, 4, 3), 2),
+    ((("D", 4),), (3, 2, 4, 1), 3),
+    ((("D", 5),), (1, 2, 3, 5, 4), 2),
+    ((("A", 2), ("A", 2)), (3, 4, 1, 2), 2),
+    ((("A", 2), ("A", 2)), (4, 3, 2, 1), 4),
+    ((("A", 1), ("A", 1), ("G", 2)), (2, 1, 3, 4), 2),
+    ((("A", 2),), (2, 1), 6),
 )
 
 
@@ -132,6 +152,26 @@ def test_conjugation_preserves_length_on_whole_group():
     by_coords = {p.vec.coords: p for p in gd.mu_orbit}
     for p in gd.mu_orbit:
         assert by_coords[mat_vec(gd.action.matrix, p.vec.coords)].length == p.length
+
+
+@pytest.mark.parametrize("cartan_type, perm, order", TWISTS)
+def test_twist_matrix_is_pinned_by_coroots_and_complement(cartan_type, perm, order):
+    # a linear map is fixed by its values on a basis: the permuted coroots
+    # and the pointwise-fixed dot-orthogonal complement of their span
+    datum = build_root_datum(cartan_type)
+    action = build_galois_action(datum, tuple(p - 1 for p in perm), order)
+    m = action.matrix
+    coroots = [c.coords for c in datum.simple_coroots]
+    for i, c in enumerate(coroots):
+        assert mat_vec(m, c) == coroots[perm[i] - 1]
+    complement = nullspace(coroots, datum.ambient_dim)
+    assert len(complement) == datum.ambient_dim - datum.rank
+    for v in complement:
+        assert all(vec_dot(c, v) == 0 for c in coroots)
+        assert mat_vec(m, v) == v
+    gram = inner_product_default(datum).gram
+    assert mat_mul(mat_mul(tuple(zip(*m)), gram), m) == gram
+    assert action.power(order) == action.power(0)
 
 
 def test_orbit_data_survives_rescaling():

@@ -1,0 +1,105 @@
+"""Properties of the one exact elimination kernel over Q and its read-offs."""
+
+import itertools
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from perdom.rootdata import mat_inv, mat_mul, nullspace, row_reduce, solve_in_span  # noqa: E402
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+entries = st.integers(min_value=-3, max_value=3)
+
+
+def matrices(min_rows=1, max_rows=4, min_cols=1, max_cols=5):
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda r: st.integers(min_cols, max_cols).flatmap(
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+        )
+    )
+
+
+def square_matrices(max_n=4):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def rank(rows) -> int:
+    return len(row_reduce(rows)[1])
+
+
+def det(m) -> int:
+    """Leibniz expansion: independent of the elimination kernel."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j])
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@SETTINGS
+@given(square_matrices())
+def test_mat_inv_inverts_or_rejects_singular(m):
+    n = len(m)
+    if det(m) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(m)
+    else:
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert mat_mul(mat_inv(m), m) == identity
+
+
+@SETTINGS
+@given(matrices())
+def test_row_rank_equals_column_rank(a):
+    assert rank(a) == rank([list(col) for col in zip(*a)])
+
+
+@SETTINGS
+@given(matrices())
+def test_reduced_rows_are_echelon_with_unit_pivots(a):
+    rows, pivots = row_reduce(a)
+    assert len(rows) == len(pivots)
+    assert pivots == sorted(set(pivots))
+    for r, p in enumerate(pivots):
+        assert [row[p] for row in rows] == [int(i == r) for i in range(len(rows))]
+        assert all(x == 0 for x in rows[r][:p])
+
+
+@SETTINGS
+@given(matrices())
+def test_nullspace_is_orthogonal_complement(a):
+    ncols = len(a[0])
+    basis = nullspace(a, ncols)
+    assert len(basis) == ncols - rank(a)
+    assert all(dot(row, v) == 0 for row in a for v in basis)
+    assert rank(basis) == len(basis)
+
+
+def test_nullspace_of_no_rows_is_the_standard_basis():
+    assert nullspace([], 2) == ((1, 0), (0, 1))
+
+
+@SETTINGS
+@given(matrices(max_rows=3, min_cols=2), st.lists(entries, min_size=3, max_size=3))
+def test_solve_in_span_reproduces_target(vectors, coeffs):
+    coeffs = coeffs[: len(vectors)]
+    if rank(vectors) < len(vectors):
+        with pytest.raises(ValueError, match="dependent"):
+            solve_in_span(vectors, vectors[0])
+        return
+    target = [dot(coeffs, col) for col in zip(*vectors)]
+    assert solve_in_span(vectors, target) == tuple(coeffs)
+    # off the span: add a nonzero vector orthogonal to every given vector
+    for w in nullspace(vectors, len(vectors[0])):
+        assert solve_in_span(vectors, [t + x for t, x in zip(target, w)]) is None
