@@ -8,6 +8,7 @@ rational formatting) unless the table format is requested.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -24,13 +25,17 @@ from .cohom import (
     lefschetz_series,
 )
 from .complex import acyclicity_sweep
-from .finflag import _factor_prime_power, flag_count, mu_flag_type
+from .finflag import HermitianData, _factor_prime_power, enumerate_flag_points, make_tower
 from .rootdata import BudgetError, UnsupportedTypeError
 from .semistable import (
+    _rational_unitary_flags,
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
+    check_verifier_budget,
     parabolic_invariance_sample,
+    points_csv,
+    semistable_indices,
     verifier_mode,
 )
 
@@ -259,19 +264,14 @@ def cmd_cohomology(spec: GroupSpec, fmt: str) -> tuple[int, str]:
 
 def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
     """Mandatory equality of the counting formula with actual point counts."""
-    from .finflag import make_tower
-
     mode = verifier_mode(gd)
+    # the verifier's m = 1 tower: F_q when split, F_{q^2} for U_3
+    tower = make_tower(gd.q, check_verifier_budget(gd, 1, budget))
     checks = []
     if mode == "split":
         n = gd.datum.ambient_dim
-        tower = make_tower(gd.q, 1)
-        from .finflag import enumerate_flag_points
-
         for k in range(gd.d_prime + 1):
-            import itertools as _it
-
-            for I in _it.combinations(range(gd.d_prime), k):
+            for I in itertools.combinations(range(gd.d_prime), k):
                 I = frozenset(I)
                 roots = set()
                 for orb in I:
@@ -284,23 +284,12 @@ def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
                      "formula": dim_induced(gd, I)(gd.q), "points": count}
                 )
     elif mode == "u3":
-        ctx = build_verifier_for_guard(gd, budget)
-        checks.append(
-            {"I": [], "formula": dim_induced(gd, frozenset())(gd.q), "points": len(ctx)}
-        )
+        # the rational chambers of the unitary instance, counted independently
+        chambers = len(_rational_unitary_flags(HermitianData(tower=tower, n=3), budget))
+        checks.append({"I": [], "formula": dim_induced(gd, frozenset())(gd.q), "points": chambers})
         checks.append({"I": list(gd.orbits_delta.labels), "formula": 1, "points": 1})
     match = all(c["formula"] == c["points"] for c in checks)
     return {"match": match, "checks": checks}
-
-
-def build_verifier_for_guard(gd: GroupData, budget: int):
-    """Rational chambers of the unitary instance, counted independently."""
-    from .finflag import HermitianData, make_tower
-    from .semistable import _rational_unitary_flags
-
-    tower = make_tower(gd.q, 2)
-    herm = HermitianData(tower=tower, n=3)
-    return _rational_unitary_flags(herm, budget)
 
 
 def cmd_dims(spec: GroupSpec, fmt: str) -> tuple[int, str]:
@@ -320,11 +309,12 @@ def cmd_dims(spec: GroupSpec, fmt: str) -> tuple[int, str]:
 
 
 def _feasible_m(gd: GroupData, budget: int) -> int | None:
-    n = gd.datum.ambient_dim
-    _, dims = mu_flag_type(gd.mu.coords)
     for m in range(1, 4):
-        if flag_count(n, dims, gd.q_e**m) <= budget:
-            return m
+        try:
+            check_verifier_budget(gd, m, budget)
+        except BudgetError:
+            continue
+        return m
     return None
 
 
@@ -344,10 +334,6 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
     cells_ok = True
     spot_ok = True
     try:
-        import itertools as _it
-
-        from .semistable import semistable_indices
-
         guard = _induced_dim_guard(gd, spec.budget)
         verification["induced_dim_guard"] = guard
         all_match = guard["match"]
@@ -368,7 +354,7 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
 
             if ctx.mode == "split":
                 for k in range(gd.d_prime + 1):
-                    for I in _it.combinations(range(gd.d_prime), k):
+                    for I in itertools.combinations(range(gd.d_prime), k):
                         ok, detail = bruhat_cells_check(ctx, frozenset(I))
                         cells_ok = cells_ok and ok
                         cell_rows.append(
@@ -378,8 +364,6 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
             if pos == 0:
                 spot_ok = parabolic_invariance_sample(ctx, seed=seed)
                 if points_csv_path:
-                    from .semistable import points_csv
-
                     with open(points_csv_path, "w", encoding="utf-8") as fh:
                         fh.write(points_csv(ctx))
                     verification["points_csv"] = points_csv_path
@@ -391,7 +375,8 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
         verification["invariant_spot_checks"] = {"seed": seed, "parabolic_invariance": spot_ok}
         all_match = all_match and spot_ok
     except BudgetError as exc:
-        suggestion = _feasible_m(gd, spec.budget)
+        # a failed guard is refused at every m
+        suggestion = _feasible_m(gd, spec.budget) if "induced_dim_guard" in verification else None
         verification["budget_error"] = str(exc)
         if suggestion is not None:
             verification["smallest_feasible_m"] = suggestion
@@ -410,7 +395,7 @@ def cmd_sweep(spec: GroupSpec, fmt: str, m_list: list[int], fail_fast: bool) -> 
     try:
         for m in m_list:
             ctx = build_verifier(gd, m, budget=spec.budget)
-            sweep = acyclicity_sweep(ctx, fail_fast=fail_fast, keep_details=True)
+            sweep = acyclicity_sweep(ctx, fail_fast=fail_fast)
             rows.append(
                 {
                     "m": m,

@@ -37,7 +37,7 @@ class TitsSubcomplex:
 
 def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
     """The subcomplex spanned by everything that destabilizes one point."""
-    report = is_semistable(ctx, index, collect_all=True)
+    report = is_semistable(ctx, index)
     if report.verdict:
         raise SemistablePointError(f"point {index} is semistable; the complex is empty")
 
@@ -140,7 +140,7 @@ class SweepReport:
         return not self.violations
 
 
-def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False, keep_details: bool = False) -> SweepReport:
+def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False) -> SweepReport:
     """Check that every non-semistable point has an acyclic destabilizing complex."""
     violations = []
     per_point = []
@@ -153,8 +153,7 @@ def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False, keep_details
         non_ss += 1
         betti = reduced_homology(complex_)
         counts = tuple(len(level) for level in complex_.simplices)
-        if keep_details:
-            per_point.append({"point": i, "simplices": counts, "betti": betti})
+        per_point.append({"point": i, "simplices": counts, "betti": betti})
         if any(betti):
             violations.append({"point": i, "simplices": counts, "betti": betti})
             if fail_fast:

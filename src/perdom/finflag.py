@@ -323,8 +323,8 @@ def contains(tower: FieldTower, big: Subspace, small: Subspace) -> bool:
 
 
 def intersection_dim(tower: FieldTower, a: Subspace, b: Subspace) -> int:
-    if a.dim == 0 or b.dim == 0:
-        return 0
+    if a.dim in (0, a.ncols) or b.dim in (0, b.ncols):
+        return min(a.dim, b.dim)
     return a.dim + b.dim - rank(tower, list(a.rows) + list(b.rows))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cohom import GroupData
 from .finflag import (
@@ -155,6 +156,21 @@ class VerifierContext:
     hermitian: HermitianData | None
     point_filts: list[Filtration]
 
+    @cached_property
+    def destabilizer_table(self) -> list[tuple[tuple[int, Fraction], ...]]:
+        """Per point, the (test index, slope) pairs with negative slope, in
+        test order: the negative entries of the point x test slope matrix."""
+        table = []
+        for filt in self.point_filts:
+            slopes = [slope(self.tower, filt, test.filtration) for test in self.tests]
+            table.append(tuple((k, v) for k, v in enumerate(slopes) if v < 0))
+        return table
+
+    @cached_property
+    def bruhat_partition(self) -> dict:
+        """``bruhat_cells`` of this context, computed once for every label set."""
+        return bruhat_cells(self)
+
 
 def verifier_mode(gd: GroupData) -> str | None:
     """Which brute-force model supports this instance, if any."""
@@ -175,14 +191,11 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
         raise ValueError("brute force supports split SL_n and quasi-split U_3 only")
     if m < 1:
         raise ValueError("m must be at least 1")
+    tower = make_tower(gd.q, check_verifier_budget(gd, m, budget))
     n = gd.datum.ambient_dim
     weights, dims = mu_flag_type(gd.mu.coords)
-    q = gd.q
 
     if mode == "split":
-        if flag_count(n, dims, q**m) > budget:
-            raise BudgetError(f"{flag_count(n, dims, q ** m)} flags exceed budget {budget}")
-        tower = _budgeted_tower(q, m, budget)
         points = enumerate_flag_points(tower, n, weights, dims, budget=budget)
         tests = []
         for d in range(1, n):
@@ -198,29 +211,21 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
                 )
         hermitian = None
     else:
-        t = gd.muclass.e_degree
-        s = t * m  # total Frobenius power defining the point field
-        twisted = s % 2 == 1
-        ext = 2 * m if (twisted or t == 2) else m
-        tower = _budgeted_tower(q, ext, budget)
+        s = gd.muclass.e_degree * m  # total Frobenius power defining the point field
         hermitian = HermitianData(tower=tower, n=n)
-        if twisted:
+        if s % 2 == 1:
             if dims not in ((), (1, 2)):
                 raise AssertionError("a twist-fixed conjugacy class must give full flags")
             if not dims:
                 points = [FlagPoint(chain=(), weights=weights)]
             else:
-                if gaussian_binomial(n, 1, tower.size) > budget:
-                    raise BudgetError("twisted line scan exceeds budget")
                 points = enumerate_twisted_fixed_flags(hermitian, weights, conj_power=s, budget=budget)
-                expected = q ** (3 * s) + 1
+                expected = gd.q ** (3 * s) + 1
                 assert len(points) == expected, (len(points), expected)
                 assert all(hermitian.is_fixed(x, s) for x in points)
         else:
-            sub_deg = s  # flags rational over F_{q^s} inside the tower
-            if flag_count(n, dims, q**s) > budget:
-                raise BudgetError("flag enumeration exceeds budget")
-            points = enumerate_flag_points(tower, n, weights, dims, subfield_deg=sub_deg, budget=budget)
+            # flags rational over F_{q^s} inside the tower
+            points = enumerate_flag_points(tower, n, weights, dims, subfield_deg=s, budget=budget)
         tests = []
         for f in _rational_unitary_flags(hermitian, budget):
             tests.append(
@@ -232,7 +237,7 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
                     filtration=flag_filtration(tower, f, n),
                 )
             )
-        assert len(tests) == q**3 + 1, (len(tests), q**3 + 1)
+        assert len(tests) == gd.q**3 + 1, (len(tests), gd.q**3 + 1)
 
     point_filts = [flag_filtration(tower, x, n) for x in points]
     return VerifierContext(
@@ -241,11 +246,26 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
     )
 
 
-def _budgeted_tower(q: int, ext: int, budget: int) -> FieldTower:
-    """The tower for F_{q^ext}, refused before its addition table outgrows the budget."""
+def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
+    """Refuse a verifier run before anything is enumerated: the flag or line
+    count and the size**2 addition table of the field tower must fit the
+    budget.  Returns the degree over F_q of the tower the points live in."""
+    n = gd.datum.ambient_dim
+    _, dims = mu_flag_type(gd.mu.coords)
+    q, t = gd.q, gd.muclass.e_degree
+    s = t * m  # total Frobenius power defining the point field
+    if verifier_mode(gd) == "split":
+        ext, count, what = m, flag_count(n, dims, q**m), "flags"
+    elif s % 2 == 1:
+        # twist-fixed flags are found by scanning the lines over F_{q^2m}
+        ext, count, what = 2 * m, gaussian_binomial(n, 1, q ** (2 * m)) if dims else 1, "twisted lines"
+    else:
+        ext, count, what = 2 * m if t == 2 else m, flag_count(n, dims, q**s), "flags"
+    if count > budget:
+        raise BudgetError(f"{count} {what} exceed budget {budget}")
     if q ** (2 * ext) > budget:
         raise BudgetError(f"{q ** (2 * ext)}-entry addition table of F_{q ** ext} exceeds budget {budget}")
-    return make_tower(q, ext)
+    return ext
 
 
 def _rational_unitary_flags(herm: HermitianData, budget: int) -> list[FlagPoint]:
@@ -265,17 +285,10 @@ def _rational_unitary_flags(herm: HermitianData, budget: int) -> list[FlagPoint]
     return out
 
 
-def is_semistable(ctx: VerifierContext, index: int, collect_all: bool = False) -> SlopeReport:
+def is_semistable(ctx: VerifierContext, index: int) -> SlopeReport:
     """Slope verdict for one enumerated point; slope 0 counts as semistable."""
-    filt = ctx.point_filts[index]
-    destab = []
-    for test in ctx.tests:
-        value = slope(ctx.tower, filt, test.filtration)
-        if value < 0:
-            destab.append((test, value))
-            if not collect_all:
-                break
-    return SlopeReport(point_index=index, destabilizers=tuple(destab))
+    row = ctx.destabilizer_table[index]
+    return SlopeReport(point_index=index, destabilizers=tuple((ctx.tests[k], v) for k, v in row))
 
 
 def brute_force_ss_count(ctx: VerifierContext) -> int:
@@ -288,20 +301,16 @@ def semistable_indices(ctx: VerifierContext) -> list[int]:
 
 def per_point_rows(ctx: VerifierContext) -> list[dict]:
     """Full slope reports, one row per enumerated point."""
-    rows = []
-    for i in range(len(ctx.points)):
-        report = is_semistable(ctx, i, collect_all=True)
-        worst = min((v for _, v in report.destabilizers), default=None)
-        rows.append(
-            {
-                "point": i,
-                "semistable": report.verdict,
-                "destabilizer_count": len(report.destabilizers),
-                "worst_slope": worst,
-                "chain": [[list(r) for r in s.rows] for s in ctx.points[i].chain],
-            }
-        )
-    return rows
+    return [
+        {
+            "point": i,
+            "semistable": not row,
+            "destabilizer_count": len(row),
+            "worst_slope": min((v for _, v in row), default=None),
+            "chain": [[list(r) for r in s.rows] for s in x.chain],
+        }
+        for i, (x, row) in enumerate(zip(ctx.points, ctx.destabilizer_table))
+    ]
 
 
 def points_csv(ctx: VerifierContext) -> str:
@@ -326,60 +335,47 @@ def points_csv(ctx: VerifierContext) -> str:
 
 def y_I_points(ctx: VerifierContext, I: frozenset[int]) -> frozenset[int]:
     """Indices of points with negative slope against every standard coweight
-    whose orbit lies outside I."""
+    whose orbit lies outside I.  The test filtration of the standard subspace
+    E_{k+1} is the filtration of the k-th standard coweight."""
     if ctx.mode != "split":
         raise ValueError("stratification check requires a split instance")
-    gd = ctx.gd
-    filts = {
-        k: coordinate_filtration(ctx.tower, gd.orbits_delta.twisted_coweights[k].coords)
-        for k in range(gd.d_prime)
-        if k not in I
+    test_of = {t.subspace: j for j, t in enumerate(ctx.tests)}
+    wanted = {
+        test_of[_standard_subspace(ctx, k + 1)] for k in range(ctx.gd.d_prime) if k not in I
     }
-    out = []
-    for i, pf in enumerate(ctx.point_filts):
-        if all(slope(ctx.tower, pf, f) < 0 for f in filts.values()):
-            out.append(i)
-    return frozenset(out)
-
-
-def _standard_flag_of(ctx: VerifierContext, coords) -> FlagPoint:
-    weights, dims = mu_flag_type(coords)
-    vals = [Fraction(c) for c in coords]
-    chain = []
-    for w in weights[:-1]:
-        rows = [[int(j == i) for j in range(ctx.n)] for i, c in enumerate(vals) if c >= w]
-        chain.append(subspace_from_rows(ctx.tower, rows, ctx.n))
-    return FlagPoint(chain=tuple(chain), weights=weights)
-
-
-def _relative_position(ctx: VerifierContext, x: FlagPoint):
-    """B-orbit invariant: intersection dimensions against the coordinate flag."""
-    standards = [
-        subspace_from_rows(ctx.tower, [[int(j == i) for j in range(ctx.n)] for i in range(k)], ctx.n)
-        for k in range(1, ctx.n)
-    ]
-    return tuple(
-        tuple(intersection_dim(ctx.tower, e, s) for e in standards) for s in x.chain
+    return frozenset(
+        i for i, row in enumerate(ctx.destabilizer_table) if wanted <= {j for j, _ in row}
     )
+
+
+def _standard_subspace(ctx: VerifierContext, d: int) -> Subspace:
+    """The span E_d of the first d coordinate vectors."""
+    return subspace_from_rows(ctx.tower, [[int(j == i) for j in range(ctx.n)] for i in range(d)], ctx.n)
+
+
+def _relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
+    """B-orbit invariant: intersection dimensions against the coordinate flag."""
+    standards = [_standard_subspace(ctx, d) for d in range(1, ctx.n)]
+    return tuple(tuple(intersection_dim(ctx.tower, e, s) for e in standards) for s in chain)
 
 
 def bruhat_cells(ctx: VerifierContext) -> dict:
     """Partition of the points into cells indexed by Kostant representatives,
-    each given by its point ``w mu`` of mu's W-orbit."""
+    each given by its point ``w mu`` of mu's W-orbit; the cell of ``w mu``
+    holds the coordinate flag of its weight levels."""
     if ctx.mode != "split":
         raise ValueError("cell decomposition requires a split instance")
     gd = ctx.gd
     rep_invariants = {}
     for p in gd.mu_orbit:
-        flag = _standard_flag_of(ctx, p.vec.coords)
-        inv = _relative_position(ctx, flag)
+        inv = _relative_position(ctx, coordinate_filtration(ctx.tower, p.vec.coords).spaces[:-1])
         if inv in rep_invariants.values():
             raise AssertionError("distinct representatives share a cell invariant")
         rep_invariants[p] = inv
     cells: dict = {p: [] for p in gd.mu_orbit}
     by_inv = {inv: p for p, inv in rep_invariants.items()}
     for i, x in enumerate(ctx.points):
-        inv = _relative_position(ctx, x)
+        inv = _relative_position(ctx, x.chain)
         if inv not in by_inv:
             raise AssertionError("point outside every Bruhat cell")
         cells[by_inv[inv]].append(i)
@@ -392,7 +388,7 @@ def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
     gd = ctx.gd
     from .cohom import omega_I
 
-    cells = bruhat_cells(ctx)
+    cells = ctx.bruhat_partition
     q, m = gd.q, ctx.m
     sizes_ok = all(len(idx) == q ** (m * p.length) for p, idx in cells.items())
     allowed = {o.rep for o in omega_I(gd, I)}
@@ -413,14 +409,13 @@ def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
 # sampled invariants
 
 def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:
-    """Semistability is stable under Frobenius on every enumerated point."""
+    """Frobenius permutes the enumerated points and, fixing every rational
+    test, keeps each point's row of destabilizers."""
     lookup = {x: i for i, x in enumerate(ctx.points)}
+    table = ctx.destabilizer_table
     for i, x in enumerate(ctx.points):
-        fx = frobenius_point(x, ctx.tower, ctx.hermitian)
-        j = lookup.get(fx)
-        if j is None:
-            return False
-        if is_semistable(ctx, i).verdict != is_semistable(ctx, j).verdict:
+        j = lookup.get(frobenius_point(x, ctx.tower, ctx.hermitian))
+        if j is None or table[i] != table[j]:
             return False
     return True
 
@@ -479,10 +474,7 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
     for _ in range(samples):
         x = ctx.points[rng.randrange(len(ctx.points))]
         d = rng.randrange(1, n)
-        std = subspace_from_rows(
-            ctx.tower, [[int(j == i) for j in range(n)] for i in range(d)], n
-        )
-        test = subspace_coweight_filtration(ctx.tower, std, n)
+        test = subspace_coweight_filtration(ctx.tower, _standard_subspace(ctx, d), n)
         g = random_parabolic_element(ctx.tower, n, d, rng)
         gx = apply_matrix_to_point(ctx.tower, g, x)
         before = slope(ctx.tower, flag_filtration(ctx.tower, x, n), test)

@@ -143,6 +143,32 @@ def test_field_tower_checked_against_budget(tmp_path, capsys):
     assert "addition table" in json.loads(out)["verification"]["budget_error"]
 
 
+SL2_Q32 = {**SL2, "q": 32}
+
+
+def test_guard_field_tower_checked_against_budget(tmp_path, capsys):
+    # 33 flags fit the budget, the 1024-entry addition table of F_32 does not
+    path = write_spec(tmp_path, SL2_Q32)
+    code, out, _ = run(["dims", "--spec", path, "--budget", "1000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "addition table of F_32" in json.loads(out)["verification"]["budget_error"]
+
+
+@pytest.mark.parametrize("spec,argv,error", [
+    # every m needs the 1024-entry table of F_32 or a larger one
+    (SL2_Q32, ["--m", "1", "--budget", "1000"], "addition table of F_32"),
+    # 7 points fit at m = 1, but the guard's 21 full flags do not
+    ({"type": [["A", 2]], "mu": [2, -1, -1], "q": 2}, ["--m", "2", "--budget", "10"], "21 flags"),
+])
+def test_no_infeasible_m_suggested(tmp_path, capsys, spec, argv, error):
+    path = write_spec(tmp_path, spec)
+    code, out, _ = run(["verify", "--spec", path] + argv, capsys)
+    assert code == cli.EXIT_BUDGET
+    verification = json.loads(out)["verification"]
+    assert error in verification["budget_error"]
+    assert "smallest_feasible_m" not in verification
+
+
 def test_dims_includes_guard(tmp_path, capsys):
     path = write_spec(tmp_path, U3)
     code, out, _ = run(["dims", "--spec", path], capsys)

@@ -113,7 +113,7 @@ def test_euler_characteristic_consistency():
 
 
 def test_sweep_reports():
-    rep = acyclicity_sweep(verifier("a1_reg", 2), keep_details=True)
+    rep = acyclicity_sweep(verifier("a1_reg", 2))
     assert rep.all_acyclic
     assert rep.non_semistable == 3
     assert len(rep.per_point) == 3

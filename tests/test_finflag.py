@@ -189,3 +189,13 @@ def test_hermitian_nondegenerate():
     h = HermitianData(tower=t, n=3)
     full = subspace_from_rows(t, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     assert h.perp(full).dim == 0
+
+
+def test_intersection_dim_matches_rank_of_union():
+    # includes the zero space and the full space, which take the shortcut
+    for q in (2, 3):
+        t = make_tower(q, 1)
+        subs = [s for d in range(4) for s in enumerate_subspaces(t, 3, d)]
+        for a, b in itertools.product(subs, repeat=2):
+            expected = a.dim + b.dim - rank(t, list(a.rows) + list(b.rows))
+            assert intersection_dim(t, a, b) == expected

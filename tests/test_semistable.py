@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import instance, table, verifier
+from perdom import semistable
 from perdom.cohom import lefschetz_series
+from perdom.complex import build_t_x
 from perdom.finflag import full_space, make_tower, subspace_from_rows
 from perdom.semistable import (
     Filtration,
@@ -20,6 +22,7 @@ from perdom.semistable import (
     frobenius_equivariance_holds,
     is_semistable,
     parabolic_invariance_sample,
+    points_csv,
     semistable_indices,
     slope,
     subspace_coweight_filtration,
@@ -139,7 +142,7 @@ def test_semistable_central_everything():
 
 def test_slope_report_contents():
     ctx = verifier("a1_reg", 1)
-    report = is_semistable(ctx, 0, collect_all=True)
+    report = is_semistable(ctx, 0)
     assert not report.verdict
     assert all(value < 0 for _, value in report.destabilizers)
     assert len(report.destabilizers) == 1
@@ -232,3 +235,66 @@ def test_verifier_budget():
     gd = instance("a2_reg")
     with pytest.raises(BudgetError):
         build_verifier(gd, 3, budget=10)
+
+
+def test_one_slope_pass_per_context(monkeypatch):
+    calls = {"slope": 0, "bruhat_cells": 0}
+
+    def counted(name):
+        original = getattr(semistable, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(semistable, name, wrapper)
+
+    counted("slope")
+    counted("bruhat_cells")
+    gd = instance("a2_reg")
+    ctx = build_verifier(gd, 2)  # fresh, so no consumer has filled its caches
+    brute_force_ss_count(ctx)
+    points_csv(ctx)
+    assert frobenius_equivariance_holds(ctx)
+    for k in range(gd.d_prime + 1):
+        for I in itertools.combinations(range(gd.d_prime), k):
+            y_I_points(ctx, frozenset(I))
+            assert bruhat_cells_check(ctx, frozenset(I))[0]
+    for i in range(len(ctx.points)):
+        if not is_semistable(ctx, i).verdict:
+            build_t_x(ctx, i)
+    assert calls == {"slope": len(ctx.points) * len(ctx.tests), "bruhat_cells": 1}
+
+
+@pytest.mark.parametrize("name,m", [("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1)])
+def test_destabilizer_table_matches_direct_pairing(name, m):
+    ctx = verifier(name, m)
+    for i, filt in enumerate(ctx.point_filts):
+        row = dict(ctx.destabilizer_table[i])
+        assert list(row) == sorted(row)
+        for k, test in enumerate(ctx.tests):
+            value = slope(ctx.tower, filt, test.filtration)
+            assert (k in row) == (value < 0)
+            if value < 0:
+                assert row[k] == value
+
+
+@pytest.mark.parametrize("name,m", [("a2_reg", 1), ("a2_reg", 2), ("a3_mid", 1), ("a3_reg", 1)])
+def test_y_stratum_against_coordinate_filtrations(name, m):
+    # the former computation: pair every point with the standard coweights
+    ctx = verifier(name, m)
+    gd = ctx.gd
+    negative = {
+        k: {
+            i for i, pf in enumerate(ctx.point_filts)
+            if slope(ctx.tower, pf, coordinate_filtration(ctx.tower, w.coords)) < 0
+        }
+        for k, w in enumerate(gd.orbits_delta.twisted_coweights)
+    }
+    for r in range(gd.d_prime + 1):
+        for I in itertools.combinations(range(gd.d_prime), r):
+            expected = set(range(len(ctx.points)))
+            for k in range(gd.d_prime):
+                if k not in I:
+                    expected &= negative[k]
+            assert y_I_points(ctx, frozenset(I)) == expected, (name, m, I)
