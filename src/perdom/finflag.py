@@ -1,7 +1,8 @@
 """Finite field towers, subspaces in echelon form, flags, Hermitian structure.
 
 Field elements are integers 0..p^n-1 encoding polynomial coefficients base p;
-multiplication runs on log/antilog tables, addition on a precomputed table.
+multiplication runs on log/antilog tables, addition adds the base-p digits
+mod p (XOR when p = 2), so every table is linear in the field size.
 Every subspace is kept in reduced row echelon form, which is the canonical
 representative used for hashing and equality.
 """
@@ -11,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import xor
 
 from .rootdata import BudgetError
 
@@ -127,6 +129,21 @@ def _factor_prime_power(q: int):
     raise ValueError(f"{q} is not a prime power")
 
 
+def _digitwise(p, sign, x, y):
+    """x + sign * y on encoded elements: base-p digits combined mod p."""
+    out, place = 0, 1
+    while y:
+        x, a = divmod(x, p)
+        y, b = divmod(y, p)
+        out += (a + sign * b) % p * place
+        place *= p
+    return out + x * place  # the digits of x above those of y pass through
+
+
+def _identity(x):
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the field tower
 
@@ -163,18 +180,15 @@ class FieldTower:
 
     def _build_tables(self):
         size, p = self.size, self.p
-        add = [[0] * size for _ in range(size)]
-        for x in range(size):
-            px = self._to_poly(x)
-            for y in range(x, size):
-                py = self._to_poly(y)
-                s = self._from_poly(
-                    [(a + b) % p for a, b in itertools.zip_longest(px, py, fillvalue=0)]
-                )
-                add[x][y] = s
-                add[y][x] = s
-        self._add = add
-        self._neg = [self._from_poly([(-c) % p for c in self._to_poly(x)]) for x in range(size)]
+        # picked once per tower, so the hot calls never branch on p
+        if p == 2:
+            self.add = self.sub = xor
+            self.neg = _identity
+        else:
+            self.add = partial(_digitwise, p, 1)
+            self.sub = partial(_digitwise, p, -1)
+            self._neg = [_digitwise(p, -1, 0, x) for x in range(size)]
+            self.neg = self._neg.__getitem__
 
         order = size - 1
         if order == 1:
@@ -202,15 +216,6 @@ class FieldTower:
             raise AssertionError("no primitive element found")
         self._frob_q = [self.power(x, self.q) for x in range(size)]
         self._subfield_cache: dict[int, frozenset[int]] = {}
-
-    def add(self, x: int, y: int) -> int:
-        return self._add[x][y]
-
-    def neg(self, x: int) -> int:
-        return self._neg[x]
-
-    def sub(self, x: int, y: int) -> int:
-        return self._add[x][self._neg[y]]
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

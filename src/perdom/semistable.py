@@ -167,6 +167,12 @@ class VerifierContext:
         return table
 
     @cached_property
+    def standard_subspaces(self) -> tuple[Subspace, ...]:
+        """The coordinate subspaces E_1 ... E_{n-1}; ``[d - 1]`` is E_d, the
+        span of the first d coordinate vectors."""
+        return tuple(standard_subspace(self.tower, self.n, d) for d in range(1, self.n))
+
+    @cached_property
     def bruhat_partition(self) -> dict:
         """``bruhat_cells`` of this context, computed once for every label set."""
         return bruhat_cells(self)
@@ -248,8 +254,10 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
 
 def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
     """Refuse a verifier run before anything is enumerated: the flag or line
-    count and the size**2 addition table of the field tower must fit the
-    budget.  Returns the degree over F_q of the tower the points live in."""
+    count and the field tower's tables, the largest of which has one entry
+    per element, must fit the budget.  Returns the degree over F_q of the
+    tower the points live in.  Every non-central mu has at least size + 1
+    flags or lines, so the table check binds only when that count is tiny."""
     n = gd.datum.ambient_dim
     _, dims = mu_flag_type(gd.mu.coords)
     q, t = gd.q, gd.muclass.e_degree
@@ -263,8 +271,8 @@ def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
         ext, count, what = 2 * m if t == 2 else m, flag_count(n, dims, q**s), "flags"
     if count > budget:
         raise BudgetError(f"{count} {what} exceed budget {budget}")
-    if q ** (2 * ext) > budget:
-        raise BudgetError(f"{q ** (2 * ext)}-entry addition table of F_{q ** ext} exceeds budget {budget}")
+    if q**ext > budget:
+        raise BudgetError(f"{q**ext}-entry field tables of F_{q**ext} exceed budget {budget}")
     return ext
 
 
@@ -340,22 +348,20 @@ def y_I_points(ctx: VerifierContext, I: frozenset[int]) -> frozenset[int]:
     if ctx.mode != "split":
         raise ValueError("stratification check requires a split instance")
     test_of = {t.subspace: j for j, t in enumerate(ctx.tests)}
-    wanted = {
-        test_of[_standard_subspace(ctx, k + 1)] for k in range(ctx.gd.d_prime) if k not in I
-    }
+    wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
     return frozenset(
         i for i, row in enumerate(ctx.destabilizer_table) if wanted <= {j for j, _ in row}
     )
 
 
-def _standard_subspace(ctx: VerifierContext, d: int) -> Subspace:
-    """The span E_d of the first d coordinate vectors."""
-    return subspace_from_rows(ctx.tower, [[int(j == i) for j in range(ctx.n)] for i in range(d)], ctx.n)
+def standard_subspace(tower: FieldTower, n: int, d: int) -> Subspace:
+    """The span E_d of the first d coordinate vectors of the n-space."""
+    return subspace_from_rows(tower, [[int(j == i) for j in range(n)] for i in range(d)], n)
 
 
 def _relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
     """B-orbit invariant: intersection dimensions against the coordinate flag."""
-    standards = [_standard_subspace(ctx, d) for d in range(1, ctx.n)]
+    standards = ctx.standard_subspaces
     return tuple(tuple(intersection_dim(ctx.tower, e, s) for e in standards) for s in chain)
 
 
@@ -474,7 +480,7 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
     for _ in range(samples):
         x = ctx.points[rng.randrange(len(ctx.points))]
         d = rng.randrange(1, n)
-        test = subspace_coweight_filtration(ctx.tower, _standard_subspace(ctx, d), n)
+        test = subspace_coweight_filtration(ctx.tower, ctx.standard_subspaces[d - 1], n)
         g = random_parabolic_element(ctx.tower, n, d, rng)
         gx = apply_matrix_to_point(ctx.tower, g, x)
         before = slope(ctx.tower, flag_filtration(ctx.tower, x, n), test)

@@ -1,6 +1,7 @@
 """Spec ingestion, report determinism, exit codes, command flows."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ def write_spec(tmp_path, payload, name="spec.json"):
     return str(path)
 
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 SL2 = {"type": [["A", 1]], "mu": [1, -1], "q": 2}
 U3 = {"type": [["A", 2]], "twist": {"perm": [2, 1], "order": 2}, "mu": [1, 0, -1], "q": 2}
 
@@ -135,28 +137,40 @@ def test_guard_budget_failure_writes_report(tmp_path, capsys, argv):
     assert "flags exceed budget" in json.loads(out)["verification"]["budget_error"]
 
 
-def test_field_tower_checked_against_budget(tmp_path, capsys):
-    # 257 flags fit the budget, the 65536-entry addition table of F_256 does not
+def test_field_tower_checked_against_budget(capsys):
+    # central mu has one point, the 1024-entry tables of F_1024 do not fit
+    path = str(SPECS / "central.json")
+    code, out, _ = run(["verify", "--spec", path, "--m", "10", "--budget", "1000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert "1024-entry field tables of F_1024" in json.loads(out)["verification"]["budget_error"]
+
+
+def test_field_tables_fit_where_flags_fit(tmp_path, capsys):
+    # 257 flags and the 256-entry tables of F_256 both fit the budget
     path = write_spec(tmp_path, SL2)
     code, out, _ = run(["verify", "--spec", path, "--m", "8", "--budget", "1000"], capsys)
-    assert code == cli.EXIT_BUDGET
-    assert "addition table" in json.loads(out)["verification"]["budget_error"]
+    assert code == cli.EXIT_OK
+    verification = json.loads(out)["verification"]
+    assert verification["counts"] == [{"brute_force": 254, "m": 8, "match": True, "series": 254}]
+    assert max(c["y_count"] for c in verification["cells"]["checks"]) == 257
 
 
-SL2_Q32 = {**SL2, "q": 32}
+CENTRAL_Q1024 = {"type": [["A", 2]], "mu": [0, 0, 0], "q": 1024}
 
 
 def test_guard_field_tower_checked_against_budget(tmp_path, capsys):
-    # 33 flags fit the budget, the 1024-entry addition table of F_32 does not
-    path = write_spec(tmp_path, SL2_Q32)
+    # one point fits the budget, the 1024-entry tables of F_1024 do not
+    path = write_spec(tmp_path, CENTRAL_Q1024)
     code, out, _ = run(["dims", "--spec", path, "--budget", "1000"], capsys)
     assert code == cli.EXIT_BUDGET
-    assert "addition table of F_32" in json.loads(out)["verification"]["budget_error"]
+    verification = json.loads(out)["verification"]
+    assert "1024-entry field tables of F_1024" in verification["budget_error"]
+    assert "smallest_feasible_m" not in verification
 
 
 @pytest.mark.parametrize("spec,argv,error", [
-    # every m needs the 1024-entry table of F_32 or a larger one
-    (SL2_Q32, ["--m", "1", "--budget", "1000"], "addition table of F_32"),
+    # every m needs the 1024-entry tables of F_1024 or larger ones
+    (CENTRAL_Q1024, ["--m", "1", "--budget", "1000"], "1024-entry field tables of F_1024"),
     # 7 points fit at m = 1, but the guard's 21 full flags do not
     ({"type": [["A", 2]], "mu": [2, -1, -1], "q": 2}, ["--m", "2", "--budget", "10"], "21 flags"),
 ])

@@ -25,9 +25,12 @@ from perdom.finflag import (
 )
 
 
+EXHAUSTIVE_FIELDS = ((2, 2), (3, 1), (2, 3), (3, 2), (4, 2), (5, 2), (3, 3), (2, 6))
+
+
 def test_field_axioms_exhaustive_up_to_64():
     # full associativity/distributivity sweep for orders up to 64
-    for q, m in ((2, 2), (3, 1), (2, 3), (3, 2), (4, 2), (5, 2), (3, 3), (2, 6)):
+    for q, m in EXHAUSTIVE_FIELDS:
         t = make_tower(q, m)
         els = list(t.elements)
         for a, b, c in itertools.product(els, repeat=3):
@@ -39,6 +42,56 @@ def test_field_axioms_exhaustive_up_to_64():
             assert t.add(a, t.neg(a)) == 0
             if a:
                 assert t.mul(a, t.inv(a)) == 1
+
+
+def digit_reference(t, x, y, sign):
+    """x + sign * y by decoding both into base-p digits, combining them mod p
+    and encoding the result again."""
+    def digits(z):
+        return [z // t.p**i % t.p for i in range(t.degree)]
+
+    return sum((a + sign * b) % t.p * t.p**i for i, (a, b) in enumerate(zip(digits(x), digits(y))))
+
+
+def check_add_sub_neg(t, pairs):
+    for x, y in pairs:
+        assert t.add(x, y) == digit_reference(t, x, y, 1)
+        assert t.sub(x, y) == digit_reference(t, x, y, -1)
+    for x in {x for pair in pairs for x in pair}:
+        assert t.neg(x) == digit_reference(t, 0, x, -1)
+
+
+def test_add_sub_neg_match_digit_reference_exhaustive():
+    for q, m in EXHAUSTIVE_FIELDS:
+        t = make_tower(q, m)
+        check_add_sub_neg(t, list(itertools.product(t.elements, repeat=2)))
+
+
+@pytest.mark.parametrize("q,m", [(2, 10), (3, 5), (5, 3)])
+def test_add_sub_neg_match_digit_reference_sampled(q, m):
+    t = make_tower(q, m)
+    rng = random.Random(q * 100 + m)
+    check_add_sub_neg(t, [(rng.randrange(t.size), rng.randrange(t.size)) for _ in range(2000)])
+
+
+def table_entries(value) -> int:
+    """Entries of a container, nested containers counted in full."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return len(value) + sum(table_entries(v) for v in value)
+    return 0
+
+
+def test_field_tables_are_linear_in_size():
+    t = make_tower(2, 10)
+    for j in (1, 2, 5, 10):
+        t.subfield(j)  # fill the lazily built subfield cache too
+    tables = [v for v in vars(t).values() if table_entries(v)]
+    for v in tables:
+        if isinstance(v, (list, tuple)):
+            assert not any(isinstance(x, (list, tuple, dict, set, frozenset)) for x in v)
+    assert sum(table_entries(v) for v in tables) <= 6 * t.size
 
 
 def test_field_axioms_sampled_f125():

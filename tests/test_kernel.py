@@ -1,4 +1,5 @@
-"""Properties of the one exact elimination kernel over Q and its read-offs."""
+"""Properties of the exact elimination kernels: ``row_reduce`` over Q with its
+read-offs, and ``finflag.rref`` over finite fields."""
 
 import itertools
 import math
@@ -9,6 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from perdom.finflag import make_tower, rref  # noqa: E402
 from perdom.rootdata import mat_inv, mat_mul, nullspace, row_reduce, solve_in_span  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -103,3 +105,58 @@ def test_solve_in_span_reproduces_target(vectors, coeffs):
     # off the span: add a nonzero vector orthogonal to every given vector
     for w in nullspace(vectors, len(vectors[0])):
         assert solve_in_span(vectors, [t + x for t, x in zip(target, w)]) is None
+
+
+# ---------------------------------------------------------------------------
+# rref over F_2, F_4, F_3 and F_9
+
+FIELDS = [make_tower(q, 1) for q in (2, 4, 3, 9)]
+
+
+@st.composite
+def field_matrices(draw):
+    t = draw(st.sampled_from(FIELDS))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    element = st.integers(0, t.size - 1)
+    row = st.lists(element, min_size=ncols, max_size=ncols)
+    return t, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_is_echelon_with_unit_pivots(case):
+    t, a = case
+    rows, pivots = rref(t, a)
+    assert len(rows) == len(pivots)
+    assert list(pivots) == sorted(set(pivots))
+    for r, p in enumerate(pivots):
+        assert [row[p] for row in rows] == [int(i == r) for i in range(len(rows))]
+        assert all(x == 0 for x in rows[r][:p])
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_spans_every_input_row(case):
+    t, a = case
+    rows, pivots = rref(t, a)
+    for v in a:
+        # in the span exactly when v is the combination read off its pivot entries
+        combo = [0] * len(v)
+        for row, p in zip(rows, pivots):
+            combo = [t.add(c, t.mul(v[p], x)) for c, x in zip(combo, row)]
+        assert combo == list(v)
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_is_idempotent(case):
+    t, a = case
+    once = rref(t, a)
+    assert rref(t, once[0]) == once
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_rank_equals_rank_of_transpose(case):
+    t, a = case
+    assert len(rref(t, a)[0]) == len(rref(t, [list(col) for col in zip(*a)])[0])

@@ -1,5 +1,6 @@
 """Filtration pairings, slopes, the semistability oracle, stratification."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -264,6 +265,30 @@ def test_one_slope_pass_per_context(monkeypatch):
         if not is_semistable(ctx, i).verdict:
             build_t_x(ctx, i)
     assert calls == {"slope": len(ctx.points) * len(ctx.tests), "bruhat_cells": 1}
+
+
+def test_standard_subspaces_built_once_per_context(monkeypatch):
+    built = collections.Counter()
+    original = semistable.standard_subspace
+
+    def counted(tower, n, d):
+        built[d] += 1
+        return original(tower, n, d)
+
+    monkeypatch.setattr(semistable, "standard_subspace", counted)
+    gd = instance("a3_mid")
+    ctx = build_verifier(gd, 1)
+    cells = ctx.bruhat_partition
+    for k in range(gd.d_prime + 1):
+        for I in itertools.combinations(range(gd.d_prime), k):
+            y_I_points(ctx, frozenset(I))
+    assert parabolic_invariance_sample(ctx, seed=1)
+    assert built == {1: 1, 2: 1, 3: 1}
+    # the same partition with E_1 ... E_3 rebuilt on every read
+    uncached = property(semistable.VerifierContext.standard_subspaces.func)
+    monkeypatch.setattr(semistable.VerifierContext, "standard_subspaces", uncached)
+    assert semistable.bruhat_cells(build_verifier(gd, 1)) == cells
+    assert built[1] > 1
 
 
 @pytest.mark.parametrize("name,m", [("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1)])
