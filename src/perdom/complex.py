@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finflag import Subspace, contains
+from .finflag import Subspace
 from .rootdata import row_reduce
 from .semistable import VerifierContext, is_semistable
 
@@ -61,7 +61,8 @@ def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
 def _chain_simplices(ctx: VerifierContext, subs: list[Subspace]):
     """All chains of nested subspaces, listed per simplex dimension."""
     n = len(subs)
-    below = [[j for j in range(i) if contains(ctx.tower, subs[i], subs[j])] for i in range(n)]
+    within = ctx.test_containment
+    below = [[j for j in range(i) if subs[j] in within[subs[i]]] for i in range(n)]
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
     while True:
         # a chain extends by any larger subspace containing its top member

@@ -1,8 +1,9 @@
 """Finite field towers, subspaces in echelon form, flags, Hermitian structure.
 
 Field elements are integers 0..p^n-1 encoding polynomial coefficients base p;
-multiplication runs on log/antilog tables, addition adds the base-p digits
-mod p (XOR when p = 2), so every table is linear in the field size.
+multiplication runs on log/antilog tables, addition is XOR when p = 2 and
+otherwise reads Zech's logarithm ``1 + g^k = g^Z(k)``, so every table is
+linear in the field size.
 Every subspace is kept in reduced row echelon form, which is the canonical
 representative used for hashing and equality.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import xor
 
 from .rootdata import BudgetError
@@ -129,15 +130,31 @@ def _factor_prime_power(q: int):
     raise ValueError(f"{q} is not a prime power")
 
 
-def _digitwise(p, sign, x, y):
-    """x + sign * y on encoded elements: base-p digits combined mod p."""
-    out, place = 0, 1
-    while y:
-        x, a = divmod(x, p)
-        y, b = divmod(y, p)
-        out += (a + sign * b) % p * place
-        place *= p
-    return out + x * place  # the digits of x above those of y pass through
+def _zech_ops(exp, log, zech):
+    """Addition and subtraction by Zech's logarithm: x + g^l = x (1 + g^(l - log x))."""
+    order = len(exp)
+    half = order // 2  # g^half = -1
+
+    def add(x, y):
+        if not y:
+            return x
+        if not x:
+            return y
+        lx = log[x]
+        z = zech[(log[y] - lx) % order]
+        return 0 if z is None else exp[(lx + z) % order]
+
+    def sub(x, y):
+        if not y:
+            return x
+        ly = log[y] + half
+        if not x:
+            return exp[ly % order]
+        lx = log[x]
+        z = zech[(ly - lx) % order]
+        return 0 if z is None else exp[(lx + z) % order]
+
+    return add, sub
 
 
 def _identity(x):
@@ -180,23 +197,29 @@ class FieldTower:
 
     def _build_tables(self):
         size, p = self.size, self.p
-        # picked once per tower, so the hot calls never branch on p
-        if p == 2:
-            self.add = self.sub = xor
-            self.neg = _identity
-        else:
-            self.add = partial(_digitwise, p, 1)
-            self.sub = partial(_digitwise, p, -1)
-            self._neg = [_digitwise(p, -1, 0, x) for x in range(size)]
-            self.neg = self._neg.__getitem__
-
+        self._subfield_cache: dict[int, frozenset[int]] = {}
         order = size - 1
         if order == 1:
             self._exp = [1]
             self._log = [0, 0]
-            self._frob_q = [self.power(x, self.q) for x in range(size)]
-            self._subfield_cache = {}
+        else:
+            self._find_primitive()
+        self._frob_q = [self.power(x, self.q) for x in range(size)]
+        # picked once per tower, so the hot calls never branch on p
+        if p == 2:
+            self.add = self.sub = xor
+            self.neg = _identity
             return
+        exp, log, half = self._exp, self._log, order // 2  # g^half = -1
+        # 1 + x: the lowest base-p digit of x goes up by one mod p
+        one_plus = [x - x % p + (x + 1) % p for x in exp]
+        self._zech = [log[y] if y else None for y in one_plus]
+        self.add, self.sub = _zech_ops(exp, log, self._zech)
+        self._neg = [0] + [exp[(log[x] + half) % order] for x in range(1, size)]
+        self.neg = self._neg.__getitem__
+
+    def _find_primitive(self):
+        size, order = self.size, self.size - 1
         for g in range(2, size):
             exp = [1]
             cur = 1
@@ -211,11 +234,8 @@ class FieldTower:
                 for i, v in enumerate(exp):
                     log[v] = i
                 self._log = log
-                break
-        else:
-            raise AssertionError("no primitive element found")
-        self._frob_q = [self.power(x, self.q) for x in range(size)]
-        self._subfield_cache: dict[int, frozenset[int]] = {}
+                return
+        raise AssertionError("no primitive element found")
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
@@ -331,6 +351,36 @@ def intersection_dim(tower: FieldTower, a: Subspace, b: Subspace) -> int:
     if a.dim in (0, a.ncols) or b.dim in (0, b.ncols):
         return min(a.dim, b.dim)
     return a.dim + b.dim - rank(tower, list(a.rows) + list(b.rows))
+
+
+def annihilator(tower: FieldTower, sub: Subspace):
+    """Rows spanning Ann(W) = {a : w . a = 0 for every w in W}; a vector lies
+    in W exactly when it pairs to zero with every row."""
+    return nullspace(tower, sub.rows, sub.ncols)
+
+
+def _dot(tower: FieldTower, u, v) -> int:
+    add, mul = tower.add, tower.mul
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc = add(acc, mul(x, y))
+    return acc
+
+
+def lies_in(tower: FieldTower, sub: Subspace, ann) -> bool:
+    """S inside W, read from W's annihilator as S . Ann(W)^T = 0."""
+    return not any(_dot(tower, row, a) for row in sub.rows for a in ann)
+
+
+def meet_dim(tower: FieldTower, sub: Subspace, ann) -> int:
+    """dim(S cap W) from W's annihilator: dim S - rank(S . Ann(W)^T), the
+    kernel of pairing S with Ann(W).  When S is a line or W a hyperplane the
+    matrix has one row or one column, so its rank is whether some pairing is
+    nonzero, with no elimination."""
+    if sub.dim == 1 or len(ann) <= 1:
+        return sub.dim - (not lies_in(tower, sub, ann))
+    return sub.dim - rank(tower, [[_dot(tower, row, a) for a in ann] for row in sub.rows])
 
 
 def is_k_rational(sub: Subspace, tower: FieldTower, subfield_deg: int = 1) -> bool:
@@ -455,13 +505,11 @@ def enumerate_flag_points(
     levels = {d: enumerate_subspaces(tower, n, d, subfield_deg, budget) for d in sorted(set(dims))}
     chains: list[tuple[Subspace, ...]] = [(s,) for s in levels[dims[0]]]
     for d in dims[1:]:
-        nxt = []
-        for chain in chains:
-            last = chain[-1]
-            for cand in levels[d]:
-                if contains(tower, cand, last):
-                    nxt.append(chain + (cand,))
-        chains = nxt
+        level = [(cand, annihilator(tower, cand)) for cand in levels[d]]
+        chains = [
+            chain + (cand,) for chain in chains for cand, ann in level
+            if lies_in(tower, chain[-1], ann)
+        ]
     assert len(chains) == expected
     return [FlagPoint(chain=c, weights=weights) for c in chains]
 

@@ -4,6 +4,17 @@ A point is semistable when its weighted flag pairs non-negatively against
 every rational test filtration; the test set is the full list of rational
 subspaces for the special linear group and the rational twisted flags for the
 quasi-split unitary group on 3 variables.
+
+Every point is paired with every test, but the pairing depends only on the
+dimensions dim(S cap W) of a point's chain subspace S and a test's subspace
+W.  A verifier context therefore builds one incidence table over the
+*distinct* subspaces: each test subspace's annihilator is computed once, and
+dim(S cap W) = dim S - rank(S . Ann(W)^T), which for a line is a test for a
+nonzero pairing.  Summed by parts, a slope is a weighted read of that table
+(``VerifierContext.destabilizer_table``).  The weights are scaled to
+integers, so the whole slope matrix is integer arithmetic and a ``Fraction``
+is built only for the negative slopes it reports.  ``filtration_pairing`` and
+``slope`` compute the same numbers directly and stay as the reference.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cohom import GroupData
 from .finflag import (
@@ -20,6 +32,7 @@ from .finflag import (
     FlagPoint,
     HermitianData,
     Subspace,
+    annihilator,
     contains,
     enumerate_flag_points,
     enumerate_subspaces,
@@ -29,7 +42,9 @@ from .finflag import (
     full_space,
     gaussian_binomial,
     intersection_dim,
+    lies_in,
     make_tower,
+    meet_dim,
     mu_flag_type,
     rank,
     subspace_from_rows,
@@ -157,14 +172,82 @@ class VerifierContext:
     point_filts: list[Filtration]
 
     @cached_property
+    def point_spaces(self) -> dict[Subspace, int]:
+        """The distinct proper subspaces of the points' filtrations, numbered."""
+        spaces = dict.fromkeys(s for f in self.point_filts for s in f.spaces[:-1])
+        return {s: k for k, s in enumerate(spaces)}
+
+    @cached_property
+    def test_annihilators(self) -> dict[Subspace, tuple]:
+        """Ann(W) for each distinct proper subspace W of the test filtrations."""
+        spaces = dict.fromkeys(w for t in self.tests for w in t.filtration.spaces[:-1])
+        return {w: annihilator(self.tower, w) for w in spaces}
+
+    @cached_property
+    def incidence(self) -> dict[Subspace, list[int]]:
+        """Per test subspace W, dim(S cap W) for every point subspace S, listed
+        in ``point_spaces`` order: one ``meet_dim`` per distinct pair."""
+        return {
+            w: [meet_dim(self.tower, s, ann) for s in self.point_spaces]
+            for w, ann in self.test_annihilators.items()
+        }
+
+    @cached_property
+    def test_containment(self) -> dict[Subspace, frozenset[Subspace]]:
+        """Per test subspace W, the test subspaces S inside it (S . Ann(W)^T = 0)."""
+        anns = self.test_annihilators
+        return {
+            w: frozenset(s for s in anns if s.dim <= w.dim and lies_in(self.tower, s, ann))
+            for w, ann in anns.items()
+        }
+
+    @cached_property
     def destabilizer_table(self) -> list[tuple[tuple[int, Fraction], ...]]:
         """Per point, the (test index, slope) pairs with negative slope, in
-        test order: the negative entries of the point x test slope matrix."""
-        table = []
-        for filt in self.point_filts:
-            slopes = [slope(self.tower, filt, test.filtration) for test in self.tests]
-            table.append(tuple((k, v) for k, v in enumerate(slopes) if v < 0))
-        return table
+        test order: the negative entries of the point x test slope matrix.
+
+        ``filtration_pairing`` sums a_i b_j over the graded pieces; summed by
+        parts it is sum_ij alpha_i beta_j dim(F_i cap G_j) with alpha_i =
+        a_i - a_(i+1) and beta_j = b_j - b_(j+1) (zero past the last step).
+        The last step of either filtration is the ambient space, so only the
+        proper-by-proper terms read the incidence table; the others are
+        dimensions.  Weights are scaled by the lcm of the point weights'
+        denominators times that of the test weights', so every pairing is an
+        integer P and the slope is -P / scale."""
+        filts = self.point_filts
+        if not filts:
+            return []
+        weights = filts[0].weights
+        if any(f.weights != weights for f in filts):
+            raise ValueError("every point must carry mu's weights")
+        point_scale = lcm(*(w.denominator for w in weights))
+        test_scale = lcm(*(w.denominator for t in self.tests for w in t.filtration.weights))
+        scale = point_scale * test_scale
+        *alpha, alpha_last = _weight_steps(weights, point_scale)
+        alpha_dims = sum(a * s.dim for a, s in zip(alpha, filts[0].spaces))
+        positions = [[self.point_spaces[f.spaces[i]] for f in filts] for i in range(len(alpha))]
+        inc = self.incidence
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in filts]
+        slopes: dict[int, Fraction] = {}
+        for k, test in enumerate(self.tests):
+            *beta, beta_last = _weight_steps(test.filtration.weights, test_scale)
+            spaces = test.filtration.spaces[:-1]
+            const = beta_last * alpha_dims + alpha_last * (
+                sum(b * w.dim for b, w in zip(beta, spaces)) + beta_last * self.n
+            )
+            g = [0] * len(self.point_spaces)
+            for b, w in zip(beta, spaces):
+                g = [x + b * c for x, c in zip(g, inc[w])]
+            totals = [const] * len(filts)
+            for a, ids in zip(alpha, positions):
+                h = [a * x for x in g]
+                totals = [t + h[s] for t, s in zip(totals, ids)]
+            for i, total in enumerate(totals):
+                if total > 0:
+                    if total not in slopes:
+                        slopes[total] = Fraction(-total, scale)
+                    rows[i].append((k, slopes[total]))
+        return [tuple(r) for r in rows]
 
     @cached_property
     def standard_subspaces(self) -> tuple[Subspace, ...]:
@@ -176,6 +259,13 @@ class VerifierContext:
     def bruhat_partition(self) -> dict:
         """``bruhat_cells`` of this context, computed once for every label set."""
         return bruhat_cells(self)
+
+
+def _weight_steps(weights, scale: int) -> list[int]:
+    """scale * (a_i - a_(i+1)) for decreasing weights, with a past the last = 0."""
+    steps = [(a - b) * scale for a, b in zip(weights, weights[1:])] + [weights[-1] * scale]
+    assert all(x.denominator == 1 for x in steps)
+    return [int(x) for x in steps]
 
 
 def verifier_mode(gd: GroupData) -> str | None:

@@ -1,5 +1,6 @@
 """Properties of the exact elimination kernels: ``row_reduce`` over Q with its
-read-offs, and ``finflag.rref`` over finite fields."""
+read-offs, and ``finflag.rref`` over finite fields with the annihilator
+reads of intersections and containment built on it."""
 
 import itertools
 import math
@@ -10,7 +11,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from perdom.finflag import make_tower, rref  # noqa: E402
+from perdom.finflag import (  # noqa: E402
+    annihilator,
+    contains,
+    intersection_dim,
+    lies_in,
+    make_tower,
+    meet_dim,
+    rref,
+    subspace_from_rows,
+)
 from perdom.rootdata import mat_inv, mat_mul, nullspace, row_reduce, solve_in_span  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -160,3 +170,26 @@ def test_rref_is_idempotent(case):
 def test_rref_rank_equals_rank_of_transpose(case):
     t, a = case
     assert len(rref(t, a)[0]) == len(rref(t, [list(col) for col in zip(*a)])[0])
+
+
+@st.composite
+def subspace_pairs(draw):
+    t = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, t.size - 1)
+
+    def subspace():
+        rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), max_size=n))
+        return subspace_from_rows(t, rows, n)
+
+    return t, subspace(), subspace()
+
+
+@SETTINGS
+@given(subspace_pairs())
+def test_meet_dim_from_annihilator_equals_intersection_dim(case):
+    t, s, w = case
+    ann = annihilator(t, w)
+    assert len(ann) == w.ncols - w.dim
+    assert meet_dim(t, s, ann) == intersection_dim(t, s, w)
+    assert lies_in(t, s, ann) == contains(t, w, s)

@@ -238,8 +238,9 @@ def test_verifier_budget():
         build_verifier(gd, 3, budget=10)
 
 
-def test_one_slope_pass_per_context(monkeypatch):
-    calls = {"slope": 0, "bruhat_cells": 0}
+def test_one_incidence_pass_per_context(monkeypatch):
+    calls = collections.Counter()
+    pairs = collections.Counter()
 
     def counted(name):
         original = getattr(semistable, name)
@@ -250,6 +251,13 @@ def test_one_slope_pass_per_context(monkeypatch):
 
         monkeypatch.setattr(semistable, name, wrapper)
 
+    original_meet_dim = semistable.meet_dim
+
+    def counted_meet_dim(tower, sub, ann):
+        pairs[sub, ann] += 1
+        return original_meet_dim(tower, sub, ann)
+
+    monkeypatch.setattr(semistable, "meet_dim", counted_meet_dim)
     counted("slope")
     counted("bruhat_cells")
     gd = instance("a2_reg")
@@ -264,7 +272,13 @@ def test_one_slope_pass_per_context(monkeypatch):
     for i in range(len(ctx.points)):
         if not is_semistable(ctx, i).verdict:
             build_t_x(ctx, i)
-    assert calls == {"slope": len(ctx.points) * len(ctx.tests), "bruhat_cells": 1}
+    point_spaces = {s for x in ctx.points for s in x.chain}
+    test_spaces = {t.subspace for t in ctx.tests}
+    # every distinct (point subspace, test subspace) pair exactly once, and
+    # the slopes read from the table rather than from ``slope``
+    assert set(pairs.values()) == {1}
+    assert len(pairs) == len(point_spaces) * len(test_spaces) == 42 * 14
+    assert calls == {"bruhat_cells": 1}
 
 
 def test_standard_subspaces_built_once_per_context(monkeypatch):
@@ -291,7 +305,10 @@ def test_standard_subspaces_built_once_per_context(monkeypatch):
     assert built[1] > 1
 
 
-@pytest.mark.parametrize("name,m", [("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1)])
+@pytest.mark.parametrize(
+    "name,m",
+    [("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1), ("a2_reg", 2), ("a3_reg", 1)],
+)
 def test_destabilizer_table_matches_direct_pairing(name, m):
     ctx = verifier(name, m)
     for i, filt in enumerate(ctx.point_filts):
@@ -323,3 +340,15 @@ def test_y_stratum_against_coordinate_filtrations(name, m):
                 if k not in I:
                     expected &= negative[k]
             assert y_I_points(ctx, frozenset(I)) == expected, (name, m, I)
+
+
+def test_sl4_full_flags_m2_count_and_cells():
+    # 8,925 full flags of F_4^4 against the 65 rational subspaces of F_2^4
+    gd = instance("a3_reg")
+    ctx = build_verifier(gd, 2)  # not cached by the helpers: the context is large
+    assert len(ctx.points) == 8925
+    assert brute_force_ss_count(ctx) == lefschetz_series(gd, table("a3_reg"), 2)
+    for k in range(gd.d_prime + 1):
+        for I in itertools.combinations(range(gd.d_prime), k):
+            ok, detail = bruhat_cells_check(ctx, frozenset(I))
+            assert ok, (I, detail)
