@@ -1,15 +1,17 @@
 """Graded cohomology tables: sign sets, minimal parabolic labels, dimensions.
 
-Everything here is exact: set membership is decided by signs of rational
-pairings, dimensions are integer polynomials in q, and the point-count series
-is an integer for every extension degree.
+Everything here is exact: set membership is decided by signs of pairings,
+read as integer dot products with the points' Dynkin labels; dimensions are
+integer polynomials in q, counted by an integer walk over Dynkin labels; and
+the point-count series is an integer for every extension degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .galois import (
     DeltaOrbits,
@@ -32,9 +34,9 @@ from .rootdata import (
     inner_product_default,
     mat_vec,
     num_positive_roots,
-    vec_add,
+    solve_in_span,
 )
-from .weyl import OrbitPoint, coweight_orbit, dominant_representative
+from .weyl import OrbitPoint, coweight_orbit, dominant_representative, nonzero_entries, reflect_labels
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,27 @@ class GroupData:
     def q_e(self) -> int:
         return self.q ** self.muclass.e_degree
 
-    def orbit_pairing(self, point: OrbitPoint, orbit_index: int) -> Fraction:
-        """The sign quantity <w mu, orbit coweight> via the invariant form."""
-        return self.ip.value(point.vec, self.orbits_delta.twisted_coweights[orbit_index])
+    @cached_property
+    def sign_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per orbit coweight w, integer coefficients b with
+        ``sum_i b_i <v, alpha_i>`` a positive multiple of ``(v, w)``.
+
+        ``(v, w) = <v, G w>`` for the Gram matrix G, and G w lies in the root
+        span, so writing it in simple roots gives the pairing as a dot product
+        with v's Dynkin labels; clearing denominators keeps its sign."""
+        simple = [alpha.coords for alpha in self.datum.simple_roots]
+        rows = []
+        for w in self.orbits_delta.twisted_coweights:
+            coeffs = solve_in_span(simple, mat_vec(self.ip.gram, w.coords))
+            if coeffs is None:
+                raise AssertionError("an orbit coweight's dual left the root span")
+            scale = lcm(*(c.denominator for c in coeffs))
+            rows.append(tuple(int(c * scale) for c in coeffs))
+        return tuple(rows)
+
+    def scaled_pairing(self, point: OrbitPoint, orbit_index: int) -> int:
+        """<w mu, orbit coweight> up to a positive factor fixed per coweight."""
+        return sum(b * c for b, c in zip(self.sign_rows[orbit_index], point.labels))
 
 
 def build_group_data(
@@ -166,7 +186,7 @@ def omega_I(gd: GroupData, I: frozenset[int]) -> tuple[WOrbit, ...]:
     out = []
     for orbit in gd.worbits:
         if all(
-            gd.orbit_pairing(orbit.rep, k) > 0
+            gd.scaled_pairing(orbit.rep, k) > 0
             for k in range(gd.d_prime)
             if k not in I
         ):
@@ -177,7 +197,7 @@ def omega_I(gd: GroupData, I: frozenset[int]) -> tuple[WOrbit, ...]:
 def minimal_I(gd: GroupData, orbit: WOrbit) -> frozenset[int]:
     """Smallest label set admitting the orbit: the non-positive pairing columns."""
     return frozenset(
-        k for k in range(gd.d_prime) if gd.orbit_pairing(orbit.rep, k) <= 0
+        k for k in range(gd.d_prime) if gd.scaled_pairing(orbit.rep, k) <= 0
     )
 
 
@@ -286,25 +306,23 @@ def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]
 
     The induced one counts fixed Bruhat cells of the I-parabolic quotient:
     minimal coset representatives of W / W_I fixed by the twisting diagram
-    automorphism, one cell of size q^l(w) each.  Those representatives are
-    the orbit points of lambda_I, a sigma-fixed coweight whose stabilizer is
-    W_I: the sum of the orbit coweights outside I.  The quotient one is the
-    inclusion-exclusion over larger label sets.  Computed once per instance.
+    automorphism sigma, one cell of size q^l(w) each.  Those are the
+    sigma-fixed points of the W-orbit of any sigma-fixed coweight with
+    stabilizer W_I; ``_fixed_cells`` walks them from the Dynkin labels 1 off
+    I's orbits and 0 on them.  The quotient one is the inclusion-exclusion
+    over larger label sets.  Computed once per instance.
     """
     if gd.dim_polys is None:
-        sigma = gd.action.matrix
+        orbits = gd.orbits_delta.orbits
+        rows = nonzero_entries(gd.datum.cartan_matrix)
         induced = {}
         for r in range(gd.d_prime + 1):
             for I in itertools.combinations(range(gd.d_prime), r):
-                lam = (Fraction(0),) * gd.datum.ambient_dim
-                for k in range(gd.d_prime):
-                    if k not in I:
-                        lam = vec_add(lam, gd.orbits_delta.twisted_coweights[k].coords)
-                poly = DimPoly.zero()
-                for p in coweight_orbit(gd.datum, cocharacter(lam)):
-                    if mat_vec(sigma, p.vec.coords) == p.vec.coords:
-                        poly = poly + DimPoly.monomial(p.length)
-                induced[frozenset(I)] = poly
+                start = [1] * gd.datum.rank
+                for k in I:
+                    for i in orbits[k]:
+                        start[i] = 0
+                induced[frozenset(I)] = _fixed_cells(rows, orbits, tuple(start))
         out = {}
         for I, ipoly in induced.items():
             rest = [k for k in range(gd.d_prime) if k not in I]
@@ -316,6 +334,40 @@ def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]
             out[I] = (ipoly, v)
         gd.dim_polys = out
     return gd.dim_polys
+
+
+def _fixed_cells(rows, orbits, start: tuple[int, ...]) -> DimPoly:
+    """Sum of q^l(w) over the sigma-fixed points of the orbit of dominant,
+    sigma-invariant labels ``start``, w the minimal representative.
+
+    The sigma-fixed part of W is generated by the longest elements w_J of the
+    sigma-orbits J of simple reflections (Steinberg, *Endomorphisms of Linear
+    Algebraic Groups*, 1968; Carter, *Finite Groups of Lie Type*, ch. 2),
+    so the fixed points are reached from ``start`` by crossing, from a fixed
+    point, each J on which its labels are positive (they are constant on J).
+    Crossing applies s_j, j in J, while some c_j > 0, each step one more in
+    length; for a split group J = {j} and this is the plain orbit walk.
+    """
+    counts: list[int] = []
+    seen = {start}
+    stack = [(start, 0)]
+    while stack:
+        labels, length = stack.pop()
+        if length >= len(counts):
+            counts.extend([0] * (length + 1 - len(counts)))
+        counts[length] += 1
+        for J in orbits:
+            if labels[J[0]] <= 0:
+                continue
+            image, steps, ascents = labels, 0, J
+            while ascents:
+                image = reflect_labels(rows, image, ascents[0])
+                steps += 1
+                ascents = [j for j in J if image[j] > 0]
+            if image not in seen:
+                seen.add(image)
+                stack.append((image, length + steps))
+    return DimPoly(tuple(counts))
 
 
 def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:

@@ -3,7 +3,9 @@
 The Galois group is cyclic, generated by one Cartan-preserving permutation of
 the simple roots.  Its action on Kostant representatives is conjugation; since
 the reflex subgroup fixes mu, that is the linear action on the points ``w mu``
-of mu's W-orbit, checked to stay inside the orbit.
+of mu's W-orbit, checked to stay inside the orbit.  A diagram automorphism
+permutes the simple roots and keeps pairings, so on points it permutes their
+integer Dynkin labels.
 """
 
 from __future__ import annotations
@@ -194,28 +196,35 @@ def weyl_orbits(
     action: GaloisAction,
     muclass: MuClass,
 ) -> tuple[WOrbit, ...]:
-    """Orbits of the points ``w mu`` under the linear action of the reflex subgroup."""
-    gen = action.power(muclass.e_degree)
-    by_coords = {p.vec.coords: p for p in points}
-    seen: set[OrbitPoint] = set()
+    """Orbits of the points ``w mu`` under the linear action of the reflex subgroup.
+
+    The generator sigma^e carries alpha_i to alpha_(perm^e i) and keeps
+    pairings, so it acts on Dynkin labels by moving label i to place perm^e i.
+    """
+    image_of = list(range(len(action.perm)))
+    for _ in range(muclass.e_degree):
+        image_of = [action.perm[j] for j in image_of]
+    source = sorted(range(len(image_of)), key=image_of.__getitem__)
+    by_labels = {p.labels: p for p in points}
+    seen: set[tuple[int, ...]] = set()
     orbits: list[WOrbit] = []
     for p in points:
-        if p in seen:
+        if p.labels in seen:
             continue
         members = []
         current = p
-        while current not in members:
+        while current.labels not in seen:
+            seen.add(current.labels)
             members.append(current)
-            image = mat_vec(gen, current.vec.coords)
-            if image not in by_coords:
+            image = tuple(current.labels[j] for j in source)
+            if image not in by_labels:
                 raise AssertionError("orbit escaped the W-orbit of mu; inconsistent action")
-            current = by_coords[image]
+            current = by_labels[image]
         if len({m.length for m in members}) != 1:
             raise AssertionError("orbit members have unequal lengths")
         if muclass.gamma_e_order % len(members) != 0:
             raise AssertionError("orbit size does not divide the reflex group order")
         members.sort(key=lambda m: (m.length, m.word))
-        seen.update(members)
         orbits.append(
             WOrbit(rep=members[0], members=tuple(members), size=len(members), length=members[0].length)
         )

@@ -450,9 +450,14 @@ def standard_subspace(tower: FieldTower, n: int, d: int) -> Subspace:
 
 
 def _relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
-    """B-orbit invariant: intersection dimensions against the coordinate flag."""
-    standards = ctx.standard_subspaces
-    return tuple(tuple(intersection_dim(ctx.tower, e, s) for e in standards) for s in chain)
+    """B-orbit invariant: intersection dimensions against the coordinate flag.
+
+    Every E_d is a test subspace and every chain subspace here is a point's
+    (a representative's coordinate flag is a rational point), so each
+    dimension is read from the incidence table."""
+    columns = [ctx.incidence[e] for e in ctx.standard_subspaces]
+    ids = ctx.point_spaces
+    return tuple(tuple(col[ids[s]] for col in columns) for s in chain)
 
 
 def bruhat_cells(ctx: VerifierContext) -> dict:

@@ -3,9 +3,12 @@
 The engine only needs ``w mu`` for the minimal representatives w of W / W_mu;
 these are in bijection with the W-orbit of the dominant mu, which
 ``coweight_orbit`` walks upwards in the Bruhat order (Bjorner-Brenti,
-*Combinatorics of Coxeter Groups*, 2.4).  ``generate_weyl``,
-``stabilizer_w_mu`` and ``kostant_reps`` enumerate the whole group as exact
-matrices; they stay as the independent oracle the orbit walk is tested against.
+*Combinatorics of Coxeter Groups*, 2.4).  The walk runs in integer Dynkin
+labels ``c_i = <v, alpha_i>``, where s_j acts by ``c -> c - c_j * A[j]`` for
+the Cartan matrix A; each new point's coordinates are built once, from its
+parent's.  ``generate_weyl``, ``stabilizer_w_mu`` and ``kostant_reps``
+enumerate the whole group as exact matrices; they stay as the independent
+oracle the orbit walk is tested against.
 """
 
 from __future__ import annotations
@@ -116,41 +119,66 @@ def inversion_count(W: WeylGroup, w: WeylElement, positives) -> int:
 @dataclass(frozen=True)
 class OrbitPoint:
     """A point ``w mu`` of a dominant coweight's W-orbit, with the reduced
-    word and length of the minimal-length such w."""
+    word and length of the minimal-length such w, and its Dynkin labels
+    ``<w mu, alpha_i>``."""
 
     vec: LatticeVec
     word: tuple[int, ...]
+    labels: tuple[int, ...]
 
     @property
     def length(self) -> int:
         return len(self.word)
 
 
+def nonzero_entries(rows) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Each row as its nonzero entries ``(i, row[i])``."""
+    return tuple(tuple((i, a) for i, a in enumerate(row) if a) for row in rows)
+
+
+def reflect_labels(rows, labels: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Labels of ``s_j v`` from those of v: ``c - c_j * A[j]``, with ``rows``
+    the Cartan matrix as ``nonzero_entries``."""
+    c = labels[j]
+    out = list(labels)
+    for i, a in rows[j]:
+        out[i] -= c * a
+    return tuple(out)
+
+
 def coweight_orbit(datum: RootDatum, mu: LatticeVec) -> tuple[OrbitPoint, ...]:
     """The W-orbit of a dominant coweight, sorted by (length, word).
 
-    Breadth-first from mu, applying s_i wherever <v, alpha_i> > 0, so BFS
+    Breadth-first from mu, applying s_i wherever the label c_i > 0, so BFS
     depth is the length of the minimal coset representative.  The frontier is
     kept in word order and the first word found is kept, which reproduces the
-    reduced words ``generate_weyl`` assigns to those representatives.
+    reduced words ``generate_weyl`` assigns to those representatives.  Points
+    are told apart by their labels, which fix ``w mu`` inside the orbit.
     """
     if not is_dominant(datum, mu):
         raise ValueError("mu must be dominant")
-    first = OrbitPoint(vec=mu, word=())
-    seen = {mu.coords}
+    labels = tuple(pairing(mu, alpha) for alpha in datum.simple_roots)
+    if any(c.denominator != 1 for c in labels):
+        raise ValueError("mu must pair integrally with the simple roots")
+    rows = nonzero_entries(datum.cartan_matrix)
+    coroots = nonzero_entries(c.coords for c in datum.simple_coroots)
+    first = OrbitPoint(vec=mu, word=(), labels=tuple(int(c) for c in labels))
+    seen = {first.labels}
     ordered = [first]
     frontier = [first]
     while frontier:
         nxt = []
         for p in frontier:
-            for i, (alpha, coroot) in enumerate(zip(datum.simple_roots, datum.simple_coroots)):
-                c = pairing(p.vec, alpha)
+            for i, c in enumerate(p.labels):
                 if c <= 0:
                     continue
-                coords = tuple(x - c * y for x, y in zip(p.vec.coords, coroot.coords))
-                if coords not in seen:
-                    seen.add(coords)
-                    nxt.append(OrbitPoint(LatticeVec(mu.side, coords), (i,) + p.word))
+                labels = reflect_labels(rows, p.labels, i)
+                if labels not in seen:
+                    seen.add(labels)
+                    coords = list(p.vec.coords)
+                    for k, y in coroots[i]:
+                        coords[k] -= c * y
+                    nxt.append(OrbitPoint(LatticeVec(mu.side, tuple(coords)), (i,) + p.word, labels))
         nxt.sort(key=lambda e: e.word)
         ordered.extend(nxt)
         frontier = nxt

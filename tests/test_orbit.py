@@ -11,11 +11,13 @@ import itertools
 import pytest
 
 from helpers import INSTANCES, SPLIT_NAMES, instance
-from perdom.cohom import DimPoly, build_group_data, dim_induced
+from perdom.cohom import DimPoly, build_group_data, dim_induced, dim_v
 from perdom.rootdata import (
     build_root_datum,
     mat_inv,
     mat_mul,
+    num_positive_roots,
+    rescaled_inner_product,
     simple_reflection_matrix,
 )
 from perdom.weyl import act, generate_weyl, kostant_reps, stabilizer_w_mu
@@ -28,6 +30,12 @@ EXTRA = {
     "u4_reg": ((("A", 3),), (3, 1, -1, -3), 2, ((3, 2, 1), 2)),
     # the word tie-break decides the summand order here
     "u5_mid": ((("A", 4),), (1, 1, 0, -1, -1), 2, ((4, 3, 2, 1), 2)),
+    # folded walks: an orbit of two orthogonal roots, an orbit of three, and
+    # factor swaps
+    "d4_2twist": ((("D", 4),), (1, 0, 0, 0), 2, ((1, 2, 4, 3), 2)),
+    "d4_3twist": ((("D", 4),), (2, 1, 1, 0), 2, ((3, 2, 4, 1), 3)),
+    "a2a2_swap": ((("A", 2), ("A", 2)), (1, 0, -1, 1, 0, -1), 2, ((3, 4, 1, 2), 2)),
+    "a1cube_cycle": ((("A", 1),) * 3, (1, -1, 1, -1, 0, 0), 2, ((2, 3, 1), 3)),
 }
 
 ORACLE_NAMES = tuple(INSTANCES) + tuple(EXTRA)
@@ -38,6 +46,30 @@ def _instance(name):
         return instance(name)
     ctype, mu, q, twist = EXTRA[name]
     return build_group_data(list(ctype), list(mu), q, twist=twist)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_sign_rows_give_the_sign_of_the_pairing(name):
+    ctype, mu, q, twist = INSTANCES[name] if name in INSTANCES else EXTRA[name]
+    datum = build_root_datum(list(ctype))
+    scales = range(2, 2 + len(ctype))
+    rescaled = build_group_data(
+        list(ctype), list(mu), q, twist=twist, ip=rescaled_inner_product(datum, scales)
+    )
+    for gd in (_instance(name), rescaled):
+        for p in gd.mu_orbit:
+            for k, w in enumerate(gd.orbits_delta.twisted_coweights):
+                assert _sign(gd.scaled_pairing(p, k)) == _sign(gd.ip.value(p.vec, w)), (p, k)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_steinberg_identity_as_a_polynomial(name):
+    gd = _instance(name)
+    assert dim_v(gd, frozenset()) == DimPoly.monomial(num_positive_roots(gd.datum.cartan_type))
 
 
 @pytest.fixture(scope="module", params=ORACLE_NAMES)
@@ -117,6 +149,7 @@ def _poincare(cartan_type) -> DimPoly:
 def test_full_flag_dimension_closed_form():
     types = {INSTANCES[name][0] for name in SPLIT_NAMES}
     types |= {(("B", 3),), (("C", 3),), (("D", 4),), (("G", 2),)}
+    types |= {(("A", 5),), (("A", 6),), (("B", 4),), (("C", 4),), (("D", 5),)}
     for ctype in sorted(types):
         zero = [0] * build_root_datum(list(ctype)).ambient_dim
         gd = build_group_data(list(ctype), zero, 2)

@@ -305,6 +305,22 @@ def test_standard_subspaces_built_once_per_context(monkeypatch):
     assert built[1] > 1
 
 
+def test_bruhat_cells_read_the_incidence_table(monkeypatch):
+    from perdom.finflag import intersection_dim
+
+    def direct(ctx, chain):
+        return tuple(
+            tuple(intersection_dim(ctx.tower, e, s) for e in ctx.standard_subspaces) for s in chain
+        )
+
+    for name, m in (("a2_reg", 2), ("a3_mid", 1), ("a3_reg", 1)):
+        gd = instance(name)
+        with monkeypatch.context() as patch:
+            patch.setattr(semistable, "_relative_position", direct)
+            expected = semistable.bruhat_cells(build_verifier(gd, m))
+        assert semistable.bruhat_cells(build_verifier(gd, m)) == expected, name
+
+
 @pytest.mark.parametrize(
     "name,m",
     [("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1), ("a2_reg", 2), ("a3_reg", 1)],
