@@ -25,10 +25,15 @@ from .cohom import (
     lefschetz_series,
 )
 from .complex import acyclicity_sweep
-from .finflag import HermitianData, _factor_prime_power, enumerate_flag_points, make_tower
+from .finflag import (
+    HermitianData,
+    _factor_prime_power,
+    enumerate_flag_points,
+    enumerate_twisted_fixed_flags,
+    make_tower,
+)
 from .rootdata import BudgetError, UnsupportedTypeError
 from .semistable import (
-    _rational_unitary_flags,
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
@@ -285,7 +290,9 @@ def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
                 )
     elif mode == "u3":
         # the rational chambers of the unitary instance, counted independently
-        chambers = len(_rational_unitary_flags(HermitianData(tower=tower, n=3), budget))
+        chambers = len(enumerate_twisted_fixed_flags(
+            HermitianData(tower=tower, n=3), (1, 0, -1), conj_power=1, budget=budget
+        ))
         checks.append({"I": [], "formula": dim_induced(gd, frozenset())(gd.q), "points": chambers})
         checks.append({"I": list(gd.orbits_delta.labels), "formula": 1, "points": 1})
     match = all(c["formula"] == c["points"] for c in checks)

@@ -96,7 +96,6 @@ class GroupData:
     ip: InnerProduct
     action: GaloisAction
     orbits_delta: DeltaOrbits
-    mu_input: LatticeVec
     mu: LatticeVec
     dominance_normalized: bool
     mu_orbit: tuple[OrbitPoint, ...]
@@ -168,7 +167,6 @@ def build_group_data(
         ip=ip,
         action=action,
         orbits_delta=orbits,
-        mu_input=mu_in,
         mu=mu,
         dominance_normalized=moved,
         mu_orbit=points,
@@ -215,12 +213,6 @@ class CohomologyTable:
     d_prime: int
     labels: tuple[str, ...]
     summands: tuple[CohomologySummand, ...]
-
-    def by_degree(self) -> dict[int, list[CohomologySummand]]:
-        out: dict[int, list[CohomologySummand]] = {}
-        for s in self.summands:
-            out.setdefault(s.degree, []).append(s)
-        return dict(sorted(out.items()))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({s.degree for s in self.summands}))

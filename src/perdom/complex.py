@@ -43,14 +43,14 @@ def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
 
     if ctx.mode == "split":
         subs = sorted(
-            {t.subspace for t, _ in report.destabilizers},
+            {t.chain[0] for t, _ in report.destabilizers},
             key=lambda s: (s.dim, s.rows),
         )
         keys = tuple(("subspace", s.dim, s.rows) for s in subs)
         simplices = _chain_simplices(ctx, subs)
     else:
         flags = sorted(
-            {t.flag for t, _ in report.destabilizers},
+            {t for t, _ in report.destabilizers},
             key=lambda f: tuple(s.rows for s in f.chain),
         )
         keys = tuple(("chamber",) + tuple(s.rows for s in f.chain) for f in flags)
@@ -129,7 +129,6 @@ def _composes_to_zero(a, b) -> bool:
 
 @dataclass
 class SweepReport:
-    instance: str
     m: int
     total_points: int
     non_semistable: int
@@ -159,9 +158,7 @@ def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False) -> SweepRepo
             violations.append({"point": i, "simplices": counts, "betti": betti})
             if fail_fast:
                 break
-    name = "x".join(f"{f}{r}" for f, r in ctx.gd.datum.cartan_type)
     return SweepReport(
-        instance=name,
         m=ctx.m,
         total_points=len(ctx.points),
         non_semistable=non_ss,

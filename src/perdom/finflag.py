@@ -451,18 +451,26 @@ def enumerate_subspaces(
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """A weighted flag: proper subspaces of the chain plus the weight ladder.
+    """A weighted flag of the n-space: proper subspaces plus the weight ladder.
 
     ``weights`` lists the distinct weights in decreasing order; the chain has
-    one subspace per weight except the last, whose space is the full ambient.
+    one subspace per weight except the last, whose space is the whole n-space,
+    so a central cocharacter's chain is empty.  Points and rational test
+    filtrations alike are weighted flags.
     """
 
     chain: tuple[Subspace, ...]
     weights: tuple[Fraction, ...]
+    n: int
 
-    @property
-    def ncols(self) -> int:
-        return self.chain[0].ncols if self.chain else 0
+    def __post_init__(self):
+        if len(self.chain) != len(self.weights) - 1:
+            raise ValueError("one subspace per weight but the last")
+        if any(a <= b for a, b in zip(self.weights, self.weights[1:])):
+            raise ValueError("weights must strictly decrease")
+        dims = [0] + [s.dim for s in self.chain] + [self.n]
+        if any(a >= b for a, b in zip(dims, dims[1:])) or any(s.ncols != self.n for s in self.chain):
+            raise ValueError("subspaces must be proper and strictly increase")
 
 
 def mu_flag_type(mu_coords) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
@@ -501,7 +509,7 @@ def enumerate_flag_points(
         raise BudgetError(f"{expected} flags exceed budget {budget}")
     weights = tuple(Fraction(w) for w in weights)
     if not dims:
-        return [FlagPoint(chain=(), weights=weights)]
+        return [FlagPoint(chain=(), weights=weights, n=n)]
     levels = {d: enumerate_subspaces(tower, n, d, subfield_deg, budget) for d in sorted(set(dims))}
     chains: list[tuple[Subspace, ...]] = [(s,) for s in levels[dims[0]]]
     for d in dims[1:]:
@@ -511,7 +519,7 @@ def enumerate_flag_points(
             if lies_in(tower, chain[-1], ann)
         ]
     assert len(chains) == expected
-    return [FlagPoint(chain=c, weights=weights) for c in chains]
+    return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +558,7 @@ class HermitianData:
             self.perp(frobenius_subspace(self.tower, s, 1), 0)
             for s in reversed(x.chain)
         )
-        return FlagPoint(chain=chain, weights=x.weights)
+        return FlagPoint(chain=chain, weights=x.weights, n=x.n)
 
     def is_fixed(self, x: FlagPoint, steps: int) -> bool:
         cur = x
@@ -566,6 +574,7 @@ def frobenius_point(x: FlagPoint, tower: FieldTower, hermitian: HermitianData | 
     return FlagPoint(
         chain=tuple(frobenius_subspace(tower, s, 1) for s in x.chain),
         weights=x.weights,
+        n=x.n,
     )
 
 
@@ -578,23 +587,20 @@ def enumerate_twisted_fixed_flags(
     """Full flags fixed by the twisted Frobenius taken to an odd power.
 
     The fixed flags are exactly (L, perp of L conjugated by q^conj_power) for
-    L an isotropic line of the correspondingly twisted form; ambient must be
-    the field of q^(2 * conj_power) elements.
+    L an isotropic line of the correspondingly twisted form, defined over the
+    subfield of q^(2 * conj_power) elements of the tower.
     """
     t = herm.tower
     n = herm.n
     if n != 3:
         raise ValueError("twisted fixed-flag enumeration is implemented for 3-space")
-    count = gaussian_binomial(n, 1, t.size)
-    if count > budget:
-        raise BudgetError(f"{count} candidate lines exceed budget {budget}")
     weights = tuple(Fraction(w) for w in weights)
     out = []
-    for line in enumerate_subspaces(t, n, 1, budget=budget):
+    for line in enumerate_subspaces(t, n, 1, 2 * conj_power, budget):
         v = line.rows[0]
         if herm.form_value(v, v, conj_power) != 0:
             continue
         plane = herm.perp(frobenius_subspace(t, line, conj_power), 0)
         assert contains(t, plane, line)
-        out.append(FlagPoint(chain=(line, plane), weights=weights))
+        out.append(FlagPoint(chain=(line, plane), weights=weights, n=n))
     return out

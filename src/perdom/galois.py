@@ -61,12 +61,6 @@ class DeltaOrbits:
     def d_prime(self) -> int:
         return len(self.orbits)
 
-    def orbit_of_root(self, i: int) -> int:
-        for k, orbit in enumerate(self.orbits):
-            if i in orbit:
-                return k
-        raise KeyError(i)
-
 
 @dataclass(frozen=True)
 class MuClass:

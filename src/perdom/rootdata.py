@@ -196,7 +196,6 @@ class RootDatum:
     simple_coroots: tuple[LatticeVec, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
     factor_slices: tuple[tuple[int, int], ...]
-    factor_root_ranges: tuple[tuple[int, int], ...]
     gram_scales: tuple[Fraction, ...]
 
     @property
@@ -308,12 +307,10 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
     roots: list[LatticeVec] = []
     coroots: list[LatticeVec] = []
     slices: list[tuple[int, int]] = []
-    root_ranges: list[tuple[int, int]] = []
     scales: list[Fraction] = []
     offset = 0
     for n, broots, bcoroots, scale in blocks:
         pad = lambda v: tuple([Fraction(0)] * offset + list(v) + [Fraction(0)] * (ambient - offset - n))
-        root_ranges.append((len(roots), len(roots) + len(broots)))
         roots.extend(character(pad(v)) for v in broots)
         coroots.extend(cocharacter(pad(v)) for v in bcoroots)
         slices.append((offset, offset + n))
@@ -331,7 +328,6 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
         simple_coroots=tuple(coroots),
         cartan_matrix=cartan,
         factor_slices=tuple(slices),
-        factor_root_ranges=tuple(root_ranges),
         gram_scales=tuple(scales),
     )
 

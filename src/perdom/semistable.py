@@ -3,7 +3,8 @@
 A point is semistable when its weighted flag pairs non-negatively against
 every rational test filtration; the test set is the full list of rational
 subspaces for the special linear group and the rational twisted flags for the
-quasi-split unitary group on 3 variables.
+quasi-split unitary group on 3 variables.  Points and tests alike are
+``FlagPoint``s: a chain of proper subspaces with its decreasing weights.
 
 Every point is paired with every test, but the pairing depends only on the
 dimensions dim(S cap W) of a point's chain subspace S and a test's subspace
@@ -14,7 +15,8 @@ nonzero pairing.  Summed by parts, a slope is a weighted read of that table
 (``VerifierContext.destabilizer_table``).  The weights are scaled to
 integers, so the whole slope matrix is integer arithmetic and a ``Fraction``
 is built only for the negative slopes it reports.  ``filtration_pairing`` and
-``slope`` compute the same numbers directly and stay as the reference.
+``slope`` compute the same numbers directly from two ``FlagPoint``s and stay
+as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .finflag import (
     HermitianData,
     Subspace,
     annihilator,
-    contains,
     enumerate_flag_points,
     enumerate_subspaces,
     enumerate_twisted_fixed_flags,
@@ -51,40 +52,18 @@ from .finflag import (
 )
 
 
-@dataclass(frozen=True)
-class Filtration:
-    """Decreasing weights with their increasing subspaces; last space is full."""
+def filtration_pairing(tower: FieldTower, f: FlagPoint, g: FlagPoint) -> Fraction:
+    """Sum of a*b over the graded intersection dimensions of two weighted flags.
 
-    weights: tuple[Fraction, ...]
-    spaces: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.spaces):
-            raise ValueError("one subspace per weight")
-        for a, b in zip(self.weights, self.weights[1:]):
-            if a <= b:
-                raise ValueError("weights must strictly decrease")
-        dims = [s.dim for s in self.spaces]
-        if any(a >= b for a, b in zip(dims, dims[1:])):
-            raise ValueError("subspaces must strictly increase")
-        if self.spaces[-1].dim != self.spaces[-1].ncols:
-            raise ValueError("final step must be the ambient space")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.spaces[-1].ncols
-
-
-def filtration_pairing(tower: FieldTower, f: Filtration, g: Filtration) -> Fraction:
-    """Sum of a*b over the graded intersection dimensions of two filtrations.
-
-    The bigraded dimension at (a, b) is computed by inclusion-exclusion on
-    the four pairwise intersections around the step.
+    Each flag's steps are its chain followed by the whole space; the
+    bigraded dimension at (a, b) is computed by inclusion-exclusion on the
+    four pairwise intersections around the step.
     """
-    if f.ambient_dim != g.ambient_dim:
+    if f.n != g.n:
         raise ValueError("ambient mismatch")
-    ka, kb = len(f.spaces), len(g.spaces)
-    inter = [[intersection_dim(tower, f.spaces[i], g.spaces[j]) for j in range(kb)] for i in range(ka)]
+    whole = (full_space(tower, f.n),)
+    f_spaces, g_spaces = f.chain + whole, g.chain + whole
+    inter = [[intersection_dim(tower, a, b) for b in g_spaces] for a in f_spaces]
 
     def v(i, j):
         if i < 0 or j < 0:
@@ -92,67 +71,51 @@ def filtration_pairing(tower: FieldTower, f: Filtration, g: Filtration) -> Fract
         return inter[i][j]
 
     total = Fraction(0)
-    for i in range(ka):
-        for j in range(kb):
+    for i in range(len(f_spaces)):
+        for j in range(len(g_spaces)):
             d = v(i, j) - v(i - 1, j) - v(i, j - 1) + v(i - 1, j - 1)
             if d:
                 total += f.weights[i] * g.weights[j] * d
     return total
 
 
-def flag_filtration(tower: FieldTower, x: FlagPoint, n: int) -> Filtration:
-    return Filtration(weights=x.weights, spaces=x.chain + (full_space(tower, n),))
-
-
-def subspace_coweight_filtration(tower: FieldTower, sub: Subspace, n: int) -> Filtration:
-    """Two-step filtration of a fundamental-coweight conjugate at a subspace."""
-    d = sub.dim
+def subspace_coweight_filtration(sub: Subspace) -> FlagPoint:
+    """Two-step weighted flag of a fundamental-coweight conjugate at a subspace."""
+    d, n = sub.dim, sub.ncols
     if d <= 0 or d >= n:
         raise ValueError("subspace must be proper and nonzero")
-    return Filtration(
-        weights=(Fraction(n - d, n), Fraction(-d, n)),
-        spaces=(sub, full_space(tower, n)),
-    )
+    return FlagPoint(chain=(sub,), weights=(Fraction(n - d, n), Fraction(-d, n)), n=n)
 
 
-def coordinate_filtration(tower: FieldTower, coords) -> Filtration:
-    """Filtration of a torus cocharacter: coordinate spans by weight level."""
+def coordinate_filtration(tower: FieldTower, coords) -> FlagPoint:
+    """Weighted flag of a torus cocharacter: coordinate spans by weight level.
+
+    The level of the least weight spans every coordinate, so it is the whole
+    space and not part of the chain."""
     coords = [Fraction(c) for c in coords]
     n = len(coords)
     weights = sorted(set(coords), reverse=True)
-    spaces = []
-    for w in weights:
-        rows = [[int(j == i) for j in range(n)] for i, c in enumerate(coords) if c >= w]
-        spaces.append(subspace_from_rows(tower, rows, n))
-    if spaces[-1].dim != n:
-        weights.append(min(coords) - 1)
-        spaces.append(full_space(tower, n))
-    return Filtration(weights=tuple(weights), spaces=tuple(spaces))
+    chain = tuple(
+        subspace_from_rows(
+            tower, [[int(j == i) for j in range(n)] for i, c in enumerate(coords) if c >= w], n
+        )
+        for w in weights[:-1]
+    )
+    return FlagPoint(chain=chain, weights=tuple(weights), n=n)
 
 
-def slope(tower: FieldTower, point_filt: Filtration, test_filt: Filtration) -> Fraction:
+def slope(tower: FieldTower, point: FlagPoint, test: FlagPoint) -> Fraction:
     """Hilbert-Mumford weight: minus the filtration pairing."""
-    return -filtration_pairing(tower, point_filt, test_filt)
+    return -filtration_pairing(tower, point, test)
 
 
 # ---------------------------------------------------------------------------
 # verifier context
 
-@dataclass(frozen=True)
-class TestDatum:
-    """One rational test filtration with its orbit label and witness datum."""
-
-    orbit_index: int
-    kind: str  # "subspace" or "flag"
-    subspace: Subspace | None
-    flag: FlagPoint | None
-    filtration: Filtration
-
-
 @dataclass
 class SlopeReport:
     point_index: int
-    destabilizers: tuple[tuple[TestDatum, Fraction], ...]
+    destabilizers: tuple[tuple[FlagPoint, Fraction], ...]
 
     @property
     def verdict(self) -> bool:
@@ -167,20 +130,19 @@ class VerifierContext:
     n: int
     mode: str  # "split" or "u3"
     points: list[FlagPoint]
-    tests: list[TestDatum]
+    tests: list[FlagPoint]  # the rational test filtrations
     hermitian: HermitianData | None
-    point_filts: list[Filtration]
 
     @cached_property
     def point_spaces(self) -> dict[Subspace, int]:
-        """The distinct proper subspaces of the points' filtrations, numbered."""
-        spaces = dict.fromkeys(s for f in self.point_filts for s in f.spaces[:-1])
+        """The distinct subspaces of the points' chains, numbered."""
+        spaces = dict.fromkeys(s for x in self.points for s in x.chain)
         return {s: k for k, s in enumerate(spaces)}
 
     @cached_property
     def test_annihilators(self) -> dict[Subspace, tuple]:
-        """Ann(W) for each distinct proper subspace W of the test filtrations."""
-        spaces = dict.fromkeys(w for t in self.tests for w in t.filtration.spaces[:-1])
+        """Ann(W) for each distinct subspace W of the tests' chains."""
+        spaces = dict.fromkeys(w for t in self.tests for w in t.chain)
         return {w: annihilator(self.tower, w) for w in spaces}
 
     @cached_property
@@ -209,36 +171,35 @@ class VerifierContext:
         ``filtration_pairing`` sums a_i b_j over the graded pieces; summed by
         parts it is sum_ij alpha_i beta_j dim(F_i cap G_j) with alpha_i =
         a_i - a_(i+1) and beta_j = b_j - b_(j+1) (zero past the last step).
-        The last step of either filtration is the ambient space, so only the
-        proper-by-proper terms read the incidence table; the others are
-        dimensions.  Weights are scaled by the lcm of the point weights'
+        The last step of either flag is the whole space, outside its chain, so
+        only the chain-by-chain terms read the incidence table; the others
+        are dimensions.  Weights are scaled by the lcm of the point weights'
         denominators times that of the test weights', so every pairing is an
         integer P and the slope is -P / scale."""
-        filts = self.point_filts
-        if not filts:
+        points = self.points
+        if not points:
             return []
-        weights = filts[0].weights
-        if any(f.weights != weights for f in filts):
+        weights = points[0].weights
+        if any(x.weights != weights for x in points):
             raise ValueError("every point must carry mu's weights")
         point_scale = lcm(*(w.denominator for w in weights))
-        test_scale = lcm(*(w.denominator for t in self.tests for w in t.filtration.weights))
+        test_scale = lcm(*(w.denominator for t in self.tests for w in t.weights))
         scale = point_scale * test_scale
         *alpha, alpha_last = _weight_steps(weights, point_scale)
-        alpha_dims = sum(a * s.dim for a, s in zip(alpha, filts[0].spaces))
-        positions = [[self.point_spaces[f.spaces[i]] for f in filts] for i in range(len(alpha))]
+        alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0].chain))
+        positions = [[self.point_spaces[x.chain[i]] for x in points] for i in range(len(alpha))]
         inc = self.incidence
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in filts]
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in points]
         slopes: dict[int, Fraction] = {}
         for k, test in enumerate(self.tests):
-            *beta, beta_last = _weight_steps(test.filtration.weights, test_scale)
-            spaces = test.filtration.spaces[:-1]
+            *beta, beta_last = _weight_steps(test.weights, test_scale)
             const = beta_last * alpha_dims + alpha_last * (
-                sum(b * w.dim for b, w in zip(beta, spaces)) + beta_last * self.n
+                sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * self.n
             )
             g = [0] * len(self.point_spaces)
-            for b, w in zip(beta, spaces):
+            for b, w in zip(beta, test.chain):
                 g = [x + b * c for x, c in zip(g, inc[w])]
-            totals = [const] * len(filts)
+            totals = [const] * len(points)
             for a, ids in zip(alpha, positions):
                 h = [a * x for x in g]
                 totals = [t + h[s] for t, s in zip(totals, ids)]
@@ -293,18 +254,11 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
 
     if mode == "split":
         points = enumerate_flag_points(tower, n, weights, dims, budget=budget)
-        tests = []
-        for d in range(1, n):
-            for sub in enumerate_subspaces(tower, n, d, subfield_deg=1, budget=budget):
-                tests.append(
-                    TestDatum(
-                        orbit_index=gd.orbits_delta.orbit_of_root(d - 1),
-                        kind="subspace",
-                        subspace=sub,
-                        flag=None,
-                        filtration=subspace_coweight_filtration(tower, sub, n),
-                    )
-                )
+        tests = [
+            subspace_coweight_filtration(sub)
+            for d in range(1, n)
+            for sub in enumerate_subspaces(tower, n, d, subfield_deg=1, budget=budget)
+        ]
         hermitian = None
     else:
         s = gd.muclass.e_degree * m  # total Frobenius power defining the point field
@@ -313,32 +267,21 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
             if dims not in ((), (1, 2)):
                 raise AssertionError("a twist-fixed conjugacy class must give full flags")
             if not dims:
-                points = [FlagPoint(chain=(), weights=weights)]
+                points = [FlagPoint(chain=(), weights=weights, n=n)]
             else:
                 points = enumerate_twisted_fixed_flags(hermitian, weights, conj_power=s, budget=budget)
                 expected = gd.q ** (3 * s) + 1
                 assert len(points) == expected, (len(points), expected)
-                assert all(hermitian.is_fixed(x, s) for x in points)
         else:
             # flags rational over F_{q^s} inside the tower
             points = enumerate_flag_points(tower, n, weights, dims, subfield_deg=s, budget=budget)
-        tests = []
-        for f in _rational_unitary_flags(hermitian, budget):
-            tests.append(
-                TestDatum(
-                    orbit_index=0,
-                    kind="flag",
-                    subspace=None,
-                    flag=f,
-                    filtration=flag_filtration(tower, f, n),
-                )
-            )
+        # the rational chambers: flags fixed by one step of the twisted Frobenius
+        tests = enumerate_twisted_fixed_flags(hermitian, (1, 0, -1), conj_power=1, budget=budget)
         assert len(tests) == gd.q**3 + 1, (len(tests), gd.q**3 + 1)
 
-    point_filts = [flag_filtration(tower, x, n) for x in points]
     return VerifierContext(
         gd=gd, m=m, tower=tower, n=n, mode=mode,
-        points=points, tests=tests, hermitian=hermitian, point_filts=point_filts,
+        points=points, tests=tests, hermitian=hermitian,
     )
 
 
@@ -364,23 +307,6 @@ def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
     if q**ext > budget:
         raise BudgetError(f"{q**ext}-entry field tables of F_{q**ext} exceed budget {budget}")
     return ext
-
-
-def _rational_unitary_flags(herm: HermitianData, budget: int) -> list[FlagPoint]:
-    """Flags fixed by the single-step twisted Frobenius: the rational chambers."""
-    t = herm.tower
-    out = []
-    weights = (Fraction(1), Fraction(0), Fraction(-1))
-    for line in enumerate_subspaces(t, herm.n, 1, subfield_deg=2, budget=budget):
-        v = line.rows[0]
-        if herm.form_value(v, v, 1) != 0:
-            continue
-        plane = herm.perp(line, 1)
-        assert contains(t, plane, line)
-        flag = FlagPoint(chain=(line, plane), weights=weights)
-        assert herm.is_fixed(flag, 1)
-        out.append(flag)
-    return out
 
 
 def is_semistable(ctx: VerifierContext, index: int) -> SlopeReport:
@@ -437,7 +363,7 @@ def y_I_points(ctx: VerifierContext, I: frozenset[int]) -> frozenset[int]:
     E_{k+1} is the filtration of the k-th standard coweight."""
     if ctx.mode != "split":
         raise ValueError("stratification check requires a split instance")
-    test_of = {t.subspace: j for j, t in enumerate(ctx.tests)}
+    test_of = {t.chain[0]: j for j, t in enumerate(ctx.tests)}
     wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
     return frozenset(
         i for i, row in enumerate(ctx.destabilizer_table) if wanted <= {j for j, _ in row}
@@ -469,7 +395,7 @@ def bruhat_cells(ctx: VerifierContext) -> dict:
     gd = ctx.gd
     rep_invariants = {}
     for p in gd.mu_orbit:
-        inv = _relative_position(ctx, coordinate_filtration(ctx.tower, p.vec.coords).spaces[:-1])
+        inv = _relative_position(ctx, coordinate_filtration(ctx.tower, p.vec.coords).chain)
         if inv in rep_invariants.values():
             raise AssertionError("distinct representatives share a cell invariant")
         rep_invariants[p] = inv
@@ -562,6 +488,7 @@ def apply_matrix_to_point(tower: FieldTower, g, x: FlagPoint) -> FlagPoint:
     return FlagPoint(
         chain=tuple(apply_matrix_to_subspace(tower, g, s) for s in x.chain),
         weights=x.weights,
+        n=x.n,
     )
 
 
@@ -575,11 +502,11 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
     for _ in range(samples):
         x = ctx.points[rng.randrange(len(ctx.points))]
         d = rng.randrange(1, n)
-        test = subspace_coweight_filtration(ctx.tower, ctx.standard_subspaces[d - 1], n)
+        test = subspace_coweight_filtration(ctx.standard_subspaces[d - 1])
         g = random_parabolic_element(ctx.tower, n, d, rng)
         gx = apply_matrix_to_point(ctx.tower, g, x)
-        before = slope(ctx.tower, flag_filtration(ctx.tower, x, n), test)
-        after = slope(ctx.tower, flag_filtration(ctx.tower, gx, n), test)
+        before = slope(ctx.tower, x, test)
+        after = slope(ctx.tower, gx, test)
         if before != after:
             return False
     return True

@@ -2,15 +2,18 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from perdom.finflag import (
     BudgetError,
+    FlagPoint,
     HermitianData,
     contains,
     enumerate_flag_points,
     enumerate_subspaces,
+    enumerate_twisted_fixed_flags,
     frobenius_point,
     frobenius_subspace,
     gaussian_binomial,
@@ -216,6 +219,38 @@ def test_frobenius_point_cycles_divide_m():
         for _ in range(3):
             cur = frobenius_point(cur, t)
         assert cur == x
+
+
+def test_flag_point_rejects_malformed_flags():
+    t = make_tower(2, 1)
+    line = subspace_from_rows(t, [[1, 0, 0]], 3)
+    plane = subspace_from_rows(t, [[1, 0, 0], [0, 1, 0]], 3)
+    full = subspace_from_rows(t, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    w = tuple(Fraction(a) for a in (1, 0, -1))
+    FlagPoint(chain=(line, plane), weights=w, n=3)
+    FlagPoint(chain=(), weights=(Fraction(0),), n=3)
+    bad = [
+        ((line,), w),  # one subspace per weight but the last
+        ((line, plane), (w[0], w[2], w[1])),  # weights must decrease
+        ((plane, line), w),  # dimensions must increase
+        ((line, full), w),  # the whole space is not a chain step
+        ((line, subspace_from_rows(t, [[1, 0]], 2)), w),  # one ambient space
+    ]
+    for chain, weights in bad:
+        with pytest.raises(ValueError):
+            FlagPoint(chain=chain, weights=weights, n=3)
+
+
+def test_twisted_fixed_flags_over_a_subfield_are_the_rational_chambers():
+    # one step of the twisted Frobenius fixes the flags over the degree-2
+    # subfield: q^3 + 1 chambers inside every tower F_{q^2m}.  At m = 1 these
+    # are also the verifier's points (conj_power = m over the whole tower), so
+    # (3, 1) checks the odd-q point path; test_semistable covers q = 2, m = 1, 2, 3
+    for q, m in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        h = HermitianData(tower=make_tower(q, 2 * m), n=3)
+        chambers = enumerate_twisted_fixed_flags(h, (1, 0, -1), conj_power=1)
+        assert len(chambers) == q**3 + 1
+        assert all(h.is_fixed(x, 1) for x in chambers)
 
 
 def test_hermitian_form_and_perp():

@@ -1,4 +1,4 @@
-"""Filtration pairings, slopes, the semistability oracle, stratification."""
+"""Weighted-flag pairings, slopes, the semistability oracle, stratification."""
 
 import collections
 import itertools
@@ -11,15 +11,13 @@ from helpers import instance, table, verifier
 from perdom import semistable
 from perdom.cohom import lefschetz_series
 from perdom.complex import build_t_x
-from perdom.finflag import full_space, make_tower, subspace_from_rows
+from perdom.finflag import FlagPoint, full_space, make_tower, subspace_from_rows
 from perdom.semistable import (
-    Filtration,
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
     coordinate_filtration,
     filtration_pairing,
-    flag_filtration,
     frobenius_equivariance_holds,
     is_semistable,
     parabolic_invariance_sample,
@@ -48,7 +46,7 @@ def test_pairing_cross_example():
 def test_pairing_against_trivial_filtration():
     t = make_tower(2, 1)
     f = coordinate_filtration(t, [1, 0, -1])
-    trivial = Filtration(weights=(Fraction(0),), spaces=(full_space(t, 3),))
+    trivial = FlagPoint(chain=(), weights=(Fraction(0),), n=3)
     assert filtration_pairing(t, f, trivial) == 0
 
 
@@ -77,19 +75,19 @@ def test_torus_pairing_identity_on_random_pairs():
 def test_subspace_coweight_filtration_weights():
     t = make_tower(2, 1)
     line = subspace_from_rows(t, [[1, 0, 0]], 3)
-    f = subspace_coweight_filtration(t, line, 3)
+    f = subspace_coweight_filtration(line)
     assert f.weights == (Fraction(2, 3), Fraction(-1, 3))
     plane = subspace_from_rows(t, [[1, 0, 0], [0, 1, 0]], 3)
-    f = subspace_coweight_filtration(t, plane, 3)
+    f = subspace_coweight_filtration(plane)
     assert f.weights == (Fraction(1, 3), Fraction(-2, 3))
-    half = subspace_coweight_filtration(t, subspace_from_rows(t, [[1, 0]], 2), 2)
+    half = subspace_coweight_filtration(subspace_from_rows(t, [[1, 0]], 2))
     assert half.weights == (Fraction(1, 2), Fraction(-1, 2))
 
 
 def test_subspace_coweight_filtration_rejects_trivial():
     t = make_tower(2, 1)
     with pytest.raises(ValueError):
-        subspace_coweight_filtration(t, full_space(t, 3), 3)
+        subspace_coweight_filtration(full_space(t, 3))
 
 
 def test_slope_examples_p1():
@@ -97,21 +95,21 @@ def test_slope_examples_p1():
     own = ctx.points.index(
         next(x for x in ctx.points if x.chain[0].rows == ((1, 0),))
     )
-    filt = ctx.point_filts[own]
-    same = next(t for t in ctx.tests if t.subspace.rows == ((1, 0),))
-    other = next(t for t in ctx.tests if t.subspace.rows == ((0, 1),))
-    assert slope(ctx.tower, filt, same.filtration) == -1
-    assert slope(ctx.tower, filt, other.filtration) == 1
+    point = ctx.points[own]
+    same = next(t for t in ctx.tests if t.chain[0].rows == ((1, 0),))
+    other = next(t for t in ctx.tests if t.chain[0].rows == ((0, 1),))
+    assert slope(ctx.tower, point, same) == -1
+    assert slope(ctx.tower, point, other) == 1
 
 
 def test_slope_scales_with_positive_multiples():
     ctx = verifier("a1_reg", 2)
-    filt = ctx.point_filts[0]
-    test = ctx.tests[0].filtration
-    scaled = Filtration(
-        weights=tuple(Fraction(3, 2) * w for w in test.weights), spaces=test.spaces
+    point = ctx.points[0]
+    test = ctx.tests[0]
+    scaled = FlagPoint(
+        chain=test.chain, weights=tuple(Fraction(3, 2) * w for w in test.weights), n=test.n
     )
-    assert slope(ctx.tower, filt, scaled) == Fraction(3, 2) * slope(ctx.tower, filt, test)
+    assert slope(ctx.tower, point, scaled) == Fraction(3, 2) * slope(ctx.tower, point, test)
 
 
 def test_semistable_p1_over_f4():
@@ -127,7 +125,7 @@ def test_semistable_p1_over_f4():
 
 def test_semistable_p2_avoids_rational_lines():
     ctx = verifier("a2_min", 2)
-    rational_planes = [t.subspace for t in ctx.tests if t.subspace.dim == 2]
+    rational_planes = [t.chain[0] for t in ctx.tests if t.chain[0].dim == 2]
     from perdom.finflag import contains
 
     for i, x in enumerate(ctx.points):
@@ -157,6 +155,15 @@ def test_brute_force_examples():
     assert brute_force_ss_count(verifier("u3_reg", 1)) == 0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_u3_points_are_twisted_fixed(m):
+    # the points over the degree-s field are fixed by s steps of the twisted
+    # Frobenius (the chambers are checked in test_finflag)
+    ctx = verifier("u3_reg", m)
+    s = ctx.gd.muclass.e_degree * m
+    assert all(ctx.hermitian.is_fixed(x, s) for x in ctx.points)
+
+
 def test_u3_reflex_degree_two_instance():
     # mu not fixed by the twist: points live over extensions of the degree-2
     # reflex field, and the series must still match
@@ -172,9 +179,8 @@ def test_y_stratum_sl2():
     y0 = y_I_points(ctx, frozenset())
     assert len(y0) == 1
     point = ctx.points[next(iter(y0))]
-    filt = flag_filtration(ctx.tower, point, 2)
     std = coordinate_filtration(ctx.tower, ctx.gd.orbits_delta.twisted_coweights[0].coords)
-    assert slope(ctx.tower, filt, std) == -1
+    assert slope(ctx.tower, point, std) == -1
     assert y_I_points(ctx, frozenset({0})) == frozenset(range(len(ctx.points)))
 
 
@@ -208,8 +214,8 @@ def test_nonsemistable_set_is_union_of_translated_strata():
         ctx = verifier(name, m)
         union = set()
         for test in ctx.tests:
-            for i, filt in enumerate(ctx.point_filts):
-                if slope(ctx.tower, filt, test.filtration) < 0:
+            for i, point in enumerate(ctx.points):
+                if slope(ctx.tower, point, test) < 0:
                     union.add(i)
         ss = set(semistable_indices(ctx))
         assert union == set(range(len(ctx.points))) - ss
@@ -273,7 +279,7 @@ def test_one_incidence_pass_per_context(monkeypatch):
         if not is_semistable(ctx, i).verdict:
             build_t_x(ctx, i)
     point_spaces = {s for x in ctx.points for s in x.chain}
-    test_spaces = {t.subspace for t in ctx.tests}
+    test_spaces = {t.chain[0] for t in ctx.tests}
     # every distinct (point subspace, test subspace) pair exactly once, and
     # the slopes read from the table rather than from ``slope``
     assert set(pairs.values()) == {1}
@@ -323,15 +329,18 @@ def test_bruhat_cells_read_the_incidence_table(monkeypatch):
 
 @pytest.mark.parametrize(
     "name,m",
-    [("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1), ("a2_reg", 2), ("a3_reg", 1)],
+    [
+        ("a2_min", 2), ("u3_reg", 2), ("u3_min", 1), ("a3_mid", 1), ("a2_reg", 2), ("a3_reg", 1),
+        ("a2_central", 1), ("u3_central", 1),
+    ],
 )
 def test_destabilizer_table_matches_direct_pairing(name, m):
     ctx = verifier(name, m)
-    for i, filt in enumerate(ctx.point_filts):
+    for i, point in enumerate(ctx.points):
         row = dict(ctx.destabilizer_table[i])
         assert list(row) == sorted(row)
         for k, test in enumerate(ctx.tests):
-            value = slope(ctx.tower, filt, test.filtration)
+            value = slope(ctx.tower, point, test)
             assert (k in row) == (value < 0)
             if value < 0:
                 assert row[k] == value
@@ -344,8 +353,8 @@ def test_y_stratum_against_coordinate_filtrations(name, m):
     gd = ctx.gd
     negative = {
         k: {
-            i for i, pf in enumerate(ctx.point_filts)
-            if slope(ctx.tower, pf, coordinate_filtration(ctx.tower, w.coords)) < 0
+            i for i, x in enumerate(ctx.points)
+            if slope(ctx.tower, x, coordinate_filtration(ctx.tower, w.coords)) < 0
         }
         for k, w in enumerate(gd.orbits_delta.twisted_coweights)
     }
