@@ -23,18 +23,13 @@ from .cohom import (
 )
 from .galois import GaloisAction, build_galois_action, delta_orbits, gamma_e, weyl_orbits
 from .rootdata import (
-    InnerProduct,
     LatticeVec,
     RootDatum,
     build_root_datum,
     character,
     cocharacter,
-    dualize,
-    fundamental_coweights,
     fundamental_weights,
-    inner_product_default,
     pairing,
-    rescaled_inner_product,
 )
 from .semistable import (
     brute_force_ss_count,

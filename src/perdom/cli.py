@@ -30,6 +30,7 @@ from .finflag import (
     _factor_prime_power,
     enumerate_flag_points,
     enumerate_twisted_fixed_flags,
+    flag_count,
     make_tower,
 )
 from .rootdata import BudgetError, UnsupportedTypeError
@@ -75,6 +76,11 @@ class GroupSpec:
         return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; JSON true and false load as Python bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
     if not isinstance(raw, dict):
         raise SpecError("$", "spec must be a JSON object")
@@ -88,7 +94,7 @@ def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise SpecError(f"type[{i}]", "expected a [family, rank] pair")
         fam, rank = item
-        if not isinstance(fam, str) or not isinstance(rank, int):
+        if not isinstance(fam, str) or not _is_int(rank):
             raise SpecError(f"type[{i}]", "family must be a string and rank an integer")
         parsed_type.append((fam.upper(), rank))
 
@@ -99,22 +105,22 @@ def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
             raise SpecError("twist", "expected {perm: [...], order: n}")
         perm = t["perm"]
         order = t["order"]
-        if not isinstance(perm, list) or not all(isinstance(p, int) for p in perm):
+        if not isinstance(perm, list) or not all(_is_int(p) for p in perm):
             raise SpecError("twist.perm", "expected a list of 1-indexed images")
-        if not isinstance(order, int) or order < 1:
+        if not _is_int(order) or order < 1:
             raise SpecError("twist.order", "expected a positive integer")
         twist = (tuple(perm), order)
 
     if "mu" not in raw:
         raise SpecError("mu", "missing")
     mu = raw["mu"]
-    if not isinstance(mu, list) or not all(isinstance(c, int) for c in mu):
+    if not isinstance(mu, list) or not all(_is_int(c) for c in mu):
         raise SpecError("mu", "expected a list of integers")
 
     if "q" not in raw:
         raise SpecError("q", "missing")
     q = raw["q"]
-    if not isinstance(q, int):
+    if not _is_int(q):
         raise SpecError("q", "expected a prime power >= 2")
     try:
         _factor_prime_power(q)
@@ -122,7 +128,7 @@ def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
         raise SpecError("q", "expected a prime power >= 2") from exc
 
     budget = raw.get("budget", budget)
-    if not isinstance(budget, int) or budget < 1:
+    if not _is_int(budget) or budget < 1:
         raise SpecError("budget", "expected a positive integer")
     return GroupSpec(
         cartan_type=tuple(parsed_type), twist=twist, mu=tuple(mu), q=q, budget=budget
@@ -275,19 +281,22 @@ def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
     checks = []
     if mode == "split":
         n = gd.datum.ambient_dim
+        flag_types = {}
         for k in range(gd.d_prime + 1):
             for I in itertools.combinations(range(gd.d_prime), k):
-                I = frozenset(I)
-                roots = set()
-                for orb in I:
-                    roots.update(gd.orbits_delta.orbits[orb])
-                dims = tuple(d for d in range(1, n) if (d - 1) not in roots)
-                weights = tuple(range(len(dims), -1, -1))
-                count = len(enumerate_flag_points(tower, n, weights, dims, budget=budget))
-                checks.append(
-                    {"I": sorted(gd.orbits_delta.labels[i] for i in I),
-                     "formula": dim_induced(gd, I)(gd.q), "points": count}
-                )
+                roots = {i for orb in I for i in gd.orbits_delta.orbits[orb]}
+                flag_types[frozenset(I)] = tuple(d for d in range(1, n) if (d - 1) not in roots)
+        # every label set's flags are enumerated, so their sum is what the budget bounds
+        total = sum(flag_count(n, dims, gd.q) for dims in flag_types.values())
+        if total > budget:
+            raise BudgetError(f"{total} flags exceed budget {budget}")
+        for I, dims in flag_types.items():
+            weights = tuple(range(len(dims), -1, -1))
+            count = len(enumerate_flag_points(tower, n, weights, dims, budget=budget))
+            checks.append(
+                {"I": sorted(gd.orbits_delta.labels[i] for i in I),
+                 "formula": dim_induced(gd, I)(gd.q), "points": count}
+            )
     elif mode == "u3":
         # the rational chambers of the unitary instance, counted independently
         chambers = len(enumerate_twisted_fixed_flags(

@@ -1,7 +1,10 @@
 """Graded cohomology tables: sign sets, minimal parabolic labels, dimensions.
 
-Everything here is exact: set membership is decided by signs of pairings,
-read as integer dot products with the points' Dynkin labels; dimensions are
+Everything here is exact: set membership is decided by the signs of
+``<w mu, omega_J>``, omega_J the sum of the fundamental weights over a Galois
+orbit J, read as integer dot products with the points' Dynkin labels (no
+invariant form enters: ``(v, G^-1 omega)_G = <v, omega>`` for any Gram
+matrix G, so every form's orbit coweight gives the same signs); dimensions are
 integer polynomials in q, counted by an integer walk over Dynkin labels; and
 the point-count series is an integer for every extension degree.
 """
@@ -25,16 +28,14 @@ from .galois import (
     weyl_orbits,
 )
 from .rootdata import (
-    InnerProduct,
     LatticeVec,
     RootDatum,
     build_root_datum,
     cocharacter,
-    fundamental_coweights,
-    inner_product_default,
-    mat_vec,
+    fundamental_weights,
+    mat_inv,
     num_positive_roots,
-    solve_in_span,
+    pairing,
 )
 from .weyl import OrbitPoint, coweight_orbit, dominant_representative, nonzero_entries, reflect_labels
 
@@ -93,7 +94,6 @@ class GroupData:
     """A full problem instance: root datum, twist, dominant cocharacter, q."""
 
     datum: RootDatum
-    ip: InnerProduct
     action: GaloisAction
     orbits_delta: DeltaOrbits
     mu: LatticeVec
@@ -118,24 +118,25 @@ class GroupData:
 
     @cached_property
     def sign_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Per orbit coweight w, integer coefficients b with
-        ``sum_i b_i <v, alpha_i>`` a positive multiple of ``(v, w)``.
+        """Per Galois orbit J, integer coefficients b with
+        ``sum_i b_i <v, alpha_i>`` a positive multiple of ``<v, omega_J>``,
+        omega_J the sum of the fundamental weights omega_j, j in J.
 
-        ``(v, w) = <v, G w>`` for the Gram matrix G, and G w lies in the root
-        span, so writing it in simple roots gives the pairing as a dot product
-        with v's Dynkin labels; clearing denominators keeps its sign."""
-        simple = [alpha.coords for alpha in self.datum.simple_roots]
+        ``omega_j = sum_i (A^-1)_ij alpha_i`` for the Cartan matrix A, so the
+        pairing is a dot product of the summed columns of A^-1 with v's Dynkin
+        labels; clearing denominators keeps its sign.  Under any invariant
+        form it is the sign of v against J's orbit coweight, the form-dual of
+        omega_J."""
+        a_inv = mat_inv(self.datum.cartan_matrix)
         rows = []
-        for w in self.orbits_delta.twisted_coweights:
-            coeffs = solve_in_span(simple, mat_vec(self.ip.gram, w.coords))
-            if coeffs is None:
-                raise AssertionError("an orbit coweight's dual left the root span")
+        for orbit in self.orbits_delta.orbits:
+            coeffs = [sum(row[j] for j in orbit) for row in a_inv]
             scale = lcm(*(c.denominator for c in coeffs))
             rows.append(tuple(int(c * scale) for c in coeffs))
         return tuple(rows)
 
     def scaled_pairing(self, point: OrbitPoint, orbit_index: int) -> int:
-        """<w mu, orbit coweight> up to a positive factor fixed per coweight."""
+        """``<w mu, omega_J>`` for the orbit J, up to a positive factor fixed per orbit."""
         return sum(b * c for b, c in zip(self.sign_rows[orbit_index], point.labels))
 
 
@@ -144,17 +145,15 @@ def build_group_data(
     mu_coords,
     q: int,
     twist: tuple | None = None,
-    ip: InnerProduct | None = None,
 ) -> GroupData:
     """Assemble a problem instance; mu is conjugated dominant up front."""
     datum = build_root_datum(cartan_spec)
-    ip = ip or inner_product_default(datum)
     if twist is None:
         action = split_action(datum)
     else:
         perm, order = twist
         action = build_galois_action(datum, tuple(int(p) - 1 for p in perm), int(order))
-    orbits = delta_orbits(datum, action, ip)
+    orbits = delta_orbits(datum, action)
     mu_in = cocharacter(mu_coords)
     if mu_in.dim != datum.ambient_dim:
         raise ValueError(f"mu must have length {datum.ambient_dim}")
@@ -164,7 +163,6 @@ def build_group_data(
     worb = weyl_orbits(points, action, muclass)
     return GroupData(
         datum=datum,
-        ip=ip,
         action=action,
         orbits_delta=orbits,
         mu=mu,
@@ -246,17 +244,17 @@ def assemble_cohomology(gd: GroupData) -> CohomologyTable:
 def assemble_split_table(gd: GroupData) -> CohomologyTable:
     """Split-case table computed without any orbit machinery.
 
-    Walks the W-orbit points of mu directly against the per-root
-    fundamental coweights; serves as an independent regression path for the
-    orbit-based assembly.
+    Pairs the W-orbit points of mu directly with the fundamental weights, in
+    exact rational coordinates; serves as an independent regression path for
+    the orbit-based assembly and its integer sign rows.
     """
     if not gd.is_split:
         raise ValueError("split path requires a split instance")
-    coweights = fundamental_coweights(gd.datum, gd.ip)
+    weights = fundamental_weights(gd.datum)
     d = gd.datum.rank
     summands = []
     for p in gd.mu_orbit:
-        I = frozenset(i for i in range(d) if gd.ip.value(p.vec, coweights[i]) <= 0)
+        I = frozenset(i for i in range(d) if pairing(p.vec, weights[i]) <= 0)
         degree = 2 * p.length + (d - len(I))
         orbit = next(o for o in gd.worbits if o.rep == p)
         summands.append(

@@ -1,60 +1,46 @@
-"""Quasi-split Galois twist: diagram automorphisms, orbit coweights, W-orbits.
+"""Quasi-split Galois twist: diagram automorphisms, their orbits on Delta, W-orbits.
 
 The Galois group is cyclic, generated by one Cartan-preserving permutation of
 the simple roots.  Its action on Kostant representatives is conjugation; since
-the reflex subgroup fixes mu, that is the linear action on the points ``w mu``
-of mu's W-orbit, checked to stay inside the orbit.  A diagram automorphism
+the reflex subgroup fixes mu, that is the action on the points ``w mu`` of
+mu's W-orbit, checked to stay inside the orbit.  A diagram automorphism
 permutes the simple roots and keeps pairings, so on points it permutes their
-integer Dynkin labels.
+integer Dynkin labels; no linear realisation of the twist is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .rootdata import (
-    InnerProduct,
-    LatticeVec,
-    Matrix,
-    RootDatum,
-    fundamental_coweights,
-    identity_matrix,
-    inner_product_default,
-    mat_inv,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    vec_add,
-)
+from .rootdata import LatticeVec, RootDatum, pairing
 from .weyl import OrbitPoint, is_dominant
 
 
 @dataclass(frozen=True)
 class GaloisAction:
-    """A cyclic group of diagram automorphisms with its linear realization."""
+    """A cyclic group of diagram automorphisms: the permutation ``perm`` of
+    the simple roots, acting with period ``order``."""
 
     perm: tuple[int, ...]
     order: int
-    matrix: Matrix
 
     @property
     def is_trivial(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
 
-    def power(self, k: int) -> Matrix:
-        m = identity_matrix(len(self.matrix))
+    def power(self, k: int) -> tuple[int, ...]:
+        """sigma^k as a permutation: entry i is the image of alpha_i."""
+        image = tuple(range(len(self.perm)))
         for _ in range(k % self.order):
-            m = mat_mul(self.matrix, m)
-        return m
+            image = tuple(self.perm[i] for i in image)
+        return image
 
 
 @dataclass(frozen=True)
 class DeltaOrbits:
-    """Partition of the simple roots into Galois orbits, with coweights."""
+    """Partition of the simple roots into Galois orbits, with their labels."""
 
     orbits: tuple[tuple[int, ...], ...]
-    twisted_coweights: tuple[LatticeVec, ...]
     labels: tuple[str, ...]
 
     @property
@@ -97,11 +83,7 @@ def split_action(datum: RootDatum) -> GaloisAction:
 
 
 def build_galois_action(datum: RootDatum, perm, order: int) -> GaloisAction:
-    """Isometric linear extension of a Cartan-preserving simple-root permutation.
-
-    The matrix permutes simple coroots according to ``perm`` and is the
-    identity on the orthogonal complement of their span.
-    """
+    """A Cartan-preserving simple-root permutation, acting with period ``order``."""
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(datum.rank)):
         raise ValueError("perm must be a permutation of the simple roots")
@@ -113,39 +95,11 @@ def build_galois_action(datum: RootDatum, perm, order: int) -> GaloisAction:
     base = _perm_order(perm)
     if order < 1 or order % base != 0:
         raise ValueError(f"order {order} is not a positive multiple of ord(perm) = {base}")
-
-    # complete the coroots to a basis by the dot-orthogonal complement of
-    # their span; it is also orthogonal for the invariant (block-scalar) form,
-    # so the matrix is the identity on the invariant complement
-    coroots = [c.coords for c in datum.simple_coroots]
-    complement = nullspace(coroots, datum.ambient_dim)
-    b = tuple(zip(*coroots, *complement))
-    t = tuple(zip(*(coroots[p] for p in perm), *complement))
-    matrix = mat_mul(t, mat_inv(b))
-
-    action = GaloisAction(perm=perm, order=order, matrix=matrix)
-    _validate_action(datum, action)
-    return action
+    return GaloisAction(perm=perm, order=order)
 
 
-def _validate_action(datum: RootDatum, action: GaloisAction) -> None:
-    for i in range(datum.rank):
-        if mat_vec(action.matrix, datum.simple_coroots[i].coords) != datum.simple_coroots[action.perm[i]].coords:
-            raise AssertionError("matrix does not permute simple coroots as declared")
-        if mat_vec(action.matrix, datum.simple_roots[i].coords) != datum.simple_roots[action.perm[i]].coords:
-            raise AssertionError("matrix does not permute simple roots as declared")
-    if action.power(action.order) != identity_matrix(datum.ambient_dim):
-        raise AssertionError("matrix order does not divide the declared order")
-
-
-def delta_orbits(datum: RootDatum, action: GaloisAction, ip: InnerProduct | None = None) -> DeltaOrbits:
-    """Galois orbits on Delta and the literal orbit-summed coweights.
-
-    Each coweight is the sum over all ``order`` group elements, so an orbit
-    member appears with multiplicity order/|orbit|; only positivity matters
-    downstream, and that is unaffected.
-    """
-    ip = ip or inner_product_default(datum)
+def delta_orbits(datum: RootDatum, action: GaloisAction) -> DeltaOrbits:
+    """Galois orbits on Delta, each sorted, in order of their least member."""
     seen: set[int] = set()
     orbits: list[tuple[int, ...]] = []
     for i in range(datum.rank):
@@ -158,27 +112,23 @@ def delta_orbits(datum: RootDatum, action: GaloisAction, ip: InnerProduct | None
             j = action.perm[j]
         seen.update(orbit)
         orbits.append(tuple(sorted(orbit)))
-    orbits.sort(key=lambda o: o[0])
-
-    coweights = fundamental_coweights(datum, ip)
-    twisted = []
-    for orbit in orbits:
-        base = coweights[orbit[0]].coords
-        total = tuple(Fraction(0) for _ in range(datum.ambient_dim))
-        for k in range(action.order):
-            total = vec_add(total, mat_vec(action.power(k), base))
-        twisted.append(LatticeVec(coweights[0].side, total))
     labels = tuple(f"a{k + 1}" for k in range(len(orbits)))
-    return DeltaOrbits(orbits=tuple(orbits), twisted_coweights=tuple(twisted), labels=labels)
+    return DeltaOrbits(orbits=tuple(orbits), labels=labels)
 
 
 def gamma_e(datum: RootDatum, action: GaloisAction, mu: LatticeVec) -> MuClass:
-    """Reflex data of a dominant cocharacter: [E:k] and the stabilizer order."""
+    """Reflex data of a dominant cocharacter: [E:k] and the stabilizer order.
+
+    sigma^k fixes mu exactly when it fixes mu's Dynkin labels: every simple
+    root is parallel to its coroot, so the labels fix mu's component in the
+    coroot span, and the twist fixes the orthogonal complement (the centre).
+    """
     if not is_dominant(datum, mu):
         raise ValueError("mu must be dominant")
+    labels = tuple(pairing(mu, alpha) for alpha in datum.simple_roots)
     t = next(
         k for k in range(1, action.order + 1)
-        if mat_vec(action.power(k), mu.coords) == mu.coords
+        if all(labels[p] == c for p, c in zip(action.power(k), labels))
     )
     if action.order % t != 0:
         raise AssertionError("stabilizer index does not divide the group order")
@@ -190,14 +140,12 @@ def weyl_orbits(
     action: GaloisAction,
     muclass: MuClass,
 ) -> tuple[WOrbit, ...]:
-    """Orbits of the points ``w mu`` under the linear action of the reflex subgroup.
+    """Orbits of the points ``w mu`` under the reflex subgroup.
 
     The generator sigma^e carries alpha_i to alpha_(perm^e i) and keeps
     pairings, so it acts on Dynkin labels by moving label i to place perm^e i.
     """
-    image_of = list(range(len(action.perm)))
-    for _ in range(muclass.e_degree):
-        image_of = [action.perm[j] for j in image_of]
+    image_of = action.power(muclass.e_degree)
     source = sorted(range(len(image_of)), key=image_of.__getitem__)
     by_labels = {p.labels: p for p in points}
     seen: set[tuple[int, ...]] = set()

@@ -8,7 +8,8 @@ reproducible bit for bit:
 * G_2: the standard 3-dimensional model, alpha_1 = e_1 - e_2 short.
 
 Direct products concatenate coordinate blocks.  All arithmetic is exact
-rational; the sign tests downstream tolerate no rounding.
+rational; the sign tests downstream tolerate no rounding.  No invariant form
+is kept: everything downstream is read from pairings and the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -164,24 +165,6 @@ def cocharacter(values: Iterable) -> LatticeVec:
 
 
 @dataclass(frozen=True)
-class InnerProduct:
-    """Invariant positive definite form on the cocharacter space.
-
-    ``gram_inv`` doubles as the Gram matrix of the induced form on the
-    character space, so that (chi, chi') = <chi*, chi'>.
-    """
-
-    gram: Matrix
-    gram_inv: Matrix
-
-    def value(self, u: LatticeVec, v: LatticeVec) -> Fraction:
-        if u.side != v.side:
-            raise ValueError("mixed sides in inner product")
-        g = self.gram if u.side == COCHARACTER else self.gram_inv
-        return vec_dot(u.coords, mat_vec(g, v.coords))
-
-
-@dataclass(frozen=True)
 class RootDatum:
     """Simple roots and coroots of a product of classical factors.
 
@@ -195,8 +178,6 @@ class RootDatum:
     simple_roots: tuple[LatticeVec, ...]
     simple_coroots: tuple[LatticeVec, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
-    factor_slices: tuple[tuple[int, int], ...]
-    gram_scales: tuple[Fraction, ...]
 
     @property
     def rank(self) -> int:
@@ -242,41 +223,36 @@ def num_positive_roots(cartan_type: Sequence[tuple[str, int]]) -> int:
 
 
 def _factor_data(family: str, rank: int):
-    """Simple roots, coroots and gram scale of one factor in its own block."""
+    """Block size, simple roots and simple coroots of one factor in its own block."""
     e = lambda i, n: tuple(Fraction(int(j == i)) for j in range(n))
     if family == "A":
         n = rank + 1
         roots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank)]
         coroots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank)]
-        scale = Fraction(1)
     elif family == "B":
         n = rank
         roots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank - 1)]
         roots.append(e(rank - 1, n))
         coroots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank - 1)]
         coroots.append(vec_scale(2, e(rank - 1, n)))
-        scale = Fraction(1)
     elif family == "C":
         n = rank
         roots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank - 1)]
         roots.append(vec_scale(2, e(rank - 1, n)))
         coroots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank - 1)]
         coroots.append(e(rank - 1, n))
-        scale = Fraction(2)
     elif family == "D":
         n = rank
         roots = [vec_sub(e(i, n), e(i + 1, n)) for i in range(rank - 1)]
         roots.append(vec_add(e(rank - 2, n), e(rank - 1, n)))
         coroots = [tuple(r) for r in roots]
-        scale = Fraction(1)
     elif family == "G":
         n = 3
         roots = [frac_vec((1, -1, 0)), frac_vec((-2, 1, 1))]
         coroots = [frac_vec((1, -1, 0)), frac_vec((Fraction(-2, 3), Fraction(1, 3), Fraction(1, 3)))]
-        scale = Fraction(3)
     else:
         raise UnsupportedTypeError(f"family {family!r}")
-    return n, roots, coroots, scale
+    return n, roots, coroots
 
 
 def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
@@ -306,15 +282,11 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
     ambient = sum(b[0] for b in blocks)
     roots: list[LatticeVec] = []
     coroots: list[LatticeVec] = []
-    slices: list[tuple[int, int]] = []
-    scales: list[Fraction] = []
     offset = 0
-    for n, broots, bcoroots, scale in blocks:
+    for n, broots, bcoroots in blocks:
         pad = lambda v: tuple([Fraction(0)] * offset + list(v) + [Fraction(0)] * (ambient - offset - n))
         roots.extend(character(pad(v)) for v in broots)
         coroots.extend(cocharacter(pad(v)) for v in bcoroots)
-        slices.append((offset, offset + n))
-        scales.append(scale)
         offset += n
 
     cartan = tuple(
@@ -327,8 +299,6 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
         simple_roots=tuple(roots),
         simple_coroots=tuple(coroots),
         cartan_matrix=cartan,
-        factor_slices=tuple(slices),
-        gram_scales=tuple(scales),
     )
 
 
@@ -344,39 +314,6 @@ def pairing(lam: LatticeVec, chi: LatticeVec) -> Fraction:
     return vec_dot(lam.coords, chi.coords)
 
 
-def _gram_from_scales(datum: RootDatum, scales: Sequence[Fraction]) -> InnerProduct:
-    n = datum.ambient_dim
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for (start, stop), scale in zip(datum.factor_slices, scales):
-        for i in range(start, stop):
-            gram[i][i] = Fraction(scale)
-    g = tuple(tuple(row) for row in gram)
-    return InnerProduct(gram=g, gram_inv=mat_inv(g))
-
-
-def inner_product_default(datum: RootDatum) -> InnerProduct:
-    """Weyl-invariant form, short coroots of squared length 2 per factor."""
-    return _gram_from_scales(datum, datum.gram_scales)
-
-
-def rescaled_inner_product(datum: RootDatum, factors: Sequence) -> InnerProduct:
-    """Default form rescaled by a positive rational on each simple factor."""
-    factors = [Fraction(f) for f in factors]
-    if len(factors) != len(datum.cartan_type):
-        raise ValueError("one scale per simple factor required")
-    if any(f <= 0 for f in factors):
-        raise ValueError("scales must be positive")
-    return _gram_from_scales(datum, [s * f for s, f in zip(datum.gram_scales, factors)])
-
-
-def dualize(v: LatticeVec, datum: RootDatum, ip: InnerProduct | None = None) -> LatticeVec:
-    """Image under the inner-product identification of X_* with X^*."""
-    ip = ip or inner_product_default(datum)
-    if v.side == COCHARACTER:
-        return LatticeVec(CHARACTER, mat_vec(ip.gram, v.coords))
-    return LatticeVec(COCHARACTER, mat_vec(ip.gram_inv, v.coords))
-
-
 def fundamental_weights(datum: RootDatum) -> tuple[LatticeVec, ...]:
     """Characters in the root span dual to the simple coroots."""
     a_inv = mat_inv(datum.cartan_matrix)
@@ -389,11 +326,6 @@ def fundamental_weights(datum: RootDatum) -> tuple[LatticeVec, ...]:
         )
         weights.append(LatticeVec(CHARACTER, vec))
     return tuple(weights)
-
-
-def fundamental_coweights(datum: RootDatum, ip: InnerProduct | None = None) -> tuple[LatticeVec, ...]:
-    ip = ip or inner_product_default(datum)
-    return tuple(dualize(w, datum, ip) for w in fundamental_weights(datum))
 
 
 def simple_reflection_matrix(datum: RootDatum, i: int) -> Matrix:

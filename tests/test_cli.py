@@ -44,6 +44,21 @@ def test_parse_rejects_bad_values():
         cli.parse_group_spec({"type": [["A"]], "mu": [1, -1], "q": 2})
 
 
+@pytest.mark.parametrize("field,spec", [
+    ("type[0]", {"type": [["A", True]], "mu": [1, -1], "q": 2}),
+    ("twist.perm", {**U3, "twist": {"perm": [True, 1], "order": 2}}),
+    ("twist.order", {**U3, "twist": {"perm": [2, 1], "order": True}}),
+    ("mu", {"type": [["A", 1]], "mu": [True, False], "q": 2}),
+    ("q", {"type": [["A", 1]], "mu": [1, -1], "q": True}),
+    ("budget", {"type": [["A", 1]], "mu": [1, -1], "q": 2, "budget": True}),
+])
+def test_spec_rejects_booleans_for_integers(tmp_path, capsys, field, spec):
+    # JSON true and false load as Python bools, which are ints
+    code, out, err = run(["cohomology", "--spec", write_spec(tmp_path, spec)], capsys)
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith(f"spec error: {field}: ")
+
+
 def test_spec_error_exit_code(tmp_path, capsys):
     path = write_spec(tmp_path, {"type": [["E", 8]], "mu": [0] * 8, "q": 2})
     code, _, err = run(["cohomology", "--spec", path], capsys)
@@ -171,8 +186,8 @@ def test_guard_field_tower_checked_against_budget(tmp_path, capsys):
 @pytest.mark.parametrize("spec,argv,error", [
     # every m needs the 1024-entry tables of F_1024 or larger ones
     (CENTRAL_Q1024, ["--m", "1", "--budget", "1000"], "1024-entry field tables of F_1024"),
-    # 7 points fit at m = 1, but the guard's 21 full flags do not
-    ({"type": [["A", 2]], "mu": [2, -1, -1], "q": 2}, ["--m", "2", "--budget", "10"], "21 flags"),
+    # 7 points fit at m = 1, but the guard's 21 + 7 + 7 + 1 flags do not
+    ({"type": [["A", 2]], "mu": [2, -1, -1], "q": 2}, ["--m", "2", "--budget", "10"], "36 flags"),
 ])
 def test_no_infeasible_m_suggested(tmp_path, capsys, spec, argv, error):
     path = write_spec(tmp_path, spec)
@@ -181,6 +196,16 @@ def test_no_infeasible_m_suggested(tmp_path, capsys, spec, argv, error):
     verification = json.loads(out)["verification"]
     assert error in verification["budget_error"]
     assert "smallest_feasible_m" not in verification
+
+
+def test_guard_bounds_the_total_over_label_sets(tmp_path, capsys):
+    # 615,195 full flags of F_2^6 fit the budget; all 32 label sets together do not
+    path = write_spec(tmp_path, {"type": [["A", 5]], "mu": [3, 2, 1, 0, -1, -2], "q": 2})
+    code, out, _ = run(["dims", "--spec", path, "--budget", "1000000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    report = json.loads(out)
+    assert report["verification"] == {"budget_error": "2257888 flags exceed budget 1000000"}
+    assert len(report["dims"]) == 32
 
 
 def test_dims_includes_guard(tmp_path, capsys):

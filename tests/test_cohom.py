@@ -3,7 +3,17 @@
 import itertools
 from fractions import Fraction
 
-from helpers import INSTANCES, SPLIT_NAMES, instance, summand_signature, table
+from helpers import (
+    INSTANCES,
+    SPLIT_NAMES,
+    form_dual,
+    form_value,
+    instance,
+    invariant_gram,
+    orbit_weight,
+    summand_signature,
+    table,
+)
 from perdom.cohom import (
     all_dim_polys,
     assemble_cohomology,
@@ -17,7 +27,7 @@ from perdom.cohom import (
     omega_I,
     steinberg_dimension,
 )
-from perdom.rootdata import rescaled_inner_product
+from perdom.rootdata import pairing
 
 
 def test_omega_examples_split_a1():
@@ -94,10 +104,7 @@ def test_representative_independence():
         gd = instance(name)
         for orbit in gd.worbits:
             for k in range(gd.d_prime):
-                signs = {
-                    gd.ip.value(m.vec, gd.orbits_delta.twisted_coweights[k]) > 0
-                    for m in orbit.members
-                }
+                signs = {pairing(m.vec, orbit_weight(gd, k)) > 0 for m in orbit.members}
                 assert len(signs) == 1
 
 
@@ -275,21 +282,20 @@ def test_redundant_splitting_degree_changes_nothing():
 
 
 def test_tables_invariant_under_rescaling():
+    # label sets read from the orbit coweights of a rescaled invariant form
+    # place every summand where the engine's sign rows do
     for name, scales in (
         ("a2_reg", (Fraction(5, 3),)),
         ("u3_reg", (Fraction(7, 2),)),
         ("a1a1_reg", (2, 5)),
         ("b2_min", (Fraction(1, 4),)),
     ):
-        ctype, mu, q, twist = INSTANCES[name]
-        from perdom.rootdata import build_root_datum
-
-        datum = build_root_datum(list(ctype))
-        ip = rescaled_inner_product(datum, scales)
-        scaled = build_group_data(list(ctype), list(mu), q, twist=twist, ip=ip)
-        assert summand_signature(scaled, assemble_cohomology(scaled)) == summand_signature(
-            instance(name), table(name)
-        )
+        gd = instance(name)
+        gram = invariant_gram(gd.datum, scales)
+        coweights = [form_dual(gram, orbit_weight(gd, k)) for k in range(gd.d_prime)]
+        for s in table(name).summands:
+            I = frozenset(k for k, w in enumerate(coweights) if form_value(gram, s.orbit.rep.vec, w) <= 0)
+            assert s.I == I and s.degree == 2 * s.orbit.length + gd.d_prime - len(I)
 
 
 def test_shape_bottom_degree():

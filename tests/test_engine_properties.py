@@ -1,0 +1,109 @@
+"""Engine properties on random products, twists and cocharacters.
+
+Instances are products of up to three factors from A1-A3, B2, B3, C2, C3, D4
+and G2, under a random diagram twist (a flip of an A or D diagram, the D4
+triality, and a swap or cycle of equal factors), with a random integer mu
+that is not dominant.  The runs are derandomised and small: 50 examples in
+all.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from helpers import orbit_weight  # noqa: E402
+from perdom import cli  # noqa: E402
+from perdom.cohom import DimPoly, assemble_cohomology, build_group_data, dim_v  # noqa: E402
+from perdom.galois import _perm_order  # noqa: E402
+from perdom.rootdata import (  # noqa: E402
+    act_matrix,
+    build_root_datum,
+    cocharacter,
+    num_positive_roots,
+    pairing,
+    simple_reflection_matrix,
+    weyl_order,
+)
+from perdom.weyl import is_dominant  # noqa: E402
+
+FACTORS = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2))
+# the orbit of mu has at most |W| points; this keeps each example well under a second
+MAX_WEYL_ORDER = 2400
+
+# diagram automorphisms of one factor, as 0-indexed permutations of its simple roots
+LOCAL_TWISTS = {
+    ("A", 2): ((1, 0),),
+    ("A", 3): ((2, 1, 0),),
+    ("D", 4): ((0, 1, 3, 2), (2, 1, 3, 0), (3, 1, 0, 2)),
+}
+
+
+@st.composite
+def instances(draw):
+    """(cartan type, twist as (1-indexed perm, order) or None, mu)."""
+    ctype = tuple(draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3)))
+    assume(weyl_order(ctype) <= MAX_WEYL_ORDER)
+    starts = [sum(rank for _, rank in ctype[:f]) for f in range(len(ctype))]
+    # move each factor onto an equal one, then apply a diagram automorphism there
+    target = {}
+    for factor in sorted(set(ctype)):
+        equal = [f for f, t in enumerate(ctype) if t == factor]
+        target.update(zip(equal, draw(st.permutations(equal))))
+    perm = []
+    for f, factor in enumerate(ctype):
+        local = draw(st.sampled_from(((tuple(range(factor[1])),) + LOCAL_TWISTS.get(factor, ()))))
+        perm.extend(starts[target[f]] + local[i] for i in range(factor[1]))
+    order = _perm_order(tuple(perm)) * draw(st.sampled_from((1, 2)))
+    datum = build_root_datum(ctype)
+    mu = cocharacter(draw(st.lists(st.integers(-2, 2), min_size=datum.ambient_dim, max_size=datum.ambient_dim)))
+    assume(not is_dominant(datum, mu))
+    twist = None if perm == list(range(len(perm))) and order == 1 else (tuple(p + 1 for p in perm), order)
+    return ctype, twist, [int(c) for c in mu.coords]
+
+
+def _engine_output(gd):
+    table = assemble_cohomology(gd)
+    return (
+        gd.mu,
+        gd.muclass.e_degree,
+        cli.cohomology_block(gd, table),
+        cli.euler_block(gd, table),
+        cli.dims_block(gd),
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(instances(), st.lists(st.integers(0, 20), max_size=8))
+def test_table_and_dims_invariant_under_w_conjugation(instance, steps):
+    ctype, twist, mu = instance
+    datum = build_root_datum(ctype)
+    conjugate = cocharacter(mu)
+    for step in steps:
+        conjugate = act_matrix(simple_reflection_matrix(datum, step % datum.rank), conjugate)
+    # conjugates need not be integral: the G2 model has a coroot with thirds
+    assert _engine_output(build_group_data(ctype, mu, 2, twist=twist)) == _engine_output(
+        build_group_data(ctype, conjugate.coords, 2, twist=twist)
+    )
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(instances(), st.sampled_from((2, 3, 4)))
+def test_steinberg_dimension_is_q_to_the_positive_roots(instance, q):
+    ctype, twist, mu = instance
+    gd = build_group_data(ctype, mu, q, twist=twist)
+    assert dim_v(gd, frozenset()) == DimPoly.monomial(num_positive_roots(ctype))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(instances())
+def test_sign_rows_match_the_fraction_pairing(instance):
+    ctype, twist, mu = instance
+    gd = build_group_data(ctype, mu, 2, twist=twist)
+    for k in range(gd.d_prime):
+        weight = orbit_weight(gd, k)
+        for p in gd.mu_orbit:
+            value = pairing(p.vec, weight)
+            assert (gd.scaled_pairing(p, k) > 0) == (value > 0)
+            assert (gd.scaled_pairing(p, k) < 0) == (value < 0)

@@ -1,20 +1,21 @@
-"""Diagram automorphisms, orbit coweights, reflex data, Weyl-set orbits."""
+"""Diagram automorphisms, orbit sign rows, reflex data, Weyl-set orbits."""
 
 from fractions import Fraction
 
 import pytest
 
-from helpers import instance
+from helpers import form_dual, instance, invariant_gram, orbit_weight, twist_matrix
+from perdom.cohom import build_group_data
 from perdom.galois import build_galois_action, delta_orbits, gamma_e, split_action
 from perdom.rootdata import (
     build_root_datum,
+    character,
     cocharacter,
-    fundamental_coweights,
-    inner_product_default,
+    fundamental_weights,
+    identity_matrix,
     mat_mul,
     mat_vec,
     nullspace,
-    rescaled_inner_product,
     vec_dot,
     weyl_order,
 )
@@ -43,12 +44,12 @@ def test_split_action_is_identity():
 
 
 def test_twisted_a2_matrix_on_sum_zero():
-    datum = build_root_datum([("A", 2)])
-    action = build_galois_action(datum, (1, 0), 2)
+    # the twist's linear realisation, a test oracle
+    matrix = twist_matrix(build_root_datum([("A", 2)]), (1, 0))
     # (a, b, c) -> (-c, -b, -a) on sum-zero vectors
-    assert mat_vec(action.matrix, cocharacter([1, -1, 0]).coords) == cocharacter([0, 1, -1]).coords
-    assert mat_vec(action.matrix, cocharacter([2, -1, -1]).coords) == cocharacter([1, 1, -2]).coords
-    assert mat_vec(action.matrix, cocharacter([1, 0, -1]).coords) == cocharacter([1, 0, -1]).coords
+    assert mat_vec(matrix, cocharacter([1, -1, 0]).coords) == cocharacter([0, 1, -1]).coords
+    assert mat_vec(matrix, cocharacter([2, -1, -1]).coords) == cocharacter([1, 1, -2]).coords
+    assert mat_vec(matrix, cocharacter([1, 0, -1]).coords) == cocharacter([1, 0, -1]).coords
 
 
 def test_a3_swap_is_valid():
@@ -74,32 +75,42 @@ def test_delta_orbits_split():
     datum = build_root_datum([("A", 2)])
     orbits = delta_orbits(datum, split_action(datum))
     assert orbits.orbits == ((0,), (1,))
-    cw = fundamental_coweights(datum)
-    assert orbits.twisted_coweights[0].coords == cw[0].coords
+    gd = build_group_data([("A", 2)], [0, 0, 0], 2)
+    assert orbit_weight(gd, 0).coords == fundamental_weights(datum)[0].coords
+    # omega_1 = (2 alpha_1 + alpha_2) / 3
+    assert gd.sign_rows == ((2, 1), (1, 2))
 
 
 def test_delta_orbits_twisted_a2():
     datum = build_root_datum([("A", 2)])
     orbits = delta_orbits(datum, build_galois_action(datum, (1, 0), 2))
     assert orbits.orbits == ((0, 1),)
-    assert orbits.twisted_coweights[0].coords == cocharacter([1, 0, -1]).coords
+    gd = build_group_data([("A", 2)], [0, 0, 0], 2, twist=((2, 1), 2))
+    # omega_1 + omega_2 = alpha_1 + alpha_2 = (1, 0, -1)
+    assert orbit_weight(gd, 0).coords == character([1, 0, -1]).coords
+    assert gd.sign_rows == ((1, 1),)
 
 
 def test_delta_orbits_twisted_a3():
     datum = build_root_datum([("A", 3)])
     orbits = delta_orbits(datum, build_galois_action(datum, (2, 1, 0), 2))
     assert orbits.orbits == ((0, 2), (1,))
-    # the fixed middle node coweight is doubled by the sum over the group
-    cw = fundamental_coweights(datum)
-    doubled = tuple(2 * c for c in cw[1].coords)
-    assert orbits.twisted_coweights[1].coords == doubled
+    gd = build_group_data([("A", 3)], [0, 0, 0, 0], 2, twist=((3, 2, 1), 2))
+    # omega_1 + omega_3 = alpha_1 + alpha_2 + alpha_3, omega_2 = (alpha_1 + 2 alpha_2 + alpha_3) / 2
+    assert gd.sign_rows == ((1, 1, 1), (1, 2, 1))
+    assert orbit_weight(gd, 1).coords == fundamental_weights(datum)[1].coords
 
 
 def test_twisted_coweights_are_galois_fixed():
+    # omega_J, its form-dual orbit coweight and its sign row are sigma-fixed
     for name in ("u3_reg", "u4_mid", "res_sl2"):
         gd = instance(name)
-        for cw in gd.orbits_delta.twisted_coweights:
-            assert mat_vec(gd.action.matrix, cw.coords) == cw.coords
+        sigma = twist_matrix(gd.datum, gd.action.perm)
+        gram = invariant_gram(gd.datum)
+        for k, row in enumerate(gd.sign_rows):
+            cw = form_dual(gram, orbit_weight(gd, k))
+            assert mat_vec(sigma, cw.coords) == cw.coords
+            assert all(row[p] == b for p, b in zip(gd.action.perm, row))
 
 
 def test_gamma_e_examples():
@@ -149,9 +160,10 @@ def test_conjugation_preserves_length_on_whole_group():
     # and sigma (w mu) is the point of the conjugate sigma w sigma^-1
     gd = instance("u3_reg")
     assert len(gd.mu_orbit) == weyl_order(gd.datum.cartan_type)
+    sigma = twist_matrix(gd.datum, gd.action.perm)
     by_coords = {p.vec.coords: p for p in gd.mu_orbit}
     for p in gd.mu_orbit:
-        assert by_coords[mat_vec(gd.action.matrix, p.vec.coords)].length == p.length
+        assert by_coords[mat_vec(sigma, p.vec.coords)].length == p.length
 
 
 @pytest.mark.parametrize("cartan_type, perm, order", TWISTS)
@@ -160,7 +172,9 @@ def test_twist_matrix_is_pinned_by_coroots_and_complement(cartan_type, perm, ord
     # and the pointwise-fixed dot-orthogonal complement of their span
     datum = build_root_datum(cartan_type)
     action = build_galois_action(datum, tuple(p - 1 for p in perm), order)
-    m = action.matrix
+    m = twist_matrix(datum, action.perm)
+    for i, root in enumerate(datum.simple_roots):
+        assert mat_vec(m, root.coords) == datum.simple_roots[action.perm[i]].coords
     coroots = [c.coords for c in datum.simple_coroots]
     for i, c in enumerate(coroots):
         assert mat_vec(m, c) == coroots[perm[i] - 1]
@@ -169,17 +183,21 @@ def test_twist_matrix_is_pinned_by_coroots_and_complement(cartan_type, perm, ord
     for v in complement:
         assert all(vec_dot(c, v) == 0 for c in coroots)
         assert mat_vec(m, v) == v
-    gram = inner_product_default(datum).gram
+    gram = invariant_gram(datum)
     assert mat_mul(mat_mul(tuple(zip(*m)), gram), m) == gram
-    assert action.power(order) == action.power(0)
+    power = identity_matrix(datum.ambient_dim)
+    for _ in range(order):
+        power = mat_mul(m, power)
+    assert power == identity_matrix(datum.ambient_dim)
+    assert action.power(order) == action.power(0) == tuple(range(datum.rank))
 
 
 def test_orbit_data_survives_rescaling():
-    datum = build_root_datum([("A", 3)])
-    action = build_galois_action(datum, (2, 1, 0), 2)
-    base = delta_orbits(datum, action)
-    scaled = delta_orbits(datum, action, rescaled_inner_product(datum, [Fraction(7, 3)]))
-    assert base.orbits == scaled.orbits
-    for u, v in zip(base.twisted_coweights, scaled.twisted_coweights):
+    gd = build_group_data([("A", 3)], [0, 0, 0, 0], 2, twist=((3, 2, 1), 2))
+    base = invariant_gram(gd.datum)
+    scaled = invariant_gram(gd.datum, [Fraction(7, 3)])
+    for k in range(gd.d_prime):
+        u = form_dual(base, orbit_weight(gd, k))
+        v = form_dual(scaled, orbit_weight(gd, k))
         ratio = {a / b for a, b in zip(u.coords, v.coords) if b != 0}
         assert len(ratio) == 1 and ratio.pop() > 0

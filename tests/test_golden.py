@@ -1,0 +1,23 @@
+"""Engine reports outside the benchmark catalog, against committed goldens.
+
+Each ``golden/specs/<name>.json`` has its ``cohomology`` report in
+``golden/cohomology-<name>.json``: twisted D4 (order 2 and triality), factor
+swaps and cycles, twisted A4 and A5 at q = 3, B2 x G2, C3 at q = 5 and a
+non-dominant mu under a twist.  Outputs must match byte for byte.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from perdom import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+NAMES = sorted(p.stem for p in (GOLDEN / "specs").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cohomology_report_matches_golden(name, capsys):
+    code = cli.main(["cohomology", "--spec", str(GOLDEN / "specs" / f"{name}.json")])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / f"cohomology-{name}.json").read_text(encoding="utf-8")

@@ -1,23 +1,22 @@
 """The orbit engine against the enumerated Weyl group, and closed forms.
 
 The engine reads everything from W-orbits of dominant coweights.  The matrix
-path (``generate_weyl``, ``stabilizer_w_mu``, ``kostant_reps``, conjugation
-by the Galois generator, minimal coset representatives by length) is kept as
-the oracle it must agree with exactly, words and lengths included.
+path (``generate_weyl``, ``stabilizer_w_mu``, ``kostant_reps``, the Galois
+generator acting on W by relabelling reduced words, minimal coset
+representatives by length) is kept as the oracle it must agree with exactly,
+words and lengths included.
 """
 
 import itertools
 
 import pytest
 
-from helpers import INSTANCES, SPLIT_NAMES, instance
+from helpers import INSTANCES, SPLIT_NAMES, form_dual, form_value, instance, invariant_gram, orbit_weight
 from perdom.cohom import DimPoly, build_group_data, dim_induced, dim_v
 from perdom.rootdata import (
     build_root_datum,
-    mat_inv,
-    mat_mul,
     num_positive_roots,
-    rescaled_inner_product,
+    pairing,
     simple_reflection_matrix,
 )
 from perdom.weyl import act, generate_weyl, kostant_reps, stabilizer_w_mu
@@ -52,18 +51,32 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _twist_map(W, image):
+    """w -> sigma w sigma^-1 on all of W, for sigma = ``image`` as a permutation
+    of the simple roots: the reduced word s_i1 ... s_ik of w becomes
+    s_sigma(i1) ... s_sigma(ik).  Each word extends a shorter one in front."""
+    reflections = [W.by_matrix[simple_reflection_matrix(W.datum, i)] for i in range(W.datum.rank)]
+    by_word = {(): W.identity}
+    for w in W.elements[1:]:
+        by_word[w.word] = W.multiply(reflections[image[w.word[0]]], by_word[w.word[1:]])
+    return {w: by_word[w.word] for w in W.elements}
+
+
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_sign_rows_give_the_sign_of_the_pairing(name):
-    ctype, mu, q, twist = INSTANCES[name] if name in INSTANCES else EXTRA[name]
-    datum = build_root_datum(list(ctype))
-    scales = range(2, 2 + len(ctype))
-    rescaled = build_group_data(
-        list(ctype), list(mu), q, twist=twist, ip=rescaled_inner_product(datum, scales)
-    )
-    for gd in (_instance(name), rescaled):
+    # against <w mu, omega_J>, and against (w mu, orbit coweight) for the
+    # invariant form and a rescaling of it on every factor
+    gd = _instance(name)
+    scales = range(2, 2 + len(gd.datum.cartan_type))
+    grams = (invariant_gram(gd.datum), invariant_gram(gd.datum, scales))
+    for k in range(gd.d_prime):
+        weight = orbit_weight(gd, k)
+        coweights = [form_dual(gram, weight) for gram in grams]
         for p in gd.mu_orbit:
-            for k, w in enumerate(gd.orbits_delta.twisted_coweights):
-                assert _sign(gd.scaled_pairing(p, k)) == _sign(gd.ip.value(p.vec, w)), (p, k)
+            sign = _sign(gd.scaled_pairing(p, k))
+            assert sign == _sign(pairing(p.vec, weight)), (p, k)
+            for gram, w in zip(grams, coweights):
+                assert sign == _sign(form_value(gram, p.vec, w)), (p, k)
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)
@@ -88,12 +101,11 @@ def test_orbit_points_are_kostant_images(oracle):
 
 def test_reflex_orbits_match_conjugation(oracle):
     gd, W, reps = oracle
-    gen = gd.action.power(gd.muclass.e_degree)
-    gen_inv = mat_inv(gen)
+    conjugate = _twist_map(W, gd.action.power(gd.muclass.e_degree))
     expected = set()
     for w in reps:
         members = [w]
-        while (conj := W.by_matrix[mat_mul(mat_mul(gen, members[-1].matrix), gen_inv)]) != w:
+        while (conj := conjugate[members[-1]]) != w:
             members.append(conj)
         expected.add(frozenset(act(m, gd.mu).coords for m in members))
     got = {frozenset(m.vec.coords for m in o.members) for o in gd.worbits}
@@ -109,9 +121,8 @@ def test_dim_induced_counts_fixed_minimal_coset_reps(oracle):
     reflections = [W.by_matrix[simple_reflection_matrix(d, i)] for i in range(d.rank)]
     ascents = {w: {i for i, s in enumerate(reflections) if W.multiply(w, s).length > w.length}
                for w in W.elements}
-    sigma = gd.action.matrix
-    sigma_inv = mat_inv(sigma)
-    fixed = [w for w in W.elements if mat_mul(mat_mul(sigma, w.matrix), sigma_inv) == w.matrix]
+    conjugate = _twist_map(W, gd.action.perm)
+    fixed = [w for w in W.elements if conjugate[w] == w]
     for r in range(gd.d_prime + 1):
         for I in itertools.combinations(range(gd.d_prime), r):
             roots = {i for k in I for i in gd.orbits_delta.orbits[k]}

@@ -1,22 +1,19 @@
-"""Root datum construction, pairings, duality, fundamental weights."""
+"""Root datum construction, pairings, fundamental weights, invariant forms."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import form_dual, form_value, invariant_gram
 from perdom.rootdata import (
     UnsupportedTypeError,
     build_root_datum,
     character,
     cocharacter,
-    dualize,
-    fundamental_coweights,
     fundamental_weights,
-    inner_product_default,
     pairing,
     positive_roots,
-    rescaled_inner_product,
     simple_reflection_matrix,
     act_matrix,
 )
@@ -34,9 +31,9 @@ def test_cartan_matrix_b2_labeling():
     datum = build_root_datum([("B", 2)])
     assert datum.cartan_matrix == ((2, -1), (-2, 2))
     # alpha_1 long, alpha_2 short in the orthogonal model
-    ip = inner_product_default(datum)
-    long_sq = ip.value(datum.simple_roots[0], datum.simple_roots[0])
-    short_sq = ip.value(datum.simple_roots[1], datum.simple_roots[1])
+    gram = invariant_gram(datum)
+    long_sq = form_value(gram, datum.simple_roots[0], datum.simple_roots[0])
+    short_sq = form_value(gram, datum.simple_roots[1], datum.simple_roots[1])
     assert long_sq == 2 * short_sq
 
 
@@ -94,52 +91,28 @@ def test_pairing_rejects_mismatched_dims():
 
 def test_default_inner_product_values():
     a2 = build_root_datum([("A", 2)])
-    ip = inner_product_default(a2)
-    assert ip.value(a2.simple_coroots[0], a2.simple_coroots[0]) == 2
-    assert ip.value(a2.simple_coroots[0], a2.simple_coroots[1]) == -1
+    gram = invariant_gram(a2)
+    assert form_value(gram, a2.simple_coroots[0], a2.simple_coroots[0]) == 2
+    assert form_value(gram, a2.simple_coroots[0], a2.simple_coroots[1]) == -1
     prod = build_root_datum([("A", 1), ("A", 1)])
-    ipp = inner_product_default(prod)
-    assert ipp.value(prod.simple_coroots[0], prod.simple_coroots[1]) == 0
+    gramp = invariant_gram(prod)
+    assert form_value(gramp, prod.simple_coroots[0], prod.simple_coroots[1]) == 0
 
 
 def test_short_coroot_normalization():
     for spec in ([("A", 2)], [("B", 2)], [("C", 2)], [("D", 3)], [("G", 2)]):
         datum = build_root_datum(spec)
-        ip = inner_product_default(datum)
-        norms = [ip.value(c, c) for c in datum.simple_coroots]
+        gram = invariant_gram(datum)
+        norms = [form_value(gram, c, c) for c in datum.simple_coroots]
         assert min(norms) == 2
-
-
-def test_dualize_examples():
-    a2 = build_root_datum([("A", 2)])
-    assert dualize(a2.simple_roots[0], a2).coords == a2.simple_coroots[0].coords
-    w = fundamental_weights(a2)
-    assert dualize(dualize(w[0], a2), a2).coords == w[0].coords
-
-    b2 = build_root_datum([("B", 2)])
-    # long root dualizes onto its coroot, short root onto half its coroot
-    assert dualize(b2.simple_roots[0], b2).coords == b2.simple_coroots[0].coords
-    half = tuple(Fraction(1, 2) * c for c in b2.simple_coroots[1].coords)
-    assert dualize(b2.simple_roots[1], b2).coords == half
-
-
-def test_dualize_coroot_identity_everywhere():
-    # dual of each root is ((alpha, alpha)/2) times the coroot
-    for spec in ([("A", 3)], [("B", 3)], [("C", 3)], [("D", 4)], [("G", 2)]):
-        datum = build_root_datum(spec)
-        ip = inner_product_default(datum)
-        for root, coroot in zip(datum.simple_roots, datum.simple_coroots):
-            norm = ip.value(root, root)
-            expected = tuple(norm / 2 * c for c in coroot.coords)
-            assert dualize(root, datum, ip).coords == expected
 
 
 def test_fundamental_weights_a2():
     a2 = build_root_datum([("A", 2)])
     w = fundamental_weights(a2)
     assert w[0].coords == (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
-    cw = fundamental_coweights(a2)
-    assert cw[0].coords == w[0].coords  # duality is the identity in type A
+    cw = form_dual(invariant_gram(a2), w[0])
+    assert cw.coords == w[0].coords  # duality is the identity in type A
 
 
 def test_fundamental_weight_a1():
@@ -160,7 +133,7 @@ def test_reflection_preserves_pairing_and_form():
     rng = random.Random(7)
     for spec in ([("A", 2)], [("B", 2)], [("G", 2)]):
         datum = build_root_datum(spec)
-        ip = inner_product_default(datum)
+        gram = invariant_gram(datum)
         for _ in range(20):
             i = rng.randrange(datum.rank)
             s = simple_reflection_matrix(datum, i)
@@ -168,29 +141,18 @@ def test_reflection_preserves_pairing_and_form():
             chi = character([rng.randint(-3, 3) for _ in range(datum.ambient_dim)])
             assert pairing(act_matrix(s, lam), act_matrix(s, chi)) == pairing(lam, chi)
             mu = cocharacter([rng.randint(-3, 3) for _ in range(datum.ambient_dim)])
-            assert ip.value(act_matrix(s, lam), act_matrix(s, mu)) == ip.value(lam, mu)
+            assert form_value(gram, act_matrix(s, lam), act_matrix(s, mu)) == form_value(gram, lam, mu)
 
 
 def test_gram_of_coroots_reproduces_cartan():
     for spec in ([("A", 2)], [("B", 2)], [("C", 2)], [("G", 2)]):
         datum = build_root_datum(spec)
-        ip = inner_product_default(datum)
+        form = invariant_gram(datum)
         for i in range(datum.rank):
             for j in range(datum.rank):
-                root_norm = ip.value(datum.simple_roots[j], datum.simple_roots[j])
-                gram = ip.value(datum.simple_coroots[i], datum.simple_coroots[j])
+                root_norm = form_value(form, datum.simple_roots[j], datum.simple_roots[j])
+                gram = form_value(form, datum.simple_coroots[i], datum.simple_coroots[j])
                 assert datum.cartan_matrix[i][j] == root_norm / 2 * gram
-
-
-def test_rescaled_inner_product_validation():
-    datum = build_root_datum([("A", 1), ("A", 1)])
-    with pytest.raises(ValueError):
-        rescaled_inner_product(datum, [1])
-    with pytest.raises(ValueError):
-        rescaled_inner_product(datum, [1, -2])
-    ip = rescaled_inner_product(datum, [Fraction(3, 2), 5])
-    assert ip.value(datum.simple_coroots[0], datum.simple_coroots[0]) == 3
-    assert ip.value(datum.simple_coroots[1], datum.simple_coroots[1]) == 10
 
 
 def test_positive_root_counts():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import instance, table, verifier
+from helpers import instance, orbit_weight, table, verifier
 from perdom import semistable
 from perdom.cohom import lefschetz_series
 from perdom.complex import build_t_x
@@ -179,7 +179,7 @@ def test_y_stratum_sl2():
     y0 = y_I_points(ctx, frozenset())
     assert len(y0) == 1
     point = ctx.points[next(iter(y0))]
-    std = coordinate_filtration(ctx.tower, ctx.gd.orbits_delta.twisted_coweights[0].coords)
+    std = coordinate_filtration(ctx.tower, orbit_weight(ctx.gd, 0).coords)
     assert slope(ctx.tower, point, std) == -1
     assert y_I_points(ctx, frozenset({0})) == frozenset(range(len(ctx.points)))
 
@@ -348,15 +348,16 @@ def test_destabilizer_table_matches_direct_pairing(name, m):
 
 @pytest.mark.parametrize("name,m", [("a2_reg", 1), ("a2_reg", 2), ("a3_mid", 1), ("a3_reg", 1)])
 def test_y_stratum_against_coordinate_filtrations(name, m):
-    # the former computation: pair every point with the standard coweights
+    # the former computation: pair every point with the standard coweights,
+    # which in type A have the coordinates of the fundamental weights
     ctx = verifier(name, m)
     gd = ctx.gd
     negative = {
         k: {
             i for i, x in enumerate(ctx.points)
-            if slope(ctx.tower, x, coordinate_filtration(ctx.tower, w.coords)) < 0
+            if slope(ctx.tower, x, coordinate_filtration(ctx.tower, orbit_weight(gd, k).coords)) < 0
         }
-        for k, w in enumerate(gd.orbits_delta.twisted_coweights)
+        for k in range(gd.d_prime)
     }
     for r in range(gd.d_prime + 1):
         for I in itertools.combinations(range(gd.d_prime), r):

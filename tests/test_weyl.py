@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from helpers import form_value, invariant_gram
 from perdom.rootdata import (
     build_root_datum,
     character,
     cocharacter,
-    inner_product_default,
     positive_roots,
 )
 from perdom.weyl import (
@@ -69,12 +69,12 @@ def test_lengths_equal_inversion_counts():
 def test_act_preserves_inner_product():
     rng = random.Random(11)
     w = W_of([("B", 2)])
-    ip = inner_product_default(w.datum)
+    gram = invariant_gram(w.datum)
     for _ in range(25):
         e = w.elements[rng.randrange(w.order)]
         u = cocharacter([rng.randint(-4, 4) for _ in range(2)])
         v = cocharacter([rng.randint(-4, 4) for _ in range(2)])
-        assert ip.value(act(e, u), act(e, v)) == ip.value(u, v)
+        assert form_value(gram, act(e, u), act(e, v)) == form_value(gram, u, v)
 
 
 def test_dominant_representative():
