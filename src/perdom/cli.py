@@ -33,7 +33,7 @@ from .finflag import (
     flag_count,
     make_tower,
 )
-from .rootdata import BudgetError, UnsupportedTypeError
+from .rootdata import DEFAULT_BUDGET, BudgetError, UnsupportedTypeError
 from .semistable import (
     brute_force_ss_count,
     bruhat_cells_check,
@@ -81,7 +81,7 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
+def parse_group_spec(raw: dict, budget: int = DEFAULT_BUDGET) -> GroupSpec:
     if not isinstance(raw, dict):
         raise SpecError("$", "spec must be a JSON object")
     if "type" not in raw:
@@ -135,7 +135,7 @@ def parse_group_spec(raw: dict, budget: int = 10**7) -> GroupSpec:
     )
 
 
-def load_spec(path: str, budget: int = 10**7) -> GroupSpec:
+def load_spec(path: str, budget: int = DEFAULT_BUDGET) -> GroupSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -209,10 +209,11 @@ def dims_block(gd: GroupData) -> list[dict]:
 def base_report(spec: GroupSpec, gd: GroupData) -> dict:
     return {
         "spec": spec.echo(),
-        "mu_dominant": [int(c) for c in gd.mu.coords],
+        # exact: in the G2 model a conjugate of an integral mu can have thirds
+        "mu_dominant": [int(c) if c.denominator == 1 else str(c) for c in gd.mu.coords],
         "dominance_normalized": gd.dominance_normalized,
         "d_prime": gd.d_prime,
-        "reflex_degree": gd.muclass.e_degree,
+        "reflex_degree": gd.e_degree,
     }
 
 
@@ -223,7 +224,8 @@ def render(report: dict, fmt: str) -> str:
     spec = report.get("spec", {})
     lines.append(f"type {spec.get('type')} twist {spec.get('twist', None)} mu {spec.get('mu')} q {spec.get('q')}")
     if report.get("dominance_normalized"):
-        lines.append(f"mu normalized to dominant representative {report['mu_dominant']}")
+        mu = ", ".join(str(c) for c in report["mu_dominant"])
+        lines.append(f"mu normalized to dominant representative [{mu}]")
     if "cohomology" in report:
         lines.append(f"d' = {report['d_prime']}")
         for s in report["cohomology"]["summands"]:
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="path to a JSON group spec")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--budget", type=int, default=10**7)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         if name in ("verify", "sweep"):
             p.add_argument("--m", default="1,2", help="comma-separated extension degrees")
         if name == "verify":

@@ -19,7 +19,6 @@ from math import lcm
 from .galois import (
     DeltaOrbits,
     GaloisAction,
-    MuClass,
     WOrbit,
     build_galois_action,
     delta_orbits,
@@ -30,12 +29,14 @@ from .galois import (
 from .rootdata import (
     LatticeVec,
     RootDatum,
+    act_matrix,
     build_root_datum,
     cocharacter,
     fundamental_weights,
     mat_inv,
     num_positive_roots,
     pairing,
+    simple_reflection_matrix,
 )
 from .weyl import OrbitPoint, coweight_orbit, dominant_representative, nonzero_entries, reflect_labels
 
@@ -72,22 +73,6 @@ class DimPoly:
     def __call__(self, q: int) -> int:
         return sum(c * q**k for k, c in enumerate(self.coeffs))
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*q" if c != 1 else "q")
-            else:
-                parts.append(f"{c}*q^{k}" if c != 1 else f"q^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 @dataclass
 class GroupData:
@@ -99,7 +84,7 @@ class GroupData:
     mu: LatticeVec
     dominance_normalized: bool
     mu_orbit: tuple[OrbitPoint, ...]
-    muclass: MuClass
+    e_degree: int
     worbits: tuple[WOrbit, ...]
     q: int
     dim_polys: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -114,7 +99,7 @@ class GroupData:
 
     @property
     def q_e(self) -> int:
-        return self.q ** self.muclass.e_degree
+        return self.q ** self.e_degree
 
     @cached_property
     def sign_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -157,10 +142,10 @@ def build_group_data(
     mu_in = cocharacter(mu_coords)
     if mu_in.dim != datum.ambient_dim:
         raise ValueError(f"mu must have length {datum.ambient_dim}")
-    mu, moved = dominant_representative(datum, mu_in)
-    points = coweight_orbit(datum, mu)
-    muclass = gamma_e(datum, action, mu)
-    worb = weyl_orbits(points, action, muclass)
+    mu, labels, moved = dominant_representative(datum, mu_in)
+    points = coweight_orbit(datum, labels)
+    e_degree = gamma_e(action, labels)
+    worb = weyl_orbits(points, action, e_degree)
     return GroupData(
         datum=datum,
         action=action,
@@ -168,7 +153,7 @@ def build_group_data(
         mu=mu,
         dominance_normalized=moved,
         mu_orbit=points,
-        muclass=muclass,
+        e_degree=e_degree,
         worbits=worb,
         q=q,
     )
@@ -178,16 +163,9 @@ def build_group_data(
 # sign sets and the assembled table
 
 def omega_I(gd: GroupData, I: frozenset[int]) -> tuple[WOrbit, ...]:
-    """Orbits whose pairing against every coweight outside I is strictly positive."""
-    out = []
-    for orbit in gd.worbits:
-        if all(
-            gd.scaled_pairing(orbit.rep, k) > 0
-            for k in range(gd.d_prime)
-            if k not in I
-        ):
-            out.append(orbit)
-    return tuple(out)
+    """Orbits whose pairing against every coweight outside I is strictly
+    positive: those whose minimal label set lies in I."""
+    return tuple(o for o in gd.worbits if minimal_I(gd, o) <= I)
 
 
 def minimal_I(gd: GroupData, orbit: WOrbit) -> frozenset[int]:
@@ -244,9 +222,9 @@ def assemble_cohomology(gd: GroupData) -> CohomologyTable:
 def assemble_split_table(gd: GroupData) -> CohomologyTable:
     """Split-case table computed without any orbit machinery.
 
-    Pairs the W-orbit points of mu directly with the fundamental weights, in
-    exact rational coordinates; serves as an independent regression path for
-    the orbit-based assembly and its integer sign rows.
+    Replays each orbit point's word on mu with reflection matrices and pairs
+    it with the fundamental weights in exact rationals: an independent
+    regression path for the orbit walk in labels and the integer sign rows.
     """
     if not gd.is_split:
         raise ValueError("split path requires a split instance")
@@ -254,7 +232,10 @@ def assemble_split_table(gd: GroupData) -> CohomologyTable:
     d = gd.datum.rank
     summands = []
     for p in gd.mu_orbit:
-        I = frozenset(i for i in range(d) if pairing(p.vec, weights[i]) <= 0)
+        vec = gd.mu
+        for i in reversed(p.word):
+            vec = act_matrix(simple_reflection_matrix(gd.datum, i), vec)
+        I = frozenset(i for i in range(d) if pairing(vec, weights[i]) <= 0)
         degree = 2 * p.length + (d - len(I))
         orbit = next(o for o in gd.worbits if o.rep == p)
         summands.append(

@@ -16,9 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import xor
 
-from .rootdata import BudgetError
-
-SUBSPACE_BUDGET = 10**7
+from .rootdata import DEFAULT_BUDGET, BudgetError
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +410,7 @@ def enumerate_subspaces(
     n: int,
     d: int,
     subfield_deg: int | None = None,
-    budget: int = SUBSPACE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[Subspace]:
     """All d-dimensional subspaces of the n-space, in canonical echelon form.
 
@@ -500,7 +498,7 @@ def enumerate_flag_points(
     weights,
     dims,
     subfield_deg: int | None = None,
-    budget: int = SUBSPACE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[FlagPoint]:
     """All flags with the given proper dimensions over the (sub)field."""
     Q = len(tower.subfield(subfield_deg)) if subfield_deg else tower.size
@@ -582,7 +580,7 @@ def enumerate_twisted_fixed_flags(
     herm: HermitianData,
     weights,
     conj_power: int,
-    budget: int = SUBSPACE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[FlagPoint]:
     """Full flags fixed by the twisted Frobenius taken to an odd power.
 

@@ -5,15 +5,16 @@ the simple roots.  Its action on Kostant representatives is conjugation; since
 the reflex subgroup fixes mu, that is the action on the points ``w mu`` of
 mu's W-orbit, checked to stay inside the orbit.  A diagram automorphism
 permutes the simple roots and keeps pairings, so on points it permutes their
-integer Dynkin labels; no linear realisation of the twist is needed.
+integer Dynkin labels, and the reflex degree is the least power of it fixing
+mu's labels; no linear realisation of the twist is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootdata import LatticeVec, RootDatum, pairing
-from .weyl import OrbitPoint, is_dominant
+from .rootdata import RootDatum
+from .weyl import OrbitPoint
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,6 @@ class DeltaOrbits:
     @property
     def d_prime(self) -> int:
         return len(self.orbits)
-
-
-@dataclass(frozen=True)
-class MuClass:
-    """A dominant cocharacter with its reflex data inside the cyclic Galois group."""
-
-    mu: LatticeVec
-    e_degree: int
-    gamma_e_order: int
 
 
 @dataclass(frozen=True)
@@ -116,36 +108,32 @@ def delta_orbits(datum: RootDatum, action: GaloisAction) -> DeltaOrbits:
     return DeltaOrbits(orbits=tuple(orbits), labels=labels)
 
 
-def gamma_e(datum: RootDatum, action: GaloisAction, mu: LatticeVec) -> MuClass:
-    """Reflex data of a dominant cocharacter: [E:k] and the stabilizer order.
+def gamma_e(action: GaloisAction, labels: tuple[int, ...]) -> int:
+    """The reflex degree e = [E:k] of the dominant cocharacter with Dynkin
+    labels ``labels``: the least k with sigma^k fixing it.
 
     sigma^k fixes mu exactly when it fixes mu's Dynkin labels: every simple
     root is parallel to its coroot, so the labels fix mu's component in the
     coroot span, and the twist fixes the orthogonal complement (the centre).
     """
-    if not is_dominant(datum, mu):
+    if any(c < 0 for c in labels):
         raise ValueError("mu must be dominant")
-    labels = tuple(pairing(mu, alpha) for alpha in datum.simple_roots)
-    t = next(
+    e = next(
         k for k in range(1, action.order + 1)
         if all(labels[p] == c for p, c in zip(action.power(k), labels))
     )
-    if action.order % t != 0:
+    if action.order % e != 0:
         raise AssertionError("stabilizer index does not divide the group order")
-    return MuClass(mu=mu, e_degree=t, gamma_e_order=action.order // t)
+    return e
 
 
-def weyl_orbits(
-    points: tuple[OrbitPoint, ...],
-    action: GaloisAction,
-    muclass: MuClass,
-) -> tuple[WOrbit, ...]:
+def weyl_orbits(points: tuple[OrbitPoint, ...], action: GaloisAction, e_degree: int) -> tuple[WOrbit, ...]:
     """Orbits of the points ``w mu`` under the reflex subgroup.
 
     The generator sigma^e carries alpha_i to alpha_(perm^e i) and keeps
     pairings, so it acts on Dynkin labels by moving label i to place perm^e i.
     """
-    image_of = action.power(muclass.e_degree)
+    image_of = action.power(e_degree)
     source = sorted(range(len(image_of)), key=image_of.__getitem__)
     by_labels = {p.labels: p for p in points}
     seen: set[tuple[int, ...]] = set()
@@ -164,7 +152,7 @@ def weyl_orbits(
             current = by_labels[image]
         if len({m.length for m in members}) != 1:
             raise AssertionError("orbit members have unequal lengths")
-        if muclass.gamma_e_order % len(members) != 0:
+        if (action.order // e_degree) % len(members) != 0:
             raise AssertionError("orbit size does not divide the reflex group order")
         members.sort(key=lambda m: (m.length, m.word))
         orbits.append(

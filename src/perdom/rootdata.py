@@ -35,6 +35,10 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
+# the enumeration budget when neither the spec nor the command line sets one
+DEFAULT_BUDGET = 10**7
+
+
 # ---------------------------------------------------------------------------
 # small exact linear algebra over Q, with one elimination kernel
 
@@ -122,19 +126,6 @@ def solve_in_span(vectors: Sequence[Vec], target: Vec) -> Vec | None:
     if len(pivots) > k:
         return None
     return tuple(row[k] for row in rows)
-
-
-def nullspace(rows, ncols: int) -> tuple[Vec, ...]:
-    """Basis of the vectors dot-orthogonal to every row, one per free column."""
-    reduced, pivots = row_reduce(rows)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[free]
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ as the reference.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,7 @@ from .finflag import (
     rank,
     subspace_from_rows,
 )
+from .rootdata import DEFAULT_BUDGET
 
 
 def filtration_pairing(tower: FieldTower, f: FlagPoint, g: FlagPoint) -> Fraction:
@@ -240,7 +242,7 @@ def verifier_mode(gd: GroupData) -> str | None:
     return None
 
 
-def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContext:
+def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> VerifierContext:
     """Enumerate the points over the degree-m extension of the reflex field
     and the full rational test set."""
     mode = verifier_mode(gd)
@@ -261,7 +263,7 @@ def build_verifier(gd: GroupData, m: int, budget: int = 10**7) -> VerifierContex
         ]
         hermitian = None
     else:
-        s = gd.muclass.e_degree * m  # total Frobenius power defining the point field
+        s = gd.e_degree * m  # total Frobenius power defining the point field
         hermitian = HermitianData(tower=tower, n=n)
         if s % 2 == 1:
             if dims not in ((), (1, 2)):
@@ -293,7 +295,7 @@ def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
     flags or lines, so the table check binds only when that count is tiny."""
     n = gd.datum.ambient_dim
     _, dims = mu_flag_type(gd.mu.coords)
-    q, t = gd.q, gd.muclass.e_degree
+    q, t = gd.q, gd.e_degree
     s = t * m  # total Frobenius power defining the point field
     if verifier_mode(gd) == "split":
         ext, count, what = m, flag_count(n, dims, q**m), "flags"
@@ -389,13 +391,16 @@ def _relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
 def bruhat_cells(ctx: VerifierContext) -> dict:
     """Partition of the points into cells indexed by Kostant representatives,
     each given by its point ``w mu`` of mu's W-orbit; the cell of ``w mu``
-    holds the coordinate flag of its weight levels."""
+    holds the coordinate flag of its weight levels.  In type A the labels
+    are ``c_i = v_i - v_(i+1)``, so their negated prefix sums are the
+    coordinates of ``w mu`` up to a constant, which leaves the flag as is."""
     if ctx.mode != "split":
         raise ValueError("cell decomposition requires a split instance")
     gd = ctx.gd
     rep_invariants = {}
     for p in gd.mu_orbit:
-        inv = _relative_position(ctx, coordinate_filtration(ctx.tower, p.vec.coords).chain)
+        coords = itertools.accumulate((-c for c in p.labels), initial=0)
+        inv = _relative_position(ctx, coordinate_filtration(ctx.tower, coords).chain)
         if inv in rep_invariants.values():
             raise AssertionError("distinct representatives share a cell invariant")
         rep_invariants[p] = inv

@@ -3,12 +3,13 @@
 The engine only needs ``w mu`` for the minimal representatives w of W / W_mu;
 these are in bijection with the W-orbit of the dominant mu, which
 ``coweight_orbit`` walks upwards in the Bruhat order (Bjorner-Brenti,
-*Combinatorics of Coxeter Groups*, 2.4).  The walk runs in integer Dynkin
-labels ``c_i = <v, alpha_i>``, where s_j acts by ``c -> c - c_j * A[j]`` for
-the Cartan matrix A; each new point's coordinates are built once, from its
-parent's.  ``generate_weyl``, ``stabilizer_w_mu`` and ``kostant_reps``
-enumerate the whole group as exact matrices; they stay as the independent
-oracle the orbit walk is tested against.
+*Combinatorics of Coxeter Groups*, 2.4).  A point is its integer Dynkin labels
+``c_i = <v, alpha_i>``, where s_j acts by ``c -> c - c_j * A[j]`` for the
+Cartan matrix A; ``dominant_representative`` conjugates mu into the dominant
+chamber the same way, carrying its coordinates along.
+``generate_weyl``, ``stabilizer_w_mu`` and ``kostant_reps`` enumerate the
+whole group as exact matrices; they stay as the independent oracle the orbit
+walk is tested against.
 """
 
 from __future__ import annotations
@@ -118,11 +119,10 @@ def inversion_count(W: WeylGroup, w: WeylElement, positives) -> int:
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A point ``w mu`` of a dominant coweight's W-orbit, with the reduced
-    word and length of the minimal-length such w, and its Dynkin labels
-    ``<w mu, alpha_i>``."""
+    """A point ``w mu`` of a dominant coweight's W-orbit, given by its Dynkin
+    labels ``<w mu, alpha_i>``, which fix it inside the orbit, with the
+    reduced word and length of the minimal-length such w."""
 
-    vec: LatticeVec
     word: tuple[int, ...]
     labels: tuple[int, ...]
 
@@ -146,23 +146,19 @@ def reflect_labels(rows, labels: tuple[int, ...], j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def coweight_orbit(datum: RootDatum, mu: LatticeVec) -> tuple[OrbitPoint, ...]:
-    """The W-orbit of a dominant coweight, sorted by (length, word).
+def coweight_orbit(datum: RootDatum, labels: tuple[int, ...]) -> tuple[OrbitPoint, ...]:
+    """The W-orbit of the dominant coweight with Dynkin labels ``labels``,
+    sorted by (length, word).
 
     Breadth-first from mu, applying s_i wherever the label c_i > 0, so BFS
     depth is the length of the minimal coset representative.  The frontier is
     kept in word order and the first word found is kept, which reproduces the
-    reduced words ``generate_weyl`` assigns to those representatives.  Points
-    are told apart by their labels, which fix ``w mu`` inside the orbit.
+    reduced words ``generate_weyl`` assigns to those representatives.
     """
-    if not is_dominant(datum, mu):
+    if any(c < 0 for c in labels):
         raise ValueError("mu must be dominant")
-    labels = tuple(pairing(mu, alpha) for alpha in datum.simple_roots)
-    if any(c.denominator != 1 for c in labels):
-        raise ValueError("mu must pair integrally with the simple roots")
     rows = nonzero_entries(datum.cartan_matrix)
-    coroots = nonzero_entries(c.coords for c in datum.simple_coroots)
-    first = OrbitPoint(vec=mu, word=(), labels=tuple(int(c) for c in labels))
+    first = OrbitPoint(word=(), labels=tuple(labels))
     seen = {first.labels}
     ordered = [first]
     frontier = [first]
@@ -175,10 +171,7 @@ def coweight_orbit(datum: RootDatum, mu: LatticeVec) -> tuple[OrbitPoint, ...]:
                 labels = reflect_labels(rows, p.labels, i)
                 if labels not in seen:
                     seen.add(labels)
-                    coords = list(p.vec.coords)
-                    for k, y in coroots[i]:
-                        coords[k] -= c * y
-                    nxt.append(OrbitPoint(LatticeVec(mu.side, tuple(coords)), (i,) + p.word, labels))
+                    nxt.append(OrbitPoint((i,) + p.word, labels))
         nxt.sort(key=lambda e: e.word)
         ordered.extend(nxt)
         frontier = nxt
@@ -189,22 +182,28 @@ def is_dominant(datum: RootDatum, mu: LatticeVec) -> bool:
     return all(pairing(mu, alpha) >= 0 for alpha in datum.simple_roots)
 
 
-def dominant_representative(datum: RootDatum, mu: LatticeVec) -> tuple[LatticeVec, bool]:
-    """Conjugate mu into the dominant chamber; reports whether it moved."""
+def dominant_representative(datum: RootDatum, mu: LatticeVec) -> tuple[LatticeVec, tuple[int, ...], bool]:
+    """The dominant conjugate of mu, its Dynkin labels, and whether mu moved.
+
+    Reflects at the first negative label, ``v -> v - c_j alpha_j^v`` on the
+    coordinates, until none is left (Humphreys, *Reflection Groups and
+    Coxeter Groups*, 1.12)."""
     if mu.side != COCHARACTER:
         raise ValueError("expected a cocharacter")
-    moved = False
-    current = mu
-    limit = 2 * num_positive_roots(datum.cartan_type) + 1
-    for _ in range(limit):
-        bad = next(
-            (i for i, alpha in enumerate(datum.simple_roots) if pairing(current, alpha) < 0),
-            None,
-        )
-        if bad is None:
-            return current, moved
-        current = act_matrix(simple_reflection_matrix(datum, bad), current)
-        moved = True
+    labels = tuple(pairing(mu, alpha) for alpha in datum.simple_roots)
+    if any(c.denominator != 1 for c in labels):
+        raise ValueError("mu must pair integrally with the simple roots")
+    labels = tuple(int(c) for c in labels)
+    rows = nonzero_entries(datum.cartan_matrix)
+    coroots = nonzero_entries(c.coords for c in datum.simple_coroots)
+    coords = list(mu.coords)
+    for _ in range(2 * num_positive_roots(datum.cartan_type) + 1):
+        j = next((i for i, c in enumerate(labels) if c < 0), None)
+        if j is None:
+            return LatticeVec(COCHARACTER, tuple(coords)), labels, coords != list(mu.coords)
+        for k, y in coroots[j]:
+            coords[k] -= labels[j] * y
+        labels = reflect_labels(rows, labels, j)
     raise AssertionError("dominance normalization failed to terminate")
 
 

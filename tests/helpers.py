@@ -10,11 +10,14 @@ from perdom.rootdata import (
     CHARACTER,
     COCHARACTER,
     LatticeVec,
+    act_matrix,
+    build_root_datum,
     fundamental_weights,
     mat_inv,
     mat_mul,
     mat_vec,
-    nullspace,
+    row_reduce,
+    simple_reflection_matrix,
     vec_add,
     vec_dot,
 )
@@ -94,8 +97,29 @@ def summand_signature(gd, tbl):
 
 
 # ---------------------------------------------------------------------------
-# oracles for the engine's signs and twist: orbit weights, invariant forms,
-# and the twist as a linear map
+# oracles for the engine's points, signs and twist: orbit points as vectors,
+# orbit weights, invariant forms, and the twist as a linear map
+
+def orbit_vec(gd, p) -> LatticeVec:
+    """The coordinates of the orbit point ``w mu``, replaying the reduced word
+    of w on the dominant mu with reflection matrices."""
+    return _replay(gd.datum.cartan_type, gd.mu, p.word)
+
+
+# keyed on the type, which fixes the datum and hashes far faster than it;
+# every nonempty word extends its parent's by one letter in front, so the
+# cached replays cost one matrix product per orbit point
+@functools.lru_cache(maxsize=None)
+def _replay(cartan_type, mu: LatticeVec, word: tuple[int, ...]) -> LatticeVec:
+    if not word:
+        return mu
+    return act_matrix(_reflection(cartan_type, word[0]), _replay(cartan_type, mu, word[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def _reflection(cartan_type, i: int):
+    return simple_reflection_matrix(build_root_datum(cartan_type), i)
+
 
 def orbit_weight(gd, k: int) -> LatticeVec:
     """omega_J, the sum of the fundamental weights over the k-th Galois orbit J.
@@ -145,6 +169,19 @@ def form_value(gram, u: LatticeVec, v: LatticeVec) -> Fraction:
 def form_dual(gram, chi: LatticeVec) -> LatticeVec:
     """The cocharacter w with (v, w) = <v, chi> for every cocharacter v."""
     return LatticeVec(COCHARACTER, mat_vec(mat_inv(gram), chi.coords))
+
+
+def nullspace(rows, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of the vectors dot-orthogonal to every row, one per free column."""
+    reduced, pivots = row_reduce(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[free]
+        basis.append(tuple(v))
+    return tuple(basis)
 
 
 def twist_matrix(datum, perm):

@@ -17,6 +17,7 @@ from helpers import (
     form_value,
     instance,
     invariant_gram,
+    orbit_vec,
     orbit_weight,
     summand_signature,
     table,
@@ -250,7 +251,7 @@ def test_criterion_9_structural_suites():
             gd = instance(name)
             for orbit in gd.worbits:
                 for k in range(gd.d_prime):
-                    signs = {pairing(w.vec, orbit_weight(gd, k)) > 0 for w in orbit.members}
+                    signs = {pairing(orbit_vec(gd, w), orbit_weight(gd, k)) > 0 for w in orbit.members}
                     assert len(signs) == 1
         # rescaling the invariant form changes no sign: the orbit coweights of
         # a form rescaled per factor pair with every orbit point as the
@@ -261,7 +262,7 @@ def test_criterion_9_structural_suites():
             for k in range(gd.d_prime):
                 w = form_dual(gram, orbit_weight(gd, k))
                 for p in gd.mu_orbit:
-                    assert (form_value(gram, p.vec, w) > 0) == (gd.scaled_pairing(p, k) > 0)
+                    assert (form_value(gram, orbit_vec(gd, p), w) > 0) == (gd.scaled_pairing(p, k) > 0)
         # filtration pairing of torus cocharacters equals the dot product
         rng = random.Random(99)
         towers = {2: make_tower(2, 1), 3: make_tower(3, 1), 4: make_tower(2, 2)}

@@ -96,6 +96,19 @@ def test_dominance_normalization_reported(tmp_path, capsys):
     assert report["mu_dominant"] == [1, -1]
 
 
+def test_non_integral_dominant_mu_reported_exactly(tmp_path, capsys):
+    # the G2 coroot of alpha_2 is (-2/3, 1/3, 1/3): the dominant conjugate of
+    # an integral mu can have thirds, written as exact fractions
+    path = write_spec(tmp_path, {"type": [["G", 2]], "mu": [0, 0, -1], "q": 2})
+    _, out, _ = run(["cohomology", "--spec", path], capsys)
+    report = json.loads(out)
+    assert report["dominance_normalized"] is True
+    assert report["mu_dominant"] == ["-2/3", "-2/3", "1/3"]
+    code, out, _ = run(["cohomology", "--spec", path, "--format", "table"], capsys)
+    assert code == cli.EXIT_OK
+    assert "mu normalized to dominant representative [-2/3, -2/3, 1/3]" in out
+
+
 def test_verify_sl2(tmp_path, capsys):
     path = write_spec(tmp_path, SL2)
     code, out, _ = run(["verify", "--spec", path, "--m", "1,2,3"], capsys)

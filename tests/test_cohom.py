@@ -10,6 +10,7 @@ from helpers import (
     form_value,
     instance,
     invariant_gram,
+    orbit_vec,
     orbit_weight,
     summand_signature,
     table,
@@ -104,7 +105,7 @@ def test_representative_independence():
         gd = instance(name)
         for orbit in gd.worbits:
             for k in range(gd.d_prime):
-                signs = {pairing(m.vec, orbit_weight(gd, k)) > 0 for m in orbit.members}
+                signs = {pairing(orbit_vec(gd, m), orbit_weight(gd, k)) > 0 for m in orbit.members}
                 assert len(signs) == 1
 
 
@@ -294,7 +295,7 @@ def test_tables_invariant_under_rescaling():
         gram = invariant_gram(gd.datum, scales)
         coweights = [form_dual(gram, orbit_weight(gd, k)) for k in range(gd.d_prime)]
         for s in table(name).summands:
-            I = frozenset(k for k, w in enumerate(coweights) if form_value(gram, s.orbit.rep.vec, w) <= 0)
+            I = frozenset(k for k, w in enumerate(coweights) if form_value(gram, orbit_vec(gd, s.orbit.rep), w) <= 0)
             assert s.I == I and s.degree == 2 * s.orbit.length + gd.d_prime - len(I)
 
 

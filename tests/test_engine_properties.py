@@ -3,7 +3,7 @@
 Instances are products of up to three factors from A1-A3, B2, B3, C2, C3, D4
 and G2, under a random diagram twist (a flip of an A or D diagram, the D4
 triality, and a swap or cycle of equal factors), with a random integer mu
-that is not dominant.  The runs are derandomised and small: 50 examples in
+that is not dominant.  The runs are derandomised and small: 80 examples in
 all.
 """
 
@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import orbit_weight  # noqa: E402
+from helpers import orbit_vec, orbit_weight  # noqa: E402
 from perdom import cli  # noqa: E402
 from perdom.cohom import DimPoly, assemble_cohomology, build_group_data, dim_v  # noqa: E402
 from perdom.galois import _perm_order  # noqa: E402
@@ -26,11 +26,20 @@ from perdom.rootdata import (  # noqa: E402
     simple_reflection_matrix,
     weyl_order,
 )
-from perdom.weyl import is_dominant  # noqa: E402
+from perdom.weyl import (  # noqa: E402
+    act,
+    dominant_representative,
+    generate_weyl,
+    is_dominant,
+    kostant_reps,
+    stabilizer_w_mu,
+)
 
 FACTORS = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2))
 # the orbit of mu has at most |W| points; this keeps each example well under a second
 MAX_WEYL_ORDER = 2400
+# the matrix oracle enumerates all of W, which takes seconds from a few hundred elements
+ORACLE_WEYL_ORDER = 200
 
 # diagram automorphisms of one factor, as 0-indexed permutations of its simple roots
 LOCAL_TWISTS = {
@@ -41,10 +50,10 @@ LOCAL_TWISTS = {
 
 
 @st.composite
-def instances(draw):
+def instances(draw, max_weyl_order=MAX_WEYL_ORDER):
     """(cartan type, twist as (1-indexed perm, order) or None, mu)."""
     ctype = tuple(draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=3)))
-    assume(weyl_order(ctype) <= MAX_WEYL_ORDER)
+    assume(weyl_order(ctype) <= max_weyl_order)
     starts = [sum(rank for _, rank in ctype[:f]) for f in range(len(ctype))]
     # move each factor onto an equal one, then apply a diagram automorphism there
     target = {}
@@ -67,7 +76,7 @@ def _engine_output(gd):
     table = assemble_cohomology(gd)
     return (
         gd.mu,
-        gd.muclass.e_degree,
+        gd.e_degree,
         cli.cohomology_block(gd, table),
         cli.euler_block(gd, table),
         cli.dims_block(gd),
@@ -104,6 +113,45 @@ def test_sign_rows_match_the_fraction_pairing(instance):
     for k in range(gd.d_prime):
         weight = orbit_weight(gd, k)
         for p in gd.mu_orbit:
-            value = pairing(p.vec, weight)
+            value = pairing(orbit_vec(gd, p), weight)
             assert (gd.scaled_pairing(p, k) > 0) == (value > 0)
             assert (gd.scaled_pairing(p, k) < 0) == (value < 0)
+
+
+def _matrix_walk(datum, mu):
+    """Dominance by reflection matrices: reflect at the first simple root
+    pairing negatively with mu, until none does."""
+    moved = False
+    while True:
+        labels = [pairing(mu, alpha) for alpha in datum.simple_roots]
+        bad = next((i for i, c in enumerate(labels) if c < 0), None)
+        if bad is None:
+            return mu, tuple(labels), moved
+        mu = act_matrix(simple_reflection_matrix(datum, bad), mu)
+        moved = True
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(instances(), st.lists(st.integers(0, 20), max_size=8))
+def test_dominant_representative_matches_the_matrix_walk(instance, steps):
+    # on mu and on a conjugate of it, which in the G2 model may have thirds
+    ctype, _, mu = instance
+    datum = build_root_datum(ctype)
+    conjugate = cocharacter(mu)
+    for step in steps:
+        conjugate = act_matrix(simple_reflection_matrix(datum, step % datum.rank), conjugate)
+    for v in (cocharacter(mu), conjugate):
+        assert dominant_representative(datum, v) == _matrix_walk(datum, v)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(instances(max_weyl_order=ORACLE_WEYL_ORDER))
+def test_orbit_walk_matches_the_kostant_representatives(instance):
+    ctype, twist, mu = instance
+    gd = build_group_data(ctype, mu, 2, twist=twist)
+    W = generate_weyl(gd.datum)
+    reps = kostant_reps(W, stabilizer_w_mu(W, gd.mu))
+    assert [(p.word, p.labels) for p in gd.mu_orbit] == [
+        (w.word, tuple(pairing(act(w, gd.mu), alpha) for alpha in gd.datum.simple_roots))
+        for w in reps
+    ]

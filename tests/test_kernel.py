@@ -11,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from helpers import nullspace  # noqa: E402
 from perdom.finflag import (  # noqa: E402
     annihilator,
     contains,
@@ -21,7 +22,7 @@ from perdom.finflag import (  # noqa: E402
     rref,
     subspace_from_rows,
 )
-from perdom.rootdata import mat_inv, mat_mul, nullspace, row_reduce, solve_in_span  # noqa: E402
+from perdom.rootdata import mat_inv, mat_mul, row_reduce, solve_in_span  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 entries = st.integers(min_value=-3, max_value=3)

@@ -160,7 +160,7 @@ def test_u3_points_are_twisted_fixed(m):
     # the points over the degree-s field are fixed by s steps of the twisted
     # Frobenius (the chambers are checked in test_finflag)
     ctx = verifier("u3_reg", m)
-    s = ctx.gd.muclass.e_degree * m
+    s = ctx.gd.e_degree * m
     assert all(ctx.hermitian.is_fixed(x, s) for x in ctx.points)
 
 
@@ -168,7 +168,7 @@ def test_u3_reflex_degree_two_instance():
     # mu not fixed by the twist: points live over extensions of the degree-2
     # reflex field, and the series must still match
     gd = instance("u3_min")
-    assert gd.muclass.e_degree == 2
+    assert gd.e_degree == 2
     ctx = verifier("u3_min", 1)
     assert len(ctx.points) == 21
     assert brute_force_ss_count(ctx) == lefschetz_series(gd, table("u3_min"), 1) == 12

@@ -79,10 +79,10 @@ def test_act_preserves_inner_product():
 
 def test_dominant_representative():
     datum = build_root_datum([("A", 2)])
-    mu, moved = dominant_representative(datum, cocharacter([-1, 0, 1]))
-    assert mu.coords == cocharacter([1, 0, -1]).coords and moved
-    mu, moved = dominant_representative(datum, cocharacter([2, -1, -1]))
-    assert mu.coords == cocharacter([2, -1, -1]).coords and not moved
+    mu, labels, moved = dominant_representative(datum, cocharacter([-1, 0, 1]))
+    assert mu.coords == cocharacter([1, 0, -1]).coords and labels == (1, 1) and moved
+    mu, labels, moved = dominant_representative(datum, cocharacter([2, -1, -1]))
+    assert mu.coords == cocharacter([2, -1, -1]).coords and labels == (3, 0) and not moved
 
 
 def test_stabilizer_examples():
