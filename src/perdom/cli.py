@@ -259,6 +259,10 @@ def render(report: dict, fmt: str) -> str:
                     f"sweep m={row['m']}: {row['non_semistable']} non-semistable points, "
                     f"{'all acyclic' if row['all_acyclic'] else 'VIOLATIONS'}"
                 )
+        if "budget_error" in v:
+            lines.append(f"budget exhausted: {v['budget_error']}")
+        if "smallest_feasible_m" in v:
+            lines.append(f"smallest feasible m: {v['smallest_feasible_m']}")
     return "\n".join(lines) + "\n"
 
 

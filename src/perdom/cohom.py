@@ -5,8 +5,9 @@ Everything here is exact: set membership is decided by the signs of
 orbit J, read as integer dot products with the points' Dynkin labels (no
 invariant form enters: ``(v, G^-1 omega)_G = <v, omega>`` for any Gram
 matrix G, so every form's orbit coweight gives the same signs); dimensions are
-integer polynomials in q, counted by an integer walk over Dynkin labels; and
-the point-count series is an integer for every extension degree.
+integer polynomials in q, from one integer walk over the twist-fixed Weyl
+elements bucketed by their left descent sets; and the point-count series is
+an integer for every extension degree.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class DimPoly:
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return DimPoly(tuple(x + y for x, y in zip(a, b))).trim()
-
-    def __sub__(self, other: "DimPoly") -> "DimPoly":
-        return self + DimPoly(tuple(-c for c in other.coeffs))
 
     def __call__(self, q: int) -> int:
         return sum(c * q**k for k, c in enumerate(self.coeffs))
@@ -275,61 +273,51 @@ def euler_characteristic(table: CohomologyTable) -> tuple[EulerTerm, ...]:
 def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]]:
     """(induced, quotient) dimension polynomials for every label subset.
 
-    The induced one counts fixed Bruhat cells of the I-parabolic quotient:
-    minimal coset representatives of W / W_I fixed by the twisting diagram
-    automorphism sigma, one cell of size q^l(w) each.  Those are the
-    sigma-fixed points of the W-orbit of any sigma-fixed coweight with
-    stabilizer W_I; ``_fixed_cells`` walks them from the Dynkin labels 1 off
-    I's orbits and 0 on them.  The quotient one is the inclusion-exclusion
-    over larger label sets.  Computed once per instance.
+    ``_fixed_cells`` buckets the sigma-fixed w in W by the orbits P off w's
+    left descent set.  The quotient v_I, the alternating sum of the induced
+    modules over the label sets above I, is bucket I (Solomon, *J. Algebra*,
+    1966; Bjorner-Brenti, *Combinatorics of Coxeter Groups*, section 2.4).
+    The induced one, q^l(w) over the sigma-fixed minimal representatives of
+    W / W_I, is the sum of the buckets P above I, since inversion keeps
+    length and sigma-fixedness.  Computed once per instance.
     """
     if gd.dim_polys is None:
-        orbits = gd.orbits_delta.orbits
-        rows = nonzero_entries(gd.datum.cartan_matrix)
-        induced = {}
-        for r in range(gd.d_prime + 1):
-            for I in itertools.combinations(range(gd.d_prime), r):
-                start = [1] * gd.datum.rank
-                for k in I:
-                    for i in orbits[k]:
-                        start[i] = 0
-                induced[frozenset(I)] = _fixed_cells(rows, orbits, tuple(start))
+        cells = _fixed_cells(nonzero_entries(gd.datum.cartan_matrix), gd.orbits_delta.orbits)
         out = {}
-        for I, ipoly in induced.items():
-            rest = [k for k in range(gd.d_prime) if k not in I]
-            v = DimPoly.zero()
-            for r in range(len(rest) + 1):
-                for extra in itertools.combinations(rest, r):
-                    term = induced[I | frozenset(extra)]
-                    v = v + term if r % 2 == 0 else v - term
-            out[I] = (ipoly, v)
+        for r in range(gd.d_prime + 1):
+            for I in map(frozenset, itertools.combinations(range(gd.d_prime), r)):
+                induced = sum((poly for P, poly in cells.items() if I <= P), DimPoly.zero())
+                out[I] = (induced, cells[I])
         gd.dim_polys = out
     return gd.dim_polys
 
 
-def _fixed_cells(rows, orbits, start: tuple[int, ...]) -> DimPoly:
-    """Sum of q^l(w) over the sigma-fixed points of the orbit of dominant,
-    sigma-invariant labels ``start``, w the minimal representative.
+def _fixed_cells(rows, orbits) -> dict[frozenset[int], DimPoly]:
+    """Sum of q^l(w) over the sigma-fixed w in W, by the set of Galois orbits
+    where the labels ``<rho^v, w^-1 alpha_j>`` of ``w rho^v`` are positive,
+    that is, where s_j is not a left descent of w.
 
-    The sigma-fixed part of W is generated by the longest elements w_J of the
-    sigma-orbits J of simple reflections (Steinberg, *Endomorphisms of Linear
-    Algebraic Groups*, 1968; Carter, *Finite Groups of Lie Type*, ch. 2),
-    so the fixed points are reached from ``start`` by crossing, from a fixed
-    point, each J on which its labels are positive (they are constant on J).
-    Crossing applies s_j, j in J, while some c_j > 0, each step one more in
-    length; for a split group J = {j} and this is the plain orbit walk.
+    The sigma-fixed part of W is generated by the longest elements w_J of
+    the orbits J (Steinberg, *Endomorphisms of Linear Algebraic Groups*,
+    1968; Carter, *Finite Groups of Lie Type*, ch. 2), so the walk starts at
+    the regular labels (1, ..., 1) and crosses, from each point, each J on
+    which its labels are positive (they are constant on J).  Crossing applies
+    s_j, j in J, while some c_j > 0, each step one more in length; for a
+    split group J = {j} and this is the plain walk over W.
     """
-    counts: list[int] = []
+    counts: dict[frozenset[int], list[int]] = {}
+    start = (1,) * len(rows)
     seen = {start}
     stack = [(start, 0)]
     while stack:
         labels, length = stack.pop()
-        if length >= len(counts):
-            counts.extend([0] * (length + 1 - len(counts)))
-        counts[length] += 1
-        for J in orbits:
-            if labels[J[0]] <= 0:
-                continue
+        positive = frozenset(k for k, J in enumerate(orbits) if labels[J[0]] > 0)
+        bucket = counts.setdefault(positive, [])
+        if length >= len(bucket):
+            bucket.extend([0] * (length + 1 - len(bucket)))
+        bucket[length] += 1
+        for k in positive:
+            J = orbits[k]
             image, steps, ascents = labels, 0, J
             while ascents:
                 image = reflect_labels(rows, image, ascents[0])
@@ -338,7 +326,7 @@ def _fixed_cells(rows, orbits, start: tuple[int, ...]) -> DimPoly:
             if image not in seen:
                 seen.add(image)
                 stack.append((image, length + steps))
-    return DimPoly(tuple(counts))
+    return {P: DimPoly(tuple(c)) for P, c in counts.items()}
 
 
 def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:
@@ -350,7 +338,7 @@ def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:
 
 
 def dim_v(gd: GroupData, I: frozenset[int]) -> DimPoly:
-    """Inclusion-exclusion over larger label sets on the induced dimensions."""
+    """q^l(w) summed over the sigma-fixed w whose left descents are the orbits off I."""
     return all_dim_polys(gd)[I][1]
 
 

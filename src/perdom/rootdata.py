@@ -74,8 +74,13 @@ def mat_vec(m: Matrix, v: Vec) -> Vec:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product; each entry sums only its nonzero products."""
     bt = tuple(zip(*b))
-    return tuple(tuple(vec_dot(row, frac_vec(col)) for col in bt) for row in a)
+    rows = [[(k, x) for k, x in enumerate(row) if x] for row in a]
+    return tuple(
+        tuple(sum([x * col[k] for k, x in nz if col[k]]) or Fraction(0) for col in bt)
+        for nz in rows
+    )
 
 
 def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:

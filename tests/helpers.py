@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
-from perdom.cohom import assemble_cohomology, build_group_data
+from perdom.cohom import DimPoly, assemble_cohomology, build_group_data
 from perdom.rootdata import (
     CHARACTER,
     COCHARACTER,
@@ -22,6 +23,7 @@ from perdom.rootdata import (
     vec_dot,
 )
 from perdom.semistable import build_verifier
+from perdom.weyl import nonzero_entries, reflect_labels
 
 # name -> (cartan type, mu, q, twist)
 INSTANCES = {
@@ -193,3 +195,64 @@ def twist_matrix(datum, perm):
     basis = tuple(zip(*coroots, *complement))
     image = tuple(zip(*(coroots[p] for p in perm), *complement))
     return mat_mul(image, mat_inv(basis))
+
+
+# ---------------------------------------------------------------------------
+# oracle for the dimension polynomials: one walk per label set, then the
+# alternating sum over the larger label sets
+
+def reference_dim_polys(gd) -> dict:
+    """(induced, quotient) dimension polynomials for every label subset.
+
+    The induced one sums q^l(w) over the sigma-fixed minimal representatives
+    of W / W_I: the sigma-fixed points of the W-orbit of the Dynkin labels
+    1 off I's orbits and 0 on them, walked one label set at a time.  The
+    quotient one is the inclusion-exclusion over the larger label sets.
+    """
+    orbits = gd.orbits_delta.orbits
+    rows = nonzero_entries(gd.datum.cartan_matrix)
+    induced = {}
+    for r in range(gd.d_prime + 1):
+        for I in itertools.combinations(range(gd.d_prime), r):
+            start = [1] * gd.datum.rank
+            for k in I:
+                for i in orbits[k]:
+                    start[i] = 0
+            induced[frozenset(I)] = _fixed_orbit_cells(rows, orbits, tuple(start))
+    out = {}
+    for I, ipoly in induced.items():
+        rest = [k for k in range(gd.d_prime) if k not in I]
+        v = DimPoly.zero()
+        for r in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, r):
+                term = induced[I | frozenset(extra)]
+                v = v + DimPoly(tuple((-1) ** r * c for c in term.coeffs))
+        out[I] = (ipoly, v)
+    return out
+
+
+def _fixed_orbit_cells(rows, orbits, start: tuple[int, ...]) -> DimPoly:
+    """Sum of q^l(w) over the sigma-fixed points of the orbit of the dominant,
+    sigma-invariant labels ``start``, crossing each sigma-orbit J of simple
+    reflections on which a point's labels are positive, and keeping the
+    points already seen."""
+    counts: list[int] = []
+    seen = {start}
+    stack = [(start, 0)]
+    while stack:
+        labels, length = stack.pop()
+        if length >= len(counts):
+            counts.extend([0] * (length + 1 - len(counts)))
+        counts[length] += 1
+        for J in orbits:
+            if labels[J[0]] <= 0:
+                continue
+            image, steps, ascents = labels, 0, J
+            while ascents:
+                image = reflect_labels(rows, image, ascents[0])
+                steps += 1
+                ascents = [j for j in J if image[j] > 0]
+            if image not in seen:
+                seen.add(image)
+                stack.append((image, length + steps))
+    return DimPoly(tuple(counts))

@@ -165,6 +165,24 @@ def test_guard_budget_failure_writes_report(tmp_path, capsys, argv):
     assert "flags exceed budget" in json.loads(out)["verification"]["budget_error"]
 
 
+@pytest.mark.parametrize("argv,suggested", [
+    (["dims", "--budget", "2"], None),
+    (["verify", "--m", "3", "--budget", "100"], 1),
+    (["sweep", "--m", "2", "--budget", "5"], None),
+])
+def test_table_format_reports_budget_error(tmp_path, capsys, argv, suggested):
+    path = write_spec(tmp_path, SL3_FLAGS)
+    code, out, _ = run([argv[0], "--spec", path] + argv[1:], capsys)
+    assert code == cli.EXIT_BUDGET
+    verification = json.loads(out)["verification"]
+    assert verification.get("smallest_feasible_m") == suggested
+    code, out, _ = run([argv[0], "--spec", path, "--format", "table"] + argv[1:], capsys)
+    assert code == cli.EXIT_BUDGET
+    lines = out.splitlines()
+    assert f"budget exhausted: {verification['budget_error']}" in lines
+    assert (f"smallest feasible m: {suggested}" in lines) == (suggested is not None)
+
+
 def test_field_tower_checked_against_budget(capsys):
     # central mu has one point, the 1024-entry tables of F_1024 do not fit
     path = str(SPECS / "central.json")

@@ -3,7 +3,7 @@
 Instances are products of up to three factors from A1-A3, B2, B3, C2, C3, D4
 and G2, under a random diagram twist (a flip of an A or D diagram, the D4
 triality, and a swap or cycle of equal factors), with a random integer mu
-that is not dominant.  The runs are derandomised and small: 80 examples in
+that is not dominant.  The runs are derandomised and small: 95 examples in
 all.
 """
 
@@ -13,9 +13,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import orbit_vec, orbit_weight  # noqa: E402
+from helpers import orbit_vec, orbit_weight, reference_dim_polys  # noqa: E402
 from perdom import cli  # noqa: E402
-from perdom.cohom import DimPoly, assemble_cohomology, build_group_data, dim_v  # noqa: E402
+from perdom.cohom import (  # noqa: E402
+    DimPoly,
+    all_dim_polys,
+    assemble_cohomology,
+    build_group_data,
+    dim_induced,
+    dim_v,
+)
 from perdom.galois import _perm_order  # noqa: E402
 from perdom.rootdata import (  # noqa: E402
     act_matrix,
@@ -38,8 +45,9 @@ from perdom.weyl import (  # noqa: E402
 FACTORS = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2))
 # the orbit of mu has at most |W| points; this keeps each example well under a second
 MAX_WEYL_ORDER = 2400
-# the matrix oracle enumerates all of W, which takes seconds from a few hundred elements
-ORACLE_WEYL_ORDER = 200
+# the matrix oracle enumerates all of W and scans its cosets, which takes seconds
+# per example from several hundred elements
+ORACLE_WEYL_ORDER = 400
 
 # diagram automorphisms of one factor, as 0-indexed permutations of its simple roots
 LOCAL_TWISTS = {
@@ -155,3 +163,23 @@ def test_orbit_walk_matches_the_kostant_representatives(instance):
         (w.word, tuple(pairing(act(w, gd.mu), alpha) for alpha in gd.datum.simple_roots))
         for w in reps
     ]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(instances())
+def test_dim_polys_match_the_per_label_set_walks(instance):
+    ctype, twist, mu = instance
+    gd = build_group_data(ctype, mu, 2, twist=twist)
+    polys = all_dim_polys(gd)
+    assert polys == reference_dim_polys(gd)
+    # v_I buckets the sigma-fixed elements of W by their left descents
+    assert dim_v(gd, frozenset(range(gd.d_prime))) == DimPoly((1,))
+    assert sum((dim_v(gd, I) for I in polys), DimPoly.zero()) == dim_induced(gd, frozenset())
+    if not gd.is_split or weyl_order(ctype) > ORACLE_WEYL_ORDER:
+        return
+    W = generate_weyl(gd.datum)
+    for I in polys:
+        letters = {i for k in I for i in gd.orbits_delta.orbits[k]}
+        parabolic = tuple(w for w in W.elements if set(w.word) <= letters)
+        reps = kostant_reps(W, parabolic)
+        assert dim_induced(gd, I) == sum((DimPoly.monomial(w.length) for w in reps), DimPoly.zero())
