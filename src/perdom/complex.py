@@ -5,6 +5,11 @@ destabilizing rational subspaces, simplices are chains under inclusion.  For
 the quasi-split unitary group on 3 variables the rational building is a set
 of points (every proper rational parabolic is minimal), so the subcomplex is
 its vertex set.  Homology is reduced and rational, by exact rank computation.
+
+A sweep builds every non-semistable point's complex from its own
+destabilizers, but computes homology, and its check that the boundary
+squares to zero, once per distinct simplices tuple: both depend on nothing
+else, and many points share one.
 """
 
 from __future__ import annotations
@@ -145,13 +150,16 @@ def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False) -> SweepRepo
     violations = []
     per_point = []
     non_ss = 0
+    homology: dict[tuple, tuple[int, ...]] = {}
     for i in range(len(ctx.points)):
         try:
             complex_ = build_t_x(ctx, i)
         except SemistablePointError:
             continue
         non_ss += 1
-        betti = reduced_homology(complex_)
+        if complex_.simplices not in homology:
+            homology[complex_.simplices] = reduced_homology(complex_)
+        betti = homology[complex_.simplices]
         counts = tuple(len(level) for level in complex_.simplices)
         per_point.append({"point": i, "simplices": counts, "betti": betti})
         if any(betti):

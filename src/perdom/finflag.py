@@ -371,14 +371,18 @@ def lies_in(tower: FieldTower, sub: Subspace, ann) -> bool:
     return not any(_dot(tower, row, a) for row in sub.rows for a in ann)
 
 
-def meet_dim(tower: FieldTower, sub: Subspace, ann) -> int:
-    """dim(S cap W) from W's annihilator: dim S - rank(S . Ann(W)^T), the
-    kernel of pairing S with Ann(W).  When S is a line or W a hyperplane the
-    matrix has one row or one column, so its rank is whether some pairing is
-    nonzero, with no elimination."""
-    if sub.dim == 1 or len(ann) <= 1:
-        return sub.dim - (not lies_in(tower, sub, ann))
-    return sub.dim - rank(tower, [[_dot(tower, row, a) for a in ann] for row in sub.rows])
+def meet_dim(tower: FieldTower, s: Subspace, s_ann, w: Subspace, w_ann) -> int:
+    """dim(S cap W) from the two annihilators, read from whichever side needs
+    no elimination: dim S - rank(S . Ann(W)^T) = dim W - rank(W . Ann(S)^T).
+    When S is a line or W a hyperplane the first matrix has one row or one
+    column, so its rank is whether some pairing is nonzero; when W is a line
+    or S a hyperplane the second one has.  Otherwise the first is ranked.
+    ``s_ann`` is never read when S is a line, so it may be None there."""
+    if s.dim == 1 or len(w_ann) <= 1:
+        return s.dim - (not lies_in(tower, s, w_ann))
+    if w.dim == 1 or len(s_ann) <= 1:
+        return w.dim - (not lies_in(tower, w, s_ann))
+    return s.dim - rank(tower, [[_dot(tower, row, a) for a in w_ann] for row in s.rows])
 
 
 def is_k_rational(sub: Subspace, tower: FieldTower, subfield_deg: int = 1) -> bool:
@@ -389,8 +393,11 @@ def is_k_rational(sub: Subspace, tower: FieldTower, subfield_deg: int = 1) -> bo
 
 
 def frobenius_subspace(tower: FieldTower, sub: Subspace, times: int = 1) -> Subspace:
-    rows = [[tower.frobenius(x, times) for x in row] for row in sub.rows]
-    return subspace_from_rows(tower, rows, sub.ncols)
+    """The image under x -> x^q applied ``times`` times.  The map fixes 0 and
+    1 and is additive and multiplicative, so it takes the reduced echelon
+    basis to the reduced echelon basis of the image, with the same pivots."""
+    rows = tuple(tuple(tower.frobenius(x, times) for x in row) for row in sub.rows)
+    return Subspace(rows=rows, ncols=sub.ncols)
 
 
 def gaussian_binomial(n: int, k: int, Q: int) -> int:

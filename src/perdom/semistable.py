@@ -9,14 +9,18 @@ quasi-split unitary group on 3 variables.  Points and tests alike are
 Every point is paired with every test, but the pairing depends only on the
 dimensions dim(S cap W) of a point's chain subspace S and a test's subspace
 W.  A verifier context therefore builds one incidence table over the
-*distinct* subspaces: each test subspace's annihilator is computed once, and
-dim(S cap W) = dim S - rank(S . Ann(W)^T), which for a line is a test for a
-nonzero pairing.  Summed by parts, a slope is a weighted read of that table
-(``VerifierContext.destabilizer_table``).  The weights are scaled to
-integers, so the whole slope matrix is integer arithmetic and a ``Fraction``
-is built only for the negative slopes it reports.  ``filtration_pairing`` and
-``slope`` compute the same numbers directly from two ``FlagPoint``s and stay
-as the reference.
+*distinct* subspaces.  The annihilator of each test subspace, and of each
+point subspace that is not a line, is computed once, and an entry is read as
+dim(S cap W) = dim S - rank(S . Ann(W)^T) = dim W - rank(W . Ann(S)^T) from
+the side where the matrix is one row or one column: S's rows when S is a
+line or W a hyperplane, W's rows when W is a line or S a hyperplane.  There
+an entry is a test for a nonzero pairing; only the other pairs (planes
+against planes in 4-space) rank a matrix.  Summed by parts, a slope is a
+weighted read of that table (``VerifierContext.destabilizer_table``).  The
+weights are scaled to integers, so the whole slope matrix is integer
+arithmetic and a ``Fraction`` is built only for the negative slopes it
+reports.  ``filtration_pairing`` and ``slope`` compute the same numbers
+directly from two ``FlagPoint``s and stay as the reference.
 """
 
 from __future__ import annotations
@@ -148,12 +152,24 @@ class VerifierContext:
         return {w: annihilator(self.tower, w) for w in spaces}
 
     @cached_property
+    def point_annihilators(self) -> dict[Subspace, tuple]:
+        """Ann(S) for each point subspace S of dimension at least 2, shared
+        with the tests where S is rational too; a line is always read from
+        its own row, so it needs none."""
+        known = self.test_annihilators
+        return {
+            s: known[s] if s in known else annihilator(self.tower, s)
+            for s in self.point_spaces if s.dim >= 2
+        }
+
+    @cached_property
     def incidence(self) -> dict[Subspace, list[int]]:
         """Per test subspace W, dim(S cap W) for every point subspace S, listed
         in ``point_spaces`` order: one ``meet_dim`` per distinct pair."""
+        s_anns = [(s, self.point_annihilators.get(s)) for s in self.point_spaces]
         return {
-            w: [meet_dim(self.tower, s, ann) for s in self.point_spaces]
-            for w, ann in self.test_annihilators.items()
+            w: [meet_dim(self.tower, s, s_ann, w, w_ann) for s, s_ann in s_anns]
+            for w, w_ann in self.test_annihilators.items()
         }
 
     @cached_property

@@ -1,8 +1,11 @@
 """Destabilizing subcomplexes and their reduced rational homology."""
 
+import collections
+
 import pytest
 
 from helpers import verifier
+from perdom import complex as complex_module
 from perdom.complex import (
     SemistablePointError,
     TitsSubcomplex,
@@ -119,3 +122,53 @@ def test_sweep_reports():
     assert len(rep.per_point) == 3
     rep = acyclicity_sweep(verifier("a2_min", 2))
     assert rep.all_acyclic and rep.non_semistable == 21
+
+
+@pytest.mark.parametrize("name,m", [("a2_reg", 2), ("a2_min", 2), ("u3_reg", 2), ("a3_mid", 1)])
+def test_sweep_betti_numbers_match_each_points_complex(name, m):
+    ctx = verifier(name, m)
+    rep = acyclicity_sweep(ctx)
+    assert rep.per_point
+    for row in rep.per_point:
+        c = build_t_x(ctx, row["point"])
+        assert row["simplices"] == tuple(len(level) for level in c.simplices)
+        assert row["betti"] == reduced_homology(c)
+
+
+def _counted_homology(monkeypatch, betti=None):
+    seen = []
+
+    def counted(complex_):
+        seen.append(complex_.simplices)
+        return betti(complex_) if betti else reduced_homology(complex_)
+
+    monkeypatch.setattr(complex_module, "reduced_homology", counted)
+    return seen
+
+
+@pytest.mark.parametrize("name,m", [("a2_reg", 2), ("u3_reg", 2), ("a3_mid", 1)])
+def test_sweep_computes_homology_once_per_distinct_complex(monkeypatch, name, m):
+    ctx = verifier(name, m)
+    seen = _counted_homology(monkeypatch)
+    rep = acyclicity_sweep(ctx)
+    distinct = {build_t_x(ctx, row["point"]).simplices for row in rep.per_point}
+    assert len(seen) == len(set(seen)) == len(distinct) < len(rep.per_point)
+
+
+def test_sweep_reports_every_point_of_a_cyclic_complex(monkeypatch):
+    ctx = verifier("a2_reg", 2)
+    shared = collections.Counter(
+        build_t_x(ctx, i).simplices for i in range(len(ctx.points))
+        if not is_semistable(ctx, i).verdict
+    )
+    bad, count = shared.most_common(1)[0]
+    assert count > 1
+    _counted_homology(monkeypatch, lambda c: (1,) + (0,) * (len(c.simplices) - 1)
+                      if c.simplices == bad else reduced_homology(c))
+    rep = acyclicity_sweep(ctx)
+    assert len(rep.violations) == count
+    assert all(build_t_x(ctx, v["point"]).simplices == bad for v in rep.violations)
+    assert all(row["betti"][0] == 1 for row in rep.violations)
+    first = acyclicity_sweep(ctx, fail_fast=True)
+    assert first.violations == rep.violations[:1]
+    assert first.per_point[-1] == rep.violations[0]

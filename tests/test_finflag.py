@@ -152,6 +152,17 @@ def test_rationality_examples():
     assert frobenius_subspace(t, crooked) != crooked
 
 
+@pytest.mark.parametrize("q,m", [(2, 2), (2, 3)])
+def test_frobenius_subspace_keeps_the_echelon_form(q, m):
+    # every subspace of F_4^3 and F_8^3, at every power of x -> x^q
+    t = make_tower(q, m)
+    for d in range(4):
+        for sub in enumerate_subspaces(t, 3, d):
+            for times in range(m + 1):
+                rows = [[t.frobenius(x, times) for x in row] for row in sub.rows]
+                assert frobenius_subspace(t, sub, times) == subspace_from_rows(t, rows, 3)
+
+
 def test_canonicalization_idempotent():
     t = make_tower(3, 1)
     rows = [[1, 2, 0], [2, 1, 1]]

@@ -15,6 +15,7 @@ from helpers import nullspace  # noqa: E402
 from perdom.finflag import (  # noqa: E402
     annihilator,
     contains,
+    enumerate_subspaces,
     intersection_dim,
     lies_in,
     make_tower,
@@ -190,7 +191,38 @@ def subspace_pairs(draw):
 @given(subspace_pairs())
 def test_meet_dim_from_annihilator_equals_intersection_dim(case):
     t, s, w = case
-    ann = annihilator(t, w)
-    assert len(ann) == w.ncols - w.dim
-    assert meet_dim(t, s, ann) == intersection_dim(t, s, w)
-    assert lies_in(t, s, ann) == contains(t, w, s)
+    s_ann, w_ann = annihilator(t, s), annihilator(t, w)
+    assert len(w_ann) == w.ncols - w.dim
+    assert meet_dim(t, s, s_ann, w, w_ann) == intersection_dim(t, s, w)
+    assert lies_in(t, s, w_ann) == contains(t, w, s)
+
+
+# (ambient dimension, dim S, dim W): lines and hyperplanes in 3- and 4-space,
+# read without elimination, and planes in 4-space, which fall back to ``rank``
+MEET_SHAPES = [
+    (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2),
+    (4, 1, 1), (4, 1, 3), (4, 3, 1), (4, 3, 3), (4, 2, 2),
+]
+
+
+@pytest.mark.parametrize("q", [2, 4, 3])
+@pytest.mark.parametrize("n,ds,dw", MEET_SHAPES)
+def test_meet_dim_reads_lines_and_hyperplanes_without_rank(monkeypatch, q, n, ds, dw):
+    from perdom import finflag
+
+    t = make_tower(q, 1)
+    ranked = []
+    original_rank = finflag.rank
+    monkeypatch.setattr(finflag, "rank", lambda *args: ranked.append(1) or original_rank(*args))
+    s_side = [(s, annihilator(t, s)) for s in enumerate_subspaces(t, n, ds)]
+    w_side = [(w, annihilator(t, w)) for w in enumerate_subspaces(t, n, dw)]
+    w_side = w_side[:: max(1, len(w_side) // 40)]  # every S against up to ~40 W
+    for s, s_ann in s_side:
+        for w, w_ann in w_side:
+            del ranked[:]
+            got = meet_dim(t, s, s_ann, w, w_ann)
+            assert bool(ranked) == ((n, ds, dw) == (4, 2, 2))
+            assert got == intersection_dim(t, s, w), (s, w)
+            # a line's annihilator is never read
+            if ds == 1:
+                assert meet_dim(t, s, None, w, w_ann) == got

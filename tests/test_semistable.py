@@ -259,11 +259,19 @@ def test_one_incidence_pass_per_context(monkeypatch):
 
     original_meet_dim = semistable.meet_dim
 
-    def counted_meet_dim(tower, sub, ann):
-        pairs[sub, ann] += 1
-        return original_meet_dim(tower, sub, ann)
+    def counted_meet_dim(tower, s, s_ann, w, w_ann):
+        pairs[s, w] += 1
+        return original_meet_dim(tower, s, s_ann, w, w_ann)
+
+    original_annihilator = semistable.annihilator
+    annihilated = collections.Counter()
+
+    def counted_annihilator(tower, sub):
+        annihilated[sub] += 1
+        return original_annihilator(tower, sub)
 
     monkeypatch.setattr(semistable, "meet_dim", counted_meet_dim)
+    monkeypatch.setattr(semistable, "annihilator", counted_annihilator)
     counted("slope")
     counted("bruhat_cells")
     gd = instance("a2_reg")
@@ -285,6 +293,11 @@ def test_one_incidence_pass_per_context(monkeypatch):
     assert set(pairs.values()) == {1}
     assert len(pairs) == len(point_spaces) * len(test_spaces) == 42 * 14
     assert calls == {"bruhat_cells": 1}
+    # each annihilator at most once, shared where a point subspace is a test
+    # subspace too, and none for a point line that is not one
+    assert set(annihilated.values()) == {1}
+    assert point_spaces & test_spaces and set(annihilated) <= point_spaces | test_spaces
+    assert not any(annihilated[s] for s in point_spaces - test_spaces if s.dim == 1)
 
 
 def test_standard_subspaces_built_once_per_context(monkeypatch):
@@ -325,6 +338,16 @@ def test_bruhat_cells_read_the_incidence_table(monkeypatch):
             patch.setattr(semistable, "_relative_position", direct)
             expected = semistable.bruhat_cells(build_verifier(gd, m))
         assert semistable.bruhat_cells(build_verifier(gd, m)) == expected, name
+
+
+@pytest.mark.parametrize("name,m", [("a2_reg", 2), ("u3_reg", 2), ("a3_mid", 1), ("a3_reg", 1)])
+def test_incidence_matches_intersection_dim(name, m):
+    from perdom.finflag import intersection_dim
+
+    ctx = verifier(name, m)
+    for w, column in ctx.incidence.items():
+        for s, k in ctx.point_spaces.items():
+            assert column[k] == intersection_dim(ctx.tower, s, w), (name, s, w)
 
 
 @pytest.mark.parametrize(
