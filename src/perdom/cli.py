@@ -26,9 +26,9 @@ from .cohom import (
 )
 from .complex import acyclicity_sweep
 from .finflag import (
+    FlagLevels,
     HermitianData,
     _factor_prime_power,
-    enumerate_flag_points,
     enumerate_twisted_fixed_flags,
     flag_count,
     make_tower,
@@ -292,16 +292,17 @@ def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
             for I in itertools.combinations(range(gd.d_prime), k):
                 roots = {i for orb in I for i in gd.orbits_delta.orbits[orb]}
                 flag_types[frozenset(I)] = tuple(d for d in range(1, n) if (d - 1) not in roots)
-        # every label set's flags are enumerated, so their sum is what the budget bounds
+        # every label set's flags are counted, so their sum is what the budget bounds
         total = sum(flag_count(n, dims, gd.q) for dims in flag_types.values())
         if total > budget:
             raise BudgetError(f"{total} flags exceed budget {budget}")
+        # each level is enumerated once and the chains are counted level by
+        # level from its containment lists, with no flag built
+        flags = FlagLevels(tower, n, set().union(*flag_types.values()), budget=budget)
         for I, dims in flag_types.items():
-            weights = tuple(range(len(dims), -1, -1))
-            count = len(enumerate_flag_points(tower, n, weights, dims, budget=budget))
             checks.append(
                 {"I": sorted(gd.orbits_delta.labels[i] for i in I),
-                 "formula": dim_induced(gd, I)(gd.q), "points": count}
+                 "formula": dim_induced(gd, I)(gd.q), "points": flags.count(dims)}
             )
     elif mode == "u3":
         # the rational chambers of the unitary instance, counted independently

@@ -6,6 +6,22 @@ otherwise reads Zech's logarithm ``1 + g^k = g^Z(k)``, so every table is
 linear in the field size.
 Every subspace is kept in reduced row echelon form, which is the canonical
 representative used for hashing and equality.
+
+The verifier's pairings run through one kernel that takes many vectors at
+once.  A family of vectors is stored as columns of discrete logs
+(``log_columns``), with log 0 set past every sum of two nonzero logs.  The
+antilog table holds the powers of the generator twice over and then
+size - 1 zeros (3 (size - 1) - 1 entries), so a product with at most one
+zero factor is ``exp[log x + log y]`` with no branch.  ``pairings`` pairs
+one vector with a whole family: per nonzero entry of the vector, one
+C-level ``map`` pass for the products and one for the sum, which is XOR
+when p = 2 and the Zech ``add`` otherwise.  ``dots`` pairs two families
+member by member, capping each sum of logs at log 0, and
+``nonzero_pairings`` says which members of a family of subspaces lie in W
+from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
+rows with no elimination.  Flags (``FlagLevels``) extend a level at a
+time: one ``nonzero_pairings`` pass per subspace of the next level finds
+the members of the previous level inside it.
 """
 
 from __future__ import annotations
@@ -13,8 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import xor
+from functools import lru_cache, partial, reduce
+from itertools import compress, repeat
+from operator import add, itemgetter, not_, or_, xor
 
 from .rootdata import DEFAULT_BUDGET, BudgetError
 
@@ -130,7 +147,7 @@ def _factor_prime_power(q: int):
 
 def _zech_ops(exp, log, zech):
     """Addition and subtraction by Zech's logarithm: x + g^l = x (1 + g^(l - log x))."""
-    order = len(exp)
+    order = len(zech)
     half = order // 2  # g^half = -1
 
     def add(x, y):
@@ -198,21 +215,26 @@ class FieldTower:
         self._subfield_cache: dict[int, frozenset[int]] = {}
         order = size - 1
         if order == 1:
-            self._exp = [1]
-            self._log = [0, 0]
+            exp, log = [1], [0, 0]
         else:
-            self._find_primitive()
-        self._frob_q = [self.power(x, self.q) for x in range(size)]
+            exp, log = self._find_primitive()
+        # log 0 lies past every sum of two nonzero logs, and the antilog table
+        # holds the powers twice over, then zeros: exp[log x + log y] is
+        # x * y whenever one factor at most is 0 (``dots`` caps the sum of
+        # two log 0s at log 0)
+        log[0] = 2 * order - 1
+        self._exp = exp + exp[:-1] + [0] * order
+        self._log = log
         # picked once per tower, so the hot calls never branch on p
         if p == 2:
             self.add = self.sub = xor
             self.neg = _identity
             return
-        exp, log, half = self._exp, self._log, order // 2  # g^half = -1
+        half = order // 2  # g^half = -1
         # 1 + x: the lowest base-p digit of x goes up by one mod p
         one_plus = [x - x % p + (x + 1) % p for x in exp]
         self._zech = [log[y] if y else None for y in one_plus]
-        self.add, self.sub = _zech_ops(exp, log, self._zech)
+        self.add, self.sub = _zech_ops(self._exp, log, self._zech)
         self._neg = [0] + [exp[(log[x] + half) % order] for x in range(1, size)]
         self.neg = self._neg.__getitem__
 
@@ -227,18 +249,16 @@ class FieldTower:
                     break
                 exp.append(cur)
             if len(exp) == order:
-                self._exp = exp
                 log = [0] * size
                 for i, v in enumerate(exp):
                     log[v] = i
-                self._log = log
-                return
+                return exp, log
         raise AssertionError("no primitive element found")
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:
             return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.size - 1)]
+        return self._exp[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
@@ -251,10 +271,8 @@ class FieldTower:
         return self._exp[(self._log[x] * e) % (self.size - 1)]
 
     def frobenius(self, x: int, times: int = 1) -> int:
-        """Apply x -> x^q the given number of times."""
-        for _ in range(times % self.m if self.m else 0):
-            x = self._frob_q[x]
-        return x
+        """Apply x -> x^q the given number of times: one power x^(q^times)."""
+        return self.power(x, self.q ** (times % self.m))
 
     def subfield(self, j: int) -> frozenset[int]:
         """Elements of the subfield F_{q^j} (fixed points of frob^j)."""
@@ -304,20 +322,6 @@ def rank(tower: FieldTower, rows) -> int:
     return len(rref(tower, rows)[0])
 
 
-def nullspace(tower: FieldTower, rows, ncols: int):
-    """Canonical basis of the right kernel."""
-    reduced, pivots = rref(tower, rows) if rows else ((), ())
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = tower.neg(reduced[r][fc])
-        basis.append(vec)
-    return rref(tower, basis)[0] if basis else ()
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace in canonical reduced echelon form."""
@@ -339,12 +343,6 @@ def full_space(tower: FieldTower, n: int) -> Subspace:
     return Subspace(rows=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), ncols=n)
 
 
-def contains(tower: FieldTower, big: Subspace, small: Subspace) -> bool:
-    if small.dim > big.dim:
-        return False
-    return rank(tower, list(big.rows) + list(small.rows)) == big.dim
-
-
 def intersection_dim(tower: FieldTower, a: Subspace, b: Subspace) -> int:
     if a.dim in (0, a.ncols) or b.dim in (0, b.ncols):
         return min(a.dim, b.dim)
@@ -352,37 +350,72 @@ def intersection_dim(tower: FieldTower, a: Subspace, b: Subspace) -> int:
 
 
 def annihilator(tower: FieldTower, sub: Subspace):
-    """Rows spanning Ann(W) = {a : w . a = 0 for every w in W}; a vector lies
-    in W exactly when it pairs to zero with every row."""
-    return nullspace(tower, sub.rows, sub.ncols)
+    """Rows spanning Ann(W) = {a : w . a = 0 for every w in W}, read off W's
+    reduced echelon rows: one per free column, 1 there and minus that
+    column's entries at the pivots.  A vector lies in W exactly when it
+    pairs to zero with every row.  The rows are a basis, not a canonical
+    one."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in sub.rows]
+    basis = []
+    for free in range(sub.ncols):
+        if free in pivots:
+            continue
+        vec = [0] * sub.ncols
+        vec[free] = 1
+        for row, p in zip(sub.rows, pivots):
+            vec[p] = tower.neg(row[free])
+        basis.append(tuple(vec))
+    return tuple(basis)
 
 
-def _dot(tower: FieldTower, u, v) -> int:
-    add, mul = tower.add, tower.mul
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = add(acc, mul(x, y))
-    return acc
+def nullspace(tower: FieldTower, rows, ncols: int):
+    """Canonical basis of the right kernel."""
+    reduced = rref(tower, rows)[0] if rows else ()
+    basis = annihilator(tower, Subspace(rows=reduced, ncols=ncols))
+    return rref(tower, basis)[0] if basis else ()
 
 
-def lies_in(tower: FieldTower, sub: Subspace, ann) -> bool:
-    """S inside W, read from W's annihilator as S . Ann(W)^T = 0."""
-    return not any(_dot(tower, row, a) for row in sub.rows for a in ann)
+# ---------------------------------------------------------------------------
+# the pairing kernel: many dot products per call
+
+def log_columns(tower: FieldTower, vectors) -> tuple[tuple[int, ...], ...]:
+    """A family of vectors of one length, stored for the pairing kernel:
+    column j holds the discrete logs of the vectors' j-th entries."""
+    log = tower._log.__getitem__
+    return tuple(tuple(map(log, col)) for col in zip(*vectors))
 
 
-def meet_dim(tower: FieldTower, s: Subspace, s_ann, w: Subspace, w_ann) -> int:
-    """dim(S cap W) from the two annihilators, read from whichever side needs
-    no elimination: dim S - rank(S . Ann(W)^T) = dim W - rank(W . Ann(S)^T).
-    When S is a line or W a hyperplane the first matrix has one row or one
-    column, so its rank is whether some pairing is nonzero; when W is a line
-    or S a hyperplane the second one has.  Otherwise the first is ranked.
-    ``s_ann`` is never read when S is a line, so it may be None there."""
-    if s.dim == 1 or len(w_ann) <= 1:
-        return s.dim - (not lies_in(tower, s, w_ann))
-    if w.dim == 1 or len(s_ann) <= 1:
-        return w.dim - (not lies_in(tower, w, s_ann))
-    return s.dim - rank(tower, [[_dot(tower, row, a) for a in w_ann] for row in s.rows])
+def dots(tower: FieldTower, xs, ys):
+    """Iterator over x_k . y_k for the k-th vectors of two families given by
+    their log columns (iterables of logs), in a few C-level passes per
+    coordinate: x_j y_j is read as exp[log x_j + log y_j], with the sum
+    capped at log 0 in case both are 0."""
+    exp, log0 = tower._exp.__getitem__, tower._log[0]
+    products = [map(exp, map(min, map(add, x, y), repeat(log0))) for x, y in zip(xs, ys)]
+    return reduce(partial(map, tower.add), products)
+
+
+def pairings(tower: FieldTower, a, columns):
+    """Iterator over a . v for every vector v of a family stored by
+    ``log_columns``: per nonzero entry x of a (a is nonzero), one C-level
+    pass reads the products x v_j as exp[log x + log v_j] and one adds them,
+    with XOR when p = 2 and with the Zech ``add`` otherwise."""
+    exp, log = tower._exp.__getitem__, tower._log
+    products = [map(exp, map(log[x].__add__, col)) for x, col in zip(a, columns) if x]
+    return reduce(partial(map, tower.add), products)
+
+
+def row_families(tower: FieldTower, rows_per_member) -> list[tuple[tuple[int, ...], ...]]:
+    """Equally many rows per member (a subspace's echelon rows, say) as one
+    ``log_columns`` family per row index."""
+    return [log_columns(tower, rows) for rows in zip(*rows_per_member)]
+
+
+def nonzero_pairings(tower: FieldTower, vectors, families):
+    """Per member k of ``row_families``: nonzero exactly when some vector
+    pairs nonzero with some row of member k.  With Ann(W) as ``vectors``
+    and subspaces as members, 0 says that the k-th subspace lies in W."""
+    return reduce(partial(map, or_), [pairings(tower, a, f) for a in vectors for f in families])
 
 
 def is_k_rational(sub: Subspace, tower: FieldTower, subfield_deg: int = 1) -> bool:
@@ -499,6 +532,58 @@ def flag_count(n: int, dims, Q: int) -> int:
     return total
 
 
+class FlagLevels:
+    """The subspaces of each given dimension over the (sub)field, and which
+    of a larger dimension contain each one of a smaller: enough to list or
+    count the flags of every type made of those dimensions."""
+
+    def __init__(self, tower: FieldTower, n: int, dims, subfield_deg: int | None = None,
+                 budget: int = DEFAULT_BUDGET):
+        self.tower = tower
+        self.levels = {d: enumerate_subspaces(tower, n, d, subfield_deg, budget) for d in sorted(set(dims))}
+        self._above: dict[tuple[int, int], list[list[int]]] = {}
+
+    def above(self, lo: int, hi: int) -> list[list[int]]:
+        """Per subspace of dimension lo, the indices of those of dimension hi
+        containing it, in level order: one ``nonzero_pairings`` pass of each
+        hi-subspace's annihilator against the whole lo level."""
+        if (lo, hi) not in self._above:
+            t, lower = self.tower, self.levels[lo]
+            families = row_families(t, (s.rows for s in lower))
+            above: list[list[int]] = [[] for _ in lower]
+            for j, w in enumerate(self.levels[hi]):
+                inside = map(not_, nonzero_pairings(t, annihilator(t, w), families))
+                for k in compress(range(len(lower)), inside):
+                    above[k].append(j)
+            self._above[lo, hi] = above
+        return self._above[lo, hi]
+
+    def chains(self, dims) -> list[tuple[Subspace, ...]]:
+        """The flags with these proper dimensions, chain-major: each chain
+        extends by the next level's subspaces containing its last member,
+        in level order."""
+        chains = [(s,) for s in self.levels[dims[0]]]
+        for lo, hi in zip(dims, dims[1:]):
+            above, level = self.above(lo, hi), self.levels[hi]
+            position = {s: k for k, s in enumerate(self.levels[lo])}
+            chains = [c + (level[j],) for c in chains for j in above[position[c[-1]]]]
+        return chains
+
+    def count(self, dims) -> int:
+        """The number of flags with these proper dimensions, counted per level
+        from the containment lists, with no chain built."""
+        if not dims:
+            return 1
+        counts = [1] * len(self.levels[dims[0]])
+        for lo, hi in zip(dims, dims[1:]):
+            ahead = [0] * len(self.levels[hi])
+            for c, js in zip(counts, self.above(lo, hi)):
+                for j in js:
+                    ahead[j] += c
+            counts = ahead
+        return sum(counts)
+
+
 def enumerate_flag_points(
     tower: FieldTower,
     n: int,
@@ -515,14 +600,7 @@ def enumerate_flag_points(
     weights = tuple(Fraction(w) for w in weights)
     if not dims:
         return [FlagPoint(chain=(), weights=weights, n=n)]
-    levels = {d: enumerate_subspaces(tower, n, d, subfield_deg, budget) for d in sorted(set(dims))}
-    chains: list[tuple[Subspace, ...]] = [(s,) for s in levels[dims[0]]]
-    for d in dims[1:]:
-        level = [(cand, annihilator(tower, cand)) for cand in levels[d]]
-        chains = [
-            chain + (cand,) for chain in chains for cand, ann in level
-            if lies_in(tower, chain[-1], ann)
-        ]
+    chains = FlagLevels(tower, n, dims, subfield_deg, budget).chains(dims)
     assert len(chains) == expected
     return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]
 
@@ -541,13 +619,6 @@ class HermitianData:
 
     tower: FieldTower
     n: int
-
-    def form_value(self, u, v, conj_power: int = 1) -> int:
-        t = self.tower
-        total = 0
-        for i in range(self.n):
-            total = t.add(total, t.mul(u[i], t.frobenius(v[self.n - 1 - i], conj_power)))
-        return total
 
     def perp(self, sub: Subspace, conj_power: int = 1) -> Subspace:
         """Conjugate-orthogonal complement {x : h(x, w) = 0 for w in sub}."""
@@ -600,12 +671,18 @@ def enumerate_twisted_fixed_flags(
     if n != 3:
         raise ValueError("twisted fixed-flag enumeration is implemented for 3-space")
     weights = tuple(Fraction(w) for w in weights)
-    out = []
-    for line in enumerate_subspaces(t, n, 1, 2 * conj_power, budget):
-        v = line.rows[0]
-        if herm.form_value(v, v, conj_power) != 0:
-            continue
-        plane = herm.perp(frobenius_subspace(t, line, conj_power), 0)
-        assert contains(t, plane, line)
-        out.append(FlagPoint(chain=(line, plane), weights=weights, n=n))
-    return out
+    lines = enumerate_subspaces(t, n, 1, 2 * conj_power, budget)
+    # h(v, v) = sum_i v_i conj(v_(n-1-i)) for every line's row at once
+    vectors = [line.rows[0] for line in lines]
+    log, conj = t._log.__getitem__, [t.frobenius(x, conj_power) for x in t.elements]
+    logs = [map(log, map(itemgetter(i), vectors)) for i in range(n)]
+    conj_logs = [map(log, map(conj.__getitem__, map(itemgetter(n - 1 - i), vectors))) for i in range(n)]
+    isotropic = list(compress(lines, map(not_, dots(t, logs, conj_logs))))
+    planes = [herm.perp(frobenius_subspace(t, line, conj_power), 0) for line in isotropic]
+    # each plane contains its line: the line pairs to zero with Ann(plane)
+    line_logs = log_columns(t, [line.rows[0] for line in isotropic])
+    assert not any(dots(t, line_logs, log_columns(t, [annihilator(t, p)[0] for p in planes])))
+    return [
+        FlagPoint(chain=(line, plane), weights=weights, n=n)
+        for line, plane in zip(isotropic, planes)
+    ]

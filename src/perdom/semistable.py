@@ -14,12 +14,15 @@ point subspace that is not a line, is computed once, and an entry is read as
 dim(S cap W) = dim S - rank(S . Ann(W)^T) = dim W - rank(W . Ann(S)^T) from
 the side where the matrix is one row or one column: S's rows when S is a
 line or W a hyperplane, W's rows when W is a line or S a hyperplane.  There
-an entry is a test for a nonzero pairing; only the other pairs (planes
-against planes in 4-space) rank a matrix.  Summed by parts, a slope is a
-weighted read of that table (``VerifierContext.destabilizer_table``).  The
-weights are scaled to integers, so the whole slope matrix is integer
-arithmetic and a ``Fraction`` is built only for the negative slopes it
-reports.  ``filtration_pairing`` and ``slope`` compute the same numbers
+an entry is a test for a nonzero pairing.  The point subspaces are grouped
+by dimension, and a test subspace's column is filled a group at a time by
+``finflag``'s pairing kernel: one pass pairs one vector with every
+subspace of the group.  Only the other pairs (planes against planes in
+4-space, say) rank a matrix, whose entries the same kernel reads.  Summed
+by parts, a slope is a weighted read of that table
+(``VerifierContext.destabilizer_table``).  The weights are scaled to
+integers, so the whole slope matrix is integer arithmetic and a
+``Fraction`` is built only for the negative slopes it reports.  ``filtration_pairing`` and ``slope`` compute the same numbers
 directly from two ``FlagPoint``s and stay as the reference.
 """
 
@@ -30,7 +33,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import lcm
+from operator import attrgetter, not_
 
 from .cohom import GroupData
 from .finflag import (
@@ -48,14 +53,17 @@ from .finflag import (
     full_space,
     gaussian_binomial,
     intersection_dim,
-    lies_in,
     make_tower,
-    meet_dim,
     mu_flag_type,
+    nonzero_pairings,
+    pairings,
     rank,
+    row_families,
     subspace_from_rows,
 )
 from .rootdata import DEFAULT_BUDGET
+
+_dim = attrgetter("dim")
 
 
 def filtration_pairing(tower: FieldTower, f: FlagPoint, g: FlagPoint) -> Fraction:
@@ -141,9 +149,10 @@ class VerifierContext:
 
     @cached_property
     def point_spaces(self) -> dict[Subspace, int]:
-        """The distinct subspaces of the points' chains, numbered."""
+        """The distinct subspaces of the points' chains, numbered by dimension
+        and, within one, in order of appearance."""
         spaces = dict.fromkeys(s for x in self.points for s in x.chain)
-        return {s: k for k, s in enumerate(spaces)}
+        return {s: k for k, s in enumerate(sorted(spaces, key=_dim))}
 
     @cached_property
     def test_annihilators(self) -> dict[Subspace, tuple]:
@@ -165,19 +174,45 @@ class VerifierContext:
     @cached_property
     def incidence(self) -> dict[Subspace, list[int]]:
         """Per test subspace W, dim(S cap W) for every point subspace S, listed
-        in ``point_spaces`` order: one ``meet_dim`` per distinct pair."""
-        s_anns = [(s, self.point_annihilators.get(s)) for s in self.point_spaces]
-        return {
-            w: [meet_dim(self.tower, s, s_ann, w, w_ann) for s, s_ann in s_anns]
-            for w, w_ann in self.test_annihilators.items()
-        }
+        in ``point_spaces`` order: each distinct pair is read once, a
+        dimension group of point subspaces per kernel pass."""
+        t, n = self.tower, self.n
+        groups = []
+        for d, subs in itertools.groupby(self.point_spaces, key=_dim):
+            subs = list(subs)
+            rows = row_families(t, (s.rows for s in subs))
+            anns = row_families(t, (self.point_annihilators[s] for s in subs)) if d >= 2 else None
+            groups.append((d, rows, anns))
+        table = {}
+        for w, w_ann in self.test_annihilators.items():
+            column: list[int] = []
+            for d, rows, anns in groups:
+                if d == 1 or len(w_ann) <= 1:
+                    column += map(d.__sub__, map(bool, nonzero_pairings(t, w_ann, rows)))
+                elif w.dim == 1 or n - d <= 1:
+                    column += map(w.dim.__sub__, map(bool, nonzero_pairings(t, w.rows, anns)))
+                else:
+                    # S . Ann(W)^T: one pass per row of S and row of Ann(W)
+                    # for the whole group, then one rank per S
+                    entries = [zip(*(pairings(t, a, f) for a in w_ann)) for f in rows]
+                    column += (d - rank(t, matrix) for matrix in zip(*entries))
+            table[w] = column
+        return table
 
     @cached_property
     def test_containment(self) -> dict[Subspace, frozenset[Subspace]]:
-        """Per test subspace W, the test subspaces S inside it (S . Ann(W)^T = 0)."""
-        anns = self.test_annihilators
+        """Per test subspace W, the test subspaces S inside it (S . Ann(W)^T = 0),
+        a dimension group of candidates per kernel pass."""
+        t, anns = self.tower, self.test_annihilators
+        groups = []
+        for d, subs in itertools.groupby(sorted(anns, key=_dim), key=_dim):
+            subs = list(subs)
+            groups.append((d, subs, row_families(t, (s.rows for s in subs))))
         return {
-            w: frozenset(s for s in anns if s.dim <= w.dim and lies_in(self.tower, s, ann))
+            w: frozenset(itertools.chain.from_iterable(
+                compress(subs, map(not_, nonzero_pairings(t, ann, rows)))
+                for d, subs, rows in groups if d <= w.dim
+            ))
             for w, ann in anns.items()
         }
 

@@ -7,6 +7,15 @@ import itertools
 from fractions import Fraction
 
 from perdom.cohom import DimPoly, assemble_cohomology, build_group_data
+from perdom.finflag import (
+    FieldTower,
+    FlagPoint,
+    HermitianData,
+    Subspace,
+    annihilator,
+    enumerate_subspaces,
+    rank,
+)
 from perdom.rootdata import (
     CHARACTER,
     COCHARACTER,
@@ -256,3 +265,67 @@ def _fixed_orbit_cells(rows, orbits, start: tuple[int, ...]) -> DimPoly:
                 seen.add(image)
                 stack.append((image, length + steps))
     return DimPoly(tuple(counts))
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracles for the pairing kernel: one dot product or rank per call
+
+def contains(tower: FieldTower, big: Subspace, small: Subspace) -> bool:
+    if small.dim > big.dim:
+        return False
+    return rank(tower, list(big.rows) + list(small.rows)) == big.dim
+
+
+def hermitian_form(herm: HermitianData, u, v, conj_power: int = 1) -> int:
+    """h(u, v) = sum_i u_i conj(v_(n-1-i)), conj the q^conj_power-power map."""
+    t = herm.tower
+    total = 0
+    for i in range(herm.n):
+        total = t.add(total, t.mul(u[i], t.frobenius(v[herm.n - 1 - i], conj_power)))
+    return total
+
+
+def _dot(tower: FieldTower, u, v) -> int:
+    add, mul = tower.add, tower.mul
+    acc = 0
+    for x, y in zip(u, v):
+        if x and y:
+            acc = add(acc, mul(x, y))
+    return acc
+
+
+def lies_in(tower: FieldTower, sub: Subspace, ann) -> bool:
+    """S inside W, read from W's annihilator as S . Ann(W)^T = 0."""
+    return not any(_dot(tower, row, a) for row in sub.rows for a in ann)
+
+
+def meet_dim(tower: FieldTower, s: Subspace, s_ann, w: Subspace, w_ann) -> int:
+    """dim(S cap W) from the two annihilators, read from whichever side needs
+    no elimination: dim S - rank(S . Ann(W)^T) = dim W - rank(W . Ann(S)^T).
+    When S is a line or W a hyperplane the first matrix has one row or one
+    column, so its rank is whether some pairing is nonzero; when W is a line
+    or S a hyperplane the second one has.  Otherwise the first is ranked.
+    ``s_ann`` is never read when S is a line, so it may be None there."""
+    if s.dim == 1 or len(w_ann) <= 1:
+        return s.dim - (not lies_in(tower, s, w_ann))
+    if w.dim == 1 or len(s_ann) <= 1:
+        return w.dim - (not lies_in(tower, w, s_ann))
+    return s.dim - rank(tower, [[_dot(tower, row, a) for a in w_ann] for row in s.rows])
+
+
+def pairwise_flag_points(tower: FieldTower, n: int, weights, dims, subfield_deg=None) -> list[FlagPoint]:
+    """The flags with the given proper dimensions, every chain extended by
+    testing each candidate of the next level with ``lies_in``, chain-major
+    and in level order."""
+    weights = tuple(Fraction(w) for w in weights)
+    if not dims:
+        return [FlagPoint(chain=(), weights=weights, n=n)]
+    levels = {d: enumerate_subspaces(tower, n, d, subfield_deg) for d in sorted(set(dims))}
+    chains = [(s,) for s in levels[dims[0]]]
+    for d in dims[1:]:
+        level = [(cand, annihilator(tower, cand)) for cand in levels[d]]
+        chains = [
+            chain + (cand,) for chain in chains for cand, ann in level
+            if lies_in(tower, chain[-1], ann)
+        ]
+    return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]

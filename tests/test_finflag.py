@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import contains, hermitian_form
 from perdom.finflag import (
     BudgetError,
     FlagPoint,
     HermitianData,
-    contains,
     enumerate_flag_points,
     enumerate_subspaces,
     enumerate_twisted_fixed_flags,
@@ -268,7 +268,7 @@ def test_hermitian_form_and_perp():
     t = make_tower(2, 2)
     h = HermitianData(tower=t, n=3)
     e1 = subspace_from_rows(t, [[1, 0, 0]], 3)
-    assert h.form_value([1, 0, 0], [1, 0, 0]) == 0  # isotropic
+    assert hermitian_form(h, [1, 0, 0], [1, 0, 0]) == 0  # isotropic
     perp = h.perp(e1)
     assert perp.dim == 2 and contains(t, perp, e1)
 

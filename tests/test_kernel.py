@@ -1,6 +1,7 @@
 """Properties of the exact elimination kernels: ``row_reduce`` over Q with its
-read-offs, and ``finflag.rref`` over finite fields with the annihilator
-reads of intersections and containment built on it."""
+read-offs, ``finflag.rref`` over finite fields with the annihilator reads of
+intersections and containment built on it, and ``finflag``'s pairing kernel
+against the per-pair oracles of ``helpers``."""
 
 import itertools
 import math
@@ -11,18 +12,34 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import nullspace  # noqa: E402
-from perdom.finflag import (  # noqa: E402
-    annihilator,
+import helpers  # noqa: E402
+from helpers import (  # noqa: E402
+    _dot,
     contains,
-    enumerate_subspaces,
-    intersection_dim,
+    hermitian_form,
     lies_in,
-    make_tower,
     meet_dim,
+    nullspace,
+    pairwise_flag_points,
+)
+from perdom import finflag  # noqa: E402
+from perdom.finflag import (  # noqa: E402
+    FlagPoint,
+    HermitianData,
+    annihilator,
+    dots,
+    enumerate_flag_points,
+    enumerate_subspaces,
+    enumerate_twisted_fixed_flags,
+    intersection_dim,
+    log_columns,
+    make_tower,
+    pairings,
+    rank as field_rank,
     rref,
     subspace_from_rows,
 )
+from perdom.semistable import VerifierContext  # noqa: E402
 from perdom.rootdata import mat_inv, mat_mul, row_reduce, solve_in_span  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -208,12 +225,10 @@ MEET_SHAPES = [
 @pytest.mark.parametrize("q", [2, 4, 3])
 @pytest.mark.parametrize("n,ds,dw", MEET_SHAPES)
 def test_meet_dim_reads_lines_and_hyperplanes_without_rank(monkeypatch, q, n, ds, dw):
-    from perdom import finflag
-
     t = make_tower(q, 1)
     ranked = []
-    original_rank = finflag.rank
-    monkeypatch.setattr(finflag, "rank", lambda *args: ranked.append(1) or original_rank(*args))
+    original_rank = helpers.rank
+    monkeypatch.setattr(helpers, "rank", lambda *args: ranked.append(1) or original_rank(*args))
     s_side = [(s, annihilator(t, s)) for s in enumerate_subspaces(t, n, ds)]
     w_side = [(w, annihilator(t, w)) for w in enumerate_subspaces(t, n, dw)]
     w_side = w_side[:: max(1, len(w_side) // 40)]  # every S against up to ~40 W
@@ -226,3 +241,107 @@ def test_meet_dim_reads_lines_and_hyperplanes_without_rank(monkeypatch, q, n, ds
             # a line's annihilator is never read
             if ds == 1:
                 assert meet_dim(t, s, None, w, w_ann) == got
+
+
+# ---------------------------------------------------------------------------
+# the pairing kernel against one dot product per pair
+
+
+@st.composite
+def vector_families(draw):
+    t = draw(st.sampled_from(FIELDS))
+    n, size = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    # zero entries often, so that zero times zero comes up in ``dots``
+    element = st.one_of(st.just(0), st.integers(0, t.size - 1))
+    vector = st.lists(element, min_size=n, max_size=n)
+    return t, draw(vector), draw(st.lists(vector, min_size=size, max_size=size)), draw(
+        st.lists(vector, min_size=size, max_size=size)
+    )
+
+
+@SETTINGS
+@given(vector_families())
+def test_pairings_and_dots_equal_one_dot_per_pair(case):
+    t, a, us, vs = case
+    if any(a):
+        assert list(pairings(t, a, log_columns(t, vs))) == [_dot(t, a, v) for v in vs]
+    assert list(dots(t, log_columns(t, us), log_columns(t, vs))) == [_dot(t, u, v) for u, v in zip(us, vs)]
+
+
+@SETTINGS
+@given(subspace_pairs())
+def test_annihilator_is_a_basis_of_the_nullspace(case):
+    t, w, _ = case
+    ann = annihilator(t, w)
+    assert len(ann) == w.ncols - w.dim
+    assert field_rank(t, ann) == len(ann)
+    assert lies_in(t, w, ann)
+    assert rref(t, ann)[0] == finflag.nullspace(t, w.rows, w.ncols)
+
+
+@st.composite
+def subspace_families(draw):
+    """Random lines, planes and hyperplanes of a 2-, 3- or 4-space, as the
+    chains of a points family and of a tests family."""
+    t = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(2, 4))
+    element = st.integers(0, t.size - 1)
+
+    def family():
+        out = []
+        for _ in range(draw(st.integers(1, 8))):
+            d = draw(st.sampled_from(sorted({1, min(2, n - 1), n - 1})))
+            rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=d, max_size=d))
+            sub = subspace_from_rows(t, rows, n)
+            if sub.dim:
+                out.append(FlagPoint(chain=(sub,), weights=(1, 0), n=n))
+        return out
+
+    return t, n, family(), family()
+
+
+@SETTINGS
+@given(subspace_families())
+def test_incidence_equals_intersection_dim(case):
+    t, n, points, tests = case
+    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", points=points, tests=tests, hermitian=None)
+    for w, column in ctx.incidence.items():
+        assert len(column) == len(ctx.point_spaces)
+        for s, k in ctx.point_spaces.items():
+            assert column[k] == intersection_dim(t, s, w), (s, w)
+    for w, inside in ctx.test_containment.items():
+        assert inside == {s for s in ctx.test_annihilators if contains(t, w, s)}
+
+
+# (n, proper dimensions, q, extension degree, subfield degree)
+FLAG_CASES = [
+    (3, (1, 2), 2, 1, None),
+    (3, (1, 2), 3, 1, None),
+    (3, (1,), 4, 1, None),
+    (3, (1, 2), 2, 2, 1),
+    (3, (1, 2), 2, 2, None),
+    (4, (1, 3), 2, 1, None),
+    (4, (2,), 3, 1, None),
+    (4, (1, 2, 3), 2, 1, None),
+    (4, (2, 3), 3, 1, None),
+    (4, (1, 2), 3, 2, 1),
+    (5, (2, 4), 2, 1, None),
+]
+
+
+@pytest.mark.parametrize("n,dims,q,ext,sub", FLAG_CASES)
+def test_flag_points_equal_the_pairwise_filter(n, dims, q, ext, sub):
+    t = make_tower(q, ext)
+    weights = tuple(range(len(dims), -1, -1))
+    got = enumerate_flag_points(t, n, weights, dims, subfield_deg=sub)
+    assert got == pairwise_flag_points(t, n, weights, dims, subfield_deg=sub)
+    assert finflag.FlagLevels(t, n, dims, subfield_deg=sub).count(dims) == len(got)
+
+
+@pytest.mark.parametrize("q,m,conj_power", [(2, 1, 1), (2, 3, 1), (2, 3, 3), (3, 1, 1), (3, 2, 1), (4, 1, 1)])
+def test_twisted_fixed_lines_are_the_isotropic_lines(q, m, conj_power):
+    h = HermitianData(tower=make_tower(q, 2 * m), n=3)
+    lines = enumerate_subspaces(h.tower, 3, 1, 2 * conj_power)
+    isotropic = [s for s in lines if hermitian_form(h, s.rows[0], s.rows[0], conj_power) == 0]
+    flags = enumerate_twisted_fixed_flags(h, (1, 0, -1), conj_power)
+    assert [x.chain[0] for x in flags] == isotropic

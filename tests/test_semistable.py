@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import instance, orbit_weight, table, verifier
+from helpers import contains, instance, orbit_weight, table, verifier
 from perdom import semistable
 from perdom.cohom import lefschetz_series
 from perdom.complex import build_t_x
-from perdom.finflag import FlagPoint, full_space, make_tower, subspace_from_rows
+from perdom.finflag import FlagPoint, full_space, make_tower, row_families, subspace_from_rows
 from perdom.semistable import (
     brute_force_ss_count,
     bruhat_cells_check,
@@ -126,7 +126,6 @@ def test_semistable_p1_over_f4():
 def test_semistable_p2_avoids_rational_lines():
     ctx = verifier("a2_min", 2)
     rational_planes = [t.chain[0] for t in ctx.tests if t.chain[0].dim == 2]
-    from perdom.finflag import contains
 
     for i, x in enumerate(ctx.points):
         on_rational_line = any(contains(ctx.tower, p, x.chain[0]) for p in rational_planes)
@@ -246,7 +245,6 @@ def test_verifier_budget():
 
 def test_one_incidence_pass_per_context(monkeypatch):
     calls = collections.Counter()
-    pairs = collections.Counter()
 
     def counted(name):
         original = getattr(semistable, name)
@@ -257,23 +255,28 @@ def test_one_incidence_pass_per_context(monkeypatch):
 
         monkeypatch.setattr(semistable, name, wrapper)
 
-    original_meet_dim = semistable.meet_dim
-
-    def counted_meet_dim(tower, s, s_ann, w, w_ann):
-        pairs[s, w] += 1
-        return original_meet_dim(tower, s, s_ann, w, w_ann)
-
     original_annihilator = semistable.annihilator
     annihilated = collections.Counter()
+    ann_of = {}
 
     def counted_annihilator(tower, sub):
         annihilated[sub] += 1
-        return original_annihilator(tower, sub)
+        ann_of[sub] = original_annihilator(tower, sub)
+        return ann_of[sub]
 
-    monkeypatch.setattr(semistable, "meet_dim", counted_meet_dim)
+    # every kernel pass: the vectors of one subspace against a family
+    passes = []
+    original_nonzero = semistable.nonzero_pairings
+
+    def counted_nonzero(tower, vectors, families):
+        passes.append((vectors, families))
+        return original_nonzero(tower, vectors, families)
+
     monkeypatch.setattr(semistable, "annihilator", counted_annihilator)
+    monkeypatch.setattr(semistable, "nonzero_pairings", counted_nonzero)
     counted("slope")
     counted("bruhat_cells")
+    counted("pairings")  # the rank reads, which 3-space never needs
     gd = instance("a2_reg")
     ctx = build_verifier(gd, 2)  # fresh, so no consumer has filled its caches
     brute_force_ss_count(ctx)
@@ -288,11 +291,40 @@ def test_one_incidence_pass_per_context(monkeypatch):
             build_t_x(ctx, i)
     point_spaces = {s for x in ctx.points for s in x.chain}
     test_spaces = {t.chain[0] for t in ctx.tests}
+
+    # decode each pass: the subspace W whose rows or annihilator it pairs,
+    # and the members of the family, by their rows or by their annihilators
+    def key(rows):
+        return tuple(tuple(col[0] for col in f) for f in row_families(ctx.tower, [rows]))
+
+    by_rows = {key(s.rows): s for s in point_spaces | test_spaces}
+    by_ann = {key(a): s for s, a in ann_of.items()}
+    pairs = collections.Counter()
+    containment = collections.Counter()
+    for vectors, families in passes:
+        w = next((w for w in test_spaces if vectors is ann_of.get(w)), None)
+        lookup = by_rows if w is not None else by_ann
+        if w is None:
+            w = next(w for w in test_spaces if vectors is w.rows)
+        members = [
+            lookup[tuple(tuple(col[k] for col in f) for f in families)]
+            for k in range(len(families[0][0]))
+        ]
+        group = set(members)
+        assert len(group) == len(members) and len({s.dim for s in group}) == 1
+        if group == {s for s in point_spaces if s.dim == members[0].dim}:
+            pairs.update((s, w) for s in members)
+        else:
+            # ``test_containment``: the test subspaces of one dimension
+            assert group == {s for s in test_spaces if s.dim == members[0].dim}
+            containment[w, members[0].dim] += 1
     # every distinct (point subspace, test subspace) pair exactly once, and
     # the slopes read from the table rather than from ``slope``
     assert set(pairs.values()) == {1}
     assert len(pairs) == len(point_spaces) * len(test_spaces) == 42 * 14
     assert calls == {"bruhat_cells": 1}
+    assert set(containment.values()) == {1}
+    assert set(containment) == {(w, s.dim) for w in test_spaces for s in test_spaces if s.dim <= w.dim}
     # each annihilator at most once, shared where a point subspace is a test
     # subspace too, and none for a point line that is not one
     assert set(annihilated.values()) == {1}
