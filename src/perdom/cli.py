@@ -1,6 +1,7 @@
 """Command surface: ingest a group spec, run the engine and the verifiers.
 
-Exit codes: 0 success, 2 malformed spec, 3 verification mismatch, 4 budget
+Exit codes: 0 success, 2 malformed spec or option (a bad ``--m``, an
+unwritable ``--points-csv`` path), 3 verification mismatch, 4 budget
 exhausted.  Reports are deterministic JSON (fixed key order, canonical
 rational formatting) unless the table format is requested.
 """
@@ -27,7 +28,6 @@ from .cohom import (
 from .complex import acyclicity_sweep
 from .finflag import (
     FlagLevels,
-    HermitianData,
     _factor_prime_power,
     enumerate_twisted_fixed_flags,
     flag_count,
@@ -306,9 +306,7 @@ def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
             )
     elif mode == "u3":
         # the rational chambers of the unitary instance, counted independently
-        chambers = len(enumerate_twisted_fixed_flags(
-            HermitianData(tower=tower, n=3), (1, 0, -1), conj_power=1, budget=budget
-        ))
+        chambers = len(enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget))
         checks.append({"I": [], "formula": dim_induced(gd, frozenset())(gd.q), "points": chambers})
         checks.append({"I": list(gd.orbits_delta.labels), "formula": 1, "points": 1})
     match = all(c["formula"] == c["points"] for c in checks)
@@ -387,8 +385,12 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
             if pos == 0:
                 spot_ok = parabolic_invariance_sample(ctx, seed=seed)
                 if points_csv_path:
-                    with open(points_csv_path, "w", encoding="utf-8") as fh:
-                        fh.write(points_csv(ctx))
+                    text = points_csv(ctx)
+                    try:
+                        with open(points_csv_path, "w", encoding="utf-8") as fh:
+                            fh.write(text)
+                    except OSError as exc:
+                        raise SpecError("--points-csv", f"cannot write {points_csv_path}: {exc}") from exc
                     verification["points_csv"] = points_csv_path
 
         verification["counts"] = counts

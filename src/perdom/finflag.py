@@ -1,4 +1,5 @@
-"""Finite field towers, subspaces in echelon form, flags, Hermitian structure.
+"""Finite field towers, subspaces in echelon form, flags, and the rational
+chambers of the unitary group on 3 variables.
 
 Field elements are integers 0..p^n-1 encoding polynomial coefficients base p;
 multiplication runs on log/antilog tables, addition is XOR when p = 2 and
@@ -21,7 +22,10 @@ member by member, capping each sum of logs at log 0, and
 from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
 rows with no elimination.  Flags (``FlagLevels``) extend a level at a
 time: one ``nonzero_pairings`` pass per subspace of the next level finds
-the members of the previous level inside it.
+the members of the previous level inside it.  The unitary group's rational
+chambers (``enumerate_twisted_fixed_flags``) pair each isotropic line with
+its Hermitian-orthogonal plane, whose echelon rows are read off the
+annihilator of the line's conjugate, again with no elimination.
 """
 
 from __future__ import annotations
@@ -132,17 +136,14 @@ def _find_irreducible(p, n):
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    """(p, k) with q = p^k, by trial division up to sqrt(q)."""
+    primes = _prime_factors(q) if q > 1 else []
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = primes[0], 1
+    while p**k < q:
+        k += 1
+    return p, k
 
 
 def _zech_ops(exp, log, zech):
@@ -366,13 +367,6 @@ def annihilator(tower: FieldTower, sub: Subspace):
             vec[p] = tower.neg(row[free])
         basis.append(tuple(vec))
     return tuple(basis)
-
-
-def nullspace(tower: FieldTower, rows, ncols: int):
-    """Canonical basis of the right kernel."""
-    reduced = rref(tower, rows)[0] if rows else ()
-    basis = annihilator(tower, Subspace(rows=reduced, ncols=ncols))
-    return rref(tower, basis)[0] if basis else ()
 
 
 # ---------------------------------------------------------------------------
@@ -606,82 +600,43 @@ def enumerate_flag_points(
 
 
 # ---------------------------------------------------------------------------
-# Hermitian structure for the quasi-split unitary group on 3 variables
-
-@dataclass(frozen=True)
-class HermitianData:
-    """Antidiagonal Hermitian form together with its twisted Frobenius.
-
-    The form is h(x, y) = sum_i x_i conj(y)_{n+1-i} with conj the q-power map;
-    the induced twist on flags sends a chain to the reversed chain of
-    conjugate-perpendicular spaces.
-    """
-
-    tower: FieldTower
-    n: int
-
-    def perp(self, sub: Subspace, conj_power: int = 1) -> Subspace:
-        """Conjugate-orthogonal complement {x : h(x, w) = 0 for w in sub}."""
-        t = self.tower
-        rows = [
-            [t.frobenius(row[self.n - 1 - j], conj_power) for j in range(self.n)]
-            for row in sub.rows
-        ]
-        return Subspace(rows=nullspace(t, rows, self.n), ncols=self.n)
-
-    def twisted_frobenius(self, x: FlagPoint) -> FlagPoint:
-        chain = tuple(
-            self.perp(frobenius_subspace(self.tower, s, 1), 0)
-            for s in reversed(x.chain)
-        )
-        return FlagPoint(chain=chain, weights=x.weights, n=x.n)
-
-    def is_fixed(self, x: FlagPoint, steps: int) -> bool:
-        cur = x
-        for _ in range(steps):
-            cur = self.twisted_frobenius(cur)
-        return cur == x
-
-
-def frobenius_point(x: FlagPoint, tower: FieldTower, hermitian: HermitianData | None = None) -> FlagPoint:
-    """Arithmetic Frobenius on a flag, twisted when Hermitian data is attached."""
-    if hermitian is not None:
-        return hermitian.twisted_frobenius(x)
-    return FlagPoint(
-        chain=tuple(frobenius_subspace(tower, s, 1) for s in x.chain),
-        weights=x.weights,
-        n=x.n,
-    )
-
+# the rational chambers of the quasi-split unitary group on 3 variables
 
 def enumerate_twisted_fixed_flags(
-    herm: HermitianData,
+    tower: FieldTower,
     weights,
     conj_power: int,
     budget: int = DEFAULT_BUDGET,
 ) -> list[FlagPoint]:
-    """Full flags fixed by the twisted Frobenius taken to an odd power.
+    """Full flags of 3-space fixed by the twisted Frobenius taken to an odd
+    power, for the antidiagonal Hermitian form
+    h(x, y) = sum_i x_i conj(y_(2-i)), conj the q^conj_power-power map.
 
-    The fixed flags are exactly (L, perp of L conjugated by q^conj_power) for
-    L an isotropic line of the correspondingly twisted form, defined over the
-    subfield of q^(2 * conj_power) elements of the tower.
+    The fixed flags are exactly (L, L^perp) for L = <v> an isotropic line,
+    h(v, v) = 0, defined over the subfield of q^(2 * conj_power) elements of
+    the tower.  The plane L^perp = {x : h(x, v) = 0} is the coordinate
+    reversal of Ann(F^c v), F^c the conj_power-th Frobenius.  F^c keeps v's
+    echelon form, and v is 0 before its pivot, so reversing the coordinates
+    of each of ``annihilator``'s rows and then the order of the rows gives
+    the plane's reduced echelon form with no elimination.
     """
-    t = herm.tower
-    n = herm.n
-    if n != 3:
-        raise ValueError("twisted fixed-flag enumeration is implemented for 3-space")
+    n = 3
     weights = tuple(Fraction(w) for w in weights)
-    lines = enumerate_subspaces(t, n, 1, 2 * conj_power, budget)
+    lines = enumerate_subspaces(tower, n, 1, 2 * conj_power, budget)
     # h(v, v) = sum_i v_i conj(v_(n-1-i)) for every line's row at once
     vectors = [line.rows[0] for line in lines]
-    log, conj = t._log.__getitem__, [t.frobenius(x, conj_power) for x in t.elements]
+    log, conj = tower._log.__getitem__, [tower.frobenius(x, conj_power) for x in tower.elements]
     logs = [map(log, map(itemgetter(i), vectors)) for i in range(n)]
     conj_logs = [map(log, map(conj.__getitem__, map(itemgetter(n - 1 - i), vectors))) for i in range(n)]
-    isotropic = list(compress(lines, map(not_, dots(t, logs, conj_logs))))
-    planes = [herm.perp(frobenius_subspace(t, line, conj_power), 0) for line in isotropic]
+    isotropic = list(compress(lines, map(not_, dots(tower, logs, conj_logs))))
+    conjugates = (frobenius_subspace(tower, line, conj_power) for line in isotropic)
+    planes = [
+        Subspace(rows=tuple(row[::-1] for row in reversed(annihilator(tower, w))), ncols=n)
+        for w in conjugates
+    ]
     # each plane contains its line: the line pairs to zero with Ann(plane)
-    line_logs = log_columns(t, [line.rows[0] for line in isotropic])
-    assert not any(dots(t, line_logs, log_columns(t, [annihilator(t, p)[0] for p in planes])))
+    line_logs = log_columns(tower, [line.rows[0] for line in isotropic])
+    assert not any(dots(tower, line_logs, log_columns(tower, [annihilator(tower, p)[0] for p in planes])))
     return [
         FlagPoint(chain=(line, plane), weights=weights, n=n)
         for line, plane in zip(isotropic, planes)

@@ -23,7 +23,10 @@ by parts, a slope is a weighted read of that table
 (``VerifierContext.destabilizer_table``).  The weights are scaled to
 integers, so the whole slope matrix is integer arithmetic and a
 ``Fraction`` is built only for the negative slopes it reports.  ``filtration_pairing`` and ``slope`` compute the same numbers
-directly from two ``FlagPoint``s and stay as the reference.
+directly from two ``FlagPoint``s and stay as the reference.  The unitary
+group's points and tests come from ``finflag.enumerate_twisted_fixed_flags``
+and carry no Hermitian data: the twisted Frobenius on flags and the check
+that it keeps each point's destabilizers are test oracles.
 """
 
 from __future__ import annotations
@@ -42,14 +45,12 @@ from .finflag import (
     BudgetError,
     FieldTower,
     FlagPoint,
-    HermitianData,
     Subspace,
     annihilator,
     enumerate_flag_points,
     enumerate_subspaces,
     enumerate_twisted_fixed_flags,
     flag_count,
-    frobenius_point,
     full_space,
     gaussian_binomial,
     intersection_dim,
@@ -145,7 +146,6 @@ class VerifierContext:
     mode: str  # "split" or "u3"
     points: list[FlagPoint]
     tests: list[FlagPoint]  # the rational test filtrations
-    hermitian: HermitianData | None
 
     @cached_property
     def point_spaces(self) -> dict[Subspace, int]:
@@ -312,29 +312,27 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
             for d in range(1, n)
             for sub in enumerate_subspaces(tower, n, d, subfield_deg=1, budget=budget)
         ]
-        hermitian = None
     else:
         s = gd.e_degree * m  # total Frobenius power defining the point field
-        hermitian = HermitianData(tower=tower, n=n)
         if s % 2 == 1:
             if dims not in ((), (1, 2)):
                 raise AssertionError("a twist-fixed conjugacy class must give full flags")
             if not dims:
                 points = [FlagPoint(chain=(), weights=weights, n=n)]
             else:
-                points = enumerate_twisted_fixed_flags(hermitian, weights, conj_power=s, budget=budget)
+                points = enumerate_twisted_fixed_flags(tower, weights, conj_power=s, budget=budget)
                 expected = gd.q ** (3 * s) + 1
                 assert len(points) == expected, (len(points), expected)
         else:
             # flags rational over F_{q^s} inside the tower
             points = enumerate_flag_points(tower, n, weights, dims, subfield_deg=s, budget=budget)
         # the rational chambers: flags fixed by one step of the twisted Frobenius
-        tests = enumerate_twisted_fixed_flags(hermitian, (1, 0, -1), conj_power=1, budget=budget)
+        tests = enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget)
         assert len(tests) == gd.q**3 + 1, (len(tests), gd.q**3 + 1)
 
     return VerifierContext(
         gd=gd, m=m, tower=tower, n=n, mode=mode,
-        points=points, tests=tests, hermitian=hermitian,
+        points=points, tests=tests,
     )
 
 
@@ -490,18 +488,6 @@ def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
 
 # ---------------------------------------------------------------------------
 # sampled invariants
-
-def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:
-    """Frobenius permutes the enumerated points and, fixing every rational
-    test, keeps each point's row of destabilizers."""
-    lookup = {x: i for i, x in enumerate(ctx.points)}
-    table = ctx.destabilizer_table
-    for i, x in enumerate(ctx.points):
-        j = lookup.get(frobenius_point(x, ctx.tower, ctx.hermitian))
-        if j is None or table[i] != table[j]:
-            return False
-    return True
-
 
 def _random_invertible_block(tower: FieldTower, size: int, rng: random.Random, subfield):
     while True:

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from perdom.cohom import DimPoly, assemble_cohomology, build_group_data
 from perdom.finflag import (
     FieldTower,
     FlagPoint,
-    HermitianData,
     Subspace,
     annihilator,
     enumerate_subspaces,
+    frobenius_subspace,
     rank,
+    rref,
 )
 from perdom.rootdata import (
     CHARACTER,
@@ -31,7 +33,7 @@ from perdom.rootdata import (
     vec_add,
     vec_dot,
 )
-from perdom.semistable import build_verifier
+from perdom.semistable import VerifierContext, build_verifier
 from perdom.weyl import nonzero_entries, reflect_labels
 
 # name -> (cartan type, mu, q, twist)
@@ -276,15 +278,6 @@ def contains(tower: FieldTower, big: Subspace, small: Subspace) -> bool:
     return rank(tower, list(big.rows) + list(small.rows)) == big.dim
 
 
-def hermitian_form(herm: HermitianData, u, v, conj_power: int = 1) -> int:
-    """h(u, v) = sum_i u_i conj(v_(n-1-i)), conj the q^conj_power-power map."""
-    t = herm.tower
-    total = 0
-    for i in range(herm.n):
-        total = t.add(total, t.mul(u[i], t.frobenius(v[herm.n - 1 - i], conj_power)))
-    return total
-
-
 def _dot(tower: FieldTower, u, v) -> int:
     add, mul = tower.add, tower.mul
     acc = 0
@@ -329,3 +322,85 @@ def pairwise_flag_points(tower: FieldTower, n: int, weights, dims, subfield_deg=
             if lies_in(tower, chain[-1], ann)
         ]
     return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]
+
+
+# ---------------------------------------------------------------------------
+# oracles for the unitary group: kernels over the tower by elimination, the
+# Hermitian form and its orthogonal complements, and the (twisted)
+# Frobenius on flags
+
+def field_nullspace(tower: FieldTower, rows, ncols: int):
+    """Canonical basis of the right kernel over the tower: ``rref`` of the
+    annihilator of the rows' ``rref``."""
+    reduced = rref(tower, rows)[0] if rows else ()
+    basis = annihilator(tower, Subspace(rows=reduced, ncols=ncols))
+    return rref(tower, basis)[0] if basis else ()
+
+
+@dataclass(frozen=True)
+class HermitianData:
+    """Antidiagonal Hermitian form together with its twisted Frobenius.
+
+    The form is h(x, y) = sum_i x_i conj(y)_{n+1-i} with conj the q-power map;
+    the induced twist on flags sends a chain to the reversed chain of
+    conjugate-perpendicular spaces.
+    """
+
+    tower: FieldTower
+    n: int
+
+    def perp(self, sub: Subspace, conj_power: int = 1) -> Subspace:
+        """Conjugate-orthogonal complement {x : h(x, w) = 0 for w in sub}."""
+        t = self.tower
+        rows = [
+            [t.frobenius(row[self.n - 1 - j], conj_power) for j in range(self.n)]
+            for row in sub.rows
+        ]
+        return Subspace(rows=field_nullspace(t, rows, self.n), ncols=self.n)
+
+    def twisted_frobenius(self, x: FlagPoint) -> FlagPoint:
+        chain = tuple(
+            self.perp(frobenius_subspace(self.tower, s, 1), 0)
+            for s in reversed(x.chain)
+        )
+        return FlagPoint(chain=chain, weights=x.weights, n=x.n)
+
+    def is_fixed(self, x: FlagPoint, steps: int) -> bool:
+        cur = x
+        for _ in range(steps):
+            cur = self.twisted_frobenius(cur)
+        return cur == x
+
+
+def hermitian_form(herm: HermitianData, u, v, conj_power: int = 1) -> int:
+    """h(u, v) = sum_i u_i conj(v_(n-1-i)), conj the q^conj_power-power map."""
+    t = herm.tower
+    total = 0
+    for i in range(herm.n):
+        total = t.add(total, t.mul(u[i], t.frobenius(v[herm.n - 1 - i], conj_power)))
+    return total
+
+
+def frobenius_point(x: FlagPoint, tower: FieldTower, hermitian: HermitianData | None = None) -> FlagPoint:
+    """Arithmetic Frobenius on a flag, twisted when Hermitian data is attached."""
+    if hermitian is not None:
+        return hermitian.twisted_frobenius(x)
+    return FlagPoint(
+        chain=tuple(frobenius_subspace(tower, s, 1) for s in x.chain),
+        weights=x.weights,
+        n=x.n,
+    )
+
+
+def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:
+    """Frobenius (twisted for the unitary group) permutes the enumerated
+    points and, fixing every rational test, keeps each point's row of
+    destabilizers."""
+    hermitian = HermitianData(tower=ctx.tower, n=ctx.n) if ctx.mode == "u3" else None
+    lookup = {x: i for i, x in enumerate(ctx.points)}
+    table = ctx.destabilizer_table
+    for i, x in enumerate(ctx.points):
+        j = lookup.get(frobenius_point(x, ctx.tower, hermitian))
+        if j is None or table[i] != table[j]:
+            return False
+    return True

@@ -16,6 +16,7 @@ def write_spec(tmp_path, payload, name="spec.json"):
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 SL2 = {"type": [["A", 1]], "mu": [1, -1], "q": 2}
+SL3 = {"type": [["A", 2]], "mu": [1, 0, -1], "q": 2}
 U3 = {"type": [["A", 2]], "twist": {"perm": [2, 1], "order": 2}, "mu": [1, 0, -1], "q": 2}
 
 
@@ -284,6 +285,44 @@ def test_verify_points_csv_export(tmp_path, capsys):
     assert len(lines) == 1 + 5  # header plus one row per point of the projective line
     verdicts = [row.split(",")[1] for row in lines[1:]]
     assert verdicts.count("1") == 2
+
+
+def test_verify_points_csv_unwritable_is_a_spec_error(tmp_path, capsys):
+    path = write_spec(tmp_path, SL2)
+    csv_path = tmp_path / "missing" / "points.csv"
+    code, out, err = run(["verify", "--spec", path, "--m", "2", "--points-csv", str(csv_path)], capsys)
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith(f"spec error: --points-csv: cannot write {csv_path}: ")
+
+
+@pytest.mark.parametrize("spec", [SL3, U3])
+def test_verify_mismatch_reports_a_counterexample(tmp_path, capsys, monkeypatch, spec):
+    # a series one too large: every count row disagrees with the brute force
+    true_series = cli.lefschetz_series
+    monkeypatch.setattr(cli, "lefschetz_series", lambda gd, table, m: true_series(gd, table, m) + 1)
+    path = write_spec(tmp_path, spec)
+    code, out, _ = run(["verify", "--spec", path, "--m", "2"], capsys)
+    assert code == cli.EXIT_MISMATCH
+    (row,) = json.loads(out)["verification"]["counts"]
+    assert row["match"] is False and row["series"] == row["brute_force"] + 1
+    example = row["counterexample"]
+    assert example["semistable_count"] == row["brute_force"] > 0
+    probe = example["probe_point"]
+    # the point's chain: a line, then a plane, as echelon rows of 3-space
+    # over the verifier's tower, F_4 for SL3 and F_16 for U3
+    assert [len(rows) for rows in probe] == [1, 2]
+    size = spec["q"] ** (4 if "twist" in spec else 2)
+    assert all(len(r) == 3 and all(0 <= x < size for x in r) for rows in probe for r in rows)
+    code, out, _ = run(["verify", "--spec", path, "--m", "2", "--format", "table"], capsys)
+    assert code == cli.EXIT_MISMATCH
+    assert f"m=2: series={row['series']} brute={row['brute_force']} MISMATCH" in out
+
+
+def test_cohomology_accepts_a_large_prime_q(tmp_path, capsys):
+    path = write_spec(tmp_path, {**SL2, "q": 2**31 - 1})
+    code, out, _ = run(["cohomology", "--spec", path], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["spec"]["q"] == 2**31 - 1
 
 
 def test_table_format_smoke(tmp_path, capsys):

@@ -6,22 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, hermitian_form
+from helpers import HermitianData, contains, field_nullspace, frobenius_point, hermitian_form
 from perdom.finflag import (
     BudgetError,
+    _factor_prime_power,
     FlagPoint,
-    HermitianData,
     enumerate_flag_points,
     enumerate_subspaces,
     enumerate_twisted_fixed_flags,
-    frobenius_point,
     frobenius_subspace,
     gaussian_binomial,
     intersection_dim,
     is_k_rational,
     make_tower,
     mu_flag_type,
-    nullspace,
     rank,
     rref,
     subspace_from_rows,
@@ -180,10 +178,21 @@ def test_rank_and_intersection():
     assert contains(t, a, subspace_from_rows(t, [[1, 1, 0]], 3))
 
 
+@pytest.mark.parametrize("q,expected", [(2**31 - 1, (2**31 - 1, 1)), (2**40, (2, 40)), (3**19, (3, 19))])
+def test_factor_prime_power(q, expected):
+    assert _factor_prime_power(q) == expected
+
+
+@pytest.mark.parametrize("q", [6, 1, 0])
+def test_factor_prime_power_rejects_non_prime_powers(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        _factor_prime_power(q)
+
+
 def test_nullspace_dimension():
     t = make_tower(2, 2)
     rows = [[1, 0, 1]]
-    ker = nullspace(t, rows, 3)
+    ker = field_nullspace(t, rows, 3)
     assert len(ker) == 2
     for v in ker:
         assert t.add(v[0], v[2]) == 0
@@ -259,7 +268,7 @@ def test_twisted_fixed_flags_over_a_subfield_are_the_rational_chambers():
     # (3, 1) checks the odd-q point path; test_semistable covers q = 2, m = 1, 2, 3
     for q, m in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
         h = HermitianData(tower=make_tower(q, 2 * m), n=3)
-        chambers = enumerate_twisted_fixed_flags(h, (1, 0, -1), conj_power=1)
+        chambers = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power=1)
         assert len(chambers) == q**3 + 1
         assert all(h.is_fixed(x, 1) for x in chambers)
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st  # noqa: E402
 import helpers  # noqa: E402
 from helpers import (  # noqa: E402
     _dot,
+    HermitianData,
     contains,
+    field_nullspace,
     hermitian_form,
     lies_in,
     meet_dim,
@@ -25,7 +27,6 @@ from helpers import (  # noqa: E402
 from perdom import finflag  # noqa: E402
 from perdom.finflag import (  # noqa: E402
     FlagPoint,
-    HermitianData,
     annihilator,
     dots,
     enumerate_flag_points,
@@ -276,7 +277,7 @@ def test_annihilator_is_a_basis_of_the_nullspace(case):
     assert len(ann) == w.ncols - w.dim
     assert field_rank(t, ann) == len(ann)
     assert lies_in(t, w, ann)
-    assert rref(t, ann)[0] == finflag.nullspace(t, w.rows, w.ncols)
+    assert rref(t, ann)[0] == field_nullspace(t, w.rows, w.ncols)
 
 
 @st.composite
@@ -304,7 +305,7 @@ def subspace_families(draw):
 @given(subspace_families())
 def test_incidence_equals_intersection_dim(case):
     t, n, points, tests = case
-    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", points=points, tests=tests, hermitian=None)
+    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", points=points, tests=tests)
     for w, column in ctx.incidence.items():
         assert len(column) == len(ctx.point_spaces)
         for s, k in ctx.point_spaces.items():
@@ -338,10 +339,30 @@ def test_flag_points_equal_the_pairwise_filter(n, dims, q, ext, sub):
     assert finflag.FlagLevels(t, n, dims, subfield_deg=sub).count(dims) == len(got)
 
 
-@pytest.mark.parametrize("q,m,conj_power", [(2, 1, 1), (2, 3, 1), (2, 3, 3), (3, 1, 1), (3, 2, 1), (4, 1, 1)])
+CHAMBER_CASES = [(2, 1, 1), (2, 3, 1), (2, 3, 3), (3, 1, 1), (3, 2, 1), (4, 1, 1)]
+
+
+@pytest.mark.parametrize("q,m,conj_power", CHAMBER_CASES)
 def test_twisted_fixed_lines_are_the_isotropic_lines(q, m, conj_power):
     h = HermitianData(tower=make_tower(q, 2 * m), n=3)
     lines = enumerate_subspaces(h.tower, 3, 1, 2 * conj_power)
     isotropic = [s for s in lines if hermitian_form(h, s.rows[0], s.rows[0], conj_power) == 0]
-    flags = enumerate_twisted_fixed_flags(h, (1, 0, -1), conj_power)
+    flags = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power)
     assert [x.chain[0] for x in flags] == isotropic
+
+
+@pytest.mark.parametrize("q,m,conj_power", CHAMBER_CASES)
+def test_chamber_planes_are_the_hermitian_perps(q, m, conj_power, monkeypatch):
+    # each plane is read off an annihilator, with no elimination, and equals
+    # the orthogonal complement computed through the kernel of the form's row
+    h = HermitianData(tower=make_tower(q, 2 * m), n=3)
+    calls = []
+    monkeypatch.setattr(finflag, "rref", lambda *args: calls.append(args))
+    flags = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power)
+    monkeypatch.undo()
+    assert not calls
+    assert len(flags) == len({x.chain[0] for x in flags}) > 1
+    for x in flags:
+        line, plane = x.chain
+        assert plane == h.perp(line, conj_power), line
+        assert rref(h.tower, plane.rows)[0] == plane.rows

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import contains, instance, orbit_weight, table, verifier
+from helpers import HermitianData, contains, frobenius_equivariance_holds, instance, orbit_weight, table, verifier
 from perdom import semistable
 from perdom.cohom import lefschetz_series
 from perdom.complex import build_t_x
@@ -18,7 +18,6 @@ from perdom.semistable import (
     build_verifier,
     coordinate_filtration,
     filtration_pairing,
-    frobenius_equivariance_holds,
     is_semistable,
     parabolic_invariance_sample,
     points_csv,
@@ -160,7 +159,8 @@ def test_u3_points_are_twisted_fixed(m):
     # Frobenius (the chambers are checked in test_finflag)
     ctx = verifier("u3_reg", m)
     s = ctx.gd.e_degree * m
-    assert all(ctx.hermitian.is_fixed(x, s) for x in ctx.points)
+    h = HermitianData(tower=ctx.tower, n=ctx.n)
+    assert all(h.is_fixed(x, s) for x in ctx.points)
 
 
 def test_u3_reflex_degree_two_instance():
