@@ -305,7 +305,9 @@ def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
                  "formula": dim_induced(gd, I)(gd.q), "points": flags.count(dims)}
             )
     elif mode == "u3":
-        # the rational chambers of the unitary instance, counted independently
+        # the rational chambers of the unitary instance, counted from the
+        # closed-form listing; the scan of the projective plane for the
+        # isotropic lines is a test oracle
         chambers = len(enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget))
         checks.append({"I": [], "formula": dim_induced(gd, frozenset())(gd.q), "points": chambers})
         checks.append({"I": list(gd.orbits_delta.labels), "formula": 1, "points": 1})

@@ -23,9 +23,10 @@ from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
 rows with no elimination.  Flags (``FlagLevels``) extend a level at a
 time: one ``nonzero_pairings`` pass per subspace of the next level finds
 the members of the previous level inside it.  The unitary group's rational
-chambers (``enumerate_twisted_fixed_flags``) pair each isotropic line with
-its Hermitian-orthogonal plane, whose echelon rows are read off the
-annihilator of the line's conjugate, again with no elimination.
+chambers (``enumerate_twisted_fixed_flags``) are listed in closed form: the
+isotropic lines come from grouping the subfield by trace, with no line of
+the projective plane built only to be dropped, and each line's
+Hermitian-orthogonal plane is written from the line's entries.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
-from operator import add, itemgetter, not_, or_, xor
+from operator import add, gt, not_, or_, xor
 
 from .rootdata import DEFAULT_BUDGET, BudgetError
 
@@ -412,21 +413,6 @@ def nonzero_pairings(tower: FieldTower, vectors, families):
     return reduce(partial(map, or_), [pairings(tower, a, f) for a in vectors for f in families])
 
 
-def is_k_rational(sub: Subspace, tower: FieldTower, subfield_deg: int = 1) -> bool:
-    """Entries of the canonical basis lie in the subfield; equivalent to
-    stability under the subfield Frobenius."""
-    field = tower.subfield(subfield_deg)
-    return all(x in field for row in sub.rows for x in row)
-
-
-def frobenius_subspace(tower: FieldTower, sub: Subspace, times: int = 1) -> Subspace:
-    """The image under x -> x^q applied ``times`` times.  The map fixes 0 and
-    1 and is additive and multiplicative, so it takes the reduced echelon
-    basis to the reduced echelon basis of the image, with the same pivots."""
-    rows = tuple(tuple(tower.frobenius(x, times) for x in row) for row in sub.rows)
-    return Subspace(rows=rows, ncols=sub.ncols)
-
-
 def gaussian_binomial(n: int, k: int, Q: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -496,12 +482,18 @@ class FlagPoint:
     n: int
 
     def __post_init__(self):
-        if len(self.chain) != len(self.weights) - 1:
+        chain, weights, n = self.chain, self.weights, self.n
+        if len(chain) != len(weights) - 1:
             raise ValueError("one subspace per weight but the last")
-        if any(a <= b for a, b in zip(self.weights, self.weights[1:])):
+        if not all(map(gt, weights, weights[1:])):
             raise ValueError("weights must strictly decrease")
-        dims = [0] + [s.dim for s in self.chain] + [self.n]
-        if any(a >= b for a, b in zip(dims, dims[1:])) or any(s.ncols != self.n for s in self.chain):
+        prev = 0
+        for s in chain:
+            dim = len(s.rows)
+            if dim <= prev or s.ncols != n:
+                raise ValueError("subspaces must be proper and strictly increase")
+            prev = dim
+        if prev >= n:
             raise ValueError("subspaces must be proper and strictly increase")
 
 
@@ -610,34 +602,44 @@ def enumerate_twisted_fixed_flags(
 ) -> list[FlagPoint]:
     """Full flags of 3-space fixed by the twisted Frobenius taken to an odd
     power, for the antidiagonal Hermitian form
-    h(x, y) = sum_i x_i conj(y_(2-i)), conj the q^conj_power-power map.
+    h(x, y) = sum_i x_i conj(y_(2-i)), conj the Q-power map, Q = q^conj_power.
 
-    The fixed flags are exactly (L, L^perp) for L = <v> an isotropic line,
-    h(v, v) = 0, defined over the subfield of q^(2 * conj_power) elements of
-    the tower.  The plane L^perp = {x : h(x, v) = 0} is the coordinate
-    reversal of Ann(F^c v), F^c the conj_power-th Frobenius.  F^c keeps v's
-    echelon form, and v is 0 before its pivot, so reversing the coordinates
-    of each of ``annihilator``'s rows and then the order of the rows gives
-    the plane's reduced echelon form with no elimination.
+    The fixed flags are exactly the Q^3 + 1 chambers (L, L^perp) for L = <v>
+    an isotropic line, h(v, v) = 0, defined over the subfield F_(Q^2) of the
+    tower.  They are listed in closed form, in the order of echelon rows
+    over the sorted subfield.  A line <(1, a, b)> is isotropic exactly when
+    Tr(b) = b + conj(b) = -N(a) = -a conj(a); a line <(0, 1, b)> never is,
+    since h(v, v) = 1; and <(0, 0, 1)> always is.  The trace maps F_(Q^2)
+    onto F_Q with Q elements over each value, so each a takes the Q values
+    of b over -N(a).  The plane L^perp = {x : h(x, v) = 0} has the echelon
+    rows (1, 0, -conj(b)), (0, 1, -conj(a)), and <(0, 0, 1)>^perp is
+    spanned by the last two coordinates.
     """
     n = 3
     weights = tuple(Fraction(w) for w in weights)
-    lines = enumerate_subspaces(tower, n, 1, 2 * conj_power, budget)
-    # h(v, v) = sum_i v_i conj(v_(n-1-i)) for every line's row at once
+    count = (tower.q**conj_power) ** 3 + 1
+    if count > budget:
+        raise BudgetError(f"{count} chambers exceed budget {budget}")
+    field = sorted(tower.subfield(2 * conj_power))
+    conj = {x: tower.frobenius(x, conj_power) for x in field}
+    add, mul, neg = tower.add, tower.mul, tower.neg
+    # the b of each trace, in sorted order
+    by_trace: dict[int, list[int]] = {}
+    for b in field:
+        by_trace.setdefault(add(b, conj[b]), []).append(b)
+    pairs = [(a, b) for a in field for b in by_trace[neg(mul(a, conj[a]))]]
+    lines = [Subspace(rows=((1, a, b),), ncols=n) for a, b in pairs]
+    lines.append(Subspace(rows=((0, 0, 1),), ncols=n))
+    planes = [Subspace(rows=((1, 0, neg(conj[b])), (0, 1, neg(conj[a]))), ncols=n) for a, b in pairs]
+    planes.append(Subspace(rows=((0, 1, 0), (0, 0, 1)), ncols=n))
+    # every line is isotropic: h(v, v) = sum_i v_i conj(v_(n-1-i)) for all at once
     vectors = [line.rows[0] for line in lines]
-    log, conj = tower._log.__getitem__, [tower.frobenius(x, conj_power) for x in tower.elements]
-    logs = [map(log, map(itemgetter(i), vectors)) for i in range(n)]
-    conj_logs = [map(log, map(conj.__getitem__, map(itemgetter(n - 1 - i), vectors))) for i in range(n)]
-    isotropic = list(compress(lines, map(not_, dots(tower, logs, conj_logs))))
-    conjugates = (frobenius_subspace(tower, line, conj_power) for line in isotropic)
-    planes = [
-        Subspace(rows=tuple(row[::-1] for row in reversed(annihilator(tower, w))), ncols=n)
-        for w in conjugates
-    ]
+    line_logs = log_columns(tower, vectors)
+    conj_logs = log_columns(tower, [[conj[x] for x in reversed(v)] for v in vectors])
+    assert not any(dots(tower, line_logs, conj_logs))
     # each plane contains its line: the line pairs to zero with Ann(plane)
-    line_logs = log_columns(tower, [line.rows[0] for line in isotropic])
     assert not any(dots(tower, line_logs, log_columns(tower, [annihilator(tower, p)[0] for p in planes])))
     return [
         FlagPoint(chain=(line, plane), weights=weights, n=n)
-        for line, plane in zip(isotropic, planes)
+        for line, plane in zip(lines, planes)
     ]

@@ -17,13 +17,16 @@ line or W a hyperplane, W's rows when W is a line or S a hyperplane.  There
 an entry is a test for a nonzero pairing.  The point subspaces are grouped
 by dimension, and a test subspace's column is filled a group at a time by
 ``finflag``'s pairing kernel: one pass pairs one vector with every
-subspace of the group.  Only the other pairs (planes against planes in
-4-space, say) rank a matrix, whose entries the same kernel reads.  Summed
-by parts, a slope is a weighted read of that table
+subspace of the group.  Where the matrix is 2 x 2 (planes against planes
+in 4-space, say), its rank is whether some entry is nonzero plus whether
+its determinant is, read from the same passes.  Only larger matrices,
+from 5-space on, go through ``rank``, with entries the same kernel
+reads.  Summed by parts, a slope is a weighted read of that table
 (``VerifierContext.destabilizer_table``).  The weights are scaled to
 integers, so the whole slope matrix is integer arithmetic and a
-``Fraction`` is built only for the negative slopes it reports.  ``filtration_pairing`` and ``slope`` compute the same numbers
-directly from two ``FlagPoint``s and stay as the reference.  The unitary
+``Fraction`` is built only for the negative slopes it reports.
+``filtration_pairing`` and ``slope`` compute the same numbers directly
+from two ``FlagPoint``s and stay as the reference.  The unitary
 group's points and tests come from ``finflag.enumerate_twisted_fixed_flags``
 and carry no Hermitian data: the twisted Frobenius on flags and the check
 that it keeps each point's destabilizers are test oracles.
@@ -52,7 +55,6 @@ from .finflag import (
     enumerate_twisted_fixed_flags,
     flag_count,
     full_space,
-    gaussian_binomial,
     intersection_dim,
     make_tower,
     mu_flag_type,
@@ -191,6 +193,14 @@ class VerifierContext:
                     column += map(d.__sub__, map(bool, nonzero_pairings(t, w_ann, rows)))
                 elif w.dim == 1 or n - d <= 1:
                     column += map(w.dim.__sub__, map(bool, nonzero_pairings(t, w.rows, anns)))
+                elif d == len(w_ann) == 2:
+                    # S . Ann(W)^T is 2 x 2: its rank is [some entry is
+                    # nonzero] + [its determinant is nonzero], one pass per
+                    # entry for the whole group
+                    (x00, x01), (x10, x11) = [[list(pairings(t, a, f)) for a in w_ann] for f in rows]
+                    nonzero = map(any, zip(x00, x01, x10, x11))
+                    det = map(t.sub, map(t.mul, x00, x11), map(t.mul, x01, x10))
+                    column += (d - nz - bool(x) for nz, x in zip(nonzero, det))
                 else:
                     # S . Ann(W)^T: one pass per row of S and row of Ann(W)
                     # for the whole group, then one rank per S
@@ -337,11 +347,11 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
 
 
 def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
-    """Refuse a verifier run before anything is enumerated: the flag or line
-    count and the field tower's tables, the largest of which has one entry
-    per element, must fit the budget.  Returns the degree over F_q of the
-    tower the points live in.  Every non-central mu has at least size + 1
-    flags or lines, so the table check binds only when that count is tiny."""
+    """Refuse a verifier run before anything is enumerated: the flag or
+    chamber count and the field tower's tables, the largest of which has one
+    entry per element, must fit the budget.  Returns the degree over F_q of
+    the tower the points live in.  Every non-central mu has at least size + 1
+    flags or chambers, so the table check binds only when that count is tiny."""
     n = gd.datum.ambient_dim
     _, dims = mu_flag_type(gd.mu.coords)
     q, t = gd.q, gd.e_degree
@@ -349,8 +359,8 @@ def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
     if verifier_mode(gd) == "split":
         ext, count, what = m, flag_count(n, dims, q**m), "flags"
     elif s % 2 == 1:
-        # twist-fixed flags are found by scanning the lines over F_{q^2m}
-        ext, count, what = 2 * m, gaussian_binomial(n, 1, q ** (2 * m)) if dims else 1, "twisted lines"
+        # the twist-fixed flags are the q^(3s) + 1 chambers, listed directly
+        ext, count, what = 2 * m, q ** (3 * s) + 1 if dims else 1, "chambers"
     else:
         ext, count, what = 2 * m if t == 2 else m, flag_count(n, dims, q**s), "flags"
     if count > budget:

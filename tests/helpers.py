@@ -14,7 +14,6 @@ from perdom.finflag import (
     Subspace,
     annihilator,
     enumerate_subspaces,
-    frobenius_subspace,
     rank,
     rref,
 )
@@ -325,9 +324,25 @@ def pairwise_flag_points(tower: FieldTower, n: int, weights, dims, subfield_deg=
 
 
 # ---------------------------------------------------------------------------
-# oracles for the unitary group: kernels over the tower by elimination, the
+# oracles for rationality and the unitary group: subfield membership, the
+# Frobenius on subspaces, kernels over the tower by elimination, the
 # Hermitian form and its orthogonal complements, and the (twisted)
 # Frobenius on flags
+
+def is_k_rational(sub: Subspace, tower: FieldTower, subfield_deg: int = 1) -> bool:
+    """Entries of the canonical basis lie in the subfield; equivalent to
+    stability under the subfield Frobenius."""
+    field = tower.subfield(subfield_deg)
+    return all(x in field for row in sub.rows for x in row)
+
+
+def frobenius_subspace(tower: FieldTower, sub: Subspace, times: int = 1) -> Subspace:
+    """The image under x -> x^q applied ``times`` times.  The map fixes 0 and
+    1 and is additive and multiplicative, so it takes the reduced echelon
+    basis to the reduced echelon basis of the image, with the same pivots."""
+    rows = tuple(tuple(tower.frobenius(x, times) for x in row) for row in sub.rows)
+    return Subspace(rows=rows, ncols=sub.ncols)
+
 
 def field_nullspace(tower: FieldTower, rows, ncols: int):
     """Canonical basis of the right kernel over the tower: ``rref`` of the

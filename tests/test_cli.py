@@ -147,6 +147,16 @@ def test_verify_budget_exit(tmp_path, capsys):
     assert report["verification"]["smallest_feasible_m"] == 1
 
 
+def test_verify_u3_budget_counts_the_chambers(capsys):
+    # U3 at m = 3 has 2^9 + 1 chambers; the 4,161 lines over F_64 are never built
+    path = str(SPECS / "u3.json")
+    code, out, _ = run(["verify", "--spec", path, "--m", "3", "--budget", "500"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(out)["verification"]["budget_error"] == "513 chambers exceed budget 500"
+    code, _, _ = run(["verify", "--spec", path, "--m", "3", "--budget", "600"], capsys)
+    assert code == cli.EXIT_OK
+
+
 SL3_FLAGS = {"type": [["A", 2]], "mu": [1, 0, -1], "q": 2}
 
 

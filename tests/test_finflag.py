@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import HermitianData, contains, field_nullspace, frobenius_point, hermitian_form
+from helpers import (
+    HermitianData,
+    contains,
+    field_nullspace,
+    frobenius_point,
+    frobenius_subspace,
+    hermitian_form,
+    is_k_rational,
+)
 from perdom.finflag import (
     BudgetError,
     _factor_prime_power,
@@ -14,10 +22,8 @@ from perdom.finflag import (
     enumerate_flag_points,
     enumerate_subspaces,
     enumerate_twisted_fixed_flags,
-    frobenius_subspace,
     gaussian_binomial,
     intersection_dim,
-    is_k_rational,
     make_tower,
     mu_flag_type,
     rank,

@@ -5,6 +5,7 @@ against the per-pair oracles of ``helpers``."""
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 
@@ -24,7 +25,7 @@ from helpers import (  # noqa: E402
     nullspace,
     pairwise_flag_points,
 )
-from perdom import finflag  # noqa: E402
+from perdom import finflag, semistable  # noqa: E402
 from perdom.finflag import (  # noqa: E402
     FlagPoint,
     annihilator,
@@ -306,6 +307,11 @@ def subspace_families(draw):
 def test_incidence_equals_intersection_dim(case):
     t, n, points, tests = case
     ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", points=points, tests=tests)
+    # up to 4-space every entry is a nonzero pairing or a 2 x 2 determinant
+    with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
+        ctx.incidence
+    if n <= 4:
+        assert ranked.call_count == 0
     for w, column in ctx.incidence.items():
         assert len(column) == len(ctx.point_spaces)
         for s, k in ctx.point_spaces.items():
@@ -339,7 +345,7 @@ def test_flag_points_equal_the_pairwise_filter(n, dims, q, ext, sub):
     assert finflag.FlagLevels(t, n, dims, subfield_deg=sub).count(dims) == len(got)
 
 
-CHAMBER_CASES = [(2, 1, 1), (2, 3, 1), (2, 3, 3), (3, 1, 1), (3, 2, 1), (4, 1, 1)]
+CHAMBER_CASES = [(2, 1, 1), (2, 3, 1), (2, 3, 3), (3, 1, 1), (3, 2, 1), (4, 1, 1), (5, 1, 1)]
 
 
 @pytest.mark.parametrize("q,m,conj_power", CHAMBER_CASES)
@@ -353,11 +359,13 @@ def test_twisted_fixed_lines_are_the_isotropic_lines(q, m, conj_power):
 
 @pytest.mark.parametrize("q,m,conj_power", CHAMBER_CASES)
 def test_chamber_planes_are_the_hermitian_perps(q, m, conj_power, monkeypatch):
-    # each plane is read off an annihilator, with no elimination, and equals
-    # the orthogonal complement computed through the kernel of the form's row
+    # each chamber is written in closed form, with no elimination and no
+    # line of the projective plane built, and its plane equals the
+    # orthogonal complement computed through the kernel of the form's row
     h = HermitianData(tower=make_tower(q, 2 * m), n=3)
     calls = []
     monkeypatch.setattr(finflag, "rref", lambda *args: calls.append(args))
+    monkeypatch.setattr(finflag, "enumerate_subspaces", lambda *args: calls.append(args))
     flags = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power)
     monkeypatch.undo()
     assert not calls

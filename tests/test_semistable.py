@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import HermitianData, contains, frobenius_equivariance_holds, instance, orbit_weight, table, verifier
+from helpers import (
+    HermitianData,
+    contains,
+    frobenius_equivariance_holds,
+    instance,
+    is_k_rational,
+    orbit_weight,
+    table,
+    verifier,
+)
 from perdom import semistable
 from perdom.cohom import lefschetz_series
 from perdom.complex import build_t_x
@@ -116,8 +125,6 @@ def test_semistable_p1_over_f4():
     verdicts = [is_semistable(ctx, i).verdict for i in range(len(ctx.points))]
     assert sum(verdicts) == 2
     # the three rational points are exactly the unstable ones
-    from perdom.finflag import is_k_rational
-
     for i, x in enumerate(ctx.points):
         assert verdicts[i] == (not is_k_rational(x.chain[0], ctx.tower))
 
