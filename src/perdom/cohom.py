@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
+from operator import add, sub
 
 from .galois import (
     DeltaOrbits,
@@ -37,9 +38,10 @@ from .rootdata import (
     mat_inv,
     num_positive_roots,
     pairing,
+    positive_root_coefficients,
     simple_reflection_matrix,
 )
-from .weyl import OrbitPoint, coweight_orbit, dominant_representative, nonzero_entries, reflect_labels
+from .weyl import OrbitPoint, coweight_orbit, dominant_representative
 
 
 @dataclass(frozen=True)
@@ -273,60 +275,51 @@ def euler_characteristic(table: CohomologyTable) -> tuple[EulerTerm, ...]:
 def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]]:
     """(induced, quotient) dimension polynomials for every label subset.
 
-    ``_fixed_cells`` buckets the sigma-fixed w in W by the orbits P off w's
-    left descent set.  The quotient v_I, the alternating sum of the induced
-    modules over the label sets above I, is bucket I (Solomon, *J. Algebra*,
-    1966; Bjorner-Brenti, *Combinatorics of Coxeter Groups*, section 2.4).
-    The induced one, q^l(w) over the sigma-fixed minimal representatives of
-    W / W_I, is the sum of the buckets P above I, since inversion keeps
-    length and sigma-fixedness.  Computed once per instance.
+    P_J sums q^l(w) over the sigma-fixed w in W_J.  Solomon's identity, the
+    sum over K in J of (-1)^|K| P_J / P_K = q^N_J with N_J the positive roots
+    supported on J's orbits (Solomon, *J. Algebra* 3, 1966; for twisted
+    groups the Steinberg degree, Carter, *Finite Groups of Lie Type*, 6.4),
+    gives 1 / P_J as an integer power series from the 1 / P_K below it.
+    The induced module of I has dimension [G^F : P_I^F] = P_all / P_I; the
+    quotient v_I is the alternating sum of the induced ones above I.  Label
+    sets are bitmasks over the orbits; computed once per instance.
     """
     if gd.dim_polys is None:
-        cells = _fixed_cells(nonzero_entries(gd.datum.cartan_matrix), gd.orbits_delta.orbits)
-        out = {}
-        for r in range(gd.d_prime + 1):
-            for I in map(frozenset, itertools.combinations(range(gd.d_prime), r)):
-                induced = sum((poly for P, poly in cells.items() if I <= P), DimPoly.zero())
-                out[I] = (induced, cells[I])
-        gd.dim_polys = out
+        d = gd.d_prime
+        orbit_of = {i: k for k, J in enumerate(gd.orbits_delta.orbits) for i in J}
+        roots = positive_root_coefficients(gd.datum.cartan_matrix)
+        supports = [sum({1 << orbit_of[i] for i, c in enumerate(beta) if c}) for beta in roots]
+        top = len(supports)
+        n = [sum(1 for s in supports if not s & ~J) for J in range(1 << d)]
+        # f[J] = 1 / P_J up to q^top; each proper subset K of J is a smaller
+        # bitmask, and P_J (rest + (-1)^|J| f_J) = q^N_J gives f_J from rest
+        f = [[1] + [0] * top]
+        for J in range(1, 1 << d):
+            rest, K = [0] * (top + 1), J
+            while K:
+                K = (K - 1) & J
+                rest = list(map(sub if K.bit_count() % 2 else add, rest, f[K]))
+            sign, f_J = (-1) ** J.bit_count(), []
+            for k in range(top + 1):
+                f_J.append(sign * ((f_J[k - n[J]] if k >= n[J] else 0) - rest[k]))
+            f.append(f_J)
+        induced = []
+        for I in range(1 << d):
+            ratio = []  # f_I / f_all = P_all / P_I, which has degree top - N_I
+            for k in range(top + 1 - n[I]):
+                ratio.append(f[I][k] - sum(f[-1][j] * ratio[k - j] for j in range(1, k + 1)))
+            induced.append(ratio)
+        quotient = list(induced)
+        for k in range(d):
+            for I in range(1 << d):
+                if not I >> k & 1:
+                    above = quotient[I | 1 << k]
+                    quotient[I] = [a - b for a, b in itertools.zip_longest(quotient[I], above, fillvalue=0)]
+        gd.dim_polys = {
+            frozenset(k for k in range(d) if I >> k & 1): (DimPoly(tuple(ind)), DimPoly(tuple(quo)).trim())
+            for I, (ind, quo) in enumerate(zip(induced, quotient))
+        }
     return gd.dim_polys
-
-
-def _fixed_cells(rows, orbits) -> dict[frozenset[int], DimPoly]:
-    """Sum of q^l(w) over the sigma-fixed w in W, by the set of Galois orbits
-    where the labels ``<rho^v, w^-1 alpha_j>`` of ``w rho^v`` are positive,
-    that is, where s_j is not a left descent of w.
-
-    The sigma-fixed part of W is generated by the longest elements w_J of
-    the orbits J (Steinberg, *Endomorphisms of Linear Algebraic Groups*,
-    1968; Carter, *Finite Groups of Lie Type*, ch. 2), so the walk starts at
-    the regular labels (1, ..., 1) and crosses, from each point, each J on
-    which its labels are positive (they are constant on J).  Crossing applies
-    s_j, j in J, while some c_j > 0, each step one more in length; for a
-    split group J = {j} and this is the plain walk over W.
-    """
-    counts: dict[frozenset[int], list[int]] = {}
-    start = (1,) * len(rows)
-    seen = {start}
-    stack = [(start, 0)]
-    while stack:
-        labels, length = stack.pop()
-        positive = frozenset(k for k, J in enumerate(orbits) if labels[J[0]] > 0)
-        bucket = counts.setdefault(positive, [])
-        if length >= len(bucket):
-            bucket.extend([0] * (length + 1 - len(bucket)))
-        bucket[length] += 1
-        for k in positive:
-            J = orbits[k]
-            image, steps, ascents = labels, 0, J
-            while ascents:
-                image = reflect_labels(rows, image, ascents[0])
-                steps += 1
-                ascents = [j for j in J if image[j] > 0]
-            if image not in seen:
-                seen.add(image)
-                stack.append((image, length + steps))
-    return {P: DimPoly(tuple(c)) for P, c in counts.items()}
 
 
 def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:

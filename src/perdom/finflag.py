@@ -94,20 +94,6 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(f, p):
     n = len(f) - 1
     x = [0, 1]
@@ -115,7 +101,7 @@ def _is_irreducible(f, p):
     diff = _poly_trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)])
     if diff:
         return False
-    for ell in _prime_factors(n):
+    for ell in (e for e in range(2, n + 1) if n % e == 0 and _is_prime(e)):
         xk = _poly_powmod(x, p ** (n // ell), f, p)
         diff = _poly_trim([(a - b) % p for a, b in itertools.zip_longest(xk, x, fillvalue=0)])
         g = _poly_gcd(f, diff, p)
@@ -136,15 +122,46 @@ def _find_irreducible(p, n):
     raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
+# Miller-Rabin to the first 13 prime bases is a proof of primality below
+# this bound (Sorenson-Webster, *Math. Comp.* 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n > 1; refuses n it cannot prove prime."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        powers = [pow(a, (n - 1) >> s << r, n) for r in range(s)]
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(f"cannot prove {n} prime")
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _factor_prime_power(q: int):
-    """(p, k) with q = p^k, by trial division up to sqrt(q)."""
-    primes = _prime_factors(q) if q > 1 else []
-    if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, k = primes[0], 1
-    while p**k < q:
-        k += 1
-    return p, k
+    """(p, k) with q = p^k.  A prime power p^k is a perfect j-th power
+    exactly when j divides k, so only the largest such j can give a prime."""
+    k = q.bit_length() if q > 1 else 0
+    while k and _iroot(q, k) ** k != q:
+        k -= 1
+    if k and _is_prime(_iroot(q, k)):
+        return _iroot(q, k), k
+    raise ValueError(f"{q} is not a prime power")
 
 
 def _zech_ops(exp, log, zech):

@@ -14,6 +14,7 @@ is kept: everything downstream is read from pairings and the Cartan matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -183,39 +184,31 @@ class RootDatum:
 _FAMILY_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 
 
-def classical_weyl_order(family: str, rank: int) -> int:
-    import math
-
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2**rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    if family == "G":
-        return 12
-    raise UnsupportedTypeError(f"family {family!r}")
+# the degrees of the basic invariants of each family's Weyl group: their
+# product is its order, and their sum less the rank is its number of
+# positive roots (Humphreys, *Reflection Groups and Coxeter Groups*, 3.9)
+_DEGREES = {
+    "A": lambda rank: range(2, rank + 2),
+    "B": lambda rank: range(2, 2 * rank + 1, 2),
+    "C": lambda rank: range(2, 2 * rank + 1, 2),
+    "D": lambda rank: itertools.chain(range(2, 2 * rank - 1, 2), (rank,)),
+    "G": lambda rank: (2, 6),
+}
 
 
-def weyl_order(cartan_type: Sequence[tuple[str, int]]) -> int:
+def weyl_order(cartan_type: Sequence[tuple[str, int]], cap: int | None = None) -> int:
+    """|W|; with a cap, the product stops as soon as it passes it."""
     order = 1
     for family, rank in cartan_type:
-        order *= classical_weyl_order(family, rank)
+        for d in _DEGREES[family](rank):
+            order *= d
+            if cap is not None and order > cap:
+                return order
     return order
 
 
 def num_positive_roots(cartan_type: Sequence[tuple[str, int]]) -> int:
-    total = 0
-    for family, rank in cartan_type:
-        if family == "A":
-            total += rank * (rank + 1) // 2
-        elif family in ("B", "C"):
-            total += rank * rank
-        elif family == "D":
-            total += rank * (rank - 1)
-        elif family == "G":
-            total += 6
-    return total
+    return sum(d - 1 for family, rank in cartan_type for d in _DEGREES[family](rank))
 
 
 def _factor_data(family: str, rank: int):
@@ -269,10 +262,8 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
             raise UnsupportedTypeError(
                 f"component {idx}: {family}_{rank} below minimal rank {_FAMILY_MIN_RANK[family]}"
             )
-    if weyl_order(spec) > WEYL_ORDER_BUDGET:
-        raise UnsupportedTypeError(
-            f"Weyl order {weyl_order(spec)} exceeds budget {WEYL_ORDER_BUDGET}"
-        )
+    if weyl_order(spec, WEYL_ORDER_BUDGET) > WEYL_ORDER_BUDGET:
+        raise UnsupportedTypeError(f"Weyl order exceeds budget {WEYL_ORDER_BUDGET}")
 
     blocks = [_factor_data(f, r) for f, r in spec]
     ambient = sum(b[0] for b in blocks)
@@ -343,24 +334,30 @@ def act_matrix(m: Matrix, v: LatticeVec) -> LatticeVec:
     return LatticeVec(v.side, mat_vec(m, v.coords))
 
 
-def positive_roots(datum: RootDatum) -> tuple[LatticeVec, ...]:
-    """All positive roots, as characters, by closing Delta under reflections."""
-    gens = [simple_reflection_matrix(datum, i) for i in range(datum.rank)]
-    seen = {r.coords for r in datum.simple_roots}
+def positive_root_coefficients(cartan_matrix) -> tuple[tuple[int, ...], ...]:
+    """The positive roots as sorted integer coefficient vectors over the
+    simple roots: the simple roots closed under the positive images of
+    ``s_i c = c - <alpha_i^v, c> e_i``, which reach every positive root."""
+    rank = len(cartan_matrix)
+    seen = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for v in frontier:
-            for g in gens:
-                w = mat_vec(g, v)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
+        for c in frontier:
+            for i, row in enumerate(cartan_matrix):
+                k = sum(a * x for a, x in zip(row, c))
+                image = c[:i] + (c[i] - k,) + c[i + 1:]
+                if k and image[i] >= 0 and image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
         frontier = nxt
-    simple = [r.coords for r in datum.simple_roots]
-    out = []
-    for v in sorted(seen):
-        coeffs = solve_in_span(simple, v)
-        if coeffs is not None and all(c >= 0 for c in coeffs):
-            out.append(LatticeVec(CHARACTER, v))
-    return tuple(out)
+    return tuple(sorted(seen))
+
+
+def positive_roots(datum: RootDatum) -> tuple[LatticeVec, ...]:
+    """All positive roots, as characters: each coefficient vector of
+    ``positive_root_coefficients`` summed over the simple roots."""
+    return tuple(
+        character(sum(c * r.coords[k] for c, r in zip(coeffs, datum.simple_roots)) for k in range(datum.ambient_dim))
+        for coeffs in positive_root_coefficients(datum.cartan_matrix)
+    )

@@ -102,19 +102,11 @@ def act(w: WeylElement, v: LatticeVec) -> LatticeVec:
 
 
 def inversion_count(W: WeylGroup, w: WeylElement, positives) -> int:
-    """Number of positive roots sent negative; must equal the word length."""
-    simple = [r.coords for r in W.datum.simple_roots]
-    from .rootdata import solve_in_span
-
-    count = 0
-    for beta in positives:
-        image = act(w, beta)
-        coeffs = solve_in_span(simple, image.coords)
-        if coeffs is None:
-            raise AssertionError("root image left the root lattice")
-        if all(c <= 0 for c in coeffs):
-            count += 1
-    return count
+    """Number of positive roots sent negative; must equal the word length.
+    An image that is not a root fails the lookup."""
+    negative = {beta.coords: 0 for beta in positives}
+    negative.update({tuple(-c for c in root): 1 for root in negative})
+    return sum(negative[act(w, beta).coords] for beta in positives)
 
 
 @dataclass(frozen=True)

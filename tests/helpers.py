@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +36,24 @@ from perdom.rootdata import (
 )
 from perdom.semistable import VerifierContext, build_verifier
 from perdom.weyl import nonzero_entries, reflect_labels
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time have
+    passed, so a search that does not end fails its test instead of hanging
+    the suite.  Uses SIGALRM: POSIX only, main thread only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # name -> (cartan type, mu, q, twist)
 INSTANCES = {

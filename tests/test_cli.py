@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import time_limit
 from perdom import cli
 
 
@@ -65,6 +66,14 @@ def test_spec_error_exit_code(tmp_path, capsys):
     code, _, err = run(["cohomology", "--spec", path], capsys)
     assert code == cli.EXIT_SPEC
     assert "family 'E'" in err
+
+
+def test_huge_rank_refused_fast_with_a_bounded_message(tmp_path, capsys):
+    path = write_spec(tmp_path, {"type": [["A", 1000000]], "mu": [1, -1], "q": 2})
+    with time_limit(1):
+        code, out, err = run(["cohomology", "--spec", path], capsys)
+    assert code == cli.EXIT_SPEC
+    assert (out, err) == ("", "spec error: type: Weyl order exceeds budget 1000000\n")
 
 
 def test_cohomology_json_deterministic(tmp_path, capsys):

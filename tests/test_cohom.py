@@ -12,6 +12,7 @@ from helpers import (
     invariant_gram,
     orbit_vec,
     orbit_weight,
+    reference_dim_polys,
     summand_signature,
     table,
 )
@@ -28,7 +29,8 @@ from perdom.cohom import (
     omega_I,
     steinberg_dimension,
 )
-from perdom.rootdata import pairing
+from perdom.finflag import flag_count
+from perdom.rootdata import num_positive_roots, pairing
 
 
 def test_omega_examples_split_a1():
@@ -227,6 +229,45 @@ def test_dim_polys_positive_at_prime_powers():
             for q in (2, 3, 4, 5):
                 assert ipoly(q) > 0
                 assert vpoly(q) > 0
+
+
+# (cartan type, twist): the twisted families of rank 5 to 8, both D4
+# trialities, a twisted triality between two D4 factors, swaps and cycles
+# of equal factors, and split B, C and D beyond the property tests' reach
+RECURSION_CASES = (
+    ((("A", 7),), ((7, 6, 5, 4, 3, 2, 1), 2)),
+    ((("D", 5),), ((1, 2, 3, 5, 4), 2)),
+    ((("D", 6),), ((1, 2, 3, 4, 6, 5), 2)),
+    ((("D", 4),), ((3, 2, 4, 1), 3)),
+    ((("D", 4),), ((4, 2, 1, 3), 3)),
+    ((("D", 4), ("D", 4)), ((5, 6, 7, 8, 3, 2, 4, 1), 6)),
+    ((("A", 3), ("A", 3)), ((6, 5, 4, 1, 2, 3), 4)),
+    ((("A", 1),) * 3, ((2, 3, 1), 3)),
+    ((("B", 5),), None),
+    ((("C", 4),), None),
+    ((("D", 6),), None),
+)
+
+
+def test_dim_polys_match_the_walks_on_larger_types():
+    for ctype, twist in RECURSION_CASES:
+        ambient = sum(r + 1 if f == "A" else r for f, r in ctype)
+        gd = build_group_data(ctype, [1] + [0] * (ambient - 1), 2, twist=twist)
+        assert all_dim_polys(gd) == reference_dim_polys(gd), (ctype, twist)
+
+
+def test_split_type_a_induced_dims_are_gaussian_multinomials():
+    """For A_(n-1), the induced dimension of I is the number of flags of the
+    guard's type over F_Q, as polynomials in Q: both have degree at most N,
+    so agreeing at N + 1 values of Q makes them equal."""
+    for n in range(2, 10):
+        gd = build_group_data([("A", n - 1)], [1] + [0] * (n - 1), 2)
+        top = num_positive_roots(gd.datum.cartan_type)
+        for I in all_dim_polys(gd):
+            dims = tuple(d for d in range(1, n) if d - 1 not in I)
+            poly = dim_induced(gd, I)
+            assert len(poly.coeffs) <= top + 1
+            assert all(poly(Q) == flag_count(n, dims, Q) for Q in range(2, top + 3)), (n, sorted(I))
 
 
 def test_lefschetz_closed_forms():

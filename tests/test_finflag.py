@@ -14,6 +14,7 @@ from helpers import (
     frobenius_subspace,
     hermitian_form,
     is_k_rational,
+    time_limit,
 )
 from perdom.finflag import (
     BudgetError,
@@ -189,10 +190,33 @@ def test_factor_prime_power(q, expected):
     assert _factor_prime_power(q) == expected
 
 
-@pytest.mark.parametrize("q", [6, 1, 0])
+@pytest.mark.parametrize("q", [6, 1, 0, -4])
 def test_factor_prime_power_rejects_non_prime_powers(q):
     with pytest.raises(ValueError, match="not a prime power"):
         _factor_prime_power(q)
+
+
+# trial division up to sqrt(q) would not end on 2^61 - 1 or (2^31 - 1)^2
+@pytest.mark.parametrize("q,expected", [
+    (2**61 - 1, (2**61 - 1, 1)),
+    ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+    (2**100, (2, 100)),
+])
+def test_factor_prime_power_of_large_primes_is_fast(q, expected):
+    with time_limit(0.5):
+        assert _factor_prime_power(q) == expected
+
+
+def test_factor_prime_power_rejects_a_product_of_large_primes_fast():
+    with time_limit(0.5), pytest.raises(ValueError, match="not a prime power"):
+        _factor_prime_power((2**31 - 1) * (2**61 - 1))
+
+
+def test_factor_prime_power_refuses_a_base_it_cannot_prove_prime():
+    # the least strong pseudoprime to the first 13 prime bases, and a prime above it
+    for q in (3317044064679887385961981, 2**89 - 1):
+        with time_limit(0.5), pytest.raises(ValueError, match="cannot prove"):
+            _factor_prime_power(q)
 
 
 def test_nullspace_dimension():
