@@ -5,9 +5,9 @@ Everything here is exact: set membership is decided by the signs of
 orbit J, read as integer dot products with the points' Dynkin labels (no
 invariant form enters: ``(v, G^-1 omega)_G = <v, omega>`` for any Gram
 matrix G, so every form's orbit coweight gives the same signs); dimensions are
-integer polynomials in q, from one integer walk over the twist-fixed Weyl
-elements bucketed by their left descent sets; and the point-count series is
-an integer for every extension degree.
+integer polynomials in q, from Solomon's identity over the label sets with
+the number of positive roots on each read off the datum's positive roots;
+and the point-count series is an integer for every extension degree.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from .rootdata import (
     cocharacter,
     fundamental_weights,
     mat_inv,
-    num_positive_roots,
     pairing,
-    positive_root_coefficients,
     simple_reflection_matrix,
 )
 from .weyl import OrbitPoint, coweight_orbit, dominant_representative
@@ -190,9 +188,6 @@ class CohomologyTable:
     labels: tuple[str, ...]
     summands: tuple[CohomologySummand, ...]
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({s.degree for s in self.summands}))
-
 
 def _summand_sort_key(s: CohomologySummand):
     return (s.degree, s.twist, sorted(s.I), s.orbit.rep.word)
@@ -287,7 +282,7 @@ def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]
     if gd.dim_polys is None:
         d = gd.d_prime
         orbit_of = {i: k for k, J in enumerate(gd.orbits_delta.orbits) for i in J}
-        roots = positive_root_coefficients(gd.datum.cartan_matrix)
+        roots = gd.datum.positive_coefficients
         supports = [sum({1 << orbit_of[i] for i, c in enumerate(beta) if c}) for beta in roots]
         top = len(supports)
         n = [sum(1 for s in supports if not s & ~J) for J in range(1 << d)]
@@ -337,7 +332,7 @@ def dim_v(gd: GroupData, I: frozenset[int]) -> DimPoly:
 
 def steinberg_dimension(gd: GroupData) -> int:
     """Expected bottom-parabolic quotient dimension, q^(number of positive roots)."""
-    return gd.q ** num_positive_roots(gd.datum.cartan_type)
+    return gd.q ** len(gd.datum.positive_coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ is kept: everything downstream is read from pairings and the Cartan matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -167,7 +167,9 @@ class RootDatum:
 
     ``cartan_matrix[i][j]`` is the pairing of the i-th simple coroot with the
     j-th simple root, the convention under which B_2 with alpha_1 long reads
-    [[2, -1], [-2, 2]].
+    [[2, -1], [-2, 2]].  ``positive_coefficients`` holds the positive roots
+    as integer coefficient vectors over the simple roots, closed once from
+    the Cartan matrix; the number of positive roots is its length.
     """
 
     cartan_type: tuple[tuple[str, int], ...]
@@ -175,40 +177,21 @@ class RootDatum:
     simple_roots: tuple[LatticeVec, ...]
     simple_coroots: tuple[LatticeVec, ...]
     cartan_matrix: tuple[tuple[int, ...], ...]
+    positive_coefficients: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
 
+    @property
+    def weyl_order(self) -> int:
+        """|W| = prod over the positive roots of (ht + 1) / ht, ht the sum of
+        a root's coefficients (Macdonald, *Math. Ann.* 199, 1972)."""
+        heights = [sum(c) for c in self.positive_coefficients]
+        return prod(h + 1 for h in heights) // prod(heights)
+
 
 _FAMILY_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
-
-
-# the degrees of the basic invariants of each family's Weyl group: their
-# product is its order, and their sum less the rank is its number of
-# positive roots (Humphreys, *Reflection Groups and Coxeter Groups*, 3.9)
-_DEGREES = {
-    "A": lambda rank: range(2, rank + 2),
-    "B": lambda rank: range(2, 2 * rank + 1, 2),
-    "C": lambda rank: range(2, 2 * rank + 1, 2),
-    "D": lambda rank: itertools.chain(range(2, 2 * rank - 1, 2), (rank,)),
-    "G": lambda rank: (2, 6),
-}
-
-
-def weyl_order(cartan_type: Sequence[tuple[str, int]], cap: int | None = None) -> int:
-    """|W|; with a cap, the product stops as soon as it passes it."""
-    order = 1
-    for family, rank in cartan_type:
-        for d in _DEGREES[family](rank):
-            order *= d
-            if cap is not None and order > cap:
-                return order
-    return order
-
-
-def num_positive_roots(cartan_type: Sequence[tuple[str, int]]) -> int:
-    return sum(d - 1 for family, rank in cartan_type for d in _DEGREES[family](rank))
 
 
 def _factor_data(family: str, rank: int):
@@ -249,6 +232,10 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
 
     Rejects unsupported families or ranks, naming the offending component,
     and refuses types whose Weyl group would exceed the enumeration budget.
+    A rank of at least the budget's bit length is refused before any
+    coordinate is built: |W| >= 2^rank, since the products of distinct
+    simple reflections in increasing order are distinct.  A smaller rank is
+    refused by its exact order.
     """
     if not spec:
         raise UnsupportedTypeError("empty type")
@@ -262,8 +249,9 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
             raise UnsupportedTypeError(
                 f"component {idx}: {family}_{rank} below minimal rank {_FAMILY_MIN_RANK[family]}"
             )
-    if weyl_order(spec, WEYL_ORDER_BUDGET) > WEYL_ORDER_BUDGET:
-        raise UnsupportedTypeError(f"Weyl order exceeds budget {WEYL_ORDER_BUDGET}")
+    refusal = UnsupportedTypeError(f"Weyl order exceeds budget {WEYL_ORDER_BUDGET}")
+    if sum(rank for _, rank in spec) >= WEYL_ORDER_BUDGET.bit_length():
+        raise refusal
 
     blocks = [_factor_data(f, r) for f, r in spec]
     ambient = sum(b[0] for b in blocks)
@@ -280,13 +268,17 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
         tuple(int(vec_dot(coroots[i].coords, roots[j].coords)) for j in range(len(roots)))
         for i in range(len(coroots))
     )
-    return RootDatum(
+    datum = RootDatum(
         cartan_type=spec,
         ambient_dim=ambient,
         simple_roots=tuple(roots),
         simple_coroots=tuple(coroots),
         cartan_matrix=cartan,
+        positive_coefficients=positive_root_coefficients(cartan),
     )
+    if datum.weyl_order > WEYL_ORDER_BUDGET:
+        raise refusal
+    return datum
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +347,9 @@ def positive_root_coefficients(cartan_matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def positive_roots(datum: RootDatum) -> tuple[LatticeVec, ...]:
-    """All positive roots, as characters: each coefficient vector of
-    ``positive_root_coefficients`` summed over the simple roots."""
+    """All positive roots, as characters: each of the datum's coefficient
+    vectors summed over the simple roots."""
     return tuple(
         character(sum(c * r.coords[k] for c, r in zip(coeffs, datum.simple_roots)) for k in range(datum.ambient_dim))
-        for coeffs in positive_root_coefficients(datum.cartan_matrix)
+        for coeffs in datum.positive_coefficients
     )

@@ -26,10 +26,8 @@ from .rootdata import (
     act_matrix,
     identity_matrix,
     mat_mul,
-    num_positive_roots,
     pairing,
     simple_reflection_matrix,
-    weyl_order,
 )
 
 
@@ -70,7 +68,7 @@ def generate_weyl(datum: RootDatum, budget: int = WEYL_ORDER_BUDGET) -> WeylGrou
     BFS depth in the Cayley graph equals Coxeter length, so each element
     receives a reduced word and the correct length for free.
     """
-    expected = weyl_order(datum.cartan_type)
+    expected = datum.weyl_order
     if expected > budget:
         raise BudgetError(f"Weyl order {expected} exceeds budget {budget}")
     gens = [simple_reflection_matrix(datum, i) for i in range(datum.rank)]
@@ -189,7 +187,7 @@ def dominant_representative(datum: RootDatum, mu: LatticeVec) -> tuple[LatticeVe
     rows = nonzero_entries(datum.cartan_matrix)
     coroots = nonzero_entries(c.coords for c in datum.simple_coroots)
     coords = list(mu.coords)
-    for _ in range(2 * num_positive_roots(datum.cartan_type) + 1):
+    for _ in range(2 * len(datum.positive_coefficients) + 1):
         j = next((i for i, c in enumerate(labels) if c < 0), None)
         if j is None:
             return LatticeVec(COCHARACTER, tuple(coords)), labels, coords != list(mu.coords)

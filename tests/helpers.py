@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import signal
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,6 +127,30 @@ def summand_signature(gd, tbl):
     return sorted(
         (s.degree, s.twist, tuple(sorted(s.I)), s.galois_dim) for s in tbl.summands
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle for |W| and the number of positive roots, by type: the engine reads
+# both off the closure of the simple roots under the Cartan matrix
+
+# the degrees of the basic invariants of each family's Weyl group: their
+# product is its order, and their sum less the rank is its number of
+# positive roots (Humphreys, *Reflection Groups and Coxeter Groups*, 3.9)
+_DEGREES = {
+    "A": lambda rank: range(2, rank + 2),
+    "B": lambda rank: range(2, 2 * rank + 1, 2),
+    "C": lambda rank: range(2, 2 * rank + 1, 2),
+    "D": lambda rank: itertools.chain(range(2, 2 * rank - 1, 2), (rank,)),
+    "G": lambda rank: (2, 6),
+}
+
+
+def weyl_order(cartan_type) -> int:
+    return math.prod(d for family, rank in cartan_type for d in _DEGREES[family](rank))
+
+
+def num_positive_roots(cartan_type) -> int:
+    return sum(d - 1 for family, rank in cartan_type for d in _DEGREES[family](rank))
 
 
 # ---------------------------------------------------------------------------

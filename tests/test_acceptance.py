@@ -22,6 +22,7 @@ from helpers import (
     summand_signature,
     table,
     verifier,
+    weyl_order,
 )
 from perdom.cohom import (
     assemble_cohomology,
@@ -217,7 +218,7 @@ def test_criterion_8_acyclicity_sweeps():
 def test_criterion_9_structural_suites():
     with criterion(9, "Kostant counts, Steinberg dims, sign-set laws, rescaling, torus pairing", 30.0):
         # coset counting: orbit-stabilizer against the enumerated group
-        from perdom.rootdata import pairing, weyl_order
+        from perdom.rootdata import pairing
         from perdom.weyl import generate_weyl, stabilizer_w_mu
 
         for name in INSTANCES:

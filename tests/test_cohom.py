@@ -1,5 +1,6 @@
 """Sign sets, table assembly, dimension polynomials, point-count series."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ from helpers import (
     form_value,
     instance,
     invariant_gram,
+    num_positive_roots,
     orbit_vec,
     orbit_weight,
     reference_dim_polys,
     summand_signature,
     table,
 )
+from perdom import cohom, rootdata
 from perdom.cohom import (
     all_dim_polys,
     assemble_cohomology,
@@ -30,7 +33,8 @@ from perdom.cohom import (
     steinberg_dimension,
 )
 from perdom.finflag import flag_count
-from perdom.rootdata import num_positive_roots, pairing
+from perdom.rootdata import pairing
+from perdom.weyl import generate_weyl
 
 
 def test_omega_examples_split_a1():
@@ -220,6 +224,37 @@ def test_steinberg_dimension_for_every_catalog_type():
     for name in INSTANCES:
         gd = instance(name)
         assert dim_v(gd, frozenset())(gd.q) == steinberg_dimension(gd)
+
+
+def test_positive_roots_are_closed_once_per_instance(monkeypatch):
+    # the datum keeps the closure; the orbit, the table, the dimension
+    # polynomials, the Steinberg degree and the Weyl-group oracle read it
+    closures = []
+    closure = rootdata.positive_root_coefficients
+    monkeypatch.setattr(rootdata, "positive_root_coefficients", lambda a: closures.append(a) or closure(a))
+    gd = build_group_data([("A", 3)], [-1, 0, 0, 1], 2, twist=((3, 2, 1), 2))
+    lefschetz_series(gd, assemble_cohomology(gd), 1)
+    assert steinberg_dimension(gd) == 2**6
+    assert len(generate_weyl(gd.datum).elements) == 24
+    assert len(closures) == 1
+
+
+def test_engine_reads_no_family_letter_past_the_root_datum(monkeypatch):
+    # with the datum's type replaced by an unknown family letter, every
+    # engine result on the catalog is unchanged: the engine reads the Cartan
+    # matrix and the closure of its simple roots, not a per-family table
+    def engine_output(gd):
+        return gd.mu, gd.mu_orbit, assemble_cohomology(gd), all_dim_polys(gd), steinberg_dimension(gd)
+
+    expected = {name: engine_output(instance(name)) for name in INSTANCES}
+    build = rootdata.build_root_datum
+    monkeypatch.setattr(
+        cohom, "build_root_datum", lambda spec: dataclasses.replace(build(spec), cartan_type=(("X", 1),))
+    )
+    for name, (ctype, mu, q, twist) in INSTANCES.items():
+        gd = build_group_data(list(ctype), list(mu), q, twist=twist)
+        assert gd.datum.cartan_type == (("X", 1),)
+        assert engine_output(gd) == expected[name], name
 
 
 def test_dim_polys_positive_at_prime_powers():

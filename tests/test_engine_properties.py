@@ -3,8 +3,9 @@
 Instances are products of up to three factors from A1-A3, B2, B3, C2, C3, D4
 and G2, under a random diagram twist (a flip of an A or D diagram, the D4
 triality, and a swap or cycle of equal factors), with a random integer mu
-that is not dominant.  The runs are derandomised and small: 95 examples in
-all.
+that is not dominant.  The positive-root counts are also checked on bare
+types, any family at ranks up to 9.  The runs are derandomised and small:
+135 examples in all.
 """
 
 import pytest
@@ -13,7 +14,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import orbit_vec, orbit_weight, reference_dim_polys  # noqa: E402
+from helpers import (  # noqa: E402
+    num_positive_roots,
+    orbit_vec,
+    orbit_weight,
+    reference_dim_polys,
+    weyl_order,
+)
 from perdom import cli  # noqa: E402
 from perdom.cohom import (  # noqa: E402
     DimPoly,
@@ -25,13 +32,13 @@ from perdom.cohom import (  # noqa: E402
 )
 from perdom.galois import _perm_order  # noqa: E402
 from perdom.rootdata import (  # noqa: E402
+    WEYL_ORDER_BUDGET,
+    UnsupportedTypeError,
     act_matrix,
     build_root_datum,
     cocharacter,
-    num_positive_roots,
     pairing,
     simple_reflection_matrix,
-    weyl_order,
 )
 from perdom.weyl import (  # noqa: E402
     act,
@@ -103,6 +110,29 @@ def test_table_and_dims_invariant_under_w_conjugation(instance, steps):
     assert _engine_output(build_group_data(ctype, mu, 2, twist=twist)) == _engine_output(
         build_group_data(ctype, conjugate.coords, 2, twist=twist)
     )
+
+
+# any family at ranks up to 9, for the root counts alone
+FACTOR_TYPES = st.one_of(
+    st.tuples(st.just("A"), st.integers(1, 9)),
+    st.tuples(st.sampled_from("BC"), st.integers(2, 9)),
+    st.tuples(st.just("D"), st.integers(3, 9)),
+    st.just(("G", 2)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(FACTOR_TYPES, min_size=1, max_size=3))
+def test_closure_counts_match_the_degree_table(ctype):
+    # N is the closure's length and |W| its height product; the degree table
+    # is the oracle for both, and the budget refuses exactly the types over it
+    if weyl_order(ctype) > WEYL_ORDER_BUDGET:
+        with pytest.raises(UnsupportedTypeError, match="^Weyl order exceeds budget 1000000$"):
+            build_root_datum(ctype)
+        return
+    datum = build_root_datum(ctype)
+    assert len(datum.positive_coefficients) == num_positive_roots(ctype)
+    assert datum.weyl_order == weyl_order(ctype)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

@@ -301,6 +301,7 @@ def test_twisted_fixed_flags_over_a_subfield_are_the_rational_chambers():
         chambers = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power=1)
         assert len(chambers) == q**3 + 1
         assert all(h.is_fixed(x, 1) for x in chambers)
+        assert all(contains(h.tower, plane, line) for line, plane in (x.chain for x in chambers))
 
 
 def test_hermitian_form_and_perp():

@@ -4,7 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import form_dual, instance, invariant_gram, nullspace, orbit_vec, orbit_weight, twist_matrix
+from helpers import (
+    form_dual,
+    instance,
+    invariant_gram,
+    nullspace,
+    orbit_vec,
+    orbit_weight,
+    twist_matrix,
+    weyl_order,
+)
 from perdom.cohom import build_group_data
 from perdom.galois import build_galois_action, delta_orbits, gamma_e, split_action
 from perdom.rootdata import (
@@ -17,7 +26,6 @@ from perdom.rootdata import (
     mat_vec,
     pairing,
     vec_dot,
-    weyl_order,
 )
 
 # (cartan type, 1-indexed perm, order): every diagram twist of the catalog

@@ -3,6 +3,7 @@ read-offs, ``finflag.rref`` over finite fields with the annihilator reads of
 intersections and containment built on it, and ``finflag``'s pairing kernel
 against the per-pair oracles of ``helpers``."""
 
+import collections
 import itertools
 import math
 from unittest import mock
@@ -374,3 +375,22 @@ def test_chamber_planes_are_the_hermitian_perps(q, m, conj_power, monkeypatch):
         line, plane = x.chain
         assert plane == h.perp(line, conj_power), line
         assert rref(h.tower, plane.rows)[0] == plane.rows
+
+
+def test_u3_verifier_computes_each_plane_annihilator_once(monkeypatch):
+    # the chamber listing shows each plane contains its line through the
+    # isotropy pass, so Ann of a chamber's plane comes only from the verifier
+    # context, shared between the tests and the points where both have it
+    counts = collections.Counter()
+
+    def counting(tower, sub):
+        counts[sub] += 1
+        return annihilator(tower, sub)
+
+    monkeypatch.setattr(finflag, "annihilator", counting)
+    monkeypatch.setattr(semistable, "annihilator", counting)
+    ctx = semistable.build_verifier(helpers.instance("u3_reg"), 3)
+    ctx.point_annihilators  # the cached Ann of every point plane
+    planes = {x.chain[1] for x in ctx.points + ctx.tests}
+    assert len(planes) == 2**9 + 1
+    assert {counts[p] for p in planes} == {1}

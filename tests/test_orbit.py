@@ -18,13 +18,13 @@ from helpers import (
     form_value,
     instance,
     invariant_gram,
+    num_positive_roots,
     orbit_vec,
     orbit_weight,
 )
 from perdom.cohom import DimPoly, build_group_data, dim_induced, dim_v
 from perdom.rootdata import (
     build_root_datum,
-    num_positive_roots,
     pairing,
     simple_reflection_matrix,
 )

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import form_dual, form_value, invariant_gram
+from helpers import form_dual, form_value, invariant_gram, time_limit
+from perdom import rootdata
 from perdom.rootdata import (
     UnsupportedTypeError,
     build_root_datum,
@@ -73,6 +74,30 @@ def test_rejects_bad_rank():
 def test_rejects_weyl_budget():
     with pytest.raises(UnsupportedTypeError, match="budget"):
         build_root_datum([("A", 12)])
+
+
+def test_weyl_budget_accepts_a1_to_the_19():
+    # |W| = 2^19 = 524,288 is under the budget of 10^6; rank 19 is the largest
+    # the rank bound lets through to the exact order
+    with time_limit(1):
+        datum = build_root_datum([("A", 1)] * 19)
+    assert datum.weyl_order == 2**19
+    assert len(datum.positive_coefficients) == 19
+
+
+@pytest.mark.parametrize("ctype", [[("A", 1)] * 20, [("A", 9)], [("A", 12)], [("D", 8)]])
+def test_weyl_budget_refusals(ctype):
+    # A1^20 by the rank bound (|W| >= 2^rank > 10^6), the others by the exact
+    # order: 3,628,800, 6,227,020,800 and 5,160,960
+    with time_limit(1), pytest.raises(UnsupportedTypeError) as refusal:
+        build_root_datum(ctype)
+    assert str(refusal.value) == "Weyl order exceeds budget 1000000"
+
+
+def test_rank_bound_refuses_before_any_coordinate(monkeypatch):
+    monkeypatch.setattr(rootdata, "_factor_data", None)
+    with pytest.raises(UnsupportedTypeError, match="^Weyl order exceeds budget 1000000$"):
+        build_root_datum([("A", 1)] * 20)
 
 
 def test_pairing_examples_a2():
