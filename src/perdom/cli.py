@@ -12,12 +12,11 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohom import (
     CohomologyTable,
     GroupData,
-    all_dim_polys,
     assemble_cohomology,
     build_group_data,
     dim_induced,
@@ -57,8 +56,7 @@ class SpecError(ValueError):
         self.field = field
 
 
-@dataclass
-class GroupSpec:
+class GroupSpec(NamedTuple):
     cartan_type: tuple[tuple[str, int], ...]
     twist: tuple[tuple[int, ...], int] | None
     mu: tuple[int, ...]
@@ -192,7 +190,7 @@ def euler_block(gd: GroupData, table: CohomologyTable) -> list[dict]:
 def dims_block(gd: GroupData) -> list[dict]:
     out = []
     for I, (ipoly, vpoly) in sorted(
-        all_dim_polys(gd).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+        gd.dim_polys.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
     ):
         out.append(
             {

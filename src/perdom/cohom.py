@@ -13,10 +13,10 @@ and the point-count series is an integer for every extension degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from operator import add, sub
+from typing import NamedTuple
 
 from .galois import (
     DeltaOrbits,
@@ -42,8 +42,7 @@ from .rootdata import (
 from .weyl import OrbitPoint, coweight_orbit, dominant_representative
 
 
-@dataclass(frozen=True)
-class DimPoly:
+class DimPoly(NamedTuple):
     """Integer polynomial in q, coefficients in ascending degree order."""
 
     coeffs: tuple[int, ...]
@@ -72,20 +71,15 @@ class DimPoly:
         return sum(c * q**k for k, c in enumerate(self.coeffs))
 
 
-@dataclass
 class GroupData:
     """A full problem instance: root datum, twist, dominant cocharacter, q."""
 
-    datum: RootDatum
-    action: GaloisAction
-    orbits_delta: DeltaOrbits
-    mu: LatticeVec
-    dominance_normalized: bool
-    mu_orbit: tuple[OrbitPoint, ...]
-    e_degree: int
-    worbits: tuple[WOrbit, ...]
-    q: int
-    dim_polys: dict | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, datum: RootDatum, action: GaloisAction, orbits_delta: DeltaOrbits,
+                 mu: LatticeVec, dominance_normalized: bool, mu_orbit: tuple[OrbitPoint, ...],
+                 e_degree: int, worbits: tuple[WOrbit, ...], q: int):
+        self.datum, self.action, self.orbits_delta = datum, action, orbits_delta
+        self.mu, self.dominance_normalized, self.mu_orbit = mu, dominance_normalized, mu_orbit
+        self.e_degree, self.worbits, self.q = e_degree, worbits, q
 
     @property
     def d_prime(self) -> int:
@@ -121,6 +115,11 @@ class GroupData:
     def scaled_pairing(self, point: OrbitPoint, orbit_index: int) -> int:
         """``<w mu, omega_J>`` for the orbit J, up to a positive factor fixed per orbit."""
         return sum(b * c for b, c in zip(self.sign_rows[orbit_index], point.labels))
+
+    @cached_property
+    def dim_polys(self) -> dict[frozenset[int], tuple[DimPoly, DimPoly]]:
+        """``all_dim_polys`` of this instance, computed once."""
+        return all_dim_polys(self)
 
 
 def build_group_data(
@@ -173,8 +172,7 @@ def minimal_I(gd: GroupData, orbit: WOrbit) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class CohomologySummand:
+class CohomologySummand(NamedTuple):
     orbit: WOrbit
     I: frozenset[int]
     degree: int
@@ -182,8 +180,7 @@ class CohomologySummand:
     galois_dim: int
 
 
-@dataclass
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     d_prime: int
     labels: tuple[str, ...]
     summands: tuple[CohomologySummand, ...]
@@ -242,8 +239,7 @@ def assemble_split_table(gd: GroupData) -> CohomologyTable:
     )
 
 
-@dataclass(frozen=True)
-class EulerTerm:
+class EulerTerm(NamedTuple):
     sign: int
     I: frozenset[int]
     twist: int
@@ -277,44 +273,42 @@ def all_dim_polys(gd: GroupData) -> dict[frozenset[int], tuple[DimPoly, DimPoly]
     gives 1 / P_J as an integer power series from the 1 / P_K below it.
     The induced module of I has dimension [G^F : P_I^F] = P_all / P_I; the
     quotient v_I is the alternating sum of the induced ones above I.  Label
-    sets are bitmasks over the orbits; computed once per instance.
+    sets are bitmasks over the orbits; ``GroupData.dim_polys`` caches the result.
     """
-    if gd.dim_polys is None:
-        d = gd.d_prime
-        orbit_of = {i: k for k, J in enumerate(gd.orbits_delta.orbits) for i in J}
-        roots = gd.datum.positive_coefficients
-        supports = [sum({1 << orbit_of[i] for i, c in enumerate(beta) if c}) for beta in roots]
-        top = len(supports)
-        n = [sum(1 for s in supports if not s & ~J) for J in range(1 << d)]
-        # f[J] = 1 / P_J up to q^top; each proper subset K of J is a smaller
-        # bitmask, and P_J (rest + (-1)^|J| f_J) = q^N_J gives f_J from rest
-        f = [[1] + [0] * top]
-        for J in range(1, 1 << d):
-            rest, K = [0] * (top + 1), J
-            while K:
-                K = (K - 1) & J
-                rest = list(map(sub if K.bit_count() % 2 else add, rest, f[K]))
-            sign, f_J = (-1) ** J.bit_count(), []
-            for k in range(top + 1):
-                f_J.append(sign * ((f_J[k - n[J]] if k >= n[J] else 0) - rest[k]))
-            f.append(f_J)
-        induced = []
+    d = gd.d_prime
+    orbit_of = {i: k for k, J in enumerate(gd.orbits_delta.orbits) for i in J}
+    roots = gd.datum.positive_coefficients
+    supports = [sum({1 << orbit_of[i] for i, c in enumerate(beta) if c}) for beta in roots]
+    top = len(supports)
+    n = [sum(1 for s in supports if not s & ~J) for J in range(1 << d)]
+    # f[J] = 1 / P_J up to q^top; each proper subset K of J is a smaller
+    # bitmask, and P_J (rest + (-1)^|J| f_J) = q^N_J gives f_J from rest
+    f = [[1] + [0] * top]
+    for J in range(1, 1 << d):
+        rest, K = [0] * (top + 1), J
+        while K:
+            K = (K - 1) & J
+            rest = list(map(sub if K.bit_count() % 2 else add, rest, f[K]))
+        sign, f_J = (-1) ** J.bit_count(), []
+        for k in range(top + 1):
+            f_J.append(sign * ((f_J[k - n[J]] if k >= n[J] else 0) - rest[k]))
+        f.append(f_J)
+    induced = []
+    for I in range(1 << d):
+        ratio = []  # f_I / f_all = P_all / P_I, which has degree top - N_I
+        for k in range(top + 1 - n[I]):
+            ratio.append(f[I][k] - sum(f[-1][j] * ratio[k - j] for j in range(1, k + 1)))
+        induced.append(ratio)
+    quotient = list(induced)
+    for k in range(d):
         for I in range(1 << d):
-            ratio = []  # f_I / f_all = P_all / P_I, which has degree top - N_I
-            for k in range(top + 1 - n[I]):
-                ratio.append(f[I][k] - sum(f[-1][j] * ratio[k - j] for j in range(1, k + 1)))
-            induced.append(ratio)
-        quotient = list(induced)
-        for k in range(d):
-            for I in range(1 << d):
-                if not I >> k & 1:
-                    above = quotient[I | 1 << k]
-                    quotient[I] = [a - b for a, b in itertools.zip_longest(quotient[I], above, fillvalue=0)]
-        gd.dim_polys = {
-            frozenset(k for k in range(d) if I >> k & 1): (DimPoly(tuple(ind)), DimPoly(tuple(quo)).trim())
-            for I, (ind, quo) in enumerate(zip(induced, quotient))
-        }
-    return gd.dim_polys
+            if not I >> k & 1:
+                above = quotient[I | 1 << k]
+                quotient[I] = [a - b for a, b in itertools.zip_longest(quotient[I], above, fillvalue=0)]
+    return {
+        frozenset(k for k in range(d) if I >> k & 1): (DimPoly(tuple(ind)), DimPoly(tuple(quo)).trim())
+        for I, (ind, quo) in enumerate(zip(induced, quotient))
+    }
 
 
 def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:
@@ -322,12 +316,12 @@ def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:
 
     For split instances this is the classical parabolic Poincare polynomial.
     """
-    return all_dim_polys(gd)[I][0]
+    return gd.dim_polys[I][0]
 
 
 def dim_v(gd: GroupData, I: frozenset[int]) -> DimPoly:
     """q^l(w) summed over the sigma-fixed w whose left descents are the orbits off I."""
-    return all_dim_polys(gd)[I][1]
+    return gd.dim_polys[I][1]
 
 
 def steinberg_dimension(gd: GroupData) -> int:

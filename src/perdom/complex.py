@@ -14,7 +14,7 @@ else, and many points share one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .finflag import Subspace
 from .rootdata import row_reduce
@@ -25,8 +25,7 @@ class SemistablePointError(ValueError):
     """Raised when a destabilizing complex is requested at a semistable point."""
 
 
-@dataclass
-class TitsSubcomplex:
+class TitsSubcomplex(NamedTuple):
     """Simplices grouped by dimension; a simplex is a tuple of vertex indices."""
 
     vertex_keys: tuple
@@ -132,8 +131,7 @@ def _composes_to_zero(a, b) -> bool:
     return True
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     m: int
     total_points: int
     non_semistable: int

@@ -32,11 +32,11 @@ Hermitian-orthogonal plane is written from the line's entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
 from operator import add, gt, not_, or_, xor
+from typing import NamedTuple
 
 from .rootdata import DEFAULT_BUDGET, BudgetError
 
@@ -341,8 +341,7 @@ def rank(tower: FieldTower, rows) -> int:
     return len(rref(tower, rows)[0])
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace in canonical reduced echelon form."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -484,8 +483,7 @@ def enumerate_subspaces(
 # ---------------------------------------------------------------------------
 # flags
 
-@dataclass(frozen=True)
-class FlagPoint:
+class FlagPoint(NamedTuple("FlagPoint", [("chain", tuple), ("weights", tuple), ("n", int)])):
     """A weighted flag of the n-space: proper subspaces plus the weight ladder.
 
     ``weights`` lists the distinct weights in decreasing order; the chain has
@@ -494,12 +492,9 @@ class FlagPoint:
     filtrations alike are weighted flags.
     """
 
-    chain: tuple[Subspace, ...]
-    weights: tuple[Fraction, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        chain, weights, n = self.chain, self.weights, self.n
+    def __new__(cls, chain: tuple[Subspace, ...], weights: tuple[Fraction, ...], n: int):
         if len(chain) != len(weights) - 1:
             raise ValueError("one subspace per weight but the last")
         if not all(map(gt, weights, weights[1:])):
@@ -512,6 +507,7 @@ class FlagPoint:
             prev = dim
         if prev >= n:
             raise ValueError("subspaces must be proper and strictly increase")
+        return super().__new__(cls, chain, weights, n)
 
 
 def mu_flag_type(mu_coords) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:

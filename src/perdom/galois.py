@@ -11,14 +11,13 @@ mu's labels; no linear realisation of the twist is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rootdata import RootDatum
 from .weyl import OrbitPoint
 
 
-@dataclass(frozen=True)
-class GaloisAction:
+class GaloisAction(NamedTuple):
     """A cyclic group of diagram automorphisms: the permutation ``perm`` of
     the simple roots, acting with period ``order``."""
 
@@ -37,8 +36,7 @@ class GaloisAction:
         return image
 
 
-@dataclass(frozen=True)
-class DeltaOrbits:
+class DeltaOrbits(NamedTuple):
     """Partition of the simple roots into Galois orbits, with their labels."""
 
     orbits: tuple[tuple[int, ...], ...]
@@ -49,8 +47,7 @@ class DeltaOrbits:
         return len(self.orbits)
 
 
-@dataclass(frozen=True)
-class WOrbit:
+class WOrbit(NamedTuple):
     """An orbit of Kostant representatives, as W-orbit points, under the reflex subgroup."""
 
     rep: OrbitPoint

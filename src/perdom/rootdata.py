@@ -14,10 +14,9 @@ is kept: everything downstream is read from pairings and the Cartan matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 Matrix = tuple[Vec, ...]
@@ -137,16 +136,15 @@ def solve_in_span(vectors: Sequence[Vec], target: Vec) -> Vec | None:
 # ---------------------------------------------------------------------------
 # domain types
 
-@dataclass(frozen=True)
-class LatticeVec:
+class LatticeVec(NamedTuple("LatticeVec", [("side", str), ("coords", Vec)])):
     """A rational vector tagged with the space it lives in."""
 
-    side: str
-    coords: Vec
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.side not in (CHARACTER, COCHARACTER):
-            raise ValueError(f"unknown side {self.side!r}")
+    def __new__(cls, side: str, coords: Vec):
+        if side not in (CHARACTER, COCHARACTER):
+            raise ValueError(f"unknown side {side!r}")
+        return super().__new__(cls, side, coords)
 
     @property
     def dim(self) -> int:
@@ -161,8 +159,7 @@ def cocharacter(values: Iterable) -> LatticeVec:
     return LatticeVec(COCHARACTER, frac_vec(values))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Simple roots and coroots of a product of classical factors.
 
     ``cartan_matrix[i][j]`` is the pairing of the i-th simple coroot with the
@@ -250,30 +247,35 @@ def build_root_datum(spec: Sequence[tuple[str, int]]) -> RootDatum:
                 f"component {idx}: {family}_{rank} below minimal rank {_FAMILY_MIN_RANK[family]}"
             )
     refusal = UnsupportedTypeError(f"Weyl order exceeds budget {WEYL_ORDER_BUDGET}")
-    if sum(rank for _, rank in spec) >= WEYL_ORDER_BUDGET.bit_length():
+    total_rank = sum(rank for _, rank in spec)
+    if total_rank >= WEYL_ORDER_BUDGET.bit_length():
         raise refusal
 
     blocks = [_factor_data(f, r) for f, r in spec]
     ambient = sum(b[0] for b in blocks)
     roots: list[LatticeVec] = []
     coroots: list[LatticeVec] = []
-    offset = 0
+    cartan: list[tuple[int, ...]] = []
+    offset = first = 0
     for n, broots, bcoroots in blocks:
         pad = lambda v: tuple([Fraction(0)] * offset + list(v) + [Fraction(0)] * (ambient - offset - n))
         roots.extend(character(pad(v)) for v in broots)
         coroots.extend(cocharacter(pad(v)) for v in bcoroots)
-        offset += n
+        # a factor's coroots pair to 0 with every other factor's roots, so
+        # only its own block is paired, in block coordinates
+        last = first + len(broots)
+        for c in bcoroots:
+            row = [0] * total_rank
+            row[first:last] = [int(vec_dot(c, r)) for r in broots]
+            cartan.append(tuple(row))
+        offset, first = offset + n, last
 
-    cartan = tuple(
-        tuple(int(vec_dot(coroots[i].coords, roots[j].coords)) for j in range(len(roots)))
-        for i in range(len(coroots))
-    )
     datum = RootDatum(
         cartan_type=spec,
         ambient_dim=ambient,
         simple_roots=tuple(roots),
         simple_coroots=tuple(coroots),
-        cartan_matrix=cartan,
+        cartan_matrix=tuple(cartan),
         positive_coefficients=positive_root_coefficients(cartan),
     )
     if datum.weyl_order > WEYL_ORDER_BUDGET:

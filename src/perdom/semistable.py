@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import attrgetter, not_
+from typing import NamedTuple
 
 from .cohom import GroupData
 from .finflag import (
@@ -129,8 +129,7 @@ def slope(tower: FieldTower, point: FlagPoint, test: FlagPoint) -> Fraction:
 # ---------------------------------------------------------------------------
 # verifier context
 
-@dataclass
-class SlopeReport:
+class SlopeReport(NamedTuple):
     point_index: int
     destabilizers: tuple[tuple[FlagPoint, Fraction], ...]
 
@@ -139,15 +138,15 @@ class SlopeReport:
         return not self.destabilizers
 
 
-@dataclass
 class VerifierContext:
-    gd: GroupData
-    m: int
-    tower: FieldTower
-    n: int
-    mode: str  # "split" or "u3"
-    points: list[FlagPoint]
-    tests: list[FlagPoint]  # the rational test filtrations
+    """The points over the degree-m extension of the reflex field, the
+    rational test filtrations (``tests``) and the tables read from them,
+    each built once; ``mode`` is "split" or "u3"."""
+
+    def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
+                 points: list[FlagPoint], tests: list[FlagPoint]):
+        self.gd, self.m, self.tower, self.n, self.mode = gd, m, tower, n, mode
+        self.points, self.tests = points, tests
 
     @cached_property
     def point_spaces(self) -> dict[Subspace, int]:

@@ -14,7 +14,7 @@ walk is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rootdata import (
     COCHARACTER,
@@ -31,8 +31,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     word: tuple[int, ...]
     matrix: Matrix
     length: int
@@ -41,11 +40,10 @@ class WeylElement:
         return f"w{list(self.word)}" if self.word else "w[]"
 
 
-@dataclass
-class WeylGroup:
+class WeylGroup(NamedTuple):
     datum: RootDatum
     elements: tuple[WeylElement, ...]
-    by_matrix: dict[Matrix, WeylElement] = field(repr=False)
+    by_matrix: dict[Matrix, WeylElement]
 
     @property
     def order(self) -> int:
@@ -107,8 +105,7 @@ def inversion_count(W: WeylGroup, w: WeylElement, positives) -> int:
     return sum(negative[act(w, beta).coords] for beta in positives)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(NamedTuple):
     """A point ``w mu`` of a dominant coweight's W-orbit, given by its Dynkin
     labels ``<w mu, alpha_i>``, which fix it inside the orbit, with the
     reduced word and length of the minimal-length such w."""

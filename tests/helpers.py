@@ -153,6 +153,15 @@ def num_positive_roots(cartan_type) -> int:
     return sum(d - 1 for family, rank in cartan_type for d in _DEGREES[family](rank))
 
 
+def ambient_cartan_matrix(datum) -> tuple[tuple[int, ...], ...]:
+    """Every simple coroot paired with every simple root over the whole
+    ambient space, the entries between two factors' blocks included."""
+    return tuple(
+        tuple(int(vec_dot(c.coords, r.coords)) for r in datum.simple_roots)
+        for c in datum.simple_coroots
+    )
+
+
 # ---------------------------------------------------------------------------
 # oracles for the engine's points, signs and twist: orbit points as vectors,
 # orbit weights, invariant forms, and the twist as a linear map

@@ -1,6 +1,5 @@
 """Sign sets, table assembly, dimension polynomials, point-count series."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -249,7 +248,7 @@ def test_engine_reads_no_family_letter_past_the_root_datum(monkeypatch):
     expected = {name: engine_output(instance(name)) for name in INSTANCES}
     build = rootdata.build_root_datum
     monkeypatch.setattr(
-        cohom, "build_root_datum", lambda spec: dataclasses.replace(build(spec), cartan_type=(("X", 1),))
+        cohom, "build_root_datum", lambda spec: build(spec)._replace(cartan_type=(("X", 1),))
     )
     for name, (ctype, mu, q, twist) in INSTANCES.items():
         gd = build_group_data(list(ctype), list(mu), q, twist=twist)

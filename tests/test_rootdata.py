@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import form_dual, form_value, invariant_gram, time_limit
+from helpers import INSTANCES, ambient_cartan_matrix, form_dual, form_value, invariant_gram, time_limit
 from perdom import rootdata
 from perdom.rootdata import (
     UnsupportedTypeError,
@@ -98,6 +98,19 @@ def test_rank_bound_refuses_before_any_coordinate(monkeypatch):
     monkeypatch.setattr(rootdata, "_factor_data", None)
     with pytest.raises(UnsupportedTypeError, match="^Weyl order exceeds budget 1000000$"):
         build_root_datum([("A", 1)] * 20)
+
+
+def test_cartan_matrix_by_block_equals_the_ambient_pairing(monkeypatch):
+    # the Cartan matrix pairs each factor's coroots with its own roots only;
+    # the full ambient pairing, off-block zeros included, must agree.  The
+    # mixed product has |W| above the budget, which is raised here so that
+    # its datum is built at all
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_BUDGET", 10**12)
+    types = {ctype for ctype, _, _, _ in INSTANCES.values()}
+    types |= {(("A", 1),) * 19, (("A", 4), ("B", 4), ("C", 4), ("D", 4), ("G", 2))}
+    for ctype in sorted(types):
+        datum = build_root_datum(ctype)
+        assert datum.cartan_matrix == ambient_cartan_matrix(datum), ctype
 
 
 def test_pairing_examples_a2():
