@@ -1,14 +1,14 @@
 """Command surface: ingest a group spec, run the engine and the verifiers.
 
-Exit codes: 0 success, 2 malformed spec or option (a bad ``--m``, an
-unwritable ``--points-csv`` path), 3 verification mismatch, 4 budget
-exhausted.  Reports are deterministic JSON (fixed key order, canonical
-rational formatting) unless the table format is requested.
+Exit codes: 0 success, 2 malformed spec or command line (an unknown
+option, a missing value, a bad ``--m``, an unwritable ``--points-csv``
+path), 3 verification mismatch, 4 budget exhausted.  Reports are
+deterministic JSON (fixed key order, canonical rational formatting) unless
+the table format is requested.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import sys
@@ -141,6 +141,10 @@ def load_spec(path: str, budget: int = DEFAULT_BUDGET) -> GroupSpec:
         raise SpecError("$", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError("$", f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError("$", f"not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError("$", "invalid JSON: nested too deeply") from exc
     return parse_group_spec(raw, budget)
 
 
@@ -456,40 +460,77 @@ def _parse_m_list(text: str) -> list[int]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="perdom",
-        description="Cohomology tables of period domains over finite fields, with brute-force verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("cohomology", "dims", "verify", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--spec", required=True, help="path to a JSON group spec")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        if name in ("verify", "sweep"):
-            p.add_argument("--m", default="1,2", help="comma-separated extension degrees")
-        if name == "verify":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--points-csv", default=None, help="write per-point slope reports here")
-        if name == "sweep":
-            p.add_argument("--fail-fast", action="store_true")
-    return parser
+# the options each command takes; --fail-fast is the one without a value
+_COMMON = ("--spec", "--format", "--budget")
+_OPTIONS = {
+    "cohomology": _COMMON,
+    "dims": _COMMON,
+    "verify": _COMMON + ("--m", "--seed", "--points-csv"),
+    "sweep": _COMMON + ("--m", "--fail-fast"),
+}
+
+USAGE = """\
+usage: perdom {cohomology,dims,verify,sweep} --spec PATH [--format json|table] [--budget N]
+  verify, sweep: [--m LIST]            comma-separated extension degrees (1,2)
+  verify:        [--seed N]            seed of the invariant spot checks (0)
+                 [--points-csv PATH]   write per-point slope reports here
+  sweep:         [--fail-fast]         stop each m at its first violation
+"""
+
+
+def parse_args(argv: list[str]) -> tuple[str, dict]:
+    """The command and its options, defaults filled in.  Options come in any
+    order, as ``--opt value`` or ``--opt=value``, and a repeated option keeps
+    its last value; a malformed command line raises SpecError."""
+    command = argv[0] if argv else ""
+    if command not in _OPTIONS:
+        raise SpecError("command", f"expected one of {', '.join(_OPTIONS)}, got {command!r}")
+    opts = {"--format": "json", "--budget": DEFAULT_BUDGET, "--m": "1,2", "--seed": 0,
+            "--points-csv": None, "--fail-fast": False}
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS[command]:
+            raise SpecError(name, f"not an option of {command}")
+        if name == "--fail-fast":
+            if eq:
+                raise SpecError(name, "takes no value")
+            value = True
+        elif not eq:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                raise SpecError(name, "expected a value")
+        if name == "--format" and value not in ("json", "table"):
+            raise SpecError(name, f"expected json or table, got {value!r}")
+        if name in ("--budget", "--seed"):
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise SpecError(name, f"expected an integer, got {value!r}") from exc
+        opts[name] = value
+    if "--spec" not in opts:
+        raise SpecError("--spec", "missing")
+    return command, opts
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     try:
-        spec = load_spec(args.spec, budget=args.budget)
-        if args.command == "cohomology":
-            code, out = cmd_cohomology(spec, args.format)
-        elif args.command == "dims":
-            code, out = cmd_dims(spec, args.format)
-        elif args.command == "verify":
-            code, out = cmd_verify(spec, args.format, _parse_m_list(args.m), args.seed,
-                                   points_csv_path=args.points_csv)
+        command, opts = parse_args(argv)
+        spec = load_spec(opts["--spec"], budget=opts["--budget"])
+        if command == "cohomology":
+            code, out = cmd_cohomology(spec, opts["--format"])
+        elif command == "dims":
+            code, out = cmd_dims(spec, opts["--format"])
+        elif command == "verify":
+            code, out = cmd_verify(spec, opts["--format"], _parse_m_list(opts["--m"]), opts["--seed"],
+                                   points_csv_path=opts["--points-csv"])
         else:
-            code, out = cmd_sweep(spec, args.format, _parse_m_list(args.m), args.fail_fast)
+            code, out = cmd_sweep(spec, opts["--format"], _parse_m_list(opts["--m"]), opts["--fail-fast"])
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -226,9 +226,6 @@ class FieldTower:
             x = x * self.p + (c % self.p)
         return x
 
-    def _raw_mul(self, x: int, y: int) -> int:
-        return self._from_poly(_poly_mod(_poly_mul(self._to_poly(x), self._to_poly(y), self.p), self.modulus, self.p))
-
     def _build_tables(self):
         size, p = self.size, self.p
         self._subfield_cache: dict[int, frozenset[int]] = {}
@@ -258,21 +255,36 @@ class FieldTower:
         self.neg = self._neg.__getitem__
 
     def _find_primitive(self):
-        size, order = self.size, self.size - 1
-        for g in range(2, size):
-            exp = [1]
-            cur = 1
-            for _ in range(order):
-                cur = self._raw_mul(cur, g)
-                if cur == 1:
-                    break
-                exp.append(cur)
-            if len(exp) == order:
-                log = [0] * size
-                for i, v in enumerate(exp):
-                    log[v] = i
-                return exp, log
-        raise AssertionError("no primitive element found")
+        """The powers of the least g >= 2 of order size - 1, and their logs.
+        g is primitive when g^((size - 1) / r) != 1 for each prime r dividing
+        size - 1, so only the chosen g is walked: by carry-less shifts and
+        XOR with the modulus when p = 2."""
+        p, f, size = self.p, self.modulus, self.size
+        order = size - 1
+        # one pass over 2..order costs less than the walk over the powers
+        primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
+        g = next(g for g in range(2, size)
+                 if all(_poly_powmod(self._to_poly(g), order // r, f, p) != [1] for r in primes))
+        exp, log = [1] * order, [0] * size
+        if p == 2:
+            fbits = self._from_poly(f)
+            for k in range(1, order):
+                cur, acc, h = exp[k - 1], 0, g
+                while h:
+                    if h & 1:
+                        acc ^= cur
+                    h, cur = h >> 1, cur << 1
+                    if cur & size:
+                        cur ^= fbits
+                exp[k] = acc
+        else:
+            gpoly, cur = self._to_poly(g), [1]
+            for k in range(1, order):
+                cur = _poly_mod(_poly_mul(cur, gpoly, p), f, p)
+                exp[k] = self._from_poly(cur)
+        for i, v in enumerate(exp):
+            log[v] = i
+        return exp, log
 
     def mul(self, x: int, y: int) -> int:
         if x == 0 or y == 0:

@@ -15,6 +15,8 @@ from perdom.finflag import (
     FieldTower,
     FlagPoint,
     Subspace,
+    _poly_mod,
+    _poly_mul,
     annihilator,
     enumerate_subspaces,
     rank,
@@ -320,6 +322,35 @@ def _fixed_orbit_cells(rows, orbits, start: tuple[int, ...]) -> DimPoly:
                 seen.add(image)
                 stack.append((image, length + steps))
     return DimPoly(tuple(counts))
+
+
+# ---------------------------------------------------------------------------
+# the field tower's primitive element, found by walking every candidate
+
+def walk_primitive(tower: FieldTower):
+    """The powers of the least primitive g >= 2 and their logs, found by
+    walking the powers of each candidate g = 2, 3, ... through a generic
+    polynomial product until one returns to 1 only after size - 1 steps."""
+    p, f, size = tower.p, tower.modulus, tower.size
+    for g in range(2, size):
+        exp, cur = [1], 1
+        for _ in range(size - 1):
+            product = _poly_mod(_poly_mul(tower._to_poly(cur), tower._to_poly(g), p), f, p)
+            cur = tower._from_poly(product)
+            if cur == 1:
+                break
+            exp.append(cur)
+        if len(exp) == size - 1:
+            log = [0] * size
+            for i, v in enumerate(exp):
+                log[v] = i
+            return exp, log
+    raise AssertionError("no primitive element found")
+
+
+class WalkedTower(FieldTower):
+    """A tower whose tables come from ``walk_primitive``."""
+    _find_primitive = walk_primitive
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Spec ingestion, report determinism, exit codes, command flows."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from helpers import time_limit
 from perdom import cli
+from perdom.rootdata import DEFAULT_BUDGET
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -15,7 +18,8 @@ def write_spec(tmp_path, payload, name="spec.json"):
     return str(path)
 
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 SL2 = {"type": [["A", 1]], "mu": [1, -1], "q": 2}
 SL3 = {"type": [["A", 2]], "mu": [1, 0, -1], "q": 2}
 U3 = {"type": [["A", 2]], "twist": {"perm": [2, 1], "order": 2}, "mu": [1, 0, -1], "q": 2}
@@ -357,3 +361,140 @@ def test_central_spec_single_row(tmp_path, capsys):
     report = json.loads(out)
     assert len(report["cohomology"]["summands"]) == 1
     assert report["cohomology"]["summands"][0]["degree"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the command line
+
+def _load_bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks the class's module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_bench_workloads()
+BENCH_COMMANDS = sorted({c for cmds in workloads.WORKLOADS.values() for c in cmds}, key=lambda c: c.id)
+
+
+@pytest.mark.parametrize("command", BENCH_COMMANDS, ids=lambda c: c.id)
+def test_benchmark_command_lines_give_the_golden_reports(tmp_path, capsys, command):
+    argv = workloads.command_argv(ROOT, tmp_path, command, seed=1)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert workloads.normalise(out) == (ROOT / "bench" / "golden" / f"{command.id}.json").read_text()
+
+
+def record_calls(monkeypatch) -> list:
+    """Replace the four commands by stubs that record their arguments."""
+    calls = []
+    for name in ("cmd_cohomology", "cmd_dims", "cmd_verify", "cmd_sweep"):
+        def stub(spec, *args, _name=name, **kwargs):
+            calls.append((_name, spec.budget, args, kwargs))
+            return cli.EXIT_OK, ""
+        monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+NO_CSV = {"points_csv_path": None}
+
+
+# the perdom command lines of README.md and the CI workflow, with the call
+# each one made before; $spec is a spec written by the workflow
+@pytest.mark.parametrize("line,call", [
+    ("cohomology --spec specs/u3.json --format table", ("cmd_cohomology", DEFAULT_BUDGET, ("table",), {})),
+    ("dims --spec specs/sl3_flags.json", ("cmd_dims", DEFAULT_BUDGET, ("json",), {})),
+    ("verify --spec specs/sl2.json --m 1,2,3", ("cmd_verify", DEFAULT_BUDGET, ("json", [1, 2, 3], 0), NO_CSV)),
+    ("sweep --spec specs/sl3_minuscule.json --m 1,2 --fail-fast",
+     ("cmd_sweep", DEFAULT_BUDGET, ("json", [1, 2], True), {})),
+    ("cohomology --spec $spec", ("cmd_cohomology", DEFAULT_BUDGET, ("json",), {})),
+    ("verify --spec bench/specs/sl4_mid.json --m 3", ("cmd_verify", DEFAULT_BUDGET, ("json", [3], 0), NO_CSV)),
+    ("sweep --spec bench/specs/sl4_mid.json --m 3", ("cmd_sweep", DEFAULT_BUDGET, ("json", [3], False), {})),
+    ("verify --spec $spec --m 1,2", ("cmd_verify", DEFAULT_BUDGET, ("json", [1, 2], 0), NO_CSV)),
+    ("verify --spec specs/u3.json --m 5", ("cmd_verify", DEFAULT_BUDGET, ("json", [5], 0), NO_CSV)),
+    ("dims --spec $spec --budget 1000000", ("cmd_dims", 1000000, ("json",), {})),
+])
+def test_documented_command_lines_make_the_same_calls(tmp_path, capsys, monkeypatch, line, call):
+    calls = record_calls(monkeypatch)
+    spec = write_spec(tmp_path, SL3)
+    argv = [spec if a == "$spec" else str(ROOT / a) if a.endswith(".json") else a for a in line.split()]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (cli.EXIT_OK, "", "")
+    assert calls == [call]
+
+
+@pytest.mark.parametrize("variant", [
+    # --opt=value
+    ["verify", "--spec={path}", "--m=1,2", "--seed=3", "--format=table", "--budget=1000"],
+    # any order, and a repeated option keeps its last value
+    ["verify", "--format", "json", "--budget", "5", "--m", "9", "--seed", "3", "--spec", "{path}",
+     "--m", "1,2", "--budget", "1000", "--format", "table"],
+])
+def test_option_forms_give_the_same_report(tmp_path, capsys, variant):
+    path = write_spec(tmp_path, SL2)
+    spaced = run(["verify", "--spec", path, "--m", "1,2", "--seed", "3", "--format", "table",
+                  "--budget", "1000"], capsys)
+    assert spaced[0] == cli.EXIT_OK and "m=2: series=2 brute=2 ok" in spaced[1]
+    assert run([a.format(path=path) for a in variant], capsys) == spaced
+
+
+def test_a_negative_seed_is_a_value(tmp_path, capsys):
+    code, out, _ = run(["verify", "--spec", write_spec(tmp_path, SL2), "--seed", "-1", "--m", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["verification"]["invariant_spot_checks"]["seed"] == -1
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    path = write_spec(tmp_path, SL2)
+    monkeypatch.setattr(sys, "argv", ["perdom", "cohomology", "--spec", path])
+    assert run(None, capsys) == run(["cohomology", "--spec", path], capsys)
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["cohomology", "--spec", "{path}", "--bogus", "1"], "--bogus"),
+    (["verify", "--spec", "{path}", "--fail-fast"], "--fail-fast"),
+    (["cohomology", "--spec", "{path}", "--m", "1"], "--m"),
+    (["cohomology", "--spec", "{path}", "extra"], "extra"),
+    (["cohomology", "--spec"], "--spec"),
+    (["cohomology", "--spec", "--format", "table"], "--spec"),
+    (["verify", "--spec", "{path}", "--seed"], "--seed"),
+    (["cohomology", "--spec", "{path}", "--budget", "ten"], "--budget"),
+    (["verify", "--spec", "{path}", "--seed=1.5"], "--seed"),
+    (["cohomology", "--spec", "{path}", "--format", "xml"], "--format"),
+    (["sweep", "--spec", "{path}", "--fail-fast=yes"], "--fail-fast"),
+    (["cohomology", "--for", "table", "--spec", "{path}"], "--for"),
+    (["cohomology", "--format", "table"], "--spec"),
+    (["bogus", "--spec", "{path}"], "command"),
+    (["--spec", "{path}"], "command"),
+    ([], "command"),
+])
+def test_malformed_command_line_is_a_spec_error(tmp_path, capsys, argv, field):
+    path = write_spec(tmp_path, SL2)
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith(f"spec error: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--spec", "x.json", "-h"]])
+def test_help_lists_the_commands(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_OK and err == ""
+    assert out.startswith("usage: perdom {cohomology,dims,verify,sweep} --spec PATH")
+
+
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_spec_that_is_not_utf8_is_a_spec_error(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(SL2).encode("utf-16-le"))
+    code, out, err = run([command, "--spec", str(path)], capsys)
+    assert code == cli.EXIT_SPEC and out == ""
+    assert err.startswith("spec error: $: not UTF-8 text: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_spec_nested_too_deeply_is_a_spec_error(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run([command, "--spec", str(path)], capsys)
+    assert (code, out, err) == (cli.EXIT_SPEC, "", "spec error: $: invalid JSON: nested too deeply\n")

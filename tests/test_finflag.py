@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     HermitianData,
+    WalkedTower,
     contains,
     field_nullspace,
     frobenius_point,
@@ -100,6 +101,21 @@ def test_field_tables_are_linear_in_size():
         if isinstance(v, (list, tuple)):
             assert not any(isinstance(x, (list, tuple, dict, set, frozenset)) for x in v)
     assert sum(table_entries(v) for v in tables) <= 6 * t.size
+
+
+# 16 fields over q = 2, 3, 4, 5, 7, 8, 9 and 25, up to 4,096 elements
+WALKED_FIELDS = ((2, 2), (2, 5), (2, 8), (2, 9), (2, 10), (2, 12), (3, 3), (3, 6), (4, 3),
+                 (5, 2), (5, 4), (7, 2), (8, 2), (8, 4), (9, 2), (25, 2))
+
+
+@pytest.mark.parametrize("q,m", WALKED_FIELDS)
+def test_primitive_element_matches_the_walk_over_every_candidate(q, m):
+    # every report reads its field through these tables, so the order test
+    # must pick the same g as the walk, with the same powers
+    t, walked = make_tower(q, m), WalkedTower(q, m)
+    assert t._exp == walked._exp
+    assert t._log == walked._log
+    assert getattr(t, "_zech", None) == getattr(walked, "_zech", None)
 
 
 def test_field_axioms_sampled_f125():

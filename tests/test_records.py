@@ -18,13 +18,24 @@ from perdom.weyl import generate_weyl
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # every command pays the import of perdom.cli before it starts; -S keeps
-    # site-packages from importing either module on its own
-    code = "import sys, perdom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def loaded_by_cli_import(names) -> list[str]:
+    """Which of the named modules a fresh ``import perdom.cli`` loads; every
+    command pays that import before it starts, and -S keeps site-packages
+    from importing any of them on its own."""
+    code = f"import sys, perdom.cli; print(*sorted({set(names)!r} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout.split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert loaded_by_cli_import(["dataclasses", "inspect"]) == []
+
+
+def test_cli_import_loads_neither_argparse_nor_gettext():
+    # building an argparse parser cost 3-5 ms inside every command, and
+    # argparse's gettext calls import locale
+    assert loaded_by_cli_import(["argparse", "gettext"]) == []
 
 
 def _examples():
