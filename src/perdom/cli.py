@@ -9,7 +9,6 @@ the table format is requested.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from typing import NamedTuple
@@ -25,22 +24,17 @@ from .cohom import (
     lefschetz_series,
 )
 from .complex import acyclicity_sweep
-from .finflag import (
-    FlagLevels,
-    _factor_prime_power,
-    enumerate_twisted_fixed_flags,
-    flag_count,
-    make_tower,
-)
+from .finflag import _factor_prime_power
 from .rootdata import DEFAULT_BUDGET, BudgetError, UnsupportedTypeError
 from .semistable import (
     brute_force_ss_count,
-    bruhat_cells_check,
     build_verifier,
-    check_verifier_budget,
+    cell_checks,
     parabolic_invariance_sample,
     points_csv,
+    rational_point_counts,
     semistable_indices,
+    smallest_feasible_m,
     verifier_mode,
 )
 
@@ -145,6 +139,8 @@ def load_spec(path: str, budget: int = DEFAULT_BUDGET) -> GroupSpec:
         raise SpecError("$", f"not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise SpecError("$", "invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past Python's 4,300-digit limit
+        raise SpecError("$", f"integer too long: {str(exc).partition(';')[0]}") from exc
     return parse_group_spec(raw, budget)
 
 
@@ -283,38 +279,11 @@ def cmd_cohomology(spec: GroupSpec, fmt: str) -> tuple[int, str]:
 
 def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
     """Mandatory equality of the counting formula with actual point counts."""
-    mode = verifier_mode(gd)
-    # the verifier's m = 1 tower: F_q when split, F_{q^2} for U_3
-    tower = make_tower(gd.q, check_verifier_budget(gd, 1, budget))
-    checks = []
-    if mode == "split":
-        n = gd.datum.ambient_dim
-        flag_types = {}
-        for k in range(gd.d_prime + 1):
-            for I in itertools.combinations(range(gd.d_prime), k):
-                roots = {i for orb in I for i in gd.orbits_delta.orbits[orb]}
-                flag_types[frozenset(I)] = tuple(d for d in range(1, n) if (d - 1) not in roots)
-        # every label set's flags are counted, so their sum is what the budget bounds
-        total = sum(flag_count(n, dims, gd.q) for dims in flag_types.values())
-        if total > budget:
-            raise BudgetError(f"{total} flags exceed budget {budget}")
-        # each level is enumerated once and the chains are counted level by
-        # level from its containment lists, with no flag built
-        flags = FlagLevels(tower, n, set().union(*flag_types.values()), budget=budget)
-        for I, dims in flag_types.items():
-            checks.append(
-                {"I": sorted(gd.orbits_delta.labels[i] for i in I),
-                 "formula": dim_induced(gd, I)(gd.q), "points": flags.count(dims)}
-            )
-    elif mode == "u3":
-        # the rational chambers of the unitary instance, counted from the
-        # closed-form listing; the scan of the projective plane for the
-        # isotropic lines is a test oracle
-        chambers = len(enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget))
-        checks.append({"I": [], "formula": dim_induced(gd, frozenset())(gd.q), "points": chambers})
-        checks.append({"I": list(gd.orbits_delta.labels), "formula": 1, "points": 1})
-    match = all(c["formula"] == c["points"] for c in checks)
-    return {"match": match, "checks": checks}
+    checks = [
+        {"I": sorted(_labels(gd, I)), "formula": dim_induced(gd, I)(gd.q), "points": points}
+        for I, points in rational_point_counts(gd, budget).items()
+    ]
+    return {"match": all(c["formula"] == c["points"] for c in checks), "checks": checks}
 
 
 def cmd_dims(spec: GroupSpec, fmt: str) -> tuple[int, str]:
@@ -331,16 +300,6 @@ def cmd_dims(spec: GroupSpec, fmt: str) -> tuple[int, str]:
         if not guard["match"]:
             return EXIT_MISMATCH, render(report, fmt)
     return EXIT_OK, render(report, fmt)
-
-
-def _feasible_m(gd: GroupData, budget: int) -> int | None:
-    for m in range(1, 4):
-        try:
-            check_verifier_budget(gd, m, budget)
-        except BudgetError:
-            continue
-        return m
-    return None
 
 
 def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
@@ -377,15 +336,9 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
             counts.append(row)
             all_match = all_match and row["match"]
 
-            if ctx.mode == "split":
-                for k in range(gd.d_prime + 1):
-                    for I in itertools.combinations(range(gd.d_prime), k):
-                        ok, detail = bruhat_cells_check(ctx, frozenset(I))
-                        cells_ok = cells_ok and ok
-                        cell_rows.append(
-                            {"m": m, "I": sorted(gd.orbits_delta.labels[i] for i in I),
-                             "match": ok, **detail}
-                        )
+            for I, ok, detail in cell_checks(ctx):
+                cells_ok = cells_ok and ok
+                cell_rows.append({"m": m, "I": sorted(_labels(gd, I)), "match": ok, **detail})
             if pos == 0:
                 spot_ok = parabolic_invariance_sample(ctx, seed=seed)
                 if points_csv_path:
@@ -405,7 +358,7 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
         all_match = all_match and spot_ok
     except BudgetError as exc:
         # a failed guard is refused at every m
-        suggestion = _feasible_m(gd, spec.budget) if "induced_dim_guard" in verification else None
+        suggestion = smallest_feasible_m(gd, spec.budget) if "induced_dim_guard" in verification else None
         verification["budget_error"] = str(exc)
         if suggestion is not None:
             verification["smallest_feasible_m"] = suggestion

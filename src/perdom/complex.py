@@ -1,10 +1,11 @@
 """Destabilizing subcomplexes of the rational Tits complex and their homology.
 
-For the special linear group the complex is modeled concretely: vertices are
-destabilizing rational subspaces, simplices are chains under inclusion.  For
-the quasi-split unitary group on 3 variables the rational building is a set
-of points (every proper rational parabolic is minimal), so the subcomplex is
-its vertex set.  Homology is reduced and rational, by exact rank computation.
+The vertices are a point's destabilizing rational tests, the simplices the
+chains of tests, each test's last subspace strictly inside the next one's
+first.  For the special linear group a test is one subspace, so these are
+chains under inclusion; for the quasi-split unitary group on 3 variables a
+test is a chamber, and a plane lies in no line, so the subcomplex is its
+vertex set.  Homology is reduced and rational, by exact rank computation.
 
 A sweep builds every non-semistable point's complex from its own
 destabilizers, but computes homology, and its check that the boundary
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .finflag import Subspace
 from .rootdata import row_reduce
 from .semistable import VerifierContext, is_semistable
 
@@ -40,36 +40,30 @@ class TitsSubcomplex(NamedTuple):
 
 
 def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
-    """The subcomplex spanned by everything that destabilizes one point."""
+    """The subcomplex spanned by everything that destabilizes one point, its
+    vertices the destabilizing tests, by their chains' dimensions and rows."""
     report = is_semistable(ctx, index)
     if report.verdict:
         raise SemistablePointError(f"point {index} is semistable; the complex is empty")
-
-    if ctx.mode == "split":
-        subs = sorted(
-            {t.chain[0] for t, _ in report.destabilizers},
-            key=lambda s: (s.dim, s.rows),
-        )
-        keys = tuple(("subspace", s.dim, s.rows) for s in subs)
-        simplices = _chain_simplices(ctx, subs)
-    else:
-        flags = sorted(
-            {t for t, _ in report.destabilizers},
-            key=lambda f: tuple(s.rows for s in f.chain),
-        )
-        keys = tuple(("chamber",) + tuple(s.rows for s in f.chain) for f in flags)
-        simplices = (tuple((i,) for i in range(len(flags))),)
-    return TitsSubcomplex(vertex_keys=keys, simplices=simplices)
+    # a point's destabilizers are distinct tests already
+    tests = sorted((t for t, _ in report.destabilizers),
+                   key=lambda t: tuple((s.dim, s.rows) for s in t.chain))
+    return TitsSubcomplex(vertex_keys=tuple(tests), simplices=_chain_simplices(ctx, tests))
 
 
-def _chain_simplices(ctx: VerifierContext, subs: list[Subspace]):
-    """All chains of nested subspaces, listed per simplex dimension."""
-    n = len(subs)
-    within = ctx.test_containment
-    below = [[j for j in range(i) if subs[j] in within[subs[i]]] for i in range(n)]
+def _chain_simplices(ctx: VerifierContext, tests: list) -> tuple:
+    """All chains of tests, each test's last subspace strictly inside the next
+    one's first, per simplex dimension.  Comparing dimensions first keeps a
+    model whose tests never chain from building ``test_containment``."""
+    n = len(tests)
+    lasts = [t.chain[-1] for t in tests]
+    below = [
+        [j for j in range(i) if lasts[j].dim < first.dim and lasts[j] in ctx.test_containment[first]]
+        for i, first in enumerate(t.chain[0] for t in tests)
+    ]
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
     while True:
-        # a chain extends by any larger subspace containing its top member
+        # a chain extends by any later test containing its top member
         nxt = [
             chain + (j,)
             for chain in levels[-1]

@@ -1,9 +1,10 @@
 """Semistability oracle and stratification checks by brute-force enumeration.
 
-A point is semistable when its weighted flag pairs non-negatively against
-every rational test filtration; the test set is the full list of rational
-subspaces for the special linear group and the rational twisted flags for the
-quasi-split unitary group on 3 variables.  Points and tests alike are
+This is the one module that knows the brute-force model: the towers, the
+points and tests, the rational flag counts and the cell checks.  A point is
+semistable when its weighted flag pairs non-negatively against every
+rational test filtration: the rational subspaces for split SL_n, the
+rational chambers for quasi-split U_3.  Points and tests alike are
 ``FlagPoint``s: a chain of proper subspaces with its decreasing weights.
 
 Every point is paired with every test, but the pairing depends only on the
@@ -47,6 +48,7 @@ from .cohom import GroupData
 from .finflag import (
     BudgetError,
     FieldTower,
+    FlagLevels,
     FlagPoint,
     Subspace,
     annihilator,
@@ -313,60 +315,112 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
     tower = make_tower(gd.q, check_verifier_budget(gd, m, budget))
     n = gd.datum.ambient_dim
     weights, dims = mu_flag_type(gd.mu.coords)
-
-    if mode == "split":
-        points = enumerate_flag_points(tower, n, weights, dims, budget=budget)
-        tests = [
-            subspace_coweight_filtration(sub)
-            for d in range(1, n)
-            for sub in enumerate_subspaces(tower, n, d, subfield_deg=1, budget=budget)
-        ]
+    s = gd.e_degree * m  # total Frobenius power defining the point field
+    if mode == "u3" and s % 2 and dims:
+        # the twist-fixed flags: the q^(3s) + 1 chambers over F_(q^(2s))
+        points = enumerate_twisted_fixed_flags(tower, weights, conj_power=s, budget=budget)
+        assert len(points) == gd.q ** (3 * s) + 1, len(points)
     else:
-        s = gd.e_degree * m  # total Frobenius power defining the point field
-        if s % 2 == 1:
-            if dims not in ((), (1, 2)):
-                raise AssertionError("a twist-fixed conjugacy class must give full flags")
-            if not dims:
-                points = [FlagPoint(chain=(), weights=weights, n=n)]
-            else:
-                points = enumerate_twisted_fixed_flags(tower, weights, conj_power=s, budget=budget)
-                expected = gd.q ** (3 * s) + 1
-                assert len(points) == expected, (len(points), expected)
-        else:
-            # flags rational over F_{q^s} inside the tower
-            points = enumerate_flag_points(tower, n, weights, dims, subfield_deg=s, budget=budget)
-        # the rational chambers: flags fixed by one step of the twisted Frobenius
-        tests = enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget)
-        assert len(tests) == gd.q**3 + 1, (len(tests), gd.q**3 + 1)
+        # the flags over the whole tower F_(q^s)
+        points = enumerate_flag_points(tower, n, weights, dims, budget=budget)
+    return VerifierContext(gd=gd, m=m, tower=tower, n=n, mode=mode,
+                           points=points, tests=_rational_tests(gd, tower, budget))
 
-    return VerifierContext(
-        gd=gd, m=m, tower=tower, n=n, mode=mode,
-        points=points, tests=tests,
-    )
+
+def _rational_tests(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
+    """The coweight filtrations of the rational subspaces of SL_n, or the rational
+    chambers of U_3: its flags fixed by one step of the twisted Frobenius."""
+    if verifier_mode(gd) == "u3":
+        chambers = enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget)
+        assert len(chambers) == gd.q**3 + 1, len(chambers)
+        return chambers
+    n = gd.datum.ambient_dim
+    return [
+        subspace_coweight_filtration(sub)
+        for d in range(1, n)
+        for sub in enumerate_subspaces(tower, n, d, subfield_deg=1, budget=budget)
+    ]
+
+
+# an int past 2^14286 has over 4,300 digits, more than Python prints by
+# default: a count known from its exponent to lie past it is not computed
+_PRINTABLE_BITS = 14286
+
+
+def _in_full(number, q: int, e: int, past: str) -> str:
+    """``number()``, a number of at least q^e, in decimal where Python can
+    print it, else ``past`` followed by q^e."""
+    if e * (q.bit_length() - 1) < _PRINTABLE_BITS:
+        try:
+            return str(number())
+        except ValueError:  # more digits than int -> str allows
+            pass
+    return f"{past}{q}^{e}"
 
 
 def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
     """Refuse a verifier run before anything is enumerated: the flag or
     chamber count and the field tower's tables, the largest of which has one
     entry per element, must fit the budget.  Returns the degree over F_q of
-    the tower the points live in.  Every non-central mu has at least size + 1
-    flags or chambers, so the table check binds only when that count is tiny."""
-    n = gd.datum.ambient_dim
+    the tower the points live in.  Every non-central mu has more than q^s
+    flags or chambers, so the table check binds only when that count is 1,
+    and an m of any size is refused without computing q^s in full."""
     _, dims = mu_flag_type(gd.mu.coords)
-    q, t = gd.q, gd.e_degree
-    s = t * m  # total Frobenius power defining the point field
-    if verifier_mode(gd) == "split":
-        ext, count, what = m, flag_count(n, dims, q**m), "flags"
-    elif s % 2 == 1:
-        # the twist-fixed flags are the q^(3s) + 1 chambers, listed directly
-        ext, count, what = 2 * m, q ** (3 * s) + 1 if dims else 1, "chambers"
+    q, s = gd.q, gd.e_degree * m  # s: total Frobenius power defining the point field
+    if verifier_mode(gd) == "u3" and s % 2:
+        # the twist-fixed flags are the q^(3s) + 1 chambers, listed over F_(q^(2s))
+        ext, e, what = 2 * s, 3 * s, "chambers"
+        count = lambda: q**e + 1
     else:
-        ext, count, what = 2 * m if t == 2 else m, flag_count(n, dims, q**s), "flags"
-    if count > budget:
-        raise BudgetError(f"{count} {what} exceed budget {budget}")
-    if q**ext > budget:
-        raise BudgetError(f"{q**ext}-entry field tables of F_{q**ext} exceed budget {budget}")
+        # the flags over the whole tower F_(q^s)
+        ext, e, what = s, s, "flags"
+        count = lambda: flag_count(gd.datum.ambient_dim, dims, q**s)
+    # q^e >= 2^e, so an e past the budget's bit length needs no count
+    if dims and (e >= budget.bit_length() or count() > budget):
+        raise BudgetError(f"{_in_full(count, q, e, 'more than ')} {what} exceed budget {budget}")
+    if ext >= budget.bit_length() or q**ext > budget:
+        size = _in_full(lambda: q**ext, q, ext, "")
+        raise BudgetError(f"{size}-entry field tables of F_{size} exceed budget {budget}")
     return ext
+
+
+def smallest_feasible_m(gd: GroupData, budget: int) -> int | None:
+    """The least m up to 3 whose verifier run fits the budget, if any."""
+    for m in range(1, 4):
+        try:
+            check_verifier_budget(gd, m, budget)
+        except BudgetError:
+            continue
+        return m
+    return None
+
+
+def label_sets(gd: GroupData) -> list[frozenset[int]]:
+    """Every set of Galois orbits of simple roots, by size, then lexicographically."""
+    d = gd.d_prime
+    return [frozenset(I) for k in range(d + 1) for I in itertools.combinations(range(d), k)]
+
+
+def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], int]:
+    """Per label set I, the rational points of G/P_I counted over the m = 1
+    tower: the flags of SL_n whose dimensions skip I's roots, or, for U_3,
+    its chambers and the one flag of the whole group."""
+    tower = make_tower(gd.q, check_verifier_budget(gd, 1, budget))
+    empty, *rest = sets = label_sets(gd)
+    if verifier_mode(gd) == "u3":
+        # every proper rational parabolic is a Borel subgroup: the chambers
+        # are the rational tests
+        return {empty: len(_rational_tests(gd, tower, budget)), **dict.fromkeys(rest, 1)}
+    n, orbits = gd.datum.ambient_dim, gd.orbits_delta.orbits
+    flag_types = {I: tuple(d for d in range(1, n) if all(d - 1 not in orbits[o] for o in I)) for I in sets}
+    # every label set's flags are counted, so their sum is what the budget bounds
+    total = sum(flag_count(n, dims, gd.q) for dims in flag_types.values())
+    if total > budget:
+        raise BudgetError(f"{total} flags exceed budget {budget}")
+    # each level is enumerated once and the chains are counted level by
+    # level from its containment lists, with no flag built
+    flags = FlagLevels(tower, n, range(1, n), budget=budget)
+    return {I: flags.count(dims) for I, dims in flag_types.items()}
 
 
 def is_semistable(ctx: VerifierContext, index: int) -> SlopeReport:
@@ -495,6 +549,14 @@ def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
     }
 
 
+def cell_checks(ctx: VerifierContext) -> list[tuple[frozenset[int], bool, dict]]:
+    """``bruhat_cells_check`` for every label set of a split instance; the
+    unitary model has no cell check."""
+    if ctx.mode != "split":
+        return []
+    return [(I, *bruhat_cells_check(ctx, I)) for I in label_sets(ctx.gd)]
+
+
 # ---------------------------------------------------------------------------
 # sampled invariants
 
@@ -510,16 +572,8 @@ def random_parabolic_element(tower: FieldTower, n: int, d: int, rng: random.Rand
     subfield = sorted(tower.subfield(1))
     a = _random_invertible_block(tower, d, rng, subfield)
     c = _random_invertible_block(tower, n - d, rng, subfield)
-    g = [[0] * n for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            g[i][j] = a[i][j]
-        for j in range(d, n):
-            g[i][j] = rng.choice(subfield)
-    for i in range(d, n):
-        for j in range(d, n):
-            g[i][j] = c[i - d][j - d]
-    return g
+    # block upper triangular: the corner's entries are drawn row by row
+    return [row + [rng.choice(subfield) for _ in range(n - d)] for row in a] + [[0] * d + row for row in c]
 
 
 def apply_matrix_to_subspace(tower: FieldTower, g, sub: Subspace) -> Subspace:

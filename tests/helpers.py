@@ -37,7 +37,7 @@ from perdom.rootdata import (
     vec_add,
     vec_dot,
 )
-from perdom.semistable import VerifierContext, build_verifier
+from perdom.semistable import VerifierContext, build_verifier, is_semistable
 from perdom.weyl import nonzero_entries, reflect_labels
 
 
@@ -504,3 +504,30 @@ def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:
         if j is None or table[i] != table[j]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the destabilizing complex, built per model: subspaces chained by inclusion
+# for SL_n, a bare vertex set of chambers for U_3
+
+def reference_t_x(ctx: VerifierContext, index: int) -> tuple[tuple, tuple]:
+    """Vertex keys and simplices of a non-semistable point's complex: a
+    split key is ("subspace", dim, rows), a unitary one ("chamber", line
+    rows, plane rows), each model's vertices sorted by its own key."""
+    report = is_semistable(ctx, index)
+    assert not report.verdict, index
+    if ctx.mode == "split":
+        subs = sorted({t.chain[0] for t, _ in report.destabilizers}, key=lambda s: (s.dim, s.rows))
+        keys = tuple(("subspace", s.dim, s.rows) for s in subs)
+        within = ctx.test_containment
+        below = [[j for j in range(i) if subs[j] in within[subs[i]]] for i in range(len(subs))]
+        levels = [[(i,) for i in range(len(subs))]]
+        while True:
+            nxt = [c + (j,) for c in levels[-1] for j in range(c[-1] + 1, len(subs)) if c[-1] in below[j]]
+            if not nxt:
+                break
+            levels.append(nxt)
+        return keys, tuple(tuple(level) for level in levels)
+    flags = sorted({t for t, _ in report.destabilizers}, key=lambda f: tuple(s.rows for s in f.chain))
+    keys = tuple(("chamber",) + tuple(s.rows for s in f.chain) for f in flags)
+    return keys, (tuple((i,) for i in range(len(flags))),)

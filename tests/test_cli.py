@@ -498,3 +498,39 @@ def test_spec_nested_too_deeply_is_a_spec_error(tmp_path, capsys, command):
     path.write_text("[" * 100000 + "]" * 100000)
     code, out, err = run([command, "--spec", str(path)], capsys)
     assert (code, out, err) == (cli.EXIT_SPEC, "", "spec error: $: invalid JSON: nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["cohomology", "verify"])
+def test_spec_integer_past_the_digit_limit_is_a_spec_error(tmp_path, capsys, command):
+    # json.load refuses to convert an integer literal of over 4,300 digits
+    path = tmp_path / "spec.json"
+    path.write_text('{"type": [["A", 2]], "mu": [1, 0, -1], "q": 1' + "0" * 5000 + "}")
+    code, out, err = run([command, "--spec", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_SPEC, "")
+    assert err.startswith("spec error: $: integer too long: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("spec,m,error", [
+    # 2^m + 1 flags: too many digits to print at m = 15,000, and at m = 10^9
+    # too large to compute; either is named by the power of q it exceeds
+    ("sl2.json", 15000, "more than 2^15000 flags"),
+    ("sl2.json", 10**9, "more than 2^1000000000 flags"),
+    ("u3.json", 10**9 + 1, "more than 2^3000000003 chambers"),
+    # a central mu has one point, so the tables of F_(2^m) are refused
+    ("central.json", 10**9, "2^1000000000-entry field tables of F_2^1000000000"),
+])
+def test_huge_m_is_refused_fast_with_a_report(capsys, command, spec, m, error):
+    with time_limit(1):
+        code, out, _ = run([command, "--spec", str(SPECS / spec), "--m", str(m)], capsys)
+    assert code == cli.EXIT_BUDGET
+    verification = json.loads(out)["verification"]
+    assert verification["budget_error"] == f"{error} exceed budget 10000000"
+    assert verification.get("smallest_feasible_m") == (1 if command == "verify" else None)
+
+
+def test_cli_namespace_holds_no_verifier_model():
+    # the brute-force model (towers, flags, chambers, budgets, cells) lives in semistable
+    names = ("FlagLevels", "make_tower", "flag_count", "enumerate_twisted_fixed_flags",
+             "check_verifier_budget", "bruhat_cells_check")
+    assert [name for name in names if hasattr(cli, name)] == []

@@ -1,10 +1,12 @@
 """Destabilizing subcomplexes and their reduced rational homology."""
 
 import collections
+from pathlib import Path
 
 import pytest
 
-from helpers import verifier
+from helpers import INSTANCES, instance, reference_t_x, verifier
+from perdom import cli
 from perdom import complex as complex_module
 from perdom.complex import (
     SemistablePointError,
@@ -14,7 +16,9 @@ from perdom.complex import (
     build_t_x,
     reduced_homology,
 )
-from perdom.semistable import is_semistable, semistable_indices
+from perdom.semistable import build_verifier, is_semistable, semistable_indices, verifier_mode
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_single_vertex_is_acyclic():
@@ -88,7 +92,7 @@ def test_t_x_standard_flag_contains_both_subspaces():
         if x.chain[0].rows == ((1, 0, 0),) and x.chain[1].rows == ((1, 0, 0), (0, 1, 0))
     )
     c = build_t_x(ctx, std)
-    dims = sorted(key[1] for key in c.vertex_keys)
+    dims = sorted(t.chain[0].dim for t in c.vertex_keys)
     assert 1 in dims and 2 in dims
     assert all(b == 0 for b in reduced_homology(c))
 
@@ -172,3 +176,30 @@ def test_sweep_reports_every_point_of_a_cyclic_complex(monkeypatch):
     first = acyclicity_sweep(ctx, fail_fast=True)
     assert first.violations == rep.violations[:1]
     assert first.per_point[-1] == rep.violations[0]
+
+
+def _old_key(test):
+    """A test's vertex key in the per-model construction of ``reference_t_x``."""
+    if len(test.chain) == 1:
+        return ("subspace", test.chain[0].dim, test.chain[0].rows)
+    return ("chamber",) + tuple(s.rows for s in test.chain)
+
+
+VERIFIER_CATALOG = [name for name in INSTANCES if verifier_mode(instance(name)) is not None]
+
+
+@pytest.mark.parametrize("source,m", [
+    *((f"specs/{name}.json", m) for name in ("sl3_flags", "sl3_minuscule", "u3") for m in (1, 2, 3)),
+    ("bench/specs/sl4_mid.json", 1), ("bench/specs/sl4_grass.json", 1),
+    *((name, m) for name in VERIFIER_CATALOG for m in (1, 2)),
+])
+def test_t_x_equals_the_per_model_construction(source, m):
+    gd = cli.instantiate(cli.load_spec(str(ROOT / source))) if source.endswith(".json") else instance(source)
+    ctx = build_verifier(gd, m)
+    for i in range(len(ctx.points)):
+        if is_semistable(ctx, i).verdict:
+            continue
+        c = build_t_x(ctx, i)
+        keys, simplices = reference_t_x(ctx, i)
+        assert tuple(map(_old_key, c.vertex_keys)) == keys, (source, m, i)
+        assert c.simplices == simplices, (source, m, i)

@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    INSTANCES,
     HermitianData,
     contains,
     frobenius_equivariance_holds,
     instance,
     is_k_rational,
     orbit_weight,
+    pairwise_flag_points,
     table,
     verifier,
 )
@@ -30,9 +32,11 @@ from perdom.semistable import (
     is_semistable,
     parabolic_invariance_sample,
     points_csv,
+    rational_point_counts,
     semistable_indices,
     slope,
     subspace_coweight_filtration,
+    verifier_mode,
     y_I_points,
 )
 
@@ -440,3 +444,29 @@ def test_sl4_full_flags_m2_count_and_cells():
         for I in itertools.combinations(range(gd.d_prime), k):
             ok, detail = bruhat_cells_check(ctx, frozenset(I))
             assert ok, (I, detail)
+
+
+MODELS = {name: verifier_mode(instance(name)) for name in INSTANCES}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", [name for name, mode in MODELS.items() if mode == "split"])
+def test_rational_point_counts_equal_pairwise_flags(name, q):
+    gd = instance(name, q)
+    n = gd.datum.ambient_dim
+    counts = rational_point_counts(gd, 10**6)
+    assert sorted(counts, key=lambda I: (len(I), sorted(I))) == list(counts)
+    assert len(counts) == 2**gd.d_prime
+    tower = make_tower(q, 1)
+    for I, count in counts.items():
+        roots = {i for orb in I for i in gd.orbits_delta.orbits[orb]}
+        dims = tuple(d for d in range(1, n) if d - 1 not in roots)
+        weights = range(len(dims), -1, -1)
+        assert count == len(pairwise_flag_points(tower, n, weights, dims)), (name, q, sorted(I))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("name", [name for name, mode in MODELS.items() if mode == "u3"])
+def test_rational_point_counts_of_u3_are_its_chambers(name, q):
+    gd = instance(name, q)
+    assert rational_point_counts(gd, 10**6) == {frozenset(): q**3 + 1, frozenset({0}): 1}
