@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 malformed spec or command line (an unknown
 option, a missing value, a bad ``--m``, an unwritable ``--points-csv``
-path), 3 verification mismatch, 4 budget exhausted.  Reports are
+path, a q whose dimensions at q are too long for Python to write), 3
+verification mismatch, 4 budget exhausted.  Reports are
 deterministic JSON (fixed key order, canonical rational formatting) unless
 the table format is requested.
 """
@@ -188,6 +189,13 @@ def euler_block(gd: GroupData, table: CohomologyTable) -> list[dict]:
 
 
 def dims_block(gd: GroupData) -> list[dict]:
+    # the largest value here is P_all(q), the induced dimension of the empty
+    # label set; Python writes no int past its digit limit (0: no limit).
+    # Below 2^(3 limit) < 10^limit, 10^limit need not be built
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    top = gd.dim_polys[frozenset()][0](gd.q)
+    if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+        raise SpecError("q", f"the dimensions at q have more than {limit} digits")
     out = []
     for I, (ipoly, vpoly) in sorted(
         gd.dim_polys.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))

@@ -38,8 +38,6 @@ from itertools import compress, repeat
 from operator import add, gt, not_, or_, xor
 from typing import NamedTuple
 
-from .rootdata import DEFAULT_BUDGET, BudgetError
-
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p for constructing GF(p^n)
@@ -164,10 +162,10 @@ def _factor_prime_power(q: int):
     raise ValueError(f"{q} is not a prime power")
 
 
-def _zech_ops(exp, log, zech):
-    """Addition and subtraction by Zech's logarithm: x + g^l = x (1 + g^(l - log x))."""
+def _zech_ops(exp, log, zech, neg):
+    """Addition by Zech's logarithm, x + g^l = x (1 + g^(l - log x)), and
+    subtraction as the addition of the negative."""
     order = len(zech)
-    half = order // 2  # g^half = -1
 
     def add(x, y):
         if not y:
@@ -179,14 +177,7 @@ def _zech_ops(exp, log, zech):
         return 0 if z is None else exp[(lx + z) % order]
 
     def sub(x, y):
-        if not y:
-            return x
-        ly = log[y] + half
-        if not x:
-            return exp[ly % order]
-        lx = log[x]
-        z = zech[(ly - lx) % order]
-        return 0 if z is None else exp[(lx + z) % order]
+        return add(x, neg[y])
 
     return add, sub
 
@@ -250,9 +241,9 @@ class FieldTower:
         # 1 + x: the lowest base-p digit of x goes up by one mod p
         one_plus = [x - x % p + (x + 1) % p for x in exp]
         self._zech = [log[y] if y else None for y in one_plus]
-        self.add, self.sub = _zech_ops(self._exp, log, self._zech)
         self._neg = [0] + [exp[(log[x] + half) % order] for x in range(1, size)]
         self.neg = self._neg.__getitem__
+        self.add, self.sub = _zech_ops(self._exp, log, self._zech, self._neg)
 
     def _find_primitive(self):
         """The powers of the least g >= 2 of order size - 1, and their logs.
@@ -453,13 +444,7 @@ def gaussian_binomial(n: int, k: int, Q: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(
-    tower: FieldTower,
-    n: int,
-    d: int,
-    subfield_deg: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[Subspace]:
+def enumerate_subspaces(tower: FieldTower, n: int, d: int, subfield_deg: int | None = None) -> list[Subspace]:
     """All d-dimensional subspaces of the n-space, in canonical echelon form.
 
     With ``subfield_deg`` set, only subspaces whose canonical basis lies in
@@ -469,10 +454,7 @@ def enumerate_subspaces(
     if d == 0:
         return [Subspace(rows=(), ncols=n)]
     elements = sorted(tower.subfield(subfield_deg)) if subfield_deg else list(tower.elements)
-    Q = len(elements)
-    expected = gaussian_binomial(n, d, Q)
-    if expected > budget:
-        raise BudgetError(f"{expected} subspaces exceed budget {budget}")
+    expected = gaussian_binomial(n, d, len(elements))
     out = []
     for pivots in itertools.combinations(range(n), d):
         free_cells = [
@@ -544,14 +526,13 @@ def flag_count(n: int, dims, Q: int) -> int:
 
 
 class FlagLevels:
-    """The subspaces of each given dimension over the (sub)field, and which
+    """The subspaces of each given dimension over the whole tower, and which
     of a larger dimension contain each one of a smaller: enough to list or
     count the flags of every type made of those dimensions."""
 
-    def __init__(self, tower: FieldTower, n: int, dims, subfield_deg: int | None = None,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, tower: FieldTower, n: int, dims):
         self.tower = tower
-        self.levels = {d: enumerate_subspaces(tower, n, d, subfield_deg, budget) for d in sorted(set(dims))}
+        self.levels = {d: enumerate_subspaces(tower, n, d) for d in sorted(set(dims))}
         self._above: dict[tuple[int, int], list[list[int]]] = {}
 
     def above(self, lo: int, hi: int) -> list[list[int]]:
@@ -595,36 +576,20 @@ class FlagLevels:
         return sum(counts)
 
 
-def enumerate_flag_points(
-    tower: FieldTower,
-    n: int,
-    weights,
-    dims,
-    subfield_deg: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> list[FlagPoint]:
-    """All flags with the given proper dimensions over the (sub)field."""
-    Q = len(tower.subfield(subfield_deg)) if subfield_deg else tower.size
-    expected = flag_count(n, dims, Q)
-    if expected > budget:
-        raise BudgetError(f"{expected} flags exceed budget {budget}")
+def enumerate_flag_points(tower: FieldTower, n: int, weights, dims) -> list[FlagPoint]:
+    """All flags with the given proper dimensions over the whole tower."""
     weights = tuple(Fraction(w) for w in weights)
     if not dims:
         return [FlagPoint(chain=(), weights=weights, n=n)]
-    chains = FlagLevels(tower, n, dims, subfield_deg, budget).chains(dims)
-    assert len(chains) == expected
+    chains = FlagLevels(tower, n, dims).chains(dims)
+    assert len(chains) == flag_count(n, dims, tower.size)
     return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]
 
 
 # ---------------------------------------------------------------------------
 # the rational chambers of the quasi-split unitary group on 3 variables
 
-def enumerate_twisted_fixed_flags(
-    tower: FieldTower,
-    weights,
-    conj_power: int,
-    budget: int = DEFAULT_BUDGET,
-) -> list[FlagPoint]:
+def enumerate_twisted_fixed_flags(tower: FieldTower, weights, conj_power: int) -> list[FlagPoint]:
     """Full flags of 3-space fixed by the twisted Frobenius taken to an odd
     power, for the antidiagonal Hermitian form
     h(x, y) = sum_i x_i conj(y_(2-i)), conj the Q-power map, Q = q^conj_power.
@@ -645,9 +610,6 @@ def enumerate_twisted_fixed_flags(
     """
     n = 3
     weights = tuple(Fraction(w) for w in weights)
-    count = (tower.q**conj_power) ** 3 + 1
-    if count > budget:
-        raise BudgetError(f"{count} chambers exceed budget {budget}")
     field = sorted(tower.subfield(2 * conj_power))
     conj = {x: tower.frobenius(x, conj_power) for x in field}
     add, mul, neg = tower.add, tower.mul, tower.neg

@@ -1,7 +1,9 @@
 """Semistability oracle and stratification checks by brute-force enumeration.
 
 This is the one module that knows the brute-force model: the towers, the
-points and tests, the rational flag counts and the cell checks.  A point is
+points and tests, the rational flag counts and the cell checks.  It also
+holds every budget check of the model, each made before its enumeration;
+``finflag`` enumerates whatever it is asked.  A point is
 semistable when its weighted flag pairs non-negatively against every
 rational test filtration: the rational subspaces for split SL_n, the
 rational chambers for quasi-split U_3.  Points and tests alike are
@@ -46,7 +48,6 @@ from typing import NamedTuple
 
 from .cohom import GroupData
 from .finflag import (
-    BudgetError,
     FieldTower,
     FlagLevels,
     FlagPoint,
@@ -57,7 +58,9 @@ from .finflag import (
     enumerate_twisted_fixed_flags,
     flag_count,
     full_space,
+    gaussian_binomial,
     intersection_dim,
+    log_columns,
     make_tower,
     mu_flag_type,
     nonzero_pairings,
@@ -66,7 +69,7 @@ from .finflag import (
     row_families,
     subspace_from_rows,
 )
-from .rootdata import DEFAULT_BUDGET
+from .rootdata import DEFAULT_BUDGET, BudgetError
 
 _dim = attrgetter("dim")
 
@@ -299,46 +302,56 @@ def verifier_mode(gd: GroupData) -> str | None:
         return None
     if gd.is_split:
         return "split"
-    if gd.datum.cartan_type[0][1] == 2 and gd.action.order == 2:
+    # the one nontrivial twist of A_2 swaps its roots, whatever the order it is given
+    if gd.datum.cartan_type[0][1] == 2:
         return "u3"
     return None
 
 
 def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> VerifierContext:
-    """Enumerate the points over the degree-m extension of the reflex field
-    and the full rational test set."""
+    """Enumerate the full rational test set, then the points over the
+    degree-m extension of the reflex field.  Every count is checked first:
+    the points' and the tables' by ``check_verifier_budget``, the tests' by
+    ``_rational_tests``."""
     mode = verifier_mode(gd)
     if mode is None:
         raise ValueError("brute force supports split SL_n and quasi-split U_3 only")
     if m < 1:
         raise ValueError("m must be at least 1")
     tower = make_tower(gd.q, check_verifier_budget(gd, m, budget))
+    tests = _rational_tests(gd, tower, budget)
     n = gd.datum.ambient_dim
     weights, dims = mu_flag_type(gd.mu.coords)
     s = gd.e_degree * m  # total Frobenius power defining the point field
     if mode == "u3" and s % 2 and dims:
         # the twist-fixed flags: the q^(3s) + 1 chambers over F_(q^(2s))
-        points = enumerate_twisted_fixed_flags(tower, weights, conj_power=s, budget=budget)
+        points = enumerate_twisted_fixed_flags(tower, weights, conj_power=s)
         assert len(points) == gd.q ** (3 * s) + 1, len(points)
     else:
         # the flags over the whole tower F_(q^s)
-        points = enumerate_flag_points(tower, n, weights, dims, budget=budget)
-    return VerifierContext(gd=gd, m=m, tower=tower, n=n, mode=mode,
-                           points=points, tests=_rational_tests(gd, tower, budget))
+        points = enumerate_flag_points(tower, n, weights, dims)
+    return VerifierContext(gd=gd, m=m, tower=tower, n=n, mode=mode, points=points, tests=tests)
 
 
 def _rational_tests(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
     """The coweight filtrations of the rational subspaces of SL_n, or the rational
-    chambers of U_3: its flags fixed by one step of the twisted Frobenius."""
-    if verifier_mode(gd) == "u3":
-        chambers = enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1, budget=budget)
-        assert len(chambers) == gd.q**3 + 1, len(chambers)
+    chambers of U_3: its flags fixed by one step of the twisted Frobenius.
+    A count past the budget is refused before anything is enumerated, naming
+    the q^3 + 1 chambers or the first level of subspaces that exceeds it."""
+    q, n = gd.q, gd.datum.ambient_dim
+    u3 = verifier_mode(gd) == "u3"
+    counts = [q**3 + 1] if u3 else [gaussian_binomial(n, d, q) for d in range(1, n)]
+    over = next((c for c in counts if c > budget), None)
+    if over is not None:
+        raise BudgetError(f"{over} {'chambers' if u3 else 'subspaces'} exceed budget {budget}")
+    if u3:
+        chambers = enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1)
+        assert len(chambers) == counts[0], len(chambers)
         return chambers
-    n = gd.datum.ambient_dim
     return [
         subspace_coweight_filtration(sub)
         for d in range(1, n)
-        for sub in enumerate_subspaces(tower, n, d, subfield_deg=1, budget=budget)
+        for sub in enumerate_subspaces(tower, n, d, subfield_deg=1)
     ]
 
 
@@ -362,7 +375,8 @@ def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
     """Refuse a verifier run before anything is enumerated: the flag or
     chamber count and the field tower's tables, the largest of which has one
     entry per element, must fit the budget.  Returns the degree over F_q of
-    the tower the points live in.  Every non-central mu has more than q^s
+    the tower the points live in.  The rational tests are checked apart,
+    by ``_rational_tests``.  Every non-central mu has more than q^s
     flags or chambers, so the table check binds only when that count is 1,
     and an m of any size is refused without computing q^s in full."""
     _, dims = mu_flag_type(gd.mu.coords)
@@ -419,7 +433,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
         raise BudgetError(f"{total} flags exceed budget {budget}")
     # each level is enumerated once and the chains are counted level by
     # level from its containment lists, with no flag built
-    flags = FlagLevels(tower, n, range(1, n), budget=budget)
+    flags = FlagLevels(tower, n, range(1, n))
     return {I: flags.count(dims) for I, dims in flag_types.items()}
 
 
@@ -577,16 +591,9 @@ def random_parabolic_element(tower: FieldTower, n: int, d: int, rng: random.Rand
 
 
 def apply_matrix_to_subspace(tower: FieldTower, g, sub: Subspace) -> Subspace:
-    rows = []
-    for v in sub.rows:
-        img = [0] * len(v)
-        for i in range(len(v)):
-            acc = 0
-            for j in range(len(v)):
-                acc = tower.add(acc, tower.mul(g[i][j], v[j]))
-            img[i] = acc
-        rows.append(img)
-    return subspace_from_rows(tower, rows, sub.ncols)
+    """g . W: each echelon row v (nonzero) maps to its pairings with g's rows."""
+    g_rows = log_columns(tower, g)
+    return subspace_from_rows(tower, [list(pairings(tower, v, g_rows)) for v in sub.rows], sub.ncols)
 
 
 def apply_matrix_to_point(tower: FieldTower, g, x: FlagPoint) -> FlagPoint:

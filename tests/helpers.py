@@ -21,6 +21,7 @@ from perdom.finflag import (
     enumerate_subspaces,
     rank,
     rref,
+    subspace_from_rows,
 )
 from perdom.rootdata import (
     CHARACTER,
@@ -351,6 +352,36 @@ def walk_primitive(tower: FieldTower):
 class WalkedTower(FieldTower):
     """A tower whose tables come from ``walk_primitive``."""
     _find_primitive = walk_primitive
+
+
+def zech_sub(tower: FieldTower, x: int, y: int) -> int:
+    """x - y for odd p by Zech's logarithm alone, with no negation:
+    x - g^l = x (1 + g^(l + half - log x)), since g^half = -1."""
+    exp, log, zech = tower._exp, tower._log, tower._zech
+    order = len(zech)
+    if not y:
+        return x
+    ly = log[y] + order // 2
+    if not x:
+        return exp[ly % order]
+    lx = log[x]
+    z = zech[(ly - lx) % order]
+    return 0 if z is None else exp[(lx + z) % order]
+
+
+def matrix_times_subspace(tower: FieldTower, g, sub: Subspace) -> Subspace:
+    """g . W, each entry of each product g v summed by one ``add`` and one
+    ``mul`` per term."""
+    rows = []
+    for v in sub.rows:
+        img = [0] * len(v)
+        for i in range(len(v)):
+            acc = 0
+            for j in range(len(v)):
+                acc = tower.add(acc, tower.mul(g[i][j], v[j]))
+            img[i] = acc
+        rows.append(img)
+    return subspace_from_rows(tower, rows, sub.ncols)
 
 
 # ---------------------------------------------------------------------------

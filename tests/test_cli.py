@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import time_limit
-from perdom import cli
+from perdom import cli, finflag, semistable
 from perdom.rootdata import DEFAULT_BUDGET
 
 
@@ -534,3 +534,83 @@ def test_cli_namespace_holds_no_verifier_model():
     names = ("FlagLevels", "make_tower", "flag_count", "enumerate_twisted_fixed_flags",
              "check_verifier_budget", "bruhat_cells_check")
     assert [name for name in names if hasattr(cli, name)] == []
+
+
+A2_AT = {"type": [["A", 2]], "mu": [1, 0, -1]}
+
+
+@pytest.mark.parametrize("command", ["cohomology", "dims"])
+@pytest.mark.parametrize("spec", [
+    # P_all(q) = (q + 1)(q^2 + q + 1) at q = 2^5000 has 4,516 digits, and G2's
+    # count at q = 2^3000 5,419: more than Python writes
+    {**A2_AT, "q": 2**5000},
+    {"type": [["G", 2]], "mu": [1, 0, -1], "q": 2**3000},
+    # the least power of 2 whose A2 count has 4,301 digits
+    {**A2_AT, "q": 2**4762},
+], ids=["a2", "g2", "a2-past-the-limit"])
+def test_q_whose_dimensions_cannot_be_written_is_a_spec_error(tmp_path, capsys, command, spec):
+    code, out, err = run([command, "--spec", write_spec(tmp_path, spec)], capsys)
+    assert (code, out) == (cli.EXIT_SPEC, "")
+    assert err == "spec error: q: the dimensions at q have more than 4300 digits\n"
+
+
+def test_q_whose_dimensions_have_4300_digits_is_written(tmp_path, capsys):
+    q = 2**4761
+    code, out, _ = run(["cohomology", "--spec", write_spec(tmp_path, {**A2_AT, "q": q})], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["dims"][0]["value_induced_at_q"] == (q + 1) * (q * q + q + 1)
+
+
+def test_u3_with_a_twist_of_order_4_is_verified_as_u3(tmp_path, capsys):
+    # the engine and the verifier read only the permutation, so the reports
+    # equal those of order 2 but for the spec echo
+    order4 = write_spec(tmp_path, {**U3, "twist": {"perm": [2, 1], "order": 4}}, "order4.json")
+    for argv in (["cohomology"], ["dims"], ["verify", "--m", "1,2,3"], ["sweep", "--m", "1,2"]):
+        reports = []
+        for path in (str(SPECS / "u3.json"), order4):
+            code, out, _ = run([argv[0], "--spec", path, *argv[1:]], capsys)
+            assert code == cli.EXIT_OK, argv
+            reports.append({k: v for k, v in json.loads(out).items() if k != "spec"})
+        assert reports[0] == reports[1], argv
+        if argv[0] == "verify":
+            counts = reports[1]["verification"]["counts"]
+            assert [(row["series"], row["brute_force"]) for row in counts] == [(0, 0), (24, 24), (504, 504)]
+
+
+SL6 = {"type": [["A", 5]], "mu": [1, 0, 0, 0, 0, 0], "q": 2}
+U3_CENTRAL = {**U3, "mu": [0, 0, 0]}
+SL8 = {"type": [["A", 7]], "mu": [1, 0, 0, 0, 0, 0, 0, 0], "q": 2}
+
+
+@pytest.mark.parametrize("spec,argv,error", [
+    # the guard of dims and verify sums the flags of every label set first
+    (SL6, ["dims", "--budget", "1000"], "2257888 flags exceed budget 1000"),
+    (SL6, ["verify", "--m", "1", "--budget", "1000"], "2257888 flags exceed budget 1000"),
+    # sweep has no guard: the 63 lines fit, and the first level of rational
+    # subspaces past the budget is the 1,395 3-spaces of F_2^6
+    (SL6, ["sweep", "--m", "1", "--budget", "1000"], "1395 subspaces exceed budget 1000"),
+    # a central mu has one point, so U3's 9 rational chambers are refused
+    (U3_CENTRAL, ["dims", "--budget", "5"], "9 chambers exceed budget 5"),
+    (U3_CENTRAL, ["verify", "--m", "1", "--budget", "5"], "9 chambers exceed budget 5"),
+    (U3_CENTRAL, ["sweep", "--m", "1", "--budget", "5"], "9 chambers exceed budget 5"),
+    # the 21,845 lines over F_4 fit, the 200,787 rational 4-spaces of F_2^8 do not
+    (SL8, ["sweep", "--m", "2", "--budget", "100000"], "200787 subspaces exceed budget 100000"),
+])
+def test_refusal_names_the_count_past_the_budget(tmp_path, capsys, spec, argv, error):
+    code, out, _ = run([argv[0], "--spec", write_spec(tmp_path, spec), *argv[1:]], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(out)["verification"]["budget_error"] == error
+
+
+def test_refused_sweep_enumerates_nothing(tmp_path, capsys, monkeypatch):
+    # every count is checked before any point or test is listed: the 21,845
+    # points fit the budget and the rational subspaces do not
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated before every budget check")
+
+    for module in (finflag, semistable):
+        for name in ("enumerate_flag_points", "enumerate_subspaces", "enumerate_twisted_fixed_flags"):
+            monkeypatch.setattr(module, name, enumerate_nothing)
+    code, out, _ = run(["sweep", "--spec", write_spec(tmp_path, SL8), "--m", "2", "--budget", "100000"], capsys)
+    assert code == cli.EXIT_BUDGET
+    assert json.loads(out)["verification"]["budget_error"] == "200787 subspaces exceed budget 100000"

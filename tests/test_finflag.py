@@ -14,11 +14,12 @@ from helpers import (
     frobenius_point,
     frobenius_subspace,
     hermitian_form,
+    instance,
     is_k_rational,
     time_limit,
+    zech_sub,
 )
 from perdom.finflag import (
-    BudgetError,
     _factor_prime_power,
     FlagPoint,
     enumerate_flag_points,
@@ -32,6 +33,8 @@ from perdom.finflag import (
     rref,
     subspace_from_rows,
 )
+from perdom.rootdata import BudgetError
+from perdom.semistable import build_verifier
 
 
 EXHAUSTIVE_FIELDS = ((2, 2), (3, 1), (2, 3), (3, 2), (4, 2), (5, 2), (3, 3), (2, 6))
@@ -68,6 +71,13 @@ def check_add_sub_neg(t, pairs):
         assert t.sub(x, y) == digit_reference(t, x, y, -1)
     for x in {x for pair in pairs for x in pair}:
         assert t.neg(x) == digit_reference(t, 0, x, -1)
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81])
+def test_sub_equals_the_zech_subtraction(q):
+    # sub adds the negative; the reference reads x - y from Zech's table alone
+    t = make_tower(q, 1)
+    assert all(t.sub(x, y) == zech_sub(t, x, y) for x in t.elements for y in t.elements)
 
 
 def test_add_sub_neg_match_digit_reference_exhaustive():
@@ -150,8 +160,10 @@ def test_subspace_counts():
 
 
 def test_subspace_budget():
-    with pytest.raises(BudgetError):
-        enumerate_subspaces(make_tower(5, 3), 3, 1, budget=10)
+    # the verifier refuses the first level of rational subspaces past the
+    # budget, the 7 lines of F_2^3, before it enumerates any
+    with pytest.raises(BudgetError, match="^7 subspaces exceed budget 5$"):
+        build_verifier(instance("a2_central"), 1, budget=5)
 
 
 def test_rational_subspaces_count_matches_base_field():

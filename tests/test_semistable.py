@@ -14,6 +14,7 @@ from helpers import (
     frobenius_equivariance_holds,
     instance,
     is_k_rational,
+    matrix_times_subspace,
     orbit_weight,
     pairwise_flag_points,
     table,
@@ -240,6 +241,19 @@ def test_parabolic_invariance_sampled():
     assert parabolic_invariance_sample(verifier("a2_reg", 2), seed=1234, samples=25)
 
 
+@pytest.mark.parametrize("ext", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_matrix_action_equals_the_entrywise_product(q, ext):
+    t = make_tower(q, ext)
+    rng = random.Random(10 * q + ext)
+    for n in (2, 3, 4):
+        for _ in range(15):
+            g = semistable.random_parabolic_element(t, n, rng.randrange(1, n), rng)
+            rows = [[rng.randrange(t.size) for _ in range(n)] for _ in range(rng.randrange(1, n + 1))]
+            sub = subspace_from_rows(t, rows, n)
+            assert semistable.apply_matrix_to_subspace(t, g, sub) == matrix_times_subspace(t, g, sub)
+
+
 def test_verifier_rejects_unsupported_group():
     gd = instance("b2_reg")
     with pytest.raises(ValueError):
@@ -247,7 +261,7 @@ def test_verifier_rejects_unsupported_group():
 
 
 def test_verifier_budget():
-    from perdom.finflag import BudgetError
+    from perdom.rootdata import BudgetError
 
     gd = instance("a2_reg")
     with pytest.raises(BudgetError):
