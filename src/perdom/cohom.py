@@ -8,6 +8,9 @@ matrix G, so every form's orbit coweight gives the same signs); dimensions are
 integer polynomials in q, from Solomon's identity over the label sets with
 the number of positive roots on each read off the datum's positive roots;
 and the point-count series is an integer for every extension degree.
+``assemble_cohomology`` is the one path to the table; replaying each orbit
+point's word with reflection matrices and pairing it with the fundamental
+weights in exact rationals is the tests' oracle for its signs.
 """
 
 from __future__ import annotations
@@ -28,17 +31,7 @@ from .galois import (
     split_action,
     weyl_orbits,
 )
-from .rootdata import (
-    LatticeVec,
-    RootDatum,
-    act_matrix,
-    build_root_datum,
-    cocharacter,
-    fundamental_weights,
-    mat_inv,
-    pairing,
-    simple_reflection_matrix,
-)
+from .rootdata import LatticeVec, RootDatum, build_root_datum, cocharacter, mat_inv
 from .weyl import OrbitPoint, coweight_orbit, dominant_representative
 
 
@@ -211,34 +204,6 @@ def assemble_cohomology(gd: GroupData) -> CohomologyTable:
     )
 
 
-def assemble_split_table(gd: GroupData) -> CohomologyTable:
-    """Split-case table computed without any orbit machinery.
-
-    Replays each orbit point's word on mu with reflection matrices and pairs
-    it with the fundamental weights in exact rationals: an independent
-    regression path for the orbit walk in labels and the integer sign rows.
-    """
-    if not gd.is_split:
-        raise ValueError("split path requires a split instance")
-    weights = fundamental_weights(gd.datum)
-    d = gd.datum.rank
-    summands = []
-    for p in gd.mu_orbit:
-        vec = gd.mu
-        for i in reversed(p.word):
-            vec = act_matrix(simple_reflection_matrix(gd.datum, i), vec)
-        I = frozenset(i for i in range(d) if pairing(vec, weights[i]) <= 0)
-        degree = 2 * p.length + (d - len(I))
-        orbit = next(o for o in gd.worbits if o.rep == p)
-        summands.append(
-            CohomologySummand(orbit=orbit, I=I, degree=degree, twist=p.length, galois_dim=1)
-        )
-    summands.sort(key=_summand_sort_key)
-    return CohomologyTable(
-        d_prime=d, labels=gd.orbits_delta.labels, summands=tuple(summands)
-    )
-
-
 class EulerTerm(NamedTuple):
     sign: int
     I: frozenset[int]
@@ -322,11 +287,6 @@ def dim_induced(gd: GroupData, I: frozenset[int]) -> DimPoly:
 def dim_v(gd: GroupData, I: frozenset[int]) -> DimPoly:
     """q^l(w) summed over the sigma-fixed w whose left descents are the orbits off I."""
     return gd.dim_polys[I][1]
-
-
-def steinberg_dimension(gd: GroupData) -> int:
-    """Expected bottom-parabolic quotient dimension, q^(number of positive roots)."""
-    return gd.q ** len(gd.datum.positive_coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -127,23 +127,30 @@ _MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n > 1; refuses n it cannot prove prime."""
+    """Deterministic Miller-Rabin for n > 1; refuses n it cannot prove prime.
+    An n past the bound without a small factor is refused before any round,
+    which on a number of thousands of digits takes seconds."""
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
+    if n >= _MR_PROVEN_BELOW:
+        raise ValueError(f"cannot prove {n} prime")
     s = ((n - 1) & (1 - n)).bit_length() - 1
     for a in _MR_BASES:
         powers = [pow(a, (n - 1) >> s << r, n) for r in range(s)]
         if powers[0] != 1 and n - 1 not in powers:
             return False
-    if n >= _MR_PROVEN_BELOW:
-        raise ValueError(f"cannot prove {n} prime")
     return True
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // k)
+    """floor(n^(1/k)) for n >= 1 by Newton's method from above.  It starts
+    just above 2^(b/k), b the bit length of n, so within a factor 2^(1/k) of
+    the root, where each step already doubles the correct digits; from
+    2^ceil(b/k) a large k would need about k steps to halve the excess."""
+    a, c = divmod(n.bit_length(), k)
+    # 2^(c/k) in [1, 2) is within an ulp of its float; the margin covers it
+    x = ((int(2 ** (c / k) * 2**53) + 4) << a >> 53) + 1
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -152,13 +159,24 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _factor_prime_power(q: int):
-    """(p, k) with q = p^k.  A prime power p^k is a perfect j-th power
-    exactly when j divides k, so only the largest such j can give a prime."""
-    k = q.bit_length() if q > 1 else 0
-    while k and _iroot(q, k) ** k != q:
-        k -= 1
-    if k and _is_prime(_iroot(q, k)):
-        return _iroot(q, k), k
+    """(p, k) with q = p^k.  A prime power p^k is a perfect r-th power for a
+    prime r exactly when r divides k, so the exact r-th roots are stripped
+    for each prime r in turn, as often as they are exact; what is left must
+    be prime.  A base that cannot be proven prime is refused, prime or not."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p, k = q, 1
+    for r in range(2, q.bit_length()):
+        if r >= p.bit_length():
+            break
+        if _is_prime(r):
+            while (root := _iroot(p, r)) ** r == p:
+                p, k = root, k * r
+    try:
+        if _is_prime(p):
+            return p, k
+    except ValueError as exc:
+        raise ValueError(f"{q} is not a prime power whose prime can be proven: {exc}") from exc
     raise ValueError(f"{q} is not a prime power")
 
 

@@ -1,4 +1,4 @@
-"""Exact lattice-theoretic foundation: root data, pairings, fundamental weights.
+"""Exact lattice-theoretic foundation: root data, pairings, simple reflections.
 
 Coordinate models are fixed once per family so every downstream value is
 reproducible bit for bit:
@@ -117,20 +117,6 @@ def mat_inv(m: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def solve_in_span(vectors: Sequence[Vec], target: Vec) -> Vec | None:
-    """Coefficients writing ``target`` in the span of ``vectors``, or None.
-
-    The vectors must be linearly independent (they are simple roots).
-    """
-    k = len(vectors)
-    rows, pivots = row_reduce([list(v) + [t] for v, t in zip(zip(*vectors), target)])
-    if pivots[:k] != list(range(k)):
-        raise ValueError("dependent vectors")
-    if len(pivots) > k:
-        return None
-    return tuple(row[k] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +281,6 @@ def pairing(lam: LatticeVec, chi: LatticeVec) -> Fraction:
     return vec_dot(lam.coords, chi.coords)
 
 
-def fundamental_weights(datum: RootDatum) -> tuple[LatticeVec, ...]:
-    """Characters in the root span dual to the simple coroots."""
-    a_inv = mat_inv(datum.cartan_matrix)
-    weights = []
-    for alpha in range(datum.rank):
-        coeffs = [a_inv[j][alpha] for j in range(datum.rank)]
-        vec = tuple(
-            sum((c * r.coords[i] for c, r in zip(coeffs, datum.simple_roots)), Fraction(0))
-            for i in range(datum.ambient_dim)
-        )
-        weights.append(LatticeVec(CHARACTER, vec))
-    return tuple(weights)
-
-
 def simple_reflection_matrix(datum: RootDatum, i: int) -> Matrix:
     """Reflection in the i-th simple root, acting on the cocharacter space.
 
@@ -347,11 +319,3 @@ def positive_root_coefficients(cartan_matrix) -> tuple[tuple[int, ...], ...]:
         frontier = nxt
     return tuple(sorted(seen))
 
-
-def positive_roots(datum: RootDatum) -> tuple[LatticeVec, ...]:
-    """All positive roots, as characters: each of the datum's coefficient
-    vectors summed over the simple roots."""
-    return tuple(
-        character(sum(c * r.coords[k] for c, r in zip(coeffs, datum.simple_roots)) for k in range(datum.ambient_dim))
-        for coeffs in datum.positive_coefficients
-    )

@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import compress
 from math import lcm
 from operator import attrgetter, not_
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .cohom import GroupData
 from .finflag import (
@@ -310,27 +310,21 @@ def verifier_mode(gd: GroupData) -> str | None:
 
 def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> VerifierContext:
     """Enumerate the full rational test set, then the points over the
-    degree-m extension of the reflex field.  Every count is checked first:
-    the points' and the tables' by ``check_verifier_budget``, the tests' by
+    degree-m extension of the reflex field, on the tower and by the
+    enumerator of their ``PointModel``.  Every count is checked first: the
+    points' and the tables' by ``check_verifier_budget``, the tests' by
     ``_rational_tests``."""
     mode = verifier_mode(gd)
     if mode is None:
         raise ValueError("brute force supports split SL_n and quasi-split U_3 only")
     if m < 1:
         raise ValueError("m must be at least 1")
-    tower = make_tower(gd.q, check_verifier_budget(gd, m, budget))
+    model = check_verifier_budget(gd, m, budget)
+    tower = make_tower(gd.q, model.ext)
     tests = _rational_tests(gd, tower, budget)
-    n = gd.datum.ambient_dim
-    weights, dims = mu_flag_type(gd.mu.coords)
-    s = gd.e_degree * m  # total Frobenius power defining the point field
-    if mode == "u3" and s % 2 and dims:
-        # the twist-fixed flags: the q^(3s) + 1 chambers over F_(q^(2s))
-        points = enumerate_twisted_fixed_flags(tower, weights, conj_power=s)
-        assert len(points) == gd.q ** (3 * s) + 1, len(points)
-    else:
-        # the flags over the whole tower F_(q^s)
-        points = enumerate_flag_points(tower, n, weights, dims)
-    return VerifierContext(gd=gd, m=m, tower=tower, n=n, mode=mode, points=points, tests=tests)
+    points = model.points(tower)
+    assert len(points) == model.size(), len(points)
+    return VerifierContext(gd=gd, m=m, tower=tower, n=gd.datum.ambient_dim, mode=mode, points=points, tests=tests)
 
 
 def _rational_tests(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
@@ -371,31 +365,58 @@ def _in_full(number, q: int, e: int, past: str) -> str:
     return f"{past}{q}^{e}"
 
 
-def check_verifier_budget(gd: GroupData, m: int, budget: int) -> int:
+class PointModel(NamedTuple):
+    """The points of a verifier run at one m, decided once by
+    ``_point_model`` for the budget check and the enumeration alike.
+
+    ``ext`` is the degree over F_q of the tower they live in.  A non-central
+    mu has ``size()`` > q^e points, e its ``past``, named by ``noun`` in a
+    refusal; a central mu has the one empty flag and ``past`` None.
+    ``points(tower)`` lists them on that tower."""
+
+    ext: int
+    past: int | None
+    noun: str
+    size: Callable[[], int]
+    points: Callable[[FieldTower], list[FlagPoint]]
+
+
+def _point_model(gd: GroupData, m: int) -> PointModel:
+    """With s = e m, the total Frobenius power defining the point field, U_3
+    at odd s has the twist-fixed flags, the q^(3s) + 1 chambers listed over
+    F_(q^(2s)); every other model has the flags over the whole tower
+    F_(q^s)."""
+    weights, dims = mu_flag_type(gd.mu.coords)
+    q, s, n = gd.q, gd.e_degree * m, gd.datum.ambient_dim
+    flags = lambda tower: enumerate_flag_points(tower, n, weights, dims)
+    if verifier_mode(gd) == "u3" and s % 2:
+        model = PointModel(2 * s, 3 * s, "chambers", lambda: q ** (3 * s) + 1,
+                           lambda tower: enumerate_twisted_fixed_flags(tower, weights, conj_power=s))
+    else:
+        model = PointModel(s, s, "flags", lambda: flag_count(n, dims, q**s), flags)
+    # a central mu has the one empty flag, on its model's tower: a central
+    # U_3 at odd s still needs F_(q^2) for the chambers that serve as tests
+    return model if dims else model._replace(past=None, size=lambda: 1, points=flags)
+
+
+def check_verifier_budget(gd: GroupData, m: int, budget: int) -> PointModel:
     """Refuse a verifier run before anything is enumerated: the flag or
     chamber count and the field tower's tables, the largest of which has one
-    entry per element, must fit the budget.  Returns the degree over F_q of
-    the tower the points live in.  The rational tests are checked apart,
-    by ``_rational_tests``.  Every non-central mu has more than q^s
-    flags or chambers, so the table check binds only when that count is 1,
-    and an m of any size is refused without computing q^s in full."""
-    _, dims = mu_flag_type(gd.mu.coords)
-    q, s = gd.q, gd.e_degree * m  # s: total Frobenius power defining the point field
-    if verifier_mode(gd) == "u3" and s % 2:
-        # the twist-fixed flags are the q^(3s) + 1 chambers, listed over F_(q^(2s))
-        ext, e, what = 2 * s, 3 * s, "chambers"
-        count = lambda: q**e + 1
-    else:
-        # the flags over the whole tower F_(q^s)
-        ext, e, what = s, s, "flags"
-        count = lambda: flag_count(gd.datum.ambient_dim, dims, q**s)
+    entry per element, must fit the budget.  Returns the ``PointModel``,
+    whose ``ext`` is the degree over F_q of the tower the points live in.
+    The rational tests are checked apart, by ``_rational_tests``.  Every
+    non-central mu has more than q^s flags or chambers, so the table check
+    binds only when that count is 1, and an m of any size is refused without
+    computing q^s in full."""
+    model = _point_model(gd, m)
+    q, e, ext = gd.q, model.past, model.ext
     # q^e >= 2^e, so an e past the budget's bit length needs no count
-    if dims and (e >= budget.bit_length() or count() > budget):
-        raise BudgetError(f"{_in_full(count, q, e, 'more than ')} {what} exceed budget {budget}")
+    if e is not None and (e >= budget.bit_length() or model.size() > budget):
+        raise BudgetError(f"{_in_full(model.size, q, e, 'more than ')} {model.noun} exceed budget {budget}")
     if ext >= budget.bit_length() or q**ext > budget:
         size = _in_full(lambda: q**ext, q, ext, "")
         raise BudgetError(f"{size}-entry field tables of F_{size} exceed budget {budget}")
-    return ext
+    return model
 
 
 def smallest_feasible_m(gd: GroupData, budget: int) -> int | None:
@@ -419,7 +440,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
     """Per label set I, the rational points of G/P_I counted over the m = 1
     tower: the flags of SL_n whose dimensions skip I's roots, or, for U_3,
     its chambers and the one flag of the whole group."""
-    tower = make_tower(gd.q, check_verifier_budget(gd, 1, budget))
+    tower = make_tower(gd.q, check_verifier_budget(gd, 1, budget).ext)
     empty, *rest = sets = label_sets(gd)
     if verifier_mode(gd) == "u3":
         # every proper rational parabolic is a Borel subgroup: the chambers
@@ -448,7 +469,8 @@ def brute_force_ss_count(ctx: VerifierContext) -> int:
 
 
 def semistable_indices(ctx: VerifierContext) -> list[int]:
-    return [i for i in range(len(ctx.points)) if is_semistable(ctx, i).verdict]
+    """The points whose rows of the destabilizer table are empty."""
+    return [i for i, row in enumerate(ctx.destabilizer_table) if not row]
 
 
 def per_point_rows(ctx: VerifierContext) -> list[dict]:
@@ -606,13 +628,16 @@ def apply_matrix_to_point(tower: FieldTower, g, x: FlagPoint) -> FlagPoint:
 
 def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 20) -> bool:
     """Spot-check that rational parabolic moves do not change the slope
-    against the parabolic's own coweight filtration."""
+    against the parabolic's own coweight filtration, and that the sampled
+    point's verdict, read from the destabilizer table, lists that filtration
+    exactly when the reference ``slope`` is negative, with that slope."""
     if ctx.mode != "split":
         return True
     rng = random.Random(seed)
     n = ctx.n
     for _ in range(samples):
-        x = ctx.points[rng.randrange(len(ctx.points))]
+        index = rng.randrange(len(ctx.points))
+        x = ctx.points[index]
         d = rng.randrange(1, n)
         test = subspace_coweight_filtration(ctx.standard_subspaces[d - 1])
         g = random_parabolic_element(ctx.tower, n, d, rng)
@@ -620,5 +645,7 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
         before = slope(ctx.tower, x, test)
         after = slope(ctx.tower, gx, test)
         if before != after:
+            return False
+        if dict(is_semistable(ctx, index).destabilizers).get(test, 0) != min(before, 0):
             return False
     return True

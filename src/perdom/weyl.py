@@ -8,8 +8,9 @@ these are in bijection with the W-orbit of the dominant mu, which
 Cartan matrix A; ``dominant_representative`` conjugates mu into the dominant
 chamber the same way, carrying its coordinates along.
 ``generate_weyl``, ``stabilizer_w_mu`` and ``kostant_reps`` enumerate the
-whole group as exact matrices; they stay as the independent oracle the orbit
-walk is tested against.
+whole group as exact matrices.  No command calls them: they stay as the
+independent oracle the orbit walk is tested against, and the benchmark's
+tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -95,14 +96,6 @@ def generate_weyl(datum: RootDatum, budget: int = WEYL_ORDER_BUDGET) -> WeylGrou
 def act(w: WeylElement, v: LatticeVec) -> LatticeVec:
     """Exact action on either lattice; pairings are preserved by construction."""
     return act_matrix(w.matrix, v)
-
-
-def inversion_count(W: WeylGroup, w: WeylElement, positives) -> int:
-    """Number of positive roots sent negative; must equal the word length.
-    An image that is not a root fails the lookup."""
-    negative = {beta.coords: 0 for beta in positives}
-    negative.update({tuple(-c for c in root): 1 for root in negative})
-    return sum(negative[act(w, beta).coords] for beta in positives)
 
 
 class OrbitPoint(NamedTuple):

@@ -10,7 +10,13 @@ import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
-from perdom.cohom import DimPoly, assemble_cohomology, build_group_data
+from perdom.cohom import (
+    CohomologySummand,
+    CohomologyTable,
+    DimPoly,
+    assemble_cohomology,
+    build_group_data,
+)
 from perdom.finflag import (
     FieldTower,
     FlagPoint,
@@ -29,17 +35,18 @@ from perdom.rootdata import (
     LatticeVec,
     act_matrix,
     build_root_datum,
-    fundamental_weights,
+    character,
     mat_inv,
     mat_mul,
     mat_vec,
+    pairing,
     row_reduce,
     simple_reflection_matrix,
     vec_add,
     vec_dot,
 )
 from perdom.semistable import VerifierContext, build_verifier, is_semistable
-from perdom.weyl import nonzero_entries, reflect_labels
+from perdom.weyl import act, nonzero_entries, reflect_labels
 
 
 @contextlib.contextmanager
@@ -156,6 +163,28 @@ def num_positive_roots(cartan_type) -> int:
     return sum(d - 1 for family, rank in cartan_type for d in _DEGREES[family](rank))
 
 
+def positive_roots(datum) -> tuple[LatticeVec, ...]:
+    """All positive roots, as characters: each of the datum's coefficient
+    vectors summed over the simple roots."""
+    return tuple(
+        character(sum(c * r.coords[k] for c, r in zip(coeffs, datum.simple_roots)) for k in range(datum.ambient_dim))
+        for coeffs in datum.positive_coefficients
+    )
+
+
+def steinberg_dimension(gd) -> int:
+    """Expected bottom-parabolic quotient dimension, q^(number of positive roots)."""
+    return gd.q ** len(gd.datum.positive_coefficients)
+
+
+def inversion_count(W, w, positives) -> int:
+    """Number of positive roots the Weyl element w sends negative; must equal
+    its word length.  An image that is not a root fails the lookup."""
+    negative = {beta.coords: 0 for beta in positives}
+    negative.update({tuple(-c for c in root): 1 for root in negative})
+    return sum(negative[act(w, beta).coords] for beta in positives)
+
+
 def ambient_cartan_matrix(datum) -> tuple[tuple[int, ...], ...]:
     """Every simple coroot paired with every simple root over the whole
     ambient space, the entries between two factors' blocks included."""
@@ -190,6 +219,20 @@ def _reflection(cartan_type, i: int):
     return simple_reflection_matrix(build_root_datum(cartan_type), i)
 
 
+def fundamental_weights(datum) -> tuple[LatticeVec, ...]:
+    """Characters in the root span dual to the simple coroots."""
+    a_inv = mat_inv(datum.cartan_matrix)
+    weights = []
+    for alpha in range(datum.rank):
+        coeffs = [a_inv[j][alpha] for j in range(datum.rank)]
+        vec = tuple(
+            sum((c * r.coords[i] for c, r in zip(coeffs, datum.simple_roots)), Fraction(0))
+            for i in range(datum.ambient_dim)
+        )
+        weights.append(LatticeVec(CHARACTER, vec))
+    return tuple(weights)
+
+
 def orbit_weight(gd, k: int) -> LatticeVec:
     """omega_J, the sum of the fundamental weights over the k-th Galois orbit J.
 
@@ -202,6 +245,26 @@ def orbit_weight(gd, k: int) -> LatticeVec:
     for j in gd.orbits_delta.orbits[k][1:]:
         coords = vec_add(coords, weights[j].coords)
     return LatticeVec(CHARACTER, coords)
+
+
+def split_table(gd) -> CohomologyTable:
+    """The table of a split instance with neither the labels of the orbit walk
+    nor the engine's sign rows: each orbit point is replayed by ``orbit_vec``
+    and paired with each ``orbit_weight`` in exact rationals.  I is the set of
+    orbits whose weight pairs <= 0 with the point, and the degree is
+    2 l + d - |I|."""
+    if not gd.is_split:
+        raise ValueError("split path requires a split instance")
+    d = gd.d_prime
+    weights = [orbit_weight(gd, k) for k in range(d)]
+    summands = []
+    for orbit in gd.worbits:
+        p = orbit.rep
+        vec = orbit_vec(gd, p)
+        I = frozenset(k for k in range(d) if pairing(vec, weights[k]) <= 0)
+        summands.append(CohomologySummand(orbit=orbit, I=I, degree=2 * p.length + d - len(I),
+                                          twist=p.length, galois_dim=1))
+    return CohomologyTable(d_prime=d, labels=gd.orbits_delta.labels, summands=tuple(summands))
 
 
 _BLOCK_SIZE = {"A": lambda r: r + 1, "B": lambda r: r, "C": lambda r: r, "D": lambda r: r, "G": lambda r: 3}
@@ -251,6 +314,20 @@ def nullspace(rows, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
             v[p] = -row[free]
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def solve_in_span(vectors, target):
+    """Coefficients writing ``target`` in the span of ``vectors``, or None.
+
+    The vectors must be linearly independent (they are simple roots).
+    """
+    k = len(vectors)
+    rows, pivots = row_reduce([list(v) + [t] for v, t in zip(zip(*vectors), target)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("dependent vectors")
+    if len(pivots) > k:
+        return None
+    return tuple(row[k] for row in rows)
 
 
 def twist_matrix(datum, perm):

@@ -19,6 +19,8 @@ from helpers import (
     invariant_gram,
     orbit_vec,
     orbit_weight,
+    split_table,
+    steinberg_dimension,
     summand_signature,
     table,
     verifier,
@@ -26,14 +28,12 @@ from helpers import (
 )
 from perdom.cohom import (
     assemble_cohomology,
-    assemble_split_table,
     build_group_data,
     dim_v,
     euler_characteristic,
     lefschetz_series,
     minimal_I,
     omega_I,
-    steinberg_dimension,
 )
 from perdom.complex import acyclicity_sweep
 from perdom.semistable import (
@@ -283,6 +283,6 @@ def test_criterion_10_split_regression():
             gd = instance(name)
             if not gd.is_split:
                 continue
-            assert summand_signature(gd, assemble_split_table(gd)) == summand_signature(
+            assert summand_signature(gd, split_table(gd)) == summand_signature(
                 gd, assemble_cohomology(gd)
             )

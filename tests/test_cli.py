@@ -554,6 +554,17 @@ def test_q_whose_dimensions_cannot_be_written_is_a_spec_error(tmp_path, capsys, 
     assert err == "spec error: q: the dimensions at q have more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("q", [3**9000 + 2, 10**4299], ids=["3^9000+2", "10^4299"])
+def test_huge_q_that_is_no_prime_power_is_refused_fast(tmp_path, capsys, q):
+    # 4,295 and 4,300 digits, which the reader accepts.  Finding the largest
+    # k with q a k-th power by trying every k from the bit length down took
+    # 31 s on 3^9000 + 2, and Miller-Rabin past its proven bound 8.5 s more
+    path = write_spec(tmp_path, {"type": [["A", 1]], "mu": [1, -1], "q": q})
+    with time_limit(1):
+        code, out, err = run(["cohomology", "--spec", path], capsys)
+    assert (code, out, err) == (cli.EXIT_SPEC, "", "spec error: q: expected a prime power >= 2\n")
+
+
 def test_q_whose_dimensions_have_4300_digits_is_written(tmp_path, capsys):
     q = 2**4761
     code, out, _ = run(["cohomology", "--spec", write_spec(tmp_path, {**A2_AT, "q": q})], capsys)

@@ -14,6 +14,8 @@ from helpers import (
     orbit_vec,
     orbit_weight,
     reference_dim_polys,
+    split_table,
+    steinberg_dimension,
     summand_signature,
     table,
 )
@@ -21,7 +23,6 @@ from perdom import cohom, rootdata
 from perdom.cohom import (
     all_dim_polys,
     assemble_cohomology,
-    assemble_split_table,
     build_group_data,
     dim_induced,
     dim_v,
@@ -29,7 +30,6 @@ from perdom.cohom import (
     lefschetz_series,
     minimal_I,
     omega_I,
-    steinberg_dimension,
 )
 from perdom.finflag import flag_count
 from perdom.rootdata import pairing
@@ -340,7 +340,7 @@ def test_split_regression_path():
         gd = instance(name)
         if not gd.is_split:
             continue
-        assert summand_signature(gd, assemble_split_table(gd)) == summand_signature(
+        assert summand_signature(gd, split_table(gd)) == summand_signature(
             gd, assemble_cohomology(gd)
         )
 

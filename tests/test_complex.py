@@ -178,6 +178,23 @@ def test_sweep_reports_every_point_of_a_cyclic_complex(monkeypatch):
     assert first.per_point[-1] == rep.violations[0]
 
 
+def test_sweep_builds_a_complex_only_for_each_non_semistable_point(monkeypatch):
+    # the semistable points are skipped by their empty rows of the
+    # destabilizer table, with no complex built for them
+    ctx = verifier("a2_reg", 2)
+    built = []
+
+    def counted(ctx, index):
+        built.append(index)
+        return build_t_x(ctx, index)
+
+    monkeypatch.setattr(complex_module, "build_t_x", counted)
+    rep = acyclicity_sweep(ctx)
+    assert 0 < rep.non_semistable < rep.total_points
+    assert len(built) == rep.non_semistable
+    assert sorted(built) == [i for i, row in enumerate(ctx.destabilizer_table) if row]
+
+
 def _old_key(test):
     """A test's vertex key in the per-model construction of ``reference_t_x``."""
     if len(test.chain) == 1:

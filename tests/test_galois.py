@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     form_dual,
+    fundamental_weights,
     instance,
     invariant_gram,
     nullspace,
@@ -20,7 +21,6 @@ from perdom.rootdata import (
     build_root_datum,
     character,
     cocharacter,
-    fundamental_weights,
     identity_matrix,
     mat_mul,
     mat_vec,

@@ -25,6 +25,7 @@ from helpers import (  # noqa: E402
     meet_dim,
     nullspace,
     pairwise_flag_points,
+    solve_in_span,
 )
 from perdom import finflag, semistable  # noqa: E402
 from perdom.finflag import (  # noqa: E402
@@ -43,7 +44,7 @@ from perdom.finflag import (  # noqa: E402
     subspace_from_rows,
 )
 from perdom.semistable import VerifierContext  # noqa: E402
-from perdom.rootdata import mat_inv, mat_mul, row_reduce, solve_in_span  # noqa: E402
+from perdom.rootdata import mat_inv, mat_mul, row_reduce  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 entries = st.integers(min_value=-3, max_value=3)

@@ -5,16 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import INSTANCES, ambient_cartan_matrix, form_dual, form_value, invariant_gram, time_limit
+from helpers import (
+    INSTANCES,
+    ambient_cartan_matrix,
+    form_dual,
+    form_value,
+    fundamental_weights,
+    invariant_gram,
+    positive_roots,
+    time_limit,
+)
 from perdom import rootdata
 from perdom.rootdata import (
     UnsupportedTypeError,
     build_root_datum,
     character,
     cocharacter,
-    fundamental_weights,
     pairing,
-    positive_roots,
     simple_reflection_matrix,
     act_matrix,
 )

@@ -24,10 +24,12 @@ from perdom import semistable
 from perdom.cohom import lefschetz_series
 from perdom.complex import build_t_x
 from perdom.finflag import FlagPoint, full_space, make_tower, row_families, subspace_from_rows
+from perdom.rootdata import DEFAULT_BUDGET
 from perdom.semistable import (
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
+    check_verifier_budget,
     coordinate_filtration,
     filtration_pairing,
     is_semistable,
@@ -239,6 +241,34 @@ def test_frobenius_equivariance():
 
 def test_parabolic_invariance_sampled():
     assert parabolic_invariance_sample(verifier("a2_reg", 2), seed=1234, samples=25)
+
+
+def test_parabolic_invariance_sample_reads_each_verdict_against_the_reference_slope():
+    # a table with every row emptied calls every point semistable, which the
+    # reference slope of some sampled point against its test contradicts
+    ctx = build_verifier(instance("a2_reg"), 2)
+    assert parabolic_invariance_sample(ctx, seed=1234, samples=25)
+    ctx.destabilizer_table = [()] * len(ctx.points)
+    assert not parabolic_invariance_sample(ctx, seed=1234, samples=25)
+
+
+# every verifier instance of the catalog at m = 1, 2, 3 but a3_reg at m = 3:
+# its 384,345 full flags of SL_4 over F_8 take 7 s and 80 MiB to list, and
+# enumerate_flag_points asserts their count itself
+@pytest.mark.parametrize("name,m", [
+    (name, m) for name in INSTANCES if verifier_mode(instance(name)) is not None
+    for m in (1, 2, 3) if (name, m) != ("a3_reg", 3)
+])
+def test_verifier_points_are_the_ones_the_budget_check_counts(name, m):
+    # one decision of the point model serves the check and the enumeration:
+    # the tower's degree over F_q and the point count agree with the check's
+    gd = instance(name)
+    model = check_verifier_budget(gd, m, DEFAULT_BUDGET)
+    ctx = build_verifier(gd, m)
+    assert ctx.tower.m == model.ext
+    assert len(ctx.points) == model.size()
+    if gd.mu.coords == (0,) * len(gd.mu.coords):
+        assert model.past is None and len(ctx.points) == 1
 
 
 @pytest.mark.parametrize("ext", [1, 2])

@@ -4,19 +4,17 @@ import random
 
 import pytest
 
-from helpers import form_value, invariant_gram
+from helpers import form_value, inversion_count, invariant_gram, positive_roots
 from perdom.rootdata import (
     build_root_datum,
     character,
     cocharacter,
-    positive_roots,
 )
 from perdom.weyl import (
     BudgetError,
     act,
     dominant_representative,
     generate_weyl,
-    inversion_count,
     kostant_reps,
     stabilizer_w_mu,
 )
@@ -124,7 +122,8 @@ def test_kostant_count_identity():
 def test_kostant_reps_preserve_stabilizer_positives():
     # every representative sends the stabilizer subsystem's simple roots to
     # positive roots
-    from perdom.rootdata import pairing, solve_in_span
+    from helpers import solve_in_span
+    from perdom.rootdata import pairing
 
     datum = build_root_datum([("A", 3)])
     w = generate_weyl(datum)
