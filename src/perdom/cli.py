@@ -22,6 +22,7 @@ from .cohom import (
     dim_induced,
     dim_v,
     euler_characteristic,
+    label_sets,
     lefschetz_series,
 )
 from .complex import acyclicity_sweep
@@ -193,13 +194,12 @@ def dims_block(gd: GroupData) -> list[dict]:
     # label set; Python writes no int past its digit limit (0: no limit).
     # Below 2^(3 limit) < 10^limit, 10^limit need not be built
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    top = gd.dim_polys[frozenset()][0](gd.q)
+    top = dim_induced(gd, frozenset())(gd.q)
     if limit and top.bit_length() > 3 * limit and top >= 10**limit:
         raise SpecError("q", f"the dimensions at q have more than {limit} digits")
     out = []
-    for I, (ipoly, vpoly) in sorted(
-        gd.dim_polys.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-    ):
+    for I in label_sets(gd):
+        ipoly, vpoly = dim_induced(gd, I), dim_v(gd, I)
         out.append(
             {
                 "I": _labels(gd, I),
@@ -288,7 +288,7 @@ def cmd_cohomology(spec: GroupSpec, fmt: str) -> tuple[int, str]:
 def _induced_dim_guard(gd: GroupData, budget: int) -> dict:
     """Mandatory equality of the counting formula with actual point counts."""
     checks = [
-        {"I": sorted(_labels(gd, I)), "formula": dim_induced(gd, I)(gd.q), "points": points}
+        {"I": _labels(gd, I), "formula": dim_induced(gd, I)(gd.q), "points": points}
         for I, points in rational_point_counts(gd, budget).items()
     ]
     return {"match": all(c["formula"] == c["points"] for c in checks), "checks": checks}
@@ -339,14 +339,14 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
                 probe = ctx.points[ss[0]] if ss else ctx.points[0]
                 row["counterexample"] = {
                     "semistable_count": len(ss),
-                    "probe_point": [[list(r) for r in s.rows] for s in probe.chain],
+                    "probe_point": [[list(r) for r in s.rows] for s in probe],
                 }
             counts.append(row)
             all_match = all_match and row["match"]
 
             for I, ok, detail in cell_checks(ctx):
                 cells_ok = cells_ok and ok
-                cell_rows.append({"m": m, "I": sorted(_labels(gd, I)), "match": ok, **detail})
+                cell_rows.append({"m": m, "I": _labels(gd, I), "match": ok, **detail})
             if pos == 0:
                 spot_ok = parabolic_invariance_sample(ctx, seed=seed)
                 if points_csv_path:

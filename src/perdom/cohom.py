@@ -152,6 +152,12 @@ def build_group_data(
 # ---------------------------------------------------------------------------
 # sign sets and the assembled table
 
+def label_sets(gd: GroupData) -> list[frozenset[int]]:
+    """Every set of Galois orbits of simple roots, by size, then lexicographically."""
+    d = gd.d_prime
+    return [frozenset(I) for k in range(d + 1) for I in itertools.combinations(range(d), k)]
+
+
 def omega_I(gd: GroupData, I: frozenset[int]) -> tuple[WOrbit, ...]:
     """Orbits whose pairing against every coweight outside I is strictly
     positive: those whose minimal label set lies in I."""

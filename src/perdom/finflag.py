@@ -20,10 +20,11 @@ when p = 2 and the Zech ``add`` otherwise.  ``dots`` pairs two families
 member by member, capping each sum of logs at log 0, and
 ``nonzero_pairings`` says which members of a family of subspaces lie in W
 from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
-rows with no elimination.  Flags (``FlagLevels``) extend a level at a
-time: one ``nonzero_pairings`` pass per subspace of the next level finds
-the members of the previous level inside it.  The unitary group's rational
-chambers (``enumerate_twisted_fixed_flags``) are listed in closed form: the
+rows with no elimination.  Flags are chains of subspaces, with no weights,
+extended a level at a time (``FlagLevels``): one ``nonzero_pairings`` pass
+per subspace of the next level finds the members of the previous level
+inside it.  The unitary group's rational chambers
+(``enumerate_twisted_fixed_flags``) are listed in closed form: the
 isotropic lines come from grouping the subfield by trace, with no line of
 the projective plane built only to be dropped, and each line's
 Hermitian-orthogonal plane is written from the line's entries.
@@ -32,10 +33,9 @@ Hermitian-orthogonal plane is written from the line's entries.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, repeat
-from operator import add, gt, not_, or_, xor
+from operator import add, not_, or_, xor
 from typing import NamedTuple
 
 
@@ -495,45 +495,6 @@ def enumerate_subspaces(tower: FieldTower, n: int, d: int, subfield_deg: int | N
 # ---------------------------------------------------------------------------
 # flags
 
-class FlagPoint(NamedTuple("FlagPoint", [("chain", tuple), ("weights", tuple), ("n", int)])):
-    """A weighted flag of the n-space: proper subspaces plus the weight ladder.
-
-    ``weights`` lists the distinct weights in decreasing order; the chain has
-    one subspace per weight except the last, whose space is the whole n-space,
-    so a central cocharacter's chain is empty.  Points and rational test
-    filtrations alike are weighted flags.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, chain: tuple[Subspace, ...], weights: tuple[Fraction, ...], n: int):
-        if len(chain) != len(weights) - 1:
-            raise ValueError("one subspace per weight but the last")
-        if not all(map(gt, weights, weights[1:])):
-            raise ValueError("weights must strictly decrease")
-        prev = 0
-        for s in chain:
-            dim = len(s.rows)
-            if dim <= prev or s.ncols != n:
-                raise ValueError("subspaces must be proper and strictly increase")
-            prev = dim
-        if prev >= n:
-            raise ValueError("subspaces must be proper and strictly increase")
-        return super().__new__(cls, chain, weights, n)
-
-
-def mu_flag_type(mu_coords) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """Distinct weights (decreasing) and proper chain dimensions of a cocharacter."""
-    vals = [Fraction(v) for v in mu_coords]
-    distinct = sorted(set(vals), reverse=True)
-    dims = []
-    run = 0
-    for w in distinct[:-1]:
-        run += vals.count(w)
-        dims.append(run)
-    return tuple(distinct), tuple(dims)
-
-
 def flag_count(n: int, dims, Q: int) -> int:
     total = 1
     prev = 0
@@ -594,20 +555,20 @@ class FlagLevels:
         return sum(counts)
 
 
-def enumerate_flag_points(tower: FieldTower, n: int, weights, dims) -> list[FlagPoint]:
-    """All flags with the given proper dimensions over the whole tower."""
-    weights = tuple(Fraction(w) for w in weights)
+def enumerate_flag_points(tower: FieldTower, n: int, dims) -> list[tuple[Subspace, ...]]:
+    """All flags with the given proper dimensions over the whole tower, each
+    its chain of subspaces; with no dimensions, the one empty chain."""
     if not dims:
-        return [FlagPoint(chain=(), weights=weights, n=n)]
+        return [()]
     chains = FlagLevels(tower, n, dims).chains(dims)
     assert len(chains) == flag_count(n, dims, tower.size)
-    return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]
+    return chains
 
 
 # ---------------------------------------------------------------------------
 # the rational chambers of the quasi-split unitary group on 3 variables
 
-def enumerate_twisted_fixed_flags(tower: FieldTower, weights, conj_power: int) -> list[FlagPoint]:
+def enumerate_twisted_fixed_flags(tower: FieldTower, conj_power: int) -> list[tuple[Subspace, Subspace]]:
     """Full flags of 3-space fixed by the twisted Frobenius taken to an odd
     power, for the antidiagonal Hermitian form
     h(x, y) = sum_i x_i conj(y_(2-i)), conj the Q-power map, Q = q^conj_power.
@@ -627,7 +588,6 @@ def enumerate_twisted_fixed_flags(tower: FieldTower, weights, conj_power: int) -
     its line, so no annihilator is computed here.
     """
     n = 3
-    weights = tuple(Fraction(w) for w in weights)
     field = sorted(tower.subfield(2 * conj_power))
     conj = {x: tower.frobenius(x, conj_power) for x in field}
     add, mul, neg = tower.add, tower.mul, tower.neg
@@ -646,7 +606,4 @@ def enumerate_twisted_fixed_flags(tower: FieldTower, weights, conj_power: int) -
     line_logs = log_columns(tower, vectors)
     conj_logs = log_columns(tower, [[conj[x] for x in reversed(v)] for v in vectors])
     assert not any(dots(tower, line_logs, conj_logs))
-    return [
-        FlagPoint(chain=(line, plane), weights=weights, n=n)
-        for line, plane in zip(lines, planes)
-    ]
+    return list(zip(lines, planes))

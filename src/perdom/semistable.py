@@ -6,8 +6,9 @@ holds every budget check of the model, each made before its enumeration;
 ``finflag`` enumerates whatever it is asked.  A point is
 semistable when its weighted flag pairs non-negatively against every
 rational test filtration: the rational subspaces for split SL_n, the
-rational chambers for quasi-split U_3.  Points and tests alike are
-``FlagPoint``s: a chain of proper subspaces with its decreasing weights.
+rational chambers for quasi-split U_3.  A point is its chain of proper
+subspaces, with mu's weights held once on the context; the tests are
+``FlagPoint``s, weighted flags with their own decreasing weights.
 
 Every point is paired with every test, but the pairing depends only on the
 dimensions dim(S cap W) of a point's chain subspace S and a test's subspace
@@ -43,14 +44,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import lcm
-from operator import attrgetter, not_
+from operator import attrgetter, gt, not_
 from typing import Callable, NamedTuple
 
-from .cohom import GroupData
+from .cohom import GroupData, label_sets
 from .finflag import (
     FieldTower,
     FlagLevels,
-    FlagPoint,
     Subspace,
     annihilator,
     enumerate_flag_points,
@@ -62,7 +62,6 @@ from .finflag import (
     intersection_dim,
     log_columns,
     make_tower,
-    mu_flag_type,
     nonzero_pairings,
     pairings,
     rank,
@@ -72,6 +71,45 @@ from .finflag import (
 from .rootdata import DEFAULT_BUDGET, BudgetError
 
 _dim = attrgetter("dim")
+
+
+class FlagPoint(NamedTuple("FlagPoint", [("chain", tuple), ("weights", tuple), ("n", int)])):
+    """A weighted flag of the n-space: proper subspaces plus the weight ladder.
+
+    ``weights`` lists the distinct weights in decreasing order; the chain has
+    one subspace per weight except the last, whose space is the whole n-space,
+    so a central cocharacter's chain is empty.  The rational test
+    filtrations are weighted flags, each with its own weights.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, chain: tuple[Subspace, ...], weights: tuple[Fraction, ...], n: int):
+        if len(chain) != len(weights) - 1:
+            raise ValueError("one subspace per weight but the last")
+        if not all(map(gt, weights, weights[1:])):
+            raise ValueError("weights must strictly decrease")
+        prev = 0
+        for s in chain:
+            dim = len(s.rows)
+            if dim <= prev or s.ncols != n:
+                raise ValueError("subspaces must be proper and strictly increase")
+            prev = dim
+        if prev >= n:
+            raise ValueError("subspaces must be proper and strictly increase")
+        return super().__new__(cls, chain, weights, n)
+
+
+def mu_flag_type(mu_coords) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """Distinct weights (decreasing) and proper chain dimensions of a cocharacter."""
+    vals = [Fraction(v) for v in mu_coords]
+    distinct = sorted(set(vals), reverse=True)
+    dims = []
+    run = 0
+    for w in distinct[:-1]:
+        run += vals.count(w)
+        dims.append(run)
+    return tuple(distinct), tuple(dims)
 
 
 def filtration_pairing(tower: FieldTower, f: FlagPoint, g: FlagPoint) -> Fraction:
@@ -144,20 +182,21 @@ class SlopeReport(NamedTuple):
 
 
 class VerifierContext:
-    """The points over the degree-m extension of the reflex field, the
-    rational test filtrations (``tests``) and the tables read from them,
-    each built once; ``mode`` is "split" or "u3"."""
+    """The points over the degree-m extension of the reflex field, each its
+    chain, mu's weights (``weights``) that they share, the rational test
+    filtrations (``tests``) and the tables read from them, each built once;
+    ``mode`` is "split" or "u3"."""
 
     def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
-                 points: list[FlagPoint], tests: list[FlagPoint]):
+                 weights: tuple[Fraction, ...], points: list[tuple], tests: list[FlagPoint]):
         self.gd, self.m, self.tower, self.n, self.mode = gd, m, tower, n, mode
-        self.points, self.tests = points, tests
+        self.weights, self.points, self.tests = weights, points, tests
 
     @cached_property
     def point_spaces(self) -> dict[Subspace, int]:
         """The distinct subspaces of the points' chains, numbered by dimension
         and, within one, in order of appearance."""
-        spaces = dict.fromkeys(s for x in self.points for s in x.chain)
+        spaces = dict.fromkeys(s for x in self.points for s in x)
         return {s: k for k, s in enumerate(sorted(spaces, key=_dim))}
 
     @cached_property
@@ -240,21 +279,18 @@ class VerifierContext:
         a_i - a_(i+1) and beta_j = b_j - b_(j+1) (zero past the last step).
         The last step of either flag is the whole space, outside its chain, so
         only the chain-by-chain terms read the incidence table; the others
-        are dimensions.  Weights are scaled by the lcm of the point weights'
+        are dimensions.  Weights are scaled by the lcm of mu's weights'
         denominators times that of the test weights', so every pairing is an
         integer P and the slope is -P / scale."""
-        points = self.points
+        points, weights = self.points, self.weights
         if not points:
             return []
-        weights = points[0].weights
-        if any(x.weights != weights for x in points):
-            raise ValueError("every point must carry mu's weights")
         point_scale = lcm(*(w.denominator for w in weights))
         test_scale = lcm(*(w.denominator for t in self.tests for w in t.weights))
         scale = point_scale * test_scale
         *alpha, alpha_last = _weight_steps(weights, point_scale)
-        alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0].chain))
-        positions = [[self.point_spaces[x.chain[i]] for x in points] for i in range(len(alpha))]
+        alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0]))
+        positions = [[self.point_spaces[x[i]] for x in points] for i in range(len(alpha))]
         inc = self.incidence
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in points]
         slopes: dict[int, Fraction] = {}
@@ -324,7 +360,8 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
     tests = _rational_tests(gd, tower, budget)
     points = model.points(tower)
     assert len(points) == model.size(), len(points)
-    return VerifierContext(gd=gd, m=m, tower=tower, n=gd.datum.ambient_dim, mode=mode, points=points, tests=tests)
+    return VerifierContext(gd=gd, m=m, tower=tower, n=gd.datum.ambient_dim, mode=mode,
+                           weights=mu_flag_type(gd.mu.coords)[0], points=points, tests=tests)
 
 
 def _rational_tests(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
@@ -339,9 +376,9 @@ def _rational_tests(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagP
     if over is not None:
         raise BudgetError(f"{over} {'chambers' if u3 else 'subspaces'} exceed budget {budget}")
     if u3:
-        chambers = enumerate_twisted_fixed_flags(tower, (1, 0, -1), conj_power=1)
+        chambers = enumerate_twisted_fixed_flags(tower, conj_power=1)
         assert len(chambers) == counts[0], len(chambers)
-        return chambers
+        return [FlagPoint(chain=c, weights=(Fraction(1), Fraction(0), Fraction(-1)), n=n) for c in chambers]
     return [
         subspace_coweight_filtration(sub)
         for d in range(1, n)
@@ -378,7 +415,7 @@ class PointModel(NamedTuple):
     past: int | None
     noun: str
     size: Callable[[], int]
-    points: Callable[[FieldTower], list[FlagPoint]]
+    points: Callable[[FieldTower], list[tuple[Subspace, ...]]]
 
 
 def _point_model(gd: GroupData, m: int) -> PointModel:
@@ -386,12 +423,12 @@ def _point_model(gd: GroupData, m: int) -> PointModel:
     at odd s has the twist-fixed flags, the q^(3s) + 1 chambers listed over
     F_(q^(2s)); every other model has the flags over the whole tower
     F_(q^s)."""
-    weights, dims = mu_flag_type(gd.mu.coords)
+    _, dims = mu_flag_type(gd.mu.coords)
     q, s, n = gd.q, gd.e_degree * m, gd.datum.ambient_dim
-    flags = lambda tower: enumerate_flag_points(tower, n, weights, dims)
+    flags = lambda tower: enumerate_flag_points(tower, n, dims)
     if verifier_mode(gd) == "u3" and s % 2:
         model = PointModel(2 * s, 3 * s, "chambers", lambda: q ** (3 * s) + 1,
-                           lambda tower: enumerate_twisted_fixed_flags(tower, weights, conj_power=s))
+                           lambda tower: enumerate_twisted_fixed_flags(tower, conj_power=s))
     else:
         model = PointModel(s, s, "flags", lambda: flag_count(n, dims, q**s), flags)
     # a central mu has the one empty flag, on its model's tower: a central
@@ -428,12 +465,6 @@ def smallest_feasible_m(gd: GroupData, budget: int) -> int | None:
             continue
         return m
     return None
-
-
-def label_sets(gd: GroupData) -> list[frozenset[int]]:
-    """Every set of Galois orbits of simple roots, by size, then lexicographically."""
-    d = gd.d_prime
-    return [frozenset(I) for k in range(d + 1) for I in itertools.combinations(range(d), k)]
 
 
 def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], int]:
@@ -481,7 +512,7 @@ def per_point_rows(ctx: VerifierContext) -> list[dict]:
             "semistable": not row,
             "destabilizer_count": len(row),
             "worst_slope": min((v for _, v in row), default=None),
-            "chain": [[list(r) for r in s.rows] for s in x.chain],
+            "chain": [[list(r) for r in s.rows] for s in x],
         }
         for i, (x, row) in enumerate(zip(ctx.points, ctx.destabilizer_table))
     ]
@@ -555,7 +586,7 @@ def bruhat_cells(ctx: VerifierContext) -> dict:
     cells: dict = {p: [] for p in gd.mu_orbit}
     by_inv = {inv: p for p, inv in rep_invariants.items()}
     for i, x in enumerate(ctx.points):
-        inv = _relative_position(ctx, x.chain)
+        inv = _relative_position(ctx, x)
         if inv not in by_inv:
             raise AssertionError("point outside every Bruhat cell")
         cells[by_inv[inv]].append(i)
@@ -637,7 +668,7 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
     n = ctx.n
     for _ in range(samples):
         index = rng.randrange(len(ctx.points))
-        x = ctx.points[index]
+        x = FlagPoint(chain=ctx.points[index], weights=ctx.weights, n=n)
         d = rng.randrange(1, n)
         test = subspace_coweight_filtration(ctx.standard_subspaces[d - 1])
         g = random_parabolic_element(ctx.tower, n, d, rng)

@@ -19,7 +19,6 @@ from perdom.cohom import (
 )
 from perdom.finflag import (
     FieldTower,
-    FlagPoint,
     Subspace,
     _poly_mod,
     _poly_mul,
@@ -45,7 +44,7 @@ from perdom.rootdata import (
     vec_add,
     vec_dot,
 )
-from perdom.semistable import VerifierContext, build_verifier, is_semistable
+from perdom.semistable import FlagPoint, VerifierContext, build_verifier, is_semistable
 from perdom.weyl import act, nonzero_entries, reflect_labels
 
 
@@ -498,13 +497,12 @@ def meet_dim(tower: FieldTower, s: Subspace, s_ann, w: Subspace, w_ann) -> int:
     return s.dim - rank(tower, [[_dot(tower, row, a) for a in w_ann] for row in s.rows])
 
 
-def pairwise_flag_points(tower: FieldTower, n: int, weights, dims, subfield_deg=None) -> list[FlagPoint]:
-    """The flags with the given proper dimensions, every chain extended by
-    testing each candidate of the next level with ``lies_in``, chain-major
-    and in level order."""
-    weights = tuple(Fraction(w) for w in weights)
+def pairwise_flag_points(tower: FieldTower, n: int, dims, subfield_deg=None) -> list[tuple[Subspace, ...]]:
+    """The chains of the flags with the given proper dimensions, every chain
+    extended by testing each candidate of the next level with ``lies_in``,
+    chain-major and in level order."""
     if not dims:
-        return [FlagPoint(chain=(), weights=weights, n=n)]
+        return [()]
     levels = {d: enumerate_subspaces(tower, n, d, subfield_deg) for d in sorted(set(dims))}
     chains = [(s,) for s in levels[dims[0]]]
     for d in dims[1:]:
@@ -513,7 +511,7 @@ def pairwise_flag_points(tower: FieldTower, n: int, weights, dims, subfield_deg=
             chain + (cand,) for chain in chains for cand, ann in level
             if lies_in(tower, chain[-1], ann)
         ]
-    return [FlagPoint(chain=c, weights=weights, n=n) for c in chains]
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +564,10 @@ class HermitianData:
         ]
         return Subspace(rows=field_nullspace(t, rows, self.n), ncols=self.n)
 
-    def twisted_frobenius(self, x: FlagPoint) -> FlagPoint:
-        chain = tuple(
-            self.perp(frobenius_subspace(self.tower, s, 1), 0)
-            for s in reversed(x.chain)
-        )
-        return FlagPoint(chain=chain, weights=x.weights, n=x.n)
+    def twisted_frobenius(self, x: tuple[Subspace, ...]) -> tuple[Subspace, ...]:
+        return tuple(self.perp(frobenius_subspace(self.tower, s, 1), 0) for s in reversed(x))
 
-    def is_fixed(self, x: FlagPoint, steps: int) -> bool:
+    def is_fixed(self, x: tuple[Subspace, ...], steps: int) -> bool:
         cur = x
         for _ in range(steps):
             cur = self.twisted_frobenius(cur)
@@ -589,15 +583,17 @@ def hermitian_form(herm: HermitianData, u, v, conj_power: int = 1) -> int:
     return total
 
 
-def frobenius_point(x: FlagPoint, tower: FieldTower, hermitian: HermitianData | None = None) -> FlagPoint:
-    """Arithmetic Frobenius on a flag, twisted when Hermitian data is attached."""
+def frobenius_point(x: tuple[Subspace, ...], tower: FieldTower,
+                    hermitian: HermitianData | None = None) -> tuple[Subspace, ...]:
+    """Arithmetic Frobenius on a flag's chain, twisted when Hermitian data is attached."""
     if hermitian is not None:
         return hermitian.twisted_frobenius(x)
-    return FlagPoint(
-        chain=tuple(frobenius_subspace(tower, s, 1) for s in x.chain),
-        weights=x.weights,
-        n=x.n,
-    )
+    return tuple(frobenius_subspace(tower, s, 1) for s in x)
+
+
+def weighted_point(ctx: VerifierContext, x: tuple[Subspace, ...]) -> FlagPoint:
+    """A point's chain with mu's weights, as the reference ``slope`` takes it."""
+    return FlagPoint(chain=x, weights=ctx.weights, n=ctx.n)
 
 
 def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:

@@ -89,7 +89,7 @@ def test_t_x_standard_flag_contains_both_subspaces():
     std = next(
         i
         for i, x in enumerate(ctx.points)
-        if x.chain[0].rows == ((1, 0, 0),) and x.chain[1].rows == ((1, 0, 0), (0, 1, 0))
+        if x[0].rows == ((1, 0, 0),) and x[1].rows == ((1, 0, 0), (0, 1, 0))
     )
     c = build_t_x(ctx, std)
     dims = sorted(t.chain[0].dim for t in c.vertex_keys)

@@ -29,7 +29,6 @@ from helpers import (  # noqa: E402
 )
 from perdom import finflag, semistable  # noqa: E402
 from perdom.finflag import (  # noqa: E402
-    FlagPoint,
     annihilator,
     dots,
     enumerate_flag_points,
@@ -43,7 +42,7 @@ from perdom.finflag import (  # noqa: E402
     rref,
     subspace_from_rows,
 )
-from perdom.semistable import VerifierContext  # noqa: E402
+from perdom.semistable import FlagPoint, VerifierContext  # noqa: E402
 from perdom.rootdata import mat_inv, mat_mul, row_reduce  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -286,7 +285,7 @@ def test_annihilator_is_a_basis_of_the_nullspace(case):
 @st.composite
 def subspace_families(draw):
     """Random lines, planes and hyperplanes of a 2-, 3- or 4-space, as the
-    chains of a points family and of a tests family."""
+    one-subspace chains of a points family and of a tests family."""
     t = draw(st.sampled_from(FIELDS))
     n = draw(st.integers(2, 4))
     element = st.integers(0, t.size - 1)
@@ -298,17 +297,17 @@ def subspace_families(draw):
             rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=d, max_size=d))
             sub = subspace_from_rows(t, rows, n)
             if sub.dim:
-                out.append(FlagPoint(chain=(sub,), weights=(1, 0), n=n))
+                out.append((sub,))
         return out
 
-    return t, n, family(), family()
+    return t, n, family(), [FlagPoint(chain=c, weights=(1, 0), n=n) for c in family()]
 
 
 @SETTINGS
 @given(subspace_families())
 def test_incidence_equals_intersection_dim(case):
     t, n, points, tests = case
-    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", points=points, tests=tests)
+    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0), points=points, tests=tests)
     # up to 4-space every entry is a nonzero pairing or a 2 x 2 determinant
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
@@ -344,9 +343,8 @@ def test_flag_points_equal_the_pairwise_filter(n, dims, q, ext, sub):
     # and filtered over F_q inside F_(q^ext): q is prime, so F_q's elements
     # are the same integers in both
     t = make_tower(q, sub or ext)
-    weights = tuple(range(len(dims), -1, -1))
-    got = enumerate_flag_points(t, n, weights, dims)
-    assert got == pairwise_flag_points(make_tower(q, ext), n, weights, dims, subfield_deg=sub)
+    got = enumerate_flag_points(t, n, dims)
+    assert got == pairwise_flag_points(make_tower(q, ext), n, dims, subfield_deg=sub)
     assert finflag.FlagLevels(t, n, dims).count(dims) == len(got)
 
 
@@ -358,8 +356,8 @@ def test_twisted_fixed_lines_are_the_isotropic_lines(q, m, conj_power):
     h = HermitianData(tower=make_tower(q, 2 * m), n=3)
     lines = enumerate_subspaces(h.tower, 3, 1, 2 * conj_power)
     isotropic = [s for s in lines if hermitian_form(h, s.rows[0], s.rows[0], conj_power) == 0]
-    flags = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power)
-    assert [x.chain[0] for x in flags] == isotropic
+    flags = enumerate_twisted_fixed_flags(h.tower, conj_power)
+    assert [line for line, _ in flags] == isotropic
 
 
 @pytest.mark.parametrize("q,m,conj_power", CHAMBER_CASES)
@@ -371,12 +369,11 @@ def test_chamber_planes_are_the_hermitian_perps(q, m, conj_power, monkeypatch):
     calls = []
     monkeypatch.setattr(finflag, "rref", lambda *args: calls.append(args))
     monkeypatch.setattr(finflag, "enumerate_subspaces", lambda *args: calls.append(args))
-    flags = enumerate_twisted_fixed_flags(h.tower, (1, 0, -1), conj_power)
+    flags = enumerate_twisted_fixed_flags(h.tower, conj_power)
     monkeypatch.undo()
     assert not calls
-    assert len(flags) == len({x.chain[0] for x in flags}) > 1
-    for x in flags:
-        line, plane = x.chain
+    assert len(flags) == len({line for line, _ in flags}) > 1
+    for line, plane in flags:
         assert plane == h.perp(line, conj_power), line
         assert rref(h.tower, plane.rows)[0] == plane.rows
 
@@ -395,6 +392,6 @@ def test_u3_verifier_computes_each_plane_annihilator_once(monkeypatch):
     monkeypatch.setattr(semistable, "annihilator", counting)
     ctx = semistable.build_verifier(helpers.instance("u3_reg"), 3)
     ctx.point_annihilators  # the cached Ann of every point plane
-    planes = {x.chain[1] for x in ctx.points + ctx.tests}
+    planes = {x[1] for x in ctx.points} | {t.chain[1] for t in ctx.tests}
     assert len(planes) == 2**9 + 1
     assert {counts[p] for p in planes} == {1}

@@ -11,8 +11,8 @@ import pytest
 
 from helpers import instance, table, verifier
 from perdom.cohom import dim_v, euler_characteristic
-from perdom.finflag import FlagPoint
 from perdom.rootdata import LatticeVec
+from perdom.semistable import FlagPoint
 from perdom.weyl import generate_weyl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,11 +42,11 @@ def _examples():
     """One record of each immutable kind, with its field names in order; the
     first six are the kinds kept in sets and dict keys."""
     gd = instance("u3_reg")
-    point = verifier("a2_reg", 1).points[0]
+    test = verifier("a2_reg", 1).tests[0]
     summand = table("u3_reg").summands[0]
     return [
-        (point.chain[0], ("rows", "ncols")),
-        (point, ("chain", "weights", "n")),
+        (test.chain[0], ("rows", "ncols")),
+        (test, ("chain", "weights", "n")),
         (gd.mu_orbit[1], ("word", "labels")),
         (gd.mu, ("side", "coords")),
         (dim_v(gd, frozenset()), ("coeffs",)),

@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -19,16 +20,19 @@ from helpers import (
     pairwise_flag_points,
     table,
     verifier,
+    weighted_point,
 )
 from perdom import semistable
-from perdom.cohom import lefschetz_series
+from perdom.cohom import build_group_data, lefschetz_series
 from perdom.complex import build_t_x
-from perdom.finflag import FlagPoint, full_space, make_tower, row_families, subspace_from_rows
+from perdom.finflag import Subspace, full_space, intersection_dim, make_tower, row_families, subspace_from_rows
 from perdom.rootdata import DEFAULT_BUDGET
 from perdom.semistable import (
+    FlagPoint,
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
+    cell_checks,
     check_verifier_budget,
     coordinate_filtration,
     filtration_pairing,
@@ -108,9 +112,9 @@ def test_subspace_coweight_filtration_rejects_trivial():
 def test_slope_examples_p1():
     ctx = verifier("a1_reg", 1)
     own = ctx.points.index(
-        next(x for x in ctx.points if x.chain[0].rows == ((1, 0),))
+        next(x for x in ctx.points if x[0].rows == ((1, 0),))
     )
-    point = ctx.points[own]
+    point = weighted_point(ctx, ctx.points[own])
     same = next(t for t in ctx.tests if t.chain[0].rows == ((1, 0),))
     other = next(t for t in ctx.tests if t.chain[0].rows == ((0, 1),))
     assert slope(ctx.tower, point, same) == -1
@@ -119,7 +123,7 @@ def test_slope_examples_p1():
 
 def test_slope_scales_with_positive_multiples():
     ctx = verifier("a1_reg", 2)
-    point = ctx.points[0]
+    point = weighted_point(ctx, ctx.points[0])
     test = ctx.tests[0]
     scaled = FlagPoint(
         chain=test.chain, weights=tuple(Fraction(3, 2) * w for w in test.weights), n=test.n
@@ -133,7 +137,7 @@ def test_semistable_p1_over_f4():
     assert sum(verdicts) == 2
     # the three rational points are exactly the unstable ones
     for i, x in enumerate(ctx.points):
-        assert verdicts[i] == (not is_k_rational(x.chain[0], ctx.tower))
+        assert verdicts[i] == (not is_k_rational(x[0], ctx.tower))
 
 
 def test_semistable_p2_avoids_rational_lines():
@@ -141,7 +145,7 @@ def test_semistable_p2_avoids_rational_lines():
     rational_planes = [t.chain[0] for t in ctx.tests if t.chain[0].dim == 2]
 
     for i, x in enumerate(ctx.points):
-        on_rational_line = any(contains(ctx.tower, p, x.chain[0]) for p in rational_planes)
+        on_rational_line = any(contains(ctx.tower, p, x[0]) for p in rational_planes)
         assert is_semistable(ctx, i).verdict == (not on_rational_line)
 
 
@@ -191,7 +195,7 @@ def test_y_stratum_sl2():
     ctx = verifier("a1_reg", 1)
     y0 = y_I_points(ctx, frozenset())
     assert len(y0) == 1
-    point = ctx.points[next(iter(y0))]
+    point = weighted_point(ctx, ctx.points[next(iter(y0))])
     std = coordinate_filtration(ctx.tower, orbit_weight(ctx.gd, 0).coords)
     assert slope(ctx.tower, point, std) == -1
     assert y_I_points(ctx, frozenset({0})) == frozenset(range(len(ctx.points)))
@@ -228,7 +232,7 @@ def test_nonsemistable_set_is_union_of_translated_strata():
         union = set()
         for test in ctx.tests:
             for i, point in enumerate(ctx.points):
-                if slope(ctx.tower, point, test) < 0:
+                if slope(ctx.tower, weighted_point(ctx, point), test) < 0:
                     union.add(i)
         ss = set(semistable_indices(ctx))
         assert union == set(range(len(ctx.points))) - ss
@@ -250,6 +254,31 @@ def test_parabolic_invariance_sample_reads_each_verdict_against_the_reference_sl
     assert parabolic_invariance_sample(ctx, seed=1234, samples=25)
     ctx.destabilizer_table = [()] * len(ctx.points)
     assert not parabolic_invariance_sample(ctx, seed=1234, samples=25)
+
+
+def test_a_point_is_its_chain_and_no_flag_point_is_built_per_point(monkeypatch):
+    # mu's weights live once on the context: building the verifier, its
+    # destabilizer table, the cell checks and the spot check make as many
+    # weighted flags at m = 2 (105 points) as at m = 1 (21 points)
+    built = collections.Counter()
+    original = FlagPoint.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[m] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(FlagPoint, "__new__", counted)
+    sizes = {}
+    for m in (1, 2):
+        ctx = build_verifier(instance("a2_reg"), m)
+        ctx.destabilizer_table
+        assert all(ok for _, ok, _ in cell_checks(ctx))
+        assert parabolic_invariance_sample(ctx, seed=0)
+        assert all(type(x) is tuple and all(type(s) is Subspace for s in x) for x in ctx.points)
+        assert ctx.weights == (1, 0, -1)
+        sizes[m] = len(ctx.points)
+    assert sizes == {1: 21, 2: 105}
+    assert built[1] == built[2] > 0
 
 
 # every verifier instance of the catalog at m = 1, 2, 3 but a3_reg at m = 3:
@@ -344,7 +373,7 @@ def test_one_incidence_pass_per_context(monkeypatch):
     for i in range(len(ctx.points)):
         if not is_semistable(ctx, i).verdict:
             build_t_x(ctx, i)
-    point_spaces = {s for x in ctx.points for s in x.chain}
+    point_spaces = {s for x in ctx.points for s in x}
     test_spaces = {t.chain[0] for t in ctx.tests}
 
     # decode each pass: the subspace W whose rows or annihilator it pairs,
@@ -437,6 +466,21 @@ def test_incidence_matches_intersection_dim(name, m):
             assert column[k] == intersection_dim(ctx.tower, s, w), (name, s, w)
 
 
+def test_incidence_ranks_the_larger_matrices():
+    # the Grassmannian of planes of F_2^5: its 155 point planes meet the 372
+    # rational subspaces, and a plane against a rational plane is a 2 x 3
+    # matrix S . Ann(W)^T, the one shape of the table read through ``rank``
+    gd = build_group_data([("A", 4)], [1, 1, 0, 0, 0], 2)
+    ctx = build_verifier(gd, 1)
+    assert len(ctx.point_spaces) == 155 and len(ctx.test_annihilators) == 372
+    with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
+        ctx.incidence
+    assert ranked.call_count == 155 * 155
+    for w, column in ctx.incidence.items():
+        for s, k in ctx.point_spaces.items():
+            assert column[k] == intersection_dim(ctx.tower, s, w), (s, w)
+
+
 @pytest.mark.parametrize(
     "name,m",
     [
@@ -450,7 +494,7 @@ def test_destabilizer_table_matches_direct_pairing(name, m):
         row = dict(ctx.destabilizer_table[i])
         assert list(row) == sorted(row)
         for k, test in enumerate(ctx.tests):
-            value = slope(ctx.tower, point, test)
+            value = slope(ctx.tower, weighted_point(ctx, point), test)
             assert (k in row) == (value < 0)
             if value < 0:
                 assert row[k] == value
@@ -465,7 +509,8 @@ def test_y_stratum_against_coordinate_filtrations(name, m):
     negative = {
         k: {
             i for i, x in enumerate(ctx.points)
-            if slope(ctx.tower, x, coordinate_filtration(ctx.tower, orbit_weight(gd, k).coords)) < 0
+            if slope(ctx.tower, weighted_point(ctx, x),
+                     coordinate_filtration(ctx.tower, orbit_weight(gd, k).coords)) < 0
         }
         for k in range(gd.d_prime)
     }
@@ -505,8 +550,7 @@ def test_rational_point_counts_equal_pairwise_flags(name, q):
     for I, count in counts.items():
         roots = {i for orb in I for i in gd.orbits_delta.orbits[orb]}
         dims = tuple(d for d in range(1, n) if d - 1 not in roots)
-        weights = range(len(dims), -1, -1)
-        assert count == len(pairwise_flag_points(tower, n, weights, dims)), (name, q, sorted(I))
+        assert count == len(pairwise_flag_points(tower, n, dims)), (name, q, sorted(I))
 
 
 @pytest.mark.parametrize("q", [2, 3])
