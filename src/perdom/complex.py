@@ -144,7 +144,7 @@ def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False) -> SweepRepo
     per_point = []
     non_ss = 0
     homology: dict[tuple, tuple[int, ...]] = {}
-    for i, row in enumerate(ctx.destabilizer_table):
+    for i, row in enumerate(ctx.destabilizer_table.rows):
         if not row:
             continue
         non_ss += 1

@@ -4,9 +4,15 @@ chambers of the unitary group on 3 variables.
 Field elements are integers 0..p^n-1 encoding polynomial coefficients base p;
 multiplication runs on log/antilog tables, addition is XOR when p = 2 and
 otherwise reads Zech's logarithm ``1 + g^k = g^Z(k)``, so every table is
-linear in the field size.
+linear in the field size.  The tables are built without generic polynomial
+arithmetic: for p = 2 the modulus is found and the generator's powers are
+walked on carry-less integers, and for odd p the walk multiplies a digit
+vector by the matrix of multiplication by the generator.  A subfield is
+read off the antilog table at a stride, with no Frobenius per element.
 Every subspace is kept in reduced row echelon form, which is the canonical
-representative used for hashing and equality.
+representative used for hashing and equality; ``enumerate_subspaces``
+lists them as products of per-row options, each row's built once per
+pivot pattern.
 
 The verifier's pairings run through one kernel that takes many vectors at
 once.  A family of vectors is stored as columns of discrete logs
@@ -34,8 +40,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial, reduce
-from itertools import compress, repeat
-from operator import add, not_, or_, xor
+from itertools import compress, product, repeat
+from math import gcd
+from operator import add, mul, not_, or_, xor
 from typing import NamedTuple
 
 
@@ -108,15 +115,63 @@ def _is_irreducible(f, p):
     return True
 
 
+def _gf2_mulmod(a: int, b: int, f: int, n: int) -> int:
+    """a b mod f over F_2, polynomials as integers with bit i the coefficient
+    of x^i and f of degree n: carry-less shifts of a, reduced by XOR with f."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b, a = b >> 1, a << 1
+        if a >> n:
+            a ^= f
+    return acc
+
+
+def _gf2_powmod(a: int, e: int, f: int, n: int) -> int:
+    result = 1
+    while e:
+        if e & 1:
+            result = _gf2_mulmod(result, a, f, n)
+        a, e = _gf2_mulmod(a, a, f, n), e >> 1
+    return result
+
+
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def _gf2_is_irreducible(f: int, n: int) -> bool:
+    """Rabin's test on carry-less integers, as ``_is_irreducible`` runs it on
+    lists: x^(2^n) = x mod f, and x^(2^(n / l)) - x is prime to f for each
+    prime l dividing n.  x^(2^k) is x squared k times."""
+    powers = [2]
+    for _ in range(n):
+        powers.append(_gf2_mulmod(powers[-1], powers[-1], f, n))
+    if powers[n] != 2:
+        return False
+    return all(_gf2_gcd(f, powers[n // ell] ^ 2).bit_length() == 1
+               for ell in range(2, n + 1) if n % ell == 0 and _is_prime(ell))
+
+
 def _find_irreducible(p, n):
+    """The first monic irreducible of degree n over F_p, its coefficients
+    from the constant term up, trying the tails in ``itertools.product``
+    order; for p = 2 each tail is tested as a carry-less integer."""
     if n == 1:
         return [0, 1]
-    for tail in itertools.product(range(p), repeat=n):
-        f = list(tail) + [1]
-        if f[0] == 0:
+    for tail in product(range(p), repeat=n):
+        if not tail[0]:
             continue
-        if _is_irreducible(f, p):
-            return f
+        if p == 2:
+            if _gf2_is_irreducible(sum(c << i for i, c in enumerate(tail)) | 1 << n, n):
+                return [*tail, 1]
+        elif _is_irreducible([*tail, 1], p):
+            return [*tail, 1]
     raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
@@ -267,30 +322,30 @@ class FieldTower:
         """The powers of the least g >= 2 of order size - 1, and their logs.
         g is primitive when g^((size - 1) / r) != 1 for each prime r dividing
         size - 1, so only the chosen g is walked: by carry-less shifts and
-        XOR with the modulus when p = 2."""
-        p, f, size = self.p, self.modulus, self.size
+        XOR with the modulus when p = 2, and otherwise as a digit vector
+        times the matrix of multiplication by g, whose row i is g x^i."""
+        p, f, size, n = self.p, self.modulus, self.size, self.degree
         order = size - 1
         # one pass over 2..order costs less than the walk over the powers
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
-        g = next(g for g in range(2, size)
-                 if all(_poly_powmod(self._to_poly(g), order // r, f, p) != [1] for r in primes))
         exp, log = [1] * order, [0] * size
         if p == 2:
             fbits = self._from_poly(f)
+            g = next(g for g in range(2, size)
+                     if all(_gf2_powmod(g, order // r, fbits, n) != 1 for r in primes))
             for k in range(1, order):
-                cur, acc, h = exp[k - 1], 0, g
-                while h:
-                    if h & 1:
-                        acc ^= cur
-                    h, cur = h >> 1, cur << 1
-                    if cur & size:
-                        cur ^= fbits
-                exp[k] = acc
+                exp[k] = _gf2_mulmod(exp[k - 1], g, fbits, n)
         else:
-            gpoly, cur = self._to_poly(g), [1]
+            g = next(g for g in range(2, size)
+                     if all(_poly_powmod(self._to_poly(g), order // r, f, p) != [1] for r in primes))
+            gpoly = self._to_poly(g)
+            rows = [_poly_mod(_poly_mul(gpoly, [0] * i + [1], p), f, p) for i in range(n)]
+            columns = list(zip(*(row + [0] * (n - len(row)) for row in rows)))
+            places = [p**j for j in range(n)]
+            digits = [1] + [0] * (n - 1)
             for k in range(1, order):
-                cur = _poly_mod(_poly_mul(cur, gpoly, p), f, p)
-                exp[k] = self._from_poly(cur)
+                digits = [sum(map(mul, digits, col)) % p for col in columns]
+                exp[k] = sum(map(mul, digits, places))
         for i, v in enumerate(exp):
             log[v] = i
         return exp, log
@@ -315,11 +370,13 @@ class FieldTower:
         return self.power(x, self.q ** (times % self.m))
 
     def subfield(self, j: int) -> frozenset[int]:
-        """Elements of the subfield F_{q^j} (fixed points of frob^j)."""
+        """The fixed points of frob^j, which form the subfield F_(q^g) for
+        g = gcd(j, m): 0 and the powers of the generator to multiples of
+        (q^m - 1) / (q^g - 1), every such entry of the antilog table."""
         if j not in self._subfield_cache:
-            self._subfield_cache[j] = frozenset(
-                x for x in range(self.size) if self.frobenius(x, j) == x
-            )
+            order = self.size - 1
+            stride = order // (self.q ** gcd(j, self.m) - 1)
+            self._subfield_cache[j] = frozenset([0, *self._exp[:order:stride]])
         return self._subfield_cache[j]
 
     @property
@@ -468,26 +525,26 @@ def enumerate_subspaces(tower: FieldTower, n: int, d: int, subfield_deg: int | N
     With ``subfield_deg`` set, only subspaces whose canonical basis lies in
     F_{q^subfield_deg}; those are exactly the subspaces defined over that
     subfield.
+
+    Per pivot pattern, each row's options are listed once, as the product
+    of the choices of its entries: 0 before its pivot and in the other
+    pivots' columns, 1 at its pivot, any element in a free column.  The
+    subspaces are the product of the rows' options, first row slowest, so
+    the free entries run in row-major ``itertools.product`` order.
     """
     if d == 0:
         return [Subspace(rows=(), ncols=n)]
-    elements = sorted(tower.subfield(subfield_deg)) if subfield_deg else list(tower.elements)
+    elements = tuple(sorted(tower.subfield(subfield_deg)) if subfield_deg else tower.elements)
     expected = gaussian_binomial(n, d, len(elements))
-    out = []
+    zero, one = (0,), (1,)
+    make = partial(tuple.__new__, Subspace)
+    out: list[Subspace] = []
     for pivots in itertools.combinations(range(n), d):
-        free_cells = [
-            (i, j)
-            for i in range(d)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivots
+        options = [
+            list(product(*[zero] * p, one, *[zero if j in pivots else elements for j in range(p + 1, n)]))
+            for p in pivots
         ]
-        for values in itertools.product(elements, repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(d)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            out.append(Subspace(rows=tuple(tuple(r) for r in rows), ncols=n))
+        out += map(make, zip(product(*options), repeat(n)))
     assert len(out) == expected
     return out
 

@@ -28,7 +28,15 @@ from 5-space on, go through ``rank``, with entries the same kernel
 reads.  Summed by parts, a slope is a weighted read of that table
 (``VerifierContext.destabilizer_table``).  The weights are scaled to
 integers, so the whole slope matrix is integer arithmetic and a
-``Fraction`` is built only for the negative slopes it reports.
+``Fraction`` is built only for the negative slopes it reports.  The
+destabilizer table is filled a test's column at a time in C-level passes:
+each chain level's entries are gathered per point by ``itemgetter`` and
+added by ``map``, and the positive totals are picked by ``compress``, so
+only the points a test destabilizes are visited.  It is one table held
+both ways, a row per point and a column per test.  The semistable points
+are its empty rows, a stratum is an intersection of the columns of the
+standard coweights' tests, and the Bruhat cells gather each point's
+invariant from the coordinate subspaces' incidence columns.
 ``filtration_pairing`` and ``slope`` compute the same numbers directly
 from two ``FlagPoint``s and stay as the reference.  The unitary
 group's points and tests come from ``finflag.enumerate_twisted_fixed_flags``
@@ -41,10 +49,10 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, partial, reduce
+from itertools import compress, repeat
 from math import lcm
-from operator import attrgetter, gt, not_
+from operator import add, attrgetter, gt, itemgetter, lt, not_
 from typing import Callable, NamedTuple
 
 from .cohom import GroupData, label_sets
@@ -117,7 +125,9 @@ def filtration_pairing(tower: FieldTower, f: FlagPoint, g: FlagPoint) -> Fractio
 
     Each flag's steps are its chain followed by the whole space; the
     bigraded dimension at (a, b) is computed by inclusion-exclusion on the
-    four pairwise intersections around the step.
+    four pairwise intersections around the step.  Each flag's weights are
+    scaled to integers by the lcm of their denominators, so the sum is
+    integer arithmetic and one ``Fraction`` is built at the end.
     """
     if f.n != g.n:
         raise ValueError("ambient mismatch")
@@ -130,13 +140,15 @@ def filtration_pairing(tower: FieldTower, f: FlagPoint, g: FlagPoint) -> Fractio
             return 0
         return inter[i][j]
 
-    total = Fraction(0)
+    f_scale = lcm(*(w.denominator for w in f.weights))
+    g_scale = lcm(*(w.denominator for w in g.weights))
+    a = [int(w * f_scale) for w in f.weights]
+    b = [int(w * g_scale) for w in g.weights]
+    total = 0
     for i in range(len(f_spaces)):
         for j in range(len(g_spaces)):
-            d = v(i, j) - v(i - 1, j) - v(i, j - 1) + v(i - 1, j - 1)
-            if d:
-                total += f.weights[i] * g.weights[j] * d
-    return total
+            total += a[i] * b[j] * (v(i, j) - v(i - 1, j) - v(i, j - 1) + v(i - 1, j - 1))
+    return Fraction(total, f_scale * g_scale)
 
 
 def subspace_coweight_filtration(sub: Subspace) -> FlagPoint:
@@ -181,6 +193,23 @@ class SlopeReport(NamedTuple):
         return not self.destabilizers
 
 
+class DestabilizerTable(NamedTuple):
+    """The negative entries of a run's point x test slope matrix, held both
+    ways: per point, its (test index, slope) pairs in test order (``rows``),
+    and per test, the points it destabilizes in point order (``columns``)."""
+
+    rows: list[tuple[tuple[int, Fraction], ...]]
+    columns: list[tuple[int, ...]]
+
+
+def _gather(ids) -> Callable:
+    """``itemgetter(*ids)``, which returns a tuple even for one index."""
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda seq: (seq[i],)
+    return itemgetter(*ids)
+
+
 class VerifierContext:
     """The points over the degree-m extension of the reflex field, each its
     chain, mu's weights (``weights``) that they share, the rational test
@@ -196,8 +225,17 @@ class VerifierContext:
     def point_spaces(self) -> dict[Subspace, int]:
         """The distinct subspaces of the points' chains, numbered by dimension
         and, within one, in order of appearance."""
-        spaces = dict.fromkeys(s for x in self.points for s in x)
+        spaces = dict.fromkeys(itertools.chain.from_iterable(self.points))
         return {s: k for k, s in enumerate(sorted(spaces, key=_dim))}
+
+    @cached_property
+    def level_gathers(self) -> list[Callable]:
+        """Per chain level, a gather that reads every point's entry, in point
+        order, off a list indexed like ``point_spaces``: its argument is an
+        incidence column, or any list of values per point subspace."""
+        ids = self.point_spaces.__getitem__
+        levels = len(self.points[0]) if self.points else 0
+        return [_gather(list(map(ids, map(itemgetter(i), self.points)))) for i in range(levels)]
 
     @cached_property
     def test_annihilators(self) -> dict[Subspace, tuple]:
@@ -270,9 +308,9 @@ class VerifierContext:
         }
 
     @cached_property
-    def destabilizer_table(self) -> list[tuple[tuple[int, Fraction], ...]]:
-        """Per point, the (test index, slope) pairs with negative slope, in
-        test order: the negative entries of the point x test slope matrix.
+    def destabilizer_table(self) -> DestabilizerTable:
+        """The negative entries of the point x test slope matrix, a test's
+        column at a time.
 
         ``filtration_pairing`` sums a_i b_j over the graded pieces; summed by
         parts it is sum_ij alpha_i beta_j dim(F_i cap G_j) with alpha_i =
@@ -281,20 +319,29 @@ class VerifierContext:
         only the chain-by-chain terms read the incidence table; the others
         are dimensions.  Weights are scaled by the lcm of mu's weights'
         denominators times that of the test weights', so every pairing is an
-        integer P and the slope is -P / scale."""
-        points, weights = self.points, self.weights
+        integer P and the slope is -P / scale.
+
+        A test's column takes a few passes: its chain's incidence columns
+        weighted by beta and summed, one value per point subspace; per chain
+        level, those values weighted by alpha and gathered per point by
+        ``itemgetter``; the levels' shares added by one chain of ``map``s;
+        and ``compress`` over the sums past -const, the points whose total
+        is positive.  Only those hits are visited, each appended to its
+        point's row with its slope."""
+        points, weights, tests = self.points, self.weights, self.tests
         if not points:
-            return []
+            return DestabilizerTable([], [()] * len(tests))
         point_scale = lcm(*(w.denominator for w in weights))
-        test_scale = lcm(*(w.denominator for t in self.tests for w in t.weights))
+        test_scale = lcm(*(w.denominator for t in tests for w in t.weights))
         scale = point_scale * test_scale
         *alpha, alpha_last = _weight_steps(weights, point_scale)
         alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0]))
-        positions = [[self.point_spaces[x[i]] for x in points] for i in range(len(alpha))]
+        levels = list(zip(alpha, self.level_gathers))
         inc = self.incidence
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in points]
+        columns: list[tuple[int, ...]] = []
         slopes: dict[int, Fraction] = {}
-        for k, test in enumerate(self.tests):
+        for k, test in enumerate(tests):
             *beta, beta_last = _weight_steps(test.weights, test_scale)
             const = beta_last * alpha_dims + alpha_last * (
                 sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * self.n
@@ -302,22 +349,29 @@ class VerifierContext:
             g = [0] * len(self.point_spaces)
             for b, w in zip(beta, test.chain):
                 g = [x + b * c for x, c in zip(g, inc[w])]
-            totals = [const] * len(points)
-            for a, ids in zip(alpha, positions):
-                h = [a * x for x in g]
-                totals = [t + h[s] for t, s in zip(totals, ids)]
-            for i, total in enumerate(totals):
-                if total > 0:
-                    if total not in slopes:
-                        slopes[total] = Fraction(-total, scale)
-                    rows[i].append((k, slopes[total]))
-        return [tuple(r) for r in rows]
+            shares = [gather([a * x for x in g]) for a, gather in levels]
+            sums = list(reduce(partial(map, add), shares or [(0,) * len(points)]))
+            hits = tuple(compress(range(len(points)), map(lt, repeat(-const), sums)))
+            for i in hits:
+                total = const + sums[i]
+                if total not in slopes:
+                    slopes[total] = Fraction(-total, scale)
+                rows[i].append((k, slopes[total]))
+            columns.append(hits)
+        return DestabilizerTable([tuple(r) for r in rows], columns)
 
     @cached_property
     def standard_subspaces(self) -> tuple[Subspace, ...]:
         """The coordinate subspaces E_1 ... E_{n-1}; ``[d - 1]`` is E_d, the
         span of the first d coordinate vectors."""
         return tuple(standard_subspace(self.tower, self.n, d) for d in range(1, self.n))
+
+    @cached_property
+    def standard_tests(self) -> tuple[int, ...]:
+        """Per coordinate subspace, the index in ``tests`` of its coweight
+        filtration, in ``standard_subspaces`` order (split model only)."""
+        index = {t.chain[0]: k for k, t in enumerate(self.tests)}
+        return tuple(index[e] for e in self.standard_subspaces)
 
     @cached_property
     def bruhat_partition(self) -> dict:
@@ -491,7 +545,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
 
 def is_semistable(ctx: VerifierContext, index: int) -> SlopeReport:
     """Slope verdict for one enumerated point; slope 0 counts as semistable."""
-    row = ctx.destabilizer_table[index]
+    row = ctx.destabilizer_table.rows[index]
     return SlopeReport(point_index=index, destabilizers=tuple((ctx.tests[k], v) for k, v in row))
 
 
@@ -501,7 +555,8 @@ def brute_force_ss_count(ctx: VerifierContext) -> int:
 
 def semistable_indices(ctx: VerifierContext) -> list[int]:
     """The points whose rows of the destabilizer table are empty."""
-    return [i for i, row in enumerate(ctx.destabilizer_table) if not row]
+    rows = ctx.destabilizer_table.rows
+    return list(compress(range(len(rows)), map(not_, rows)))
 
 
 def per_point_rows(ctx: VerifierContext) -> list[dict]:
@@ -514,7 +569,7 @@ def per_point_rows(ctx: VerifierContext) -> list[dict]:
             "worst_slope": min((v for _, v in row), default=None),
             "chain": [[list(r) for r in s.rows] for s in x],
         }
-        for i, (x, row) in enumerate(zip(ctx.points, ctx.destabilizer_table))
+        for i, (x, row) in enumerate(zip(ctx.points, ctx.destabilizer_table.rows))
     ]
 
 
@@ -540,15 +595,17 @@ def points_csv(ctx: VerifierContext) -> str:
 
 def y_I_points(ctx: VerifierContext, I: frozenset[int]) -> frozenset[int]:
     """Indices of points with negative slope against every standard coweight
-    whose orbit lies outside I.  The test filtration of the standard subspace
+    whose orbit lies outside I: the intersection of those tests' columns of
+    the destabilizer table.  The test filtration of the standard subspace
     E_{k+1} is the filtration of the k-th standard coweight."""
     if ctx.mode != "split":
         raise ValueError("stratification check requires a split instance")
-    test_of = {t.chain[0]: j for j, t in enumerate(ctx.tests)}
-    wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
-    return frozenset(
-        i for i, row in enumerate(ctx.destabilizer_table) if wanted <= {j for j, _ in row}
-    )
+    columns = ctx.destabilizer_table.columns
+    wanted = [columns[ctx.standard_tests[k]] for k in range(ctx.gd.d_prime) if k not in I]
+    if not wanted:
+        return frozenset(range(len(ctx.points)))
+    first, *rest = wanted
+    return frozenset(first).intersection(*rest)
 
 
 def standard_subspace(tower: FieldTower, n: int, d: int) -> Subspace:
@@ -556,40 +613,40 @@ def standard_subspace(tower: FieldTower, n: int, d: int) -> Subspace:
     return subspace_from_rows(tower, [[int(j == i) for j in range(n)] for i in range(d)], n)
 
 
-def _relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
-    """B-orbit invariant: intersection dimensions against the coordinate flag.
-
-    Every E_d is a test subspace and every chain subspace here is a point's
-    (a representative's coordinate flag is a rational point), so each
-    dimension is read from the incidence table."""
-    columns = [ctx.incidence[e] for e in ctx.standard_subspaces]
-    ids = ctx.point_spaces
-    return tuple(tuple(col[ids[s]] for col in columns) for s in chain)
-
-
 def bruhat_cells(ctx: VerifierContext) -> dict:
     """Partition of the points into cells indexed by Kostant representatives,
     each given by its point ``w mu`` of mu's W-orbit; the cell of ``w mu``
     holds the coordinate flag of its weight levels.  In type A the labels
     are ``c_i = v_i - v_(i+1)``, so their negated prefix sums are the
-    coordinates of ``w mu`` up to a constant, which leaves the flag as is."""
+    coordinates of ``w mu`` up to a constant, which leaves the flag as is.
+
+    A chain's cell is read from its B-orbit invariant: per subspace, the
+    dimensions of its intersections with the coordinate flag E_1 ...
+    E_(n-1).  Every E_d is a test subspace and every chain subspace here
+    is a point's (a representative's coordinate flag is a rational point),
+    so each dimension is an incidence entry, and each point subspace's
+    dimensions are zipped once from the E_d's incidence columns.  The
+    points' invariants are gathered from those, one chain level per pass;
+    a central mu's one empty chain has the empty invariant."""
     if ctx.mode != "split":
         raise ValueError("cell decomposition requires a split instance")
     gd = ctx.gd
-    rep_invariants = {}
+    dims = list(zip(*(ctx.incidence[e] for e in ctx.standard_subspaces)))
+    ids = ctx.point_spaces
+    cells: dict = {p: [] for p in gd.mu_orbit}
+    cell_of = {}
     for p in gd.mu_orbit:
         coords = itertools.accumulate((-c for c in p.labels), initial=0)
-        inv = _relative_position(ctx, coordinate_filtration(ctx.tower, coords).chain)
-        if inv in rep_invariants.values():
+        inv = tuple(dims[ids[s]] for s in coordinate_filtration(ctx.tower, coords).chain)
+        if inv in cell_of:
             raise AssertionError("distinct representatives share a cell invariant")
-        rep_invariants[p] = inv
-    cells: dict = {p: [] for p in gd.mu_orbit}
-    by_inv = {inv: p for p, inv in rep_invariants.items()}
-    for i, x in enumerate(ctx.points):
-        inv = _relative_position(ctx, x)
-        if inv not in by_inv:
+        cell_of[inv] = cells[p]
+    gathered = [gather(dims) for gather in ctx.level_gathers]
+    invariants = zip(*gathered) if gathered else repeat((), len(ctx.points))
+    for i, inv in enumerate(invariants):
+        if inv not in cell_of:
             raise AssertionError("point outside every Bruhat cell")
-        cells[by_inv[inv]].append(i)
+        cell_of[inv].append(i)
     return cells
 
 
@@ -670,13 +727,14 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
         index = rng.randrange(len(ctx.points))
         x = FlagPoint(chain=ctx.points[index], weights=ctx.weights, n=n)
         d = rng.randrange(1, n)
-        test = subspace_coweight_filtration(ctx.standard_subspaces[d - 1])
+        test = ctx.tests[ctx.standard_tests[d - 1]]
         g = random_parabolic_element(ctx.tower, n, d, rng)
         gx = apply_matrix_to_point(ctx.tower, g, x)
         before = slope(ctx.tower, x, test)
         after = slope(ctx.tower, gx, test)
         if before != after:
             return False
-        if dict(is_semistable(ctx, index).destabilizers).get(test, 0) != min(before, 0):
+        listed = (v for t, v in is_semistable(ctx, index).destabilizers if t is test)
+        if next(listed, 0) != min(before, 0):
             return False
     return True

@@ -20,9 +20,11 @@ from perdom.cohom import (
 from perdom.finflag import (
     FieldTower,
     Subspace,
+    _is_irreducible,
     _poly_mod,
     _poly_mul,
     annihilator,
+    gaussian_binomial,
     enumerate_subspaces,
     rank,
     rref,
@@ -44,7 +46,14 @@ from perdom.rootdata import (
     vec_add,
     vec_dot,
 )
-from perdom.semistable import FlagPoint, VerifierContext, build_verifier, is_semistable
+from perdom.semistable import (
+    FlagPoint,
+    VerifierContext,
+    _weight_steps,
+    build_verifier,
+    coordinate_filtration,
+    is_semistable,
+)
 from perdom.weyl import act, nonzero_entries, reflect_labels
 
 
@@ -430,6 +439,19 @@ class WalkedTower(FieldTower):
     _find_primitive = walk_primitive
 
 
+def find_irreducible_by_lists(p: int, n: int) -> list[int]:
+    """The first monic irreducible of degree n over F_p in
+    ``itertools.product`` order of its tails, each candidate a coefficient
+    list tested by the list-based Rabin test, for every p."""
+    if n == 1:
+        return [0, 1]
+    for tail in itertools.product(range(p), repeat=n):
+        f = list(tail) + [1]
+        if f[0] and _is_irreducible(f, p):
+            return f
+    raise AssertionError(f"no irreducible polynomial of degree {n} over F_{p}")
+
+
 def zech_sub(tower: FieldTower, x: int, y: int) -> int:
     """x - y for odd p by Zech's logarithm alone, with no negation:
     x - g^l = x (1 + g^(l + half - log x)), since g^half = -1."""
@@ -458,6 +480,27 @@ def matrix_times_subspace(tower: FieldTower, g, sub: Subspace) -> Subspace:
             img[i] = acc
         rows.append(img)
     return subspace_from_rows(tower, rows, sub.ncols)
+
+
+def subspaces_by_cells(tower: FieldTower, n: int, d: int, subfield_deg: int | None = None) -> list[Subspace]:
+    """The d-dimensional subspaces of the n-space in canonical echelon form,
+    one list of rows filled per subspace: per pivot pattern, the values of
+    its free cells in row-major ``itertools.product`` order."""
+    if d == 0:
+        return [Subspace(rows=(), ncols=n)]
+    elements = sorted(tower.subfield(subfield_deg)) if subfield_deg else list(tower.elements)
+    out = []
+    for pivots in itertools.combinations(range(n), d):
+        free_cells = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n) if j not in pivots]
+        for values in itertools.product(elements, repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(d)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(free_cells, values):
+                rows[i][j] = v
+            out.append(Subspace(rows=tuple(tuple(r) for r in rows), ncols=n))
+    assert len(out) == gaussian_binomial(n, d, len(elements))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +645,78 @@ def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:
     destabilizers."""
     hermitian = HermitianData(tower=ctx.tower, n=ctx.n) if ctx.mode == "u3" else None
     lookup = {x: i for i, x in enumerate(ctx.points)}
-    table = ctx.destabilizer_table
+    table = ctx.destabilizer_table.rows
     for i, x in enumerate(ctx.points):
         j = lookup.get(frobenius_point(x, ctx.tower, hermitian))
         if j is None or table[i] != table[j]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# per-point oracles for the destabilizer table, the strata and the Bruhat
+# cells: one list of totals per test, one row, set or invariant per point
+
+def destabilizer_rows_by_point(ctx: VerifierContext) -> list[tuple]:
+    """Per point, its (test index, slope) pairs with negative slope in test
+    order, every point's total built in a list per test and read point by
+    point."""
+    points, weights = ctx.points, ctx.weights
+    point_scale = math.lcm(*(w.denominator for w in weights))
+    test_scale = math.lcm(*(w.denominator for t in ctx.tests for w in t.weights))
+    scale = point_scale * test_scale
+    *alpha, alpha_last = _weight_steps(weights, point_scale)
+    alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0]))
+    positions = [[ctx.point_spaces[x[i]] for x in points] for i in range(len(alpha))]
+    rows: list[list] = [[] for _ in points]
+    for k, test in enumerate(ctx.tests):
+        *beta, beta_last = _weight_steps(test.weights, test_scale)
+        const = beta_last * alpha_dims + alpha_last * (
+            sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * ctx.n
+        )
+        g = [0] * len(ctx.point_spaces)
+        for b, w in zip(beta, test.chain):
+            g = [x + b * c for x, c in zip(g, ctx.incidence[w])]
+        totals = [const] * len(points)
+        for a, ids in zip(alpha, positions):
+            h = [a * x for x in g]
+            totals = [t + h[s] for t, s in zip(totals, ids)]
+        for i, total in enumerate(totals):
+            if total > 0:
+                rows[i].append((k, Fraction(-total, scale)))
+    return [tuple(r) for r in rows]
+
+
+def y_I_points_by_row(ctx: VerifierContext, rows, I: frozenset[int]) -> frozenset[int]:
+    """The points whose row of ``rows`` lists the test of every standard
+    subspace E_(k+1) with k outside I, one set of test indices per point."""
+    test_of = {t.chain[0]: j for j, t in enumerate(ctx.tests)}
+    wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
+    return frozenset(i for i, row in enumerate(rows) if wanted <= {j for j, _ in row})
+
+
+def relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
+    """B-orbit invariant of a chain: per subspace, its intersection
+    dimensions with E_1 ... E_(n-1), read from the incidence table."""
+    columns = [ctx.incidence[e] for e in ctx.standard_subspaces]
+    ids = ctx.point_spaces
+    return tuple(tuple(col[ids[s]] for col in columns) for s in chain)
+
+
+def bruhat_cells_by_point(ctx: VerifierContext, position=relative_position) -> dict:
+    """The Bruhat partition, each point's invariant computed by ``position``
+    on its own and looked up among the representatives'."""
+    rep_invariants = {}
+    for p in ctx.gd.mu_orbit:
+        coords = itertools.accumulate((-c for c in p.labels), initial=0)
+        inv = position(ctx, coordinate_filtration(ctx.tower, coords).chain)
+        assert inv not in rep_invariants.values()
+        rep_invariants[p] = inv
+    cells: dict = {p: [] for p in ctx.gd.mu_orbit}
+    by_inv = {inv: p for p, inv in rep_invariants.items()}
+    for i, x in enumerate(ctx.points):
+        cells[by_inv[position(ctx, x)]].append(i)
+    return cells
 
 
 # ---------------------------------------------------------------------------

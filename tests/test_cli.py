@@ -414,6 +414,7 @@ NO_CSV = {"points_csv_path": None}
     ("verify --spec $spec --m 1,2", ("cmd_verify", DEFAULT_BUDGET, ("json", [1, 2], 0), NO_CSV)),
     ("verify --spec specs/u3.json --m 5", ("cmd_verify", DEFAULT_BUDGET, ("json", [5], 0), NO_CSV)),
     ("dims --spec $spec --budget 1000000", ("cmd_dims", 1000000, ("json",), {})),
+    ("verify --spec specs/sl2.json --m 12,13", ("cmd_verify", DEFAULT_BUDGET, ("json", [12, 13], 0), NO_CSV)),
 ])
 def test_documented_command_lines_make_the_same_calls(tmp_path, capsys, monkeypatch, line, call):
     calls = record_calls(monkeypatch)

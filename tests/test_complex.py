@@ -192,7 +192,7 @@ def test_sweep_builds_a_complex_only_for_each_non_semistable_point(monkeypatch):
     rep = acyclicity_sweep(ctx)
     assert 0 < rep.non_semistable < rep.total_points
     assert len(built) == rep.non_semistable
-    assert sorted(built) == [i for i, row in enumerate(ctx.destabilizer_table) if row]
+    assert sorted(built) == [i for i, row in enumerate(ctx.destabilizer_table.rows) if row]
 
 
 def _old_key(test):

@@ -1,6 +1,7 @@
 """Field towers, subspace enumeration, flags, Hermitian structure."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,16 +12,20 @@ from helpers import (
     WalkedTower,
     contains,
     field_nullspace,
+    find_irreducible_by_lists,
     frobenius_point,
     frobenius_subspace,
     hermitian_form,
     instance,
     is_k_rational,
+    subspaces_by_cells,
     time_limit,
     zech_sub,
 )
 from perdom.finflag import (
+    Subspace,
     _factor_prime_power,
+    _find_irreducible,
     enumerate_flag_points,
     enumerate_subspaces,
     enumerate_twisted_fixed_flags,
@@ -111,9 +116,11 @@ def test_field_tables_are_linear_in_size():
     assert sum(table_entries(v) for v in tables) <= 6 * t.size
 
 
-# 16 fields over q = 2, 3, 4, 5, 7, 8, 9 and 25, up to 4,096 elements
+# 21 fields over q = 2, 3, 4, 5, 7, 8, 9, 11, 25, 27 and 125, up to 4,096
+# elements; the odd ones are walked as digit vectors by the tower
 WALKED_FIELDS = ((2, 2), (2, 5), (2, 8), (2, 9), (2, 10), (2, 12), (3, 3), (3, 6), (4, 3),
-                 (5, 2), (5, 4), (7, 2), (8, 2), (8, 4), (9, 2), (25, 2))
+                 (5, 2), (5, 4), (7, 2), (7, 3), (8, 2), (8, 4), (9, 2), (9, 3), (11, 2), (25, 2),
+                 (27, 2), (125, 1))
 
 
 @pytest.mark.parametrize("q,m", WALKED_FIELDS)
@@ -124,6 +131,30 @@ def test_primitive_element_matches_the_walk_over_every_candidate(q, m):
     assert t._exp == walked._exp
     assert t._log == walked._log
     assert getattr(t, "_zech", None) == getattr(walked, "_zech", None)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(1, 17)), (3, range(1, 8)), (5, range(1, 5)), (7, range(1, 4))])
+def test_irreducible_search_matches_the_list_search(p, degrees):
+    # the modulus fixes every element's encoding, so the carry-less search
+    # for p = 2 must stop at the same tail as the list-based one
+    for n in degrees:
+        assert _find_irreducible(p, n) == find_irreducible_by_lists(p, n), (p, n)
+
+
+# m up to 6 while the field has at most 10,000 elements: 9^5 and 9^6 are
+# left out, the fixed points being read by one Frobenius per element
+SUBFIELD_TOWERS = [(q, m) for q in (2, 3, 4, 9) for m in range(1, 7) if q**m <= 10**4]
+
+
+@pytest.mark.parametrize("q,m", SUBFIELD_TOWERS)
+def test_subfield_is_the_fixed_field_of_the_frobenius_power(q, m):
+    # frob^j fixes F_(q^gcd(j, m)), which for j past m or prime to it is not
+    # F_(q^j)
+    t = make_tower(q, m)
+    for j in range(1, 2 * m + 1):
+        fixed = frozenset(x for x in range(t.size) if t.frobenius(x, j) == x)
+        assert t.subfield(j) == fixed, (q, m, j)
+        assert len(fixed) == q ** math.gcd(j, m)
 
 
 def test_field_axioms_sampled_f125():
@@ -155,6 +186,24 @@ def test_subspace_counts():
     assert len(enumerate_subspaces(make_tower(2, 1), 3, 1)) == 7
     assert len(enumerate_subspaces(make_tower(4, 1), 2, 1)) == 5
     assert len(enumerate_subspaces(make_tower(3, 1), 3, 2)) == 13
+
+
+# (q, m, n, subfield degree): each listing in full and, with a subfield
+# degree, the subspaces over the subfield
+SUBSPACE_CASES = [(2, 1, n, None) for n in range(1, 6)] + [
+    (3, 1, 4, None), (4, 1, 3, None), (2, 2, 4, None), (2, 2, 4, 1), (3, 2, 3, 1),
+    (2, 3, 3, 1), (4, 2, 3, 1), (2, 4, 3, 2), (9, 1, 3, None), (2, 6, 3, 3),
+]
+
+
+@pytest.mark.parametrize("q,m,n,sub", SUBSPACE_CASES)
+def test_subspaces_match_the_per_cell_listing(q, m, n, sub):
+    # same subspaces in the same order, since reports print point indices
+    t = make_tower(q, m)
+    for d in range(n + 1):
+        got = enumerate_subspaces(t, n, d, sub)
+        assert got == subspaces_by_cells(t, n, d, sub), (q, m, n, d, sub)
+        assert all(type(s) is Subspace for s in got)
 
 
 def test_subspace_budget():

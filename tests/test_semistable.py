@@ -11,7 +11,9 @@ import pytest
 from helpers import (
     INSTANCES,
     HermitianData,
+    bruhat_cells_by_point,
     contains,
+    destabilizer_rows_by_point,
     frobenius_equivariance_holds,
     instance,
     is_k_rational,
@@ -21,14 +23,17 @@ from helpers import (
     table,
     verifier,
     weighted_point,
+    y_I_points_by_row,
 )
 from perdom import semistable
-from perdom.cohom import build_group_data, lefschetz_series
+from perdom.cohom import build_group_data, label_sets, lefschetz_series
 from perdom.complex import build_t_x
 from perdom.finflag import Subspace, full_space, intersection_dim, make_tower, row_families, subspace_from_rows
 from perdom.rootdata import DEFAULT_BUDGET
 from perdom.semistable import (
+    DestabilizerTable,
     FlagPoint,
+    VerifierContext,
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
@@ -252,7 +257,7 @@ def test_parabolic_invariance_sample_reads_each_verdict_against_the_reference_sl
     # reference slope of some sampled point against its test contradicts
     ctx = build_verifier(instance("a2_reg"), 2)
     assert parabolic_invariance_sample(ctx, seed=1234, samples=25)
-    ctx.destabilizer_table = [()] * len(ctx.points)
+    ctx.destabilizer_table = DestabilizerTable(rows=[()] * len(ctx.points), columns=[()] * len(ctx.tests))
     assert not parabolic_invariance_sample(ctx, seed=1234, samples=25)
 
 
@@ -440,9 +445,9 @@ def test_standard_subspaces_built_once_per_context(monkeypatch):
     assert built[1] > 1
 
 
-def test_bruhat_cells_read_the_incidence_table(monkeypatch):
-    from perdom.finflag import intersection_dim
-
+def test_bruhat_cells_read_the_incidence_table():
+    # the cells gathered from the incidence columns equal those of each
+    # point's intersection dimensions computed by elimination
     def direct(ctx, chain):
         return tuple(
             tuple(intersection_dim(ctx.tower, e, s) for e in ctx.standard_subspaces) for s in chain
@@ -450,10 +455,75 @@ def test_bruhat_cells_read_the_incidence_table(monkeypatch):
 
     for name, m in (("a2_reg", 2), ("a3_mid", 1), ("a3_reg", 1)):
         gd = instance(name)
-        with monkeypatch.context() as patch:
-            patch.setattr(semistable, "_relative_position", direct)
-            expected = semistable.bruhat_cells(build_verifier(gd, m))
+        expected = bruhat_cells_by_point(build_verifier(gd, m), direct)
         assert semistable.bruhat_cells(build_verifier(gd, m)) == expected, name
+
+
+def assert_bulk_passes_match_the_oracles(ctx, cells=True):
+    """The table, its columns, the semistable points, every stratum and,
+    with ``cells``, the Bruhat cells, order and content, against the
+    per-point oracles."""
+    table = ctx.destabilizer_table
+    rows = destabilizer_rows_by_point(ctx)
+    assert table.rows == rows
+    assert table.columns == [
+        tuple(i for i, row in enumerate(rows) if k in dict(row)) for k in range(len(ctx.tests))
+    ]
+    assert semistable_indices(ctx) == [i for i, row in enumerate(rows) if not row]
+    if ctx.mode == "split":
+        for I in label_sets(ctx.gd):
+            assert y_I_points(ctx, I) == y_I_points_by_row(ctx, rows, I), sorted(I)
+        if cells:
+            assert list(semistable.bruhat_cells(ctx).items()) == list(bruhat_cells_by_point(ctx).items())
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", INSTANCES)
+def test_bulk_passes_match_the_per_point_oracles(name, m):
+    # the whole catalog: the degenerate a2_central and u3_central have one
+    # empty chain, no chain level to gather, which must still land in its
+    # cell; a1a1_halfcentral, like every instance off split SL_n and U_3,
+    # has no verifier at all
+    gd = instance(name)
+    if verifier_mode(gd) is None:
+        with pytest.raises(ValueError, match="brute force supports"):
+            build_verifier(gd, m)
+        return
+    ctx = build_verifier(gd, m)
+    assert_bulk_passes_match_the_oracles(ctx)
+    if name in ("a2_central", "u3_central"):
+        assert ctx.points == [()] and ctx.level_gathers == []
+
+
+@pytest.mark.parametrize("m", [8, 9, 10])
+def test_bulk_passes_match_the_oracles_on_sl2_over_large_fields(m):
+    # the lines of F_(2^m)^2, 257 to 1,025 points against the 3 rational ones
+    ctx = build_verifier(instance("a1_reg"), m)
+    assert len(ctx.points) == 2**m + 1
+    assert_bulk_passes_match_the_oracles(ctx)
+
+
+@pytest.mark.parametrize("q,m", [(2, 1), (2, 3), (3, 1)])
+def test_bulk_passes_match_the_oracles_on_u3_chambers(q, m):
+    # U_3 at odd s: the points are the chambers over F_(q^(2s)), two chain
+    # levels each
+    ctx = build_verifier(instance("u3_reg", q), m)
+    assert len(ctx.points) == q ** (3 * m) + 1
+    assert_bulk_passes_match_the_oracles(ctx)
+
+
+@pytest.mark.parametrize("name", ["a1_reg", "a2_reg", "a2_min"])
+def test_bulk_passes_on_one_point_gather_a_tuple(name):
+    # with one point each chain level gathers one index, where itemgetter
+    # would return the entry itself rather than a tuple of one.  A single
+    # point is no Bruhat partition: the representatives' coordinate flags
+    # are not among its subspaces, so the cells are left out
+    full = verifier(name, 1)
+    for x in full.points:
+        ctx = VerifierContext(gd=full.gd, m=1, tower=full.tower, n=full.n, mode=full.mode,
+                              weights=full.weights, points=[x], tests=full.tests)
+        assert all(len(gather(list(range(len(ctx.point_spaces))))) == 1 for gather in ctx.level_gathers)
+        assert_bulk_passes_match_the_oracles(ctx, cells=False)
 
 
 @pytest.mark.parametrize("name,m", [("a2_reg", 2), ("u3_reg", 2), ("a3_mid", 1), ("a3_reg", 1)])
@@ -491,7 +561,7 @@ def test_incidence_ranks_the_larger_matrices():
 def test_destabilizer_table_matches_direct_pairing(name, m):
     ctx = verifier(name, m)
     for i, point in enumerate(ctx.points):
-        row = dict(ctx.destabilizer_table[i])
+        row = dict(ctx.destabilizer_table.rows[i])
         assert list(row) == sorted(row)
         for k, test in enumerate(ctx.tests):
             value = slope(ctx.tower, weighted_point(ctx, point), test)
