@@ -21,7 +21,6 @@ from .cohom import (
     build_group_data,
     dim_induced,
     dim_v,
-    euler_characteristic,
     label_sets,
     lefschetz_series,
 )
@@ -178,14 +177,15 @@ def cohomology_block(gd: GroupData, table: CohomologyTable) -> dict:
 
 
 def euler_block(gd: GroupData, table: CohomologyTable) -> list[dict]:
+    """The alternating sum of the table, one signed term per summand."""
     return [
         {
-            "sign": t.sign,
-            "I": _labels(gd, t.I),
-            "twist": t.twist,
-            "orbit_size": t.galois_dim,
+            "sign": (-1) ** s.degree,
+            "I": _labels(gd, s.I),
+            "twist": s.twist,
+            "orbit_size": s.galois_dim,
         }
-        for t in euler_characteristic(table)
+        for s in table.summands
     ]
 
 

@@ -40,14 +40,6 @@ class DimPoly(NamedTuple):
 
     coeffs: tuple[int, ...]
 
-    @staticmethod
-    def zero() -> "DimPoly":
-        return DimPoly(())
-
-    @staticmethod
-    def monomial(degree: int, coeff: int = 1) -> "DimPoly":
-        return DimPoly(tuple([0] * degree + [coeff])).trim()
-
     def trim(self) -> "DimPoly":
         c = list(self.coeffs)
         while c and c[-1] == 0:
@@ -181,7 +173,6 @@ class CohomologySummand(NamedTuple):
 
 class CohomologyTable(NamedTuple):
     d_prime: int
-    labels: tuple[str, ...]
     summands: tuple[CohomologySummand, ...]
 
 
@@ -205,30 +196,7 @@ def assemble_cohomology(gd: GroupData) -> CohomologyTable:
             )
         )
     summands.sort(key=_summand_sort_key)
-    return CohomologyTable(
-        d_prime=gd.d_prime, labels=gd.orbits_delta.labels, summands=tuple(summands)
-    )
-
-
-class EulerTerm(NamedTuple):
-    sign: int
-    I: frozenset[int]
-    twist: int
-    galois_dim: int
-
-
-def euler_characteristic(table: CohomologyTable) -> tuple[EulerTerm, ...]:
-    """Alternating sum of the table, one signed term per summand."""
-    terms = [
-        EulerTerm(
-            sign=(-1) ** s.degree,
-            I=s.I,
-            twist=s.twist,
-            galois_dim=s.galois_dim,
-        )
-        for s in table.summands
-    ]
-    return tuple(terms)
+    return CohomologyTable(d_prime=gd.d_prime, summands=tuple(summands))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,6 @@ class TitsSubcomplex(NamedTuple):
     def num_vertices(self) -> int:
         return len(self.vertex_keys)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(level) for k, level in enumerate(self.simplices))
-
 
 def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
     """The subcomplex spanned by everything that destabilizes one point, its
@@ -54,12 +51,17 @@ def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
 
 def _chain_simplices(ctx: VerifierContext, tests: list) -> tuple:
     """All chains of tests, each test's last subspace strictly inside the next
-    one's first, per simplex dimension.  Comparing dimensions first keeps a
-    model whose tests never chain from building ``test_containment``."""
+    one's first, per simplex dimension, the inclusions read from the
+    rational subspaces' ``FlagLevels.above``.  Comparing dimensions first
+    keeps a model whose tests never chain, and which has no such lattice,
+    from asking."""
     n = len(tests)
     lasts = [t.chain[-1] for t in tests]
+    lattice = ctx.lattice  # None for U_3, whose tests never chain
+    position = lattice.position if lattice else None
     below = [
-        [j for j in range(i) if lasts[j].dim < first.dim and lasts[j] in ctx.test_containment[first]]
+        [j for j in range(i) if lasts[j].dim < first.dim
+         and position[first] in lattice.above(lasts[j].dim, first.dim)[position[lasts[j]]]]
         for i, first in enumerate(t.chain[0] for t in tests)
     ]
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]

@@ -28,18 +28,21 @@ member by member, capping each sum of logs at log 0, and
 from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
 rows with no elimination.  Flags are chains of subspaces, with no weights,
 extended a level at a time (``FlagLevels``): one ``nonzero_pairings`` pass
-per subspace of the next level finds the members of the previous level
-inside it.  The unitary group's rational chambers
-(``enumerate_twisted_fixed_flags``) are listed in closed form: the
-isotropic lines come from grouping the subfield by trace, with no line of
-the projective plane built only to be dropped, and each line's
+per subspace of the next level, its annihilator computed once, finds the
+members of the previous level inside it.  The levels are over the whole
+tower or, with ``subfield_deg``, over a subfield, as the rational subspaces
+are; one position map numbers every level's members, and the containment
+lists (``above``) are the inclusions among them.  The unitary group's
+rational chambers (``enumerate_twisted_fixed_flags``) are listed in closed
+form: the isotropic lines come from grouping the subfield by trace, with no
+line of the projective plane built only to be dropped, and each line's
 Hermitian-orthogonal plane is written from the line's entries.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, product, repeat
 from math import gcd
 from operator import add, mul, not_, or_, xor
@@ -562,14 +565,31 @@ def flag_count(n: int, dims, Q: int) -> int:
 
 
 class FlagLevels:
-    """The subspaces of each given dimension over the whole tower, and which
-    of a larger dimension contain each one of a smaller: enough to list or
-    count the flags of every type made of those dimensions."""
+    """The subspaces of each given dimension, over the whole tower or, with
+    ``subfield_deg``, over that subfield as ``enumerate_subspaces`` lists
+    them, each one's index in its level (``position``) and annihilator
+    (``annihilators``), and which of a larger dimension contain each one of
+    a smaller: enough to list or count the flags of every type made of
+    those dimensions, or to read the inclusions among the subspaces."""
 
-    def __init__(self, tower: FieldTower, n: int, dims):
+    def __init__(self, tower: FieldTower, n: int, dims, subfield_deg: int | None = None):
         self.tower = tower
-        self.levels = {d: enumerate_subspaces(tower, n, d) for d in sorted(set(dims))}
+        self.levels = {d: enumerate_subspaces(tower, n, d, subfield_deg) for d in sorted(set(dims))}
+        self._annihilators: dict[int, list[tuple]] = {}
         self._above: dict[tuple[int, int], list[list[int]]] = {}
+
+    @cached_property
+    def position(self) -> dict[Subspace, int]:
+        """Each subspace's index in its level, one map for every level, built
+        on first use: a single level's chains need none."""
+        return {s: k for level in self.levels.values() for k, s in enumerate(level)}
+
+    def annihilators(self, d: int) -> list[tuple]:
+        """Ann(W) for each subspace W of dimension d, in level order, computed
+        on the level's first use."""
+        if d not in self._annihilators:
+            self._annihilators[d] = [annihilator(self.tower, w) for w in self.levels[d]]
+        return self._annihilators[d]
 
     def above(self, lo: int, hi: int) -> list[list[int]]:
         """Per subspace of dimension lo, the indices of those of dimension hi
@@ -579,8 +599,8 @@ class FlagLevels:
             t, lower = self.tower, self.levels[lo]
             families = row_families(t, (s.rows for s in lower))
             above: list[list[int]] = [[] for _ in lower]
-            for j, w in enumerate(self.levels[hi]):
-                inside = map(not_, nonzero_pairings(t, annihilator(t, w), families))
+            for j, ann in enumerate(self.annihilators(hi)):
+                inside = map(not_, nonzero_pairings(t, ann, families))
                 for k in compress(range(len(lower)), inside):
                     above[k].append(j)
             self._above[lo, hi] = above
@@ -592,8 +612,7 @@ class FlagLevels:
         in level order."""
         chains = [(s,) for s in self.levels[dims[0]]]
         for lo, hi in zip(dims, dims[1:]):
-            above, level = self.above(lo, hi), self.levels[hi]
-            position = {s: k for k, s in enumerate(self.levels[lo])}
+            above, level, position = self.above(lo, hi), self.levels[hi], self.position
             chains = [c + (level[j],) for c in chains for j in above[position[c[-1]]]]
         return chains
 

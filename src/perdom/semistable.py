@@ -21,11 +21,13 @@ line or W a hyperplane, W's rows when W is a line or S a hyperplane.  There
 an entry is a test for a nonzero pairing.  The point subspaces are grouped
 by dimension, and a test subspace's column is filled a group at a time by
 ``finflag``'s pairing kernel: one pass pairs one vector with every
-subspace of the group.  Where the matrix is 2 x 2 (planes against planes
-in 4-space, say), its rank is whether some entry is nonzero plus whether
-its determinant is, read from the same passes.  Only larger matrices,
-from 5-space on, go through ``rank``, with entries the same kernel
-reads.  Summed by parts, a slope is a weighted read of that table
+subspace of the group.  Where S . Ann(W)^T has two rows or two columns
+(a plane against any subspace, or any subspace against a 3-space of
+5-space), its rank is whether some entry is nonzero plus whether some
+2 x 2 minor is, read from the same passes.  Only an S . Ann(W)^T of
+3 x 3 or larger, from 3-spaces against planes of 5-space on, goes
+through ``rank``, with entries the same kernel reads.  Summed by parts,
+a slope is a weighted read of that table
 (``VerifierContext.destabilizer_table``).  The weights are scaled to
 integers, so the whole slope matrix is integer arithmetic and a
 ``Fraction`` is built only for the negative slopes it reports.  The
@@ -38,8 +40,16 @@ are its empty rows, a stratum is an intersection of the columns of the
 standard coweights' tests, and the Bruhat cells gather each point's
 invariant from the coordinate subspaces' incidence columns.
 ``filtration_pairing`` and ``slope`` compute the same numbers directly
-from two ``FlagPoint``s and stay as the reference.  The unitary
-group's points and tests come from ``finflag.enumerate_twisted_fixed_flags``
+from two ``FlagPoint``s and stay as the reference.
+
+The rational subspaces of a split run are one ``finflag.FlagLevels`` over
+F_q inside the tower (``_rational_subspaces``), kept on the context: its
+levels are the tests, in order, its annihilators are the tests', its
+``above`` lists are the inclusions the destabilizing complexes chain by,
+and ``rational_point_counts`` counts the rational flags of every type from
+the same lists.  The unitary group's points and its tests, the rational
+chambers (``_rational_chambers``), come from
+``finflag.enumerate_twisted_fixed_flags``
 and carry no Hermitian data: the twisted Frobenius on flags and the check
 that it keeps each point's destabilizers are test oracles.
 """
@@ -62,7 +72,6 @@ from .finflag import (
     Subspace,
     annihilator,
     enumerate_flag_points,
-    enumerate_subspaces,
     enumerate_twisted_fixed_flags,
     flag_count,
     full_space,
@@ -210,16 +219,36 @@ def _gather(ids) -> Callable:
     return itemgetter(*ids)
 
 
+def _two_line_ranks(tower: FieldTower, vectors, families):
+    """Per member of ``families``, the rank of the matrix pairing its rows
+    with ``vectors``, which has two rows or two columns: [some entry is
+    nonzero] + [some 2 x 2 minor is nonzero], from one ``pairings`` pass per
+    entry for the whole family."""
+    x = [[list(pairings(tower, a, f)) for a in vectors] for f in families]
+    mul, sub = tower.mul, tower.sub
+    minors = [
+        map(sub, map(mul, x[i][k], x[j][l]), map(mul, x[i][l], x[j][k]))
+        for i, j in itertools.combinations(range(len(x)), 2)
+        for k, l in itertools.combinations(range(len(vectors)), 2)
+    ]
+    return map(add, map(any, zip(*itertools.chain.from_iterable(x))), map(any, zip(*minors)))
+
+
 class VerifierContext:
     """The points over the degree-m extension of the reflex field, each its
     chain, mu's weights (``weights``) that they share, the rational test
     filtrations (``tests``) and the tables read from them, each built once;
-    ``mode`` is "split" or "u3"."""
+    ``mode`` is "split" or "u3".  ``lattice`` holds the rational subspaces
+    of a split run (``_rational_subspaces``), whose levels are the tests'
+    subspaces, with their annihilators and inclusions; the complexes chain
+    tests through it.  U_3 has none, and a context built for its tables
+    alone may leave it out."""
 
     def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
-                 weights: tuple[Fraction, ...], points: list[tuple], tests: list[FlagPoint]):
+                 weights: tuple[Fraction, ...], points: list[tuple], tests: list[FlagPoint],
+                 lattice: FlagLevels | None = None):
         self.gd, self.m, self.tower, self.n, self.mode = gd, m, tower, n, mode
-        self.weights, self.points, self.tests = weights, points, tests
+        self.weights, self.points, self.tests, self.lattice = weights, points, tests, lattice
 
     @cached_property
     def point_spaces(self) -> dict[Subspace, int]:
@@ -239,7 +268,11 @@ class VerifierContext:
 
     @cached_property
     def test_annihilators(self) -> dict[Subspace, tuple]:
-        """Ann(W) for each distinct subspace W of the tests' chains."""
+        """Ann(W) for each distinct subspace W of the tests' chains, the
+        lattice's own where there is one."""
+        if self.lattice is not None:
+            return {w: a for d, level in self.lattice.levels.items()
+                    for w, a in zip(level, self.lattice.annihilators(d))}
         spaces = dict.fromkeys(w for t in self.tests for w in t.chain)
         return {w: annihilator(self.tower, w) for w in spaces}
 
@@ -274,38 +307,16 @@ class VerifierContext:
                     column += map(d.__sub__, map(bool, nonzero_pairings(t, w_ann, rows)))
                 elif w.dim == 1 or n - d <= 1:
                     column += map(w.dim.__sub__, map(bool, nonzero_pairings(t, w.rows, anns)))
-                elif d == len(w_ann) == 2:
-                    # S . Ann(W)^T is 2 x 2: its rank is [some entry is
-                    # nonzero] + [its determinant is nonzero], one pass per
-                    # entry for the whole group
-                    (x00, x01), (x10, x11) = [[list(pairings(t, a, f)) for a in w_ann] for f in rows]
-                    nonzero = map(any, zip(x00, x01, x10, x11))
-                    det = map(t.sub, map(t.mul, x00, x11), map(t.mul, x01, x10))
-                    column += (d - nz - bool(x) for nz, x in zip(nonzero, det))
+                elif 2 in (d, len(w_ann)):
+                    column += map(d.__sub__, _two_line_ranks(t, w_ann, rows))
                 else:
-                    # S . Ann(W)^T: one pass per row of S and row of Ann(W)
-                    # for the whole group, then one rank per S
+                    # S . Ann(W)^T is 3 x 3 or larger: one pass per row of S
+                    # and row of Ann(W) for the whole group, then one rank
+                    # per S
                     entries = [zip(*(pairings(t, a, f) for a in w_ann)) for f in rows]
                     column += (d - rank(t, matrix) for matrix in zip(*entries))
             table[w] = column
         return table
-
-    @cached_property
-    def test_containment(self) -> dict[Subspace, frozenset[Subspace]]:
-        """Per test subspace W, the test subspaces S inside it (S . Ann(W)^T = 0),
-        a dimension group of candidates per kernel pass."""
-        t, anns = self.tower, self.test_annihilators
-        groups = []
-        for d, subs in itertools.groupby(sorted(anns, key=_dim), key=_dim):
-            subs = list(subs)
-            groups.append((d, subs, row_families(t, (s.rows for s in subs))))
-        return {
-            w: frozenset(itertools.chain.from_iterable(
-                compress(subs, map(not_, nonzero_pairings(t, ann, rows)))
-                for d, subs, rows in groups if d <= w.dim
-            ))
-            for w, ann in anns.items()
-        }
 
     @cached_property
     def destabilizer_table(self) -> DestabilizerTable:
@@ -403,7 +414,7 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
     degree-m extension of the reflex field, on the tower and by the
     enumerator of their ``PointModel``.  Every count is checked first: the
     points' and the tables' by ``check_verifier_budget``, the tests' by
-    ``_rational_tests``."""
+    ``_rational_subspaces`` or ``_rational_chambers``."""
     mode = verifier_mode(gd)
     if mode is None:
         raise ValueError("brute force supports split SL_n and quasi-split U_3 only")
@@ -411,33 +422,39 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
         raise ValueError("m must be at least 1")
     model = check_verifier_budget(gd, m, budget)
     tower = make_tower(gd.q, model.ext)
-    tests = _rational_tests(gd, tower, budget)
+    if mode == "split":
+        lattice = _rational_subspaces(gd, tower, budget)
+        tests = [subspace_coweight_filtration(s) for level in lattice.levels.values() for s in level]
+    else:
+        lattice, tests = None, _rational_chambers(gd, tower, budget)
     points = model.points(tower)
     assert len(points) == model.size(), len(points)
     return VerifierContext(gd=gd, m=m, tower=tower, n=gd.datum.ambient_dim, mode=mode,
-                           weights=mu_flag_type(gd.mu.coords)[0], points=points, tests=tests)
+                           weights=mu_flag_type(gd.mu.coords)[0], points=points, tests=tests,
+                           lattice=lattice)
 
 
-def _rational_tests(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
-    """The coweight filtrations of the rational subspaces of SL_n, or the rational
-    chambers of U_3: its flags fixed by one step of the twisted Frobenius.
-    A count past the budget is refused before anything is enumerated, naming
-    the q^3 + 1 chambers or the first level of subspaces that exceeds it."""
+def _rational_subspaces(gd: GroupData, tower: FieldTower, budget: int) -> FlagLevels:
+    """The rational subspaces of split SL_n, the proper subspaces over F_q
+    inside the tower, level by level with their inclusions.  The first level
+    past the budget is refused before anything is enumerated."""
     q, n = gd.q, gd.datum.ambient_dim
-    u3 = verifier_mode(gd) == "u3"
-    counts = [q**3 + 1] if u3 else [gaussian_binomial(n, d, q) for d in range(1, n)]
-    over = next((c for c in counts if c > budget), None)
+    over = next((c for c in (gaussian_binomial(n, d, q) for d in range(1, n)) if c > budget), None)
     if over is not None:
-        raise BudgetError(f"{over} {'chambers' if u3 else 'subspaces'} exceed budget {budget}")
-    if u3:
-        chambers = enumerate_twisted_fixed_flags(tower, conj_power=1)
-        assert len(chambers) == counts[0], len(chambers)
-        return [FlagPoint(chain=c, weights=(Fraction(1), Fraction(0), Fraction(-1)), n=n) for c in chambers]
-    return [
-        subspace_coweight_filtration(sub)
-        for d in range(1, n)
-        for sub in enumerate_subspaces(tower, n, d, subfield_deg=1)
-    ]
+        raise BudgetError(f"{over} subspaces exceed budget {budget}")
+    return FlagLevels(tower, n, range(1, n), subfield_deg=1)
+
+
+def _rational_chambers(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
+    """The rational chambers of U_3, its flags fixed by one step of the
+    twisted Frobenius, as tests; their count q^3 + 1 is refused past the
+    budget before any is enumerated."""
+    q, n = gd.q, gd.datum.ambient_dim
+    if q**3 + 1 > budget:
+        raise BudgetError(f"{q**3 + 1} chambers exceed budget {budget}")
+    chambers = enumerate_twisted_fixed_flags(tower, conj_power=1)
+    assert len(chambers) == q**3 + 1, len(chambers)
+    return [FlagPoint(chain=c, weights=(Fraction(1), Fraction(0), Fraction(-1)), n=n) for c in chambers]
 
 
 # an int past 2^14286 has over 4,300 digits, more than Python prints by
@@ -495,10 +512,10 @@ def check_verifier_budget(gd: GroupData, m: int, budget: int) -> PointModel:
     chamber count and the field tower's tables, the largest of which has one
     entry per element, must fit the budget.  Returns the ``PointModel``,
     whose ``ext`` is the degree over F_q of the tower the points live in.
-    The rational tests are checked apart, by ``_rational_tests``.  Every
-    non-central mu has more than q^s flags or chambers, so the table check
-    binds only when that count is 1, and an m of any size is refused without
-    computing q^s in full."""
+    The rational tests are checked apart, by ``_rational_subspaces`` or
+    ``_rational_chambers``.  Every non-central mu has more than q^s flags
+    or chambers, so the table check binds only when that count is 1, and an
+    m of any size is refused without computing q^s in full."""
     model = _point_model(gd, m)
     q, e, ext = gd.q, model.past, model.ext
     # q^e >= 2^e, so an e past the budget's bit length needs no count
@@ -530,7 +547,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
     if verifier_mode(gd) == "u3":
         # every proper rational parabolic is a Borel subgroup: the chambers
         # are the rational tests
-        return {empty: len(_rational_tests(gd, tower, budget)), **dict.fromkeys(rest, 1)}
+        return {empty: len(_rational_chambers(gd, tower, budget)), **dict.fromkeys(rest, 1)}
     n, orbits = gd.datum.ambient_dim, gd.orbits_delta.orbits
     flag_types = {I: tuple(d for d in range(1, n) if all(d - 1 not in orbits[o] for o in I)) for I in sets}
     # every label set's flags are counted, so their sum is what the budget bounds
@@ -539,7 +556,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
         raise BudgetError(f"{total} flags exceed budget {budget}")
     # each level is enumerated once and the chains are counted level by
     # level from its containment lists, with no flag built
-    flags = FlagLevels(tower, n, range(1, n))
+    flags = _rational_subspaces(gd, tower, budget)
     return {I: flags.count(dims) for I, dims in flag_types.items()}
 
 

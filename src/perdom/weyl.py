@@ -50,15 +50,8 @@ class WeylGroup(NamedTuple):
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
-
     def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self.by_matrix[mat_mul(a.matrix, b.matrix)]
-
-    def longest_length(self) -> int:
-        return max(e.length for e in self.elements)
 
 
 def generate_weyl(datum: RootDatum, budget: int = WEYL_ORDER_BUDGET) -> WeylGroup:

@@ -272,7 +272,7 @@ def split_table(gd) -> CohomologyTable:
         I = frozenset(k for k in range(d) if pairing(vec, weights[k]) <= 0)
         summands.append(CohomologySummand(orbit=orbit, I=I, degree=2 * p.length + d - len(I),
                                           twist=p.length, galois_dim=1))
-    return CohomologyTable(d_prime=d, labels=gd.orbits_delta.labels, summands=tuple(summands))
+    return CohomologyTable(d_prime=d, summands=tuple(summands))
 
 
 _BLOCK_SIZE = {"A": lambda r: r + 1, "B": lambda r: r, "C": lambda r: r, "D": lambda r: r, "G": lambda r: 3}
@@ -374,7 +374,7 @@ def reference_dim_polys(gd) -> dict:
     out = {}
     for I, ipoly in induced.items():
         rest = [k for k in range(gd.d_prime) if k not in I]
-        v = DimPoly.zero()
+        v = DimPoly(())
         for r in range(len(rest) + 1):
             for extra in itertools.combinations(rest, r):
                 term = induced[I | frozenset(extra)]
@@ -732,8 +732,8 @@ def reference_t_x(ctx: VerifierContext, index: int) -> tuple[tuple, tuple]:
     if ctx.mode == "split":
         subs = sorted({t.chain[0] for t, _ in report.destabilizers}, key=lambda s: (s.dim, s.rows))
         keys = tuple(("subspace", s.dim, s.rows) for s in subs)
-        within = ctx.test_containment
-        below = [[j for j in range(i) if subs[j] in within[subs[i]]] for i in range(len(subs))]
+        # by elimination per pair, apart from ``FlagLevels.above``
+        below = [[j for j in range(i) if contains(ctx.tower, subs[i], subs[j])] for i in range(len(subs))]
         levels = [[(i,) for i in range(len(subs))]]
         while True:
             nxt = [c + (j,) for c in levels[-1] for j in range(c[-1] + 1, len(subs)) if c[-1] in below[j]]

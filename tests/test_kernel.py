@@ -284,16 +284,16 @@ def test_annihilator_is_a_basis_of_the_nullspace(case):
 
 @st.composite
 def subspace_families(draw):
-    """Random lines, planes and hyperplanes of a 2-, 3- or 4-space, as the
+    """Random subspaces of dimension 1 to 3 of a 2- to 6-space, as the
     one-subspace chains of a points family and of a tests family."""
     t = draw(st.sampled_from(FIELDS))
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 6))
     element = st.integers(0, t.size - 1)
 
     def family():
         out = []
         for _ in range(draw(st.integers(1, 8))):
-            d = draw(st.sampled_from(sorted({1, min(2, n - 1), n - 1})))
+            d = draw(st.integers(1, min(3, n - 1)))
             rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=d, max_size=d))
             sub = subspace_from_rows(t, rows, n)
             if sub.dim:
@@ -307,18 +307,41 @@ def subspace_families(draw):
 @given(subspace_families())
 def test_incidence_equals_intersection_dim(case):
     t, n, points, tests = case
-    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0), points=points, tests=tests)
-    # up to 4-space every entry is a nonzero pairing or a 2 x 2 determinant
+    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
+                          points=points, tests=tests)
+    # every entry is a nonzero pairing or read from 2 x 2 minors, but where
+    # S . Ann(W)^T is 3 x 3 or larger and neither subspace is a line or a
+    # hyperplane: a 3-space against a plane of 5-space, or against a plane
+    # or 3-space of 6-space
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
-    if n <= 4:
-        assert ranked.call_count == 0
+    assert ranked.call_count == sum(
+        s.dim >= 3 and n - w.dim >= 3 and w.dim >= 2 and n - s.dim >= 2
+        for w in ctx.incidence for s in ctx.point_spaces
+    )
     for w, column in ctx.incidence.items():
         assert len(column) == len(ctx.point_spaces)
         for s, k in ctx.point_spaces.items():
             assert column[k] == intersection_dim(t, s, w), (s, w)
-    for w, inside in ctx.test_containment.items():
-        assert inside == {s for s in ctx.test_annihilators if contains(t, w, s)}
+
+
+# (q, extension degree, n): F_q inside F_(q^m), with q = 4 not prime
+LATTICE_CASES = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (4, 2, 3), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("q,m,n", LATTICE_CASES)
+def test_rational_lattice_inclusions_equal_the_pairwise_rank(q, m, n):
+    t = make_tower(q, m)
+    lattice = finflag.FlagLevels(t, n, range(1, n), subfield_deg=1)
+    for lo, hi in itertools.combinations(range(1, n), 2):
+        expected = [
+            [j for j, w in enumerate(lattice.levels[hi]) if contains(t, w, s)]
+            for s in lattice.levels[lo]
+        ]
+        assert lattice.above(lo, hi) == expected, (lo, hi)
+    for d, level in lattice.levels.items():
+        assert len(level) == finflag.gaussian_binomial(n, d, q)
+        assert all(lattice.position[s] == k for k, s in enumerate(level))
 
 
 # (n, proper dimensions, q, extension degree, subfield degree)

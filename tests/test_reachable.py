@@ -1,10 +1,13 @@
-"""Every module-level name in ``src/perdom`` is used by the program.
+"""Every module-level name, method and property in ``src/perdom`` is used
+by the program.
 
 A name counts as used when ``cli.main`` reaches it, or when it is one of the
 functions the benchmark's tracer wraps (``bench/spans.py`` ``LAYERS``), or
 when one of those reaches it.  A name reaches every name its definition
 mentions, followed through the package's relative imports, so a helper that
-only tests call belongs in ``tests/helpers.py``.
+only tests call belongs in ``tests/helpers.py``.  A method or property of a
+class, other than a dunder, counts as used when some code in the package
+reads its name as an attribute.
 """
 
 import ast
@@ -71,3 +74,14 @@ def test_every_module_level_name_is_reached():
     unreached = [f"{mod}.{name}" for mod in defs for name in defs[mod]
                  if (mod, name) not in reached | EXEMPT]
     assert unreached == []
+
+
+def test_every_method_and_property_is_read():
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            defined += [(path.stem, cls.name, f.name) for f in cls.body
+                        if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+    assert [f"{mod}.{cls}.{name}" for mod, cls, name in defined if name not in read] == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import instance, table, verifier
-from perdom.cohom import dim_v, euler_characteristic
+from perdom.cohom import dim_v
 from perdom.rootdata import LatticeVec
 from perdom.semistable import FlagPoint
 from perdom.weyl import generate_weyl
@@ -56,7 +56,7 @@ def _examples():
         (gd.action, ("perm", "order")),
         (gd.orbits_delta, ("orbits", "labels")),
         (summand, ("orbit", "I", "degree", "twist", "galois_dim")),
-        (euler_characteristic(table("u3_reg"))[0], ("sign", "I", "twist", "galois_dim")),
+        (table("u3_reg"), ("d_prime", "summands")),
         (generate_weyl(gd.datum).elements[1], ("word", "matrix", "length")),
     ]
 

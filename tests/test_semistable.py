@@ -25,10 +25,18 @@ from helpers import (
     weighted_point,
     y_I_points_by_row,
 )
-from perdom import semistable
+from perdom import finflag, semistable
 from perdom.cohom import build_group_data, label_sets, lefschetz_series
 from perdom.complex import build_t_x
-from perdom.finflag import Subspace, full_space, intersection_dim, make_tower, row_families, subspace_from_rows
+from perdom.finflag import (
+    Subspace,
+    enumerate_subspaces,
+    full_space,
+    intersection_dim,
+    make_tower,
+    row_families,
+    subspace_from_rows,
+)
 from perdom.rootdata import DEFAULT_BUDGET
 from perdom.semistable import (
     DestabilizerTable,
@@ -368,6 +376,18 @@ def test_one_incidence_pass_per_context(monkeypatch):
     counted("pairings")  # the rank reads, which 3-space never needs
     gd = instance("a2_reg")
     ctx = build_verifier(gd, 2)  # fresh, so no consumer has filled its caches
+    # every pass of the rational lattice's ``FlagLevels.above``, and every
+    # annihilator of its levels, counted from here on: the point enumeration
+    # ran its own levels through the same routines
+    lattice_passes = []
+    original_lattice_nonzero = finflag.nonzero_pairings
+
+    def counted_lattice_nonzero(tower, vectors, families):
+        lattice_passes.append((vectors, families))
+        return original_lattice_nonzero(tower, vectors, families)
+
+    monkeypatch.setattr(finflag, "nonzero_pairings", counted_lattice_nonzero)
+    monkeypatch.setattr(finflag, "annihilator", counted_annihilator)
     brute_force_ss_count(ctx)
     points_csv(ctx)
     assert frobenius_equivariance_holds(ctx)
@@ -388,32 +408,37 @@ def test_one_incidence_pass_per_context(monkeypatch):
 
     by_rows = {key(s.rows): s for s in point_spaces | test_spaces}
     by_ann = {key(a): s for s, a in ann_of.items()}
+
+    def members_of(lookup, families):
+        return [lookup[tuple(tuple(col[k] for col in f) for f in families)]
+                for k in range(len(families[0][0]))]
+
     pairs = collections.Counter()
-    containment = collections.Counter()
     for vectors, families in passes:
         w = next((w for w in test_spaces if vectors is ann_of.get(w)), None)
         lookup = by_rows if w is not None else by_ann
         if w is None:
             w = next(w for w in test_spaces if vectors is w.rows)
-        members = [
-            lookup[tuple(tuple(col[k] for col in f) for f in families)]
-            for k in range(len(families[0][0]))
-        ]
-        group = set(members)
-        assert len(group) == len(members) and len({s.dim for s in group}) == 1
-        if group == {s for s in point_spaces if s.dim == members[0].dim}:
-            pairs.update((s, w) for s in members)
-        else:
-            # ``test_containment``: the test subspaces of one dimension
-            assert group == {s for s in test_spaces if s.dim == members[0].dim}
-            containment[w, members[0].dim] += 1
+        members = members_of(lookup, families)
+        assert len(set(members)) == len(members)
+        assert set(members) == {s for s in point_spaces if s.dim == members[0].dim}
+        pairs.update((s, w) for s in members)
+    # the sweep's inclusions: each rational subspace's annihilator against
+    # each level of smaller rational subspaces, once, and never against its
+    # own level
+    inclusions = collections.Counter()
+    for vectors, families in lattice_passes:
+        w = next(w for w in test_spaces if ann_of[w] == vectors)
+        members = members_of(by_rows, families)
+        assert members == ctx.lattice.levels[members[0].dim]
+        inclusions[w, members[0].dim] += 1
     # every distinct (point subspace, test subspace) pair exactly once, and
     # the slopes read from the table rather than from ``slope``
     assert set(pairs.values()) == {1}
     assert len(pairs) == len(point_spaces) * len(test_spaces) == 42 * 14
     assert calls == {"bruhat_cells": 1}
-    assert set(containment.values()) == {1}
-    assert set(containment) == {(w, s.dim) for w in test_spaces for s in test_spaces if s.dim <= w.dim}
+    assert set(inclusions.values()) == {1}
+    assert set(inclusions) == {(w, s.dim) for w in test_spaces for s in test_spaces if s.dim < w.dim}
     # each annihilator at most once, shared where a point subspace is a test
     # subspace too, and none for a point line that is not one
     assert set(annihilated.values()) == {1}
@@ -521,7 +546,7 @@ def test_bulk_passes_on_one_point_gather_a_tuple(name):
     full = verifier(name, 1)
     for x in full.points:
         ctx = VerifierContext(gd=full.gd, m=1, tower=full.tower, n=full.n, mode=full.mode,
-                              weights=full.weights, points=[x], tests=full.tests)
+                              weights=full.weights, points=[x], tests=full.tests, lattice=full.lattice)
         assert all(len(gather(list(range(len(ctx.point_spaces))))) == 1 for gather in ctx.level_gathers)
         assert_bulk_passes_match_the_oracles(ctx, cells=False)
 
@@ -538,17 +563,34 @@ def test_incidence_matches_intersection_dim(name, m):
 
 def test_incidence_ranks_the_larger_matrices():
     # the Grassmannian of planes of F_2^5: its 155 point planes meet the 372
-    # rational subspaces, and a plane against a rational plane is a 2 x 3
-    # matrix S . Ann(W)^T, the one shape of the table read through ``rank``
+    # rational subspaces, and a plane against a rational plane or 3-space is
+    # a 2 x 3 or 2 x 2 matrix S . Ann(W)^T, read from its entries and 2 x 2
+    # minors with no ``rank``
     gd = build_group_data([("A", 4)], [1, 1, 0, 0, 0], 2)
     ctx = build_verifier(gd, 1)
     assert len(ctx.point_spaces) == 155 and len(ctx.test_annihilators) == 372
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
-    assert ranked.call_count == 155 * 155
+    assert ranked.call_count == 0
     for w, column in ctx.incidence.items():
         for s, k in ctx.point_spaces.items():
             assert column[k] == intersection_dim(ctx.tower, s, w), (s, w)
+    # 3-spaces of F_2^6 against 3-spaces: S . Ann(W)^T is 3 x 3, read
+    # through ``rank``, once per pair.  Every 31st of the 1,395 3-spaces,
+    # alternately points and tests
+    t, n = make_tower(2, 1), 6
+    spaces = enumerate_subspaces(t, n, 3)[::31]
+    points = [(s,) for s in spaces[::2]]
+    tests = [subspace_coweight_filtration(w) for w in spaces[1::2]]
+    ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
+                          points=points, tests=tests)
+    with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
+        ctx.incidence
+    assert ranked.call_count == len(points) * len(tests) > 0
+    assert {column[k] for column in ctx.incidence.values() for k in ctx.point_spaces.values()} == {0, 1, 2}
+    for w, column in ctx.incidence.items():
+        for s, k in ctx.point_spaces.items():
+            assert column[k] == intersection_dim(t, s, w), (s, w)
 
 
 @pytest.mark.parametrize(
