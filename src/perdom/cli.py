@@ -336,10 +336,9 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
             row = {"m": m, "series": series, "brute_force": brute, "match": series == brute}
             if not row["match"]:
                 ss = semistable_indices(ctx)
-                probe = ctx.points[ss[0]] if ss else ctx.points[0]
                 row["counterexample"] = {
                     "semistable_count": len(ss),
-                    "probe_point": [[list(r) for r in s.rows] for s in probe],
+                    "probe_point": [[list(r) for r in s.rows] for s in ctx.chain(ss[0] if ss else 0)],
                 }
             counts.append(row)
             all_match = all_match and row["match"]
@@ -349,7 +348,7 @@ def cmd_verify(spec: GroupSpec, fmt: str, m_list: list[int], seed: int,
                 cell_rows.append({"m": m, "I": _labels(gd, I), "match": ok, **detail})
             if pos == 0:
                 spot_ok = parabolic_invariance_sample(ctx, seed=seed)
-                if points_csv_path:
+                if points_csv_path is not None:
                     text = points_csv(ctx)
                     try:
                         with open(points_csv_path, "w", encoding="utf-8") as fh:

@@ -1,8 +1,9 @@
 """Destabilizing subcomplexes of the rational Tits complex and their homology.
 
-The vertices are a point's destabilizing rational tests, the simplices the
-chains of tests, each test's last subspace strictly inside the next one's
-first.  For the special linear group a test is one subspace, so these are
+The vertices are a point's destabilizing rational tests, in the order of
+its row of the destabilizer table, the simplices the chains of tests, each
+test's last subspace strictly inside the next one's first, as the tests'
+``FlagLevels.above`` lists them.  For the special linear group a test is one subspace, so these are
 chains under inclusion; for the quasi-split unitary group on 3 variables a
 test is a chamber, and a plane lies in no line, so the subcomplex is its
 vertex set.  Homology is reduced and rational, by exact rank computation.
@@ -39,26 +40,25 @@ class TitsSubcomplex(NamedTuple):
 
 def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
     """The subcomplex spanned by everything that destabilizes one point, its
-    vertices the destabilizing tests, by their chains' dimensions and rows."""
+    vertices the destabilizing tests in the order of the point's row: test
+    order, level by level, so a subspace comes before every larger one."""
     report = is_semistable(ctx, index)
     if report.verdict:
         raise SemistablePointError(f"point {index} is semistable; the complex is empty")
-    # a point's destabilizers are distinct tests already
-    tests = sorted((t for t, _ in report.destabilizers),
-                   key=lambda t: tuple((s.dim, s.rows) for s in t.chain))
+    tests = [t for t, _ in report.destabilizers]
     return TitsSubcomplex(vertex_keys=tuple(tests), simplices=_chain_simplices(ctx, tests))
 
 
 def _chain_simplices(ctx: VerifierContext, tests: list) -> tuple:
     """All chains of tests, each test's last subspace strictly inside the next
-    one's first, per simplex dimension, the inclusions read from the
-    rational subspaces' ``FlagLevels.above``.  Comparing dimensions first
-    keeps a model whose tests never chain, and which has no such lattice,
-    from asking."""
+    one's first, per simplex dimension, the inclusions read from the tests'
+    ``FlagLevels.above``.  Comparing dimensions first keeps a model whose
+    tests never chain, as U_3's chambers, a plane after a line, from
+    asking."""
     n = len(tests)
     lasts = [t.chain[-1] for t in tests]
-    lattice = ctx.lattice  # None for U_3, whose tests never chain
-    position = lattice.position if lattice else None
+    lattice = ctx.lattice
+    position = lattice.position
     below = [
         [j for j in range(i) if lasts[j].dim < first.dim
          and position[first] in lattice.above(lasts[j].dim, first.dim)[position[lasts[j]]]]
@@ -146,7 +146,7 @@ def acyclicity_sweep(ctx: VerifierContext, fail_fast: bool = False) -> SweepRepo
     per_point = []
     non_ss = 0
     homology: dict[tuple, tuple[int, ...]] = {}
-    for i, row in enumerate(ctx.destabilizer_table.rows):
+    for i, row in enumerate(ctx.destabilizer_table):
         if not row:
             continue
         non_ss += 1

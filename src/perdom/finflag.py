@@ -26,17 +26,19 @@ when p = 2 and the Zech ``add`` otherwise.  ``dots`` pairs two families
 member by member, capping each sum of logs at log 0, and
 ``nonzero_pairings`` says which members of a family of subspaces lie in W
 from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
-rows with no elimination.  Flags are chains of subspaces, with no weights,
-extended a level at a time (``FlagLevels``): one ``nonzero_pairings`` pass
-per subspace of the next level, its annihilator computed once, finds the
-members of the previous level inside it.  The levels are over the whole
-tower or, with ``subfield_deg``, over a subfield, as the rational subspaces
-are; one position map numbers every level's members, and the containment
-lists (``above``) are the inclusions among them.  The unitary group's
-rational chambers (``enumerate_twisted_fixed_flags``) are listed in closed
-form: the isotropic lines come from grouping the subfield by trace, with no
-line of the projective plane built only to be dropped, and each line's
-Hermitian-orthogonal plane is written from the line's entries.
+rows with no elimination.  Every family of subspaces is one
+``FlagLevels``, its members numbered by their positions in their levels,
+and a flag is its tuple of positions, with no weights, extended a level at
+a time: one ``nonzero_pairings`` pass per member of the next level, its
+annihilator computed once, finds the members of the previous level inside
+it, and these containment lists (``above``) are the inclusions among the
+members.  ``subspace_levels`` lists every subspace over the tower or, with
+``subfield_deg``, over a subfield, as the rational subspaces are.  The
+unitary group's chambers (``enumerate_twisted_fixed_flags``) are listed in
+closed form: the isotropic lines come from grouping the subfield by trace,
+with no line of the projective plane built only to be dropped, and each
+line's Hermitian-orthogonal plane, and its annihilator, are written from
+the line's entries.
 """
 
 from __future__ import annotations
@@ -565,36 +567,37 @@ def flag_count(n: int, dims, Q: int) -> int:
 
 
 class FlagLevels:
-    """The subspaces of each given dimension, over the whole tower or, with
-    ``subfield_deg``, over that subfield as ``enumerate_subspaces`` lists
-    them, each one's index in its level (``position``) and annihilator
-    (``annihilators``), and which of a larger dimension contain each one of
-    a smaller: enough to list or count the flags of every type made of
-    those dimensions, or to read the inclusions among the subspaces."""
+    """Families of subspaces of one space by dimension (``levels``, a dict
+    from each dimension to its members), a member addressed by its index in
+    its level.  Each member's annihilator is computed once, unless given,
+    and ``above`` lists which members of a larger dimension contain each
+    one of a smaller: enough to list or count the flags through the levels,
+    each its tuple of positions, or to read the inclusions among them."""
 
-    def __init__(self, tower: FieldTower, n: int, dims, subfield_deg: int | None = None):
+    def __init__(self, tower: FieldTower, levels: dict[int, list[Subspace]],
+                 annihilators: dict[int, list[tuple]] | None = None):
         self.tower = tower
-        self.levels = {d: enumerate_subspaces(tower, n, d, subfield_deg) for d in sorted(set(dims))}
-        self._annihilators: dict[int, list[tuple]] = {}
+        self.levels = dict(sorted(levels.items()))
+        self._annihilators = dict(annihilators or {})
         self._above: dict[tuple[int, int], list[list[int]]] = {}
 
     @cached_property
     def position(self) -> dict[Subspace, int]:
-        """Each subspace's index in its level, one map for every level, built
-        on first use: a single level's chains need none."""
+        """Each member's index in its level, one map for every level, built
+        on first use."""
         return {s: k for level in self.levels.values() for k, s in enumerate(level)}
 
     def annihilators(self, d: int) -> list[tuple]:
-        """Ann(W) for each subspace W of dimension d, in level order, computed
+        """Ann(W) for each member W of dimension d, in level order, computed
         on the level's first use."""
         if d not in self._annihilators:
             self._annihilators[d] = [annihilator(self.tower, w) for w in self.levels[d]]
         return self._annihilators[d]
 
     def above(self, lo: int, hi: int) -> list[list[int]]:
-        """Per subspace of dimension lo, the indices of those of dimension hi
+        """Per member of dimension lo, the indices of those of dimension hi
         containing it, in level order: one ``nonzero_pairings`` pass of each
-        hi-subspace's annihilator against the whole lo level."""
+        hi-member's annihilator against the whole lo level."""
         if (lo, hi) not in self._above:
             t, lower = self.tower, self.levels[lo]
             families = row_families(t, (s.rows for s in lower))
@@ -606,14 +609,15 @@ class FlagLevels:
             self._above[lo, hi] = above
         return self._above[lo, hi]
 
-    def chains(self, dims) -> list[tuple[Subspace, ...]]:
-        """The flags with these proper dimensions, chain-major: each chain
-        extends by the next level's subspaces containing its last member,
-        in level order."""
-        chains = [(s,) for s in self.levels[dims[0]]]
+    def chains(self, dims) -> list[tuple[int, ...]]:
+        """The flags with these proper dimensions, chain-major, each its
+        positions in the levels of dims: each chain extends by the next
+        level's members containing its last one, in level order.  With no
+        dimensions, the one empty chain."""
+        chains = [(k,) for k in range(len(self.levels[dims[0]]))] if dims else [()]
         for lo, hi in zip(dims, dims[1:]):
-            above, level, position = self.above(lo, hi), self.levels[hi], self.position
-            chains = [c + (level[j],) for c in chains for j in above[position[c[-1]]]]
+            above = self.above(lo, hi)
+            chains = [c + (j,) for c in chains for j in above[c[-1]]]
         return chains
 
     def count(self, dims) -> int:
@@ -631,23 +635,32 @@ class FlagLevels:
         return sum(counts)
 
 
-def enumerate_flag_points(tower: FieldTower, n: int, dims) -> list[tuple[Subspace, ...]]:
-    """All flags with the given proper dimensions over the whole tower, each
-    its chain of subspaces; with no dimensions, the one empty chain."""
-    if not dims:
-        return [()]
-    chains = FlagLevels(tower, n, dims).chains(dims)
-    assert len(chains) == flag_count(n, dims, tower.size)
+def subspace_levels(tower: FieldTower, n: int, dims, subfield_deg: int | None = None) -> FlagLevels:
+    """Every subspace of the n-space of each given dimension, over the whole
+    tower or, with ``subfield_deg``, over that subfield, as
+    ``enumerate_subspaces`` lists them."""
+    return FlagLevels(tower, {d: enumerate_subspaces(tower, n, d, subfield_deg) for d in set(dims)})
+
+
+def enumerate_flag_points(levels: FlagLevels, n: int, dims) -> list[tuple[int, ...]]:
+    """All flags with the given proper dimensions through ``levels``, which
+    hold every subspace of the n-space over the whole tower in those
+    dimensions (``subspace_levels``), each flag its positions in the levels;
+    with no dimensions, the one empty chain."""
+    chains = levels.chains(dims)
+    assert len(chains) == flag_count(n, dims, levels.tower.size)
     return chains
 
 
 # ---------------------------------------------------------------------------
 # the rational chambers of the quasi-split unitary group on 3 variables
 
-def enumerate_twisted_fixed_flags(tower: FieldTower, conj_power: int) -> list[tuple[Subspace, Subspace]]:
+def enumerate_twisted_fixed_flags(tower: FieldTower, conj_power: int) -> tuple[FlagLevels, list[tuple[int, int]]]:
     """Full flags of 3-space fixed by the twisted Frobenius taken to an odd
     power, for the antidiagonal Hermitian form
-    h(x, y) = sum_i x_i conj(y_(2-i)), conj the Q-power map, Q = q^conj_power.
+    h(x, y) = sum_i x_i conj(y_(2-i)), conj the Q-power map, Q = q^conj_power:
+    the ``FlagLevels`` of their lines and planes, and the flags as position
+    pairs (k, k), the k-th line in the k-th plane.
 
     The fixed flags are exactly the Q^3 + 1 chambers (L, L^perp) for L = <v>
     an isotropic line, h(v, v) = 0, defined over the subfield F_(Q^2) of the
@@ -660,8 +673,9 @@ def enumerate_twisted_fixed_flags(tower: FieldTower, conj_power: int) -> list[tu
     rows (1, 0, -conj(b)), (0, 1, -conj(a)), and <(0, 0, 1)>^perp is
     spanned by the last two coordinates.  The isotropy check pairs each v
     with its reversed conjugate, (conj(b), conj(a), 1) or (1, 0, 0), which
-    is also the row of Ann(L^perp): that one pass shows every plane contains
-    its line, so no annihilator is computed here.
+    is also the row of Ann(L^perp) that ``annihilator`` reads off those
+    echelon rows: that one pass shows every plane contains its line, and
+    the rows are the planes' annihilators, so none is computed.
     """
     n = 3
     field = sorted(tower.subfield(2 * conj_power))
@@ -679,7 +693,7 @@ def enumerate_twisted_fixed_flags(tower: FieldTower, conj_power: int) -> list[tu
     # every line is isotropic, h(v, v) = sum_i v_i conj(v_(n-1-i)) = 0, and
     # so lies in its plane: one pass for all at once
     vectors = [line.rows[0] for line in lines]
-    line_logs = log_columns(tower, vectors)
-    conj_logs = log_columns(tower, [[conj[x] for x in reversed(v)] for v in vectors])
-    assert not any(dots(tower, line_logs, conj_logs))
-    return list(zip(lines, planes))
+    plane_anns = [tuple(conj[x] for x in reversed(v)) for v in vectors]
+    assert not any(dots(tower, log_columns(tower, vectors), log_columns(tower, plane_anns)))
+    levels = FlagLevels(tower, {1: lines, 2: planes}, annihilators={2: [(a,) for a in plane_anns]})
+    return levels, [(k, k) for k in range(len(lines))]

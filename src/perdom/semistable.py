@@ -3,55 +3,55 @@
 This is the one module that knows the brute-force model: the towers, the
 points and tests, the rational flag counts and the cell checks.  It also
 holds every budget check of the model, each made before its enumeration;
-``finflag`` enumerates whatever it is asked.  A point is
-semistable when its weighted flag pairs non-negatively against every
-rational test filtration: the rational subspaces for split SL_n, the
-rational chambers for quasi-split U_3.  A point is its chain of proper
-subspaces, with mu's weights held once on the context; the tests are
-``FlagPoint``s, weighted flags with their own decreasing weights.
+``finflag`` enumerates whatever it is asked.  A point is semistable when
+its weighted flag pairs non-negatively against every rational test
+filtration: the rational subspaces for split SL_n, the rational chambers
+for quasi-split U_3.  The tests are ``FlagPoint``s, weighted flags with
+their own decreasing weights.
+
+A verifier run reads two families of subspaces, each one
+``finflag.FlagLevels`` that computes each member's annihilator once: the
+points' levels, from the enumerator of the run's ``PointModel``, and the
+tests' (``lattice``): the rational subspaces over F_q inside the tower
+(``_rational_subspaces``), level by level in test order, or the rational
+chambers' lines and planes (``_rational_chambers``).  A point is its tuple
+of positions in its model's levels, with mu's weights held once on the
+context; its chain of subspaces is decoded only for a report or the
+reference ``slope``.
 
 Every point is paired with every test, but the pairing depends only on the
 dimensions dim(S cap W) of a point's chain subspace S and a test's subspace
 W.  A verifier context therefore builds one incidence table over the
-*distinct* subspaces.  The annihilator of each test subspace, and of each
-point subspace that is not a line, is computed once, and an entry is read as
-dim(S cap W) = dim S - rank(S . Ann(W)^T) = dim W - rank(W . Ann(S)^T) from
-the side where the matrix is one row or one column: S's rows when S is a
-line or W a hyperplane, W's rows when W is a line or S a hyperplane.  There
-an entry is a test for a nonzero pairing.  The point subspaces are grouped
-by dimension, and a test subspace's column is filled a group at a time by
-``finflag``'s pairing kernel: one pass pairs one vector with every
-subspace of the group.  Where S . Ann(W)^T has two rows or two columns
-(a plane against any subspace, or any subspace against a 3-space of
+members of the two families, read as dim(S cap W) = dim S - rank(S .
+Ann(W)^T) = dim W - rank(W . Ann(S)^T) from the side where the matrix is
+one row or one column: S's rows when S is a line or W a hyperplane, W's
+rows when W is a line or S a hyperplane.  There an entry is a test for a
+nonzero pairing.  A test subspace's column is filled a point level at a
+time by ``finflag``'s pairing kernel: one pass pairs one vector with every
+member of the level.  Where S . Ann(W)^T has two rows or two columns (a
+plane against any subspace, or any subspace against a 3-space of
 5-space), its rank is whether some entry is nonzero plus whether some
-2 x 2 minor is, read from the same passes.  Only an S . Ann(W)^T of
-3 x 3 or larger, from 3-spaces against planes of 5-space on, goes
-through ``rank``, with entries the same kernel reads.  Summed by parts,
-a slope is a weighted read of that table
-(``VerifierContext.destabilizer_table``).  The weights are scaled to
-integers, so the whole slope matrix is integer arithmetic and a
-``Fraction`` is built only for the negative slopes it reports.  The
-destabilizer table is filled a test's column at a time in C-level passes:
-each chain level's entries are gathered per point by ``itemgetter`` and
-added by ``map``, and the positive totals are picked by ``compress``, so
-only the points a test destabilizes are visited.  It is one table held
-both ways, a row per point and a column per test.  The semistable points
-are its empty rows, a stratum is an intersection of the columns of the
-standard coweights' tests, and the Bruhat cells gather each point's
-invariant from the coordinate subspaces' incidence columns.
+2 x 2 minor is, read from the same passes.  Only an S . Ann(W)^T of 3 x 3
+or larger, from 3-spaces against planes of 5-space on, goes through
+``rank``, with entries the same kernel reads.  Summed by parts, a slope is
+a weighted read of that table (``VerifierContext.destabilizer_table``).
+The weights are scaled to integers, so the whole slope matrix is integer
+arithmetic and a ``Fraction`` is built only for the negative slopes it
+reports.  The table is filled a test's column at a time in C-level
+passes: each chain level's entries are gathered per point, by its
+positions, with ``itemgetter`` and added by ``map``, and the positive
+totals are picked by ``compress``, so only the points a test destabilizes
+are visited.  The semistable points are its empty rows, a stratum is an
+intersection of the standard coweights' tests' hits, read from the rows in
+one pass, and the Bruhat cells gather each point's invariant from the
+coordinate subspaces' incidence columns.
 ``filtration_pairing`` and ``slope`` compute the same numbers directly
-from two ``FlagPoint``s and stay as the reference.
-
-The rational subspaces of a split run are one ``finflag.FlagLevels`` over
-F_q inside the tower (``_rational_subspaces``), kept on the context: its
-levels are the tests, in order, its annihilators are the tests', its
+from two ``FlagPoint``s and stay as the reference.  The lattice's
 ``above`` lists are the inclusions the destabilizing complexes chain by,
 and ``rational_point_counts`` counts the rational flags of every type from
-the same lists.  The unitary group's points and its tests, the rational
-chambers (``_rational_chambers``), come from
-``finflag.enumerate_twisted_fixed_flags``
-and carry no Hermitian data: the twisted Frobenius on flags and the check
-that it keeps each point's destabilizers are test oracles.
+the same lists.  The unitary group's points and tests carry no Hermitian
+data: the twisted Frobenius on flags and the check that it keeps each
+point's destabilizers are test oracles.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
 from math import lcm
-from operator import add, attrgetter, gt, itemgetter, lt, not_
+from operator import add, gt, itemgetter, lt, mul, not_
 from typing import Callable, NamedTuple
 
 from .cohom import GroupData, label_sets
@@ -70,7 +70,6 @@ from .finflag import (
     FieldTower,
     FlagLevels,
     Subspace,
-    annihilator,
     enumerate_flag_points,
     enumerate_twisted_fixed_flags,
     flag_count,
@@ -84,11 +83,9 @@ from .finflag import (
     rank,
     row_families,
     subspace_from_rows,
+    subspace_levels,
 )
 from .rootdata import DEFAULT_BUDGET, BudgetError
-
-_dim = attrgetter("dim")
-
 
 class FlagPoint(NamedTuple("FlagPoint", [("chain", tuple), ("weights", tuple), ("n", int)])):
     """A weighted flag of the n-space: proper subspaces plus the weight ladder.
@@ -202,15 +199,6 @@ class SlopeReport(NamedTuple):
         return not self.destabilizers
 
 
-class DestabilizerTable(NamedTuple):
-    """The negative entries of a run's point x test slope matrix, held both
-    ways: per point, its (test index, slope) pairs in test order (``rows``),
-    and per test, the points it destabilizes in point order (``columns``)."""
-
-    rows: list[tuple[tuple[int, Fraction], ...]]
-    columns: list[tuple[int, ...]]
-
-
 def _gather(ids) -> Callable:
     """``itemgetter(*ids)``, which returns a tuple even for one index."""
     if len(ids) == 1:
@@ -235,93 +223,73 @@ def _two_line_ranks(tower: FieldTower, vectors, families):
 
 
 class VerifierContext:
-    """The points over the degree-m extension of the reflex field, each its
-    chain, mu's weights (``weights``) that they share, the rational test
-    filtrations (``tests``) and the tables read from them, each built once;
-    ``mode`` is "split" or "u3".  ``lattice`` holds the rational subspaces
-    of a split run (``_rational_subspaces``), whose levels are the tests'
-    subspaces, with their annihilators and inclusions; the complexes chain
-    tests through it.  U_3 has none, and a context built for its tables
-    alone may leave it out."""
+    """The points over the degree-m extension of the reflex field, the
+    rational test filtrations (``tests``) and the tables read from them,
+    each built once; ``mode`` is "split" or "u3".  Each family of subspaces
+    is one ``FlagLevels``.  ``point_levels`` has one level per chain
+    member, and a point is its tuple of positions, the i-th in the i-th
+    level, with mu's weights (``weights``) held once; ``chain(i)`` decodes
+    one for a report or the reference ``slope``.  ``lattice`` holds the
+    tests' subspaces: the rational ones of split SL_n in test order, whose
+    ``above`` lists the complexes chain tests by, or U_3's chambers."""
 
     def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
-                 weights: tuple[Fraction, ...], points: list[tuple], tests: list[FlagPoint],
-                 lattice: FlagLevels | None = None):
+                 weights: tuple[Fraction, ...], point_levels: FlagLevels,
+                 points: list[tuple[int, ...]], tests: list[FlagPoint], lattice: FlagLevels):
         self.gd, self.m, self.tower, self.n, self.mode = gd, m, tower, n, mode
-        self.weights, self.points, self.tests, self.lattice = weights, points, tests, lattice
+        self.weights, self.point_levels, self.points = weights, point_levels, points
+        self.tests, self.lattice = tests, lattice
 
-    @cached_property
-    def point_spaces(self) -> dict[Subspace, int]:
-        """The distinct subspaces of the points' chains, numbered by dimension
-        and, within one, in order of appearance."""
-        spaces = dict.fromkeys(itertools.chain.from_iterable(self.points))
-        return {s: k for k, s in enumerate(sorted(spaces, key=_dim))}
+    def chain(self, index: int) -> tuple[Subspace, ...]:
+        """The subspaces of the point at ``index``, read off its positions."""
+        return tuple(level[k] for level, k in zip(self.point_levels.levels.values(), self.points[index]))
 
     @cached_property
     def level_gathers(self) -> list[Callable]:
         """Per chain level, a gather that reads every point's entry, in point
-        order, off a list indexed like ``point_spaces``: its argument is an
-        incidence column, or any list of values per point subspace."""
-        ids = self.point_spaces.__getitem__
-        levels = len(self.points[0]) if self.points else 0
-        return [_gather(list(map(ids, map(itemgetter(i), self.points)))) for i in range(levels)]
+        order, off a list indexed like that level: its incidence column, or
+        any list of values per member."""
+        levels = range(len(self.point_levels.levels))
+        return [_gather(list(map(itemgetter(i), self.points))) for i in levels]
 
     @cached_property
-    def test_annihilators(self) -> dict[Subspace, tuple]:
-        """Ann(W) for each distinct subspace W of the tests' chains, the
-        lattice's own where there is one."""
-        if self.lattice is not None:
-            return {w: a for d, level in self.lattice.levels.items()
-                    for w, a in zip(level, self.lattice.annihilators(d))}
-        spaces = dict.fromkeys(w for t in self.tests for w in t.chain)
-        return {w: annihilator(self.tower, w) for w in spaces}
-
-    @cached_property
-    def point_annihilators(self) -> dict[Subspace, tuple]:
-        """Ann(S) for each point subspace S of dimension at least 2, shared
-        with the tests where S is rational too; a line is always read from
-        its own row, so it needs none."""
-        known = self.test_annihilators
-        return {
-            s: known[s] if s in known else annihilator(self.tower, s)
-            for s in self.point_spaces if s.dim >= 2
-        }
-
-    @cached_property
-    def incidence(self) -> dict[Subspace, list[int]]:
-        """Per test subspace W, dim(S cap W) for every point subspace S, listed
-        in ``point_spaces`` order: each distinct pair is read once, a
-        dimension group of point subspaces per kernel pass."""
-        t, n = self.tower, self.n
-        groups = []
-        for d, subs in itertools.groupby(self.point_spaces, key=_dim):
-            subs = list(subs)
-            rows = row_families(t, (s.rows for s in subs))
-            anns = row_families(t, (self.point_annihilators[s] for s in subs)) if d >= 2 else None
-            groups.append((d, rows, anns))
+    def incidence(self) -> dict[Subspace, list[list[int]]]:
+        """Per test subspace W, one column per point level: dim(S cap W) for
+        every member S, in level order.  Each distinct pair is read once, a
+        level of point subspaces per kernel pass, with the annihilators the
+        two ``FlagLevels`` hold."""
+        t, n, points = self.tower, self.n, self.point_levels
+        groups = [
+            (d, row_families(t, (s.rows for s in subs)),
+             row_families(t, points.annihilators(d)) if d >= 2 else None)
+            for d, subs in points.levels.items()
+        ]
         table = {}
-        for w, w_ann in self.test_annihilators.items():
-            column: list[int] = []
-            for d, rows, anns in groups:
-                if d == 1 or len(w_ann) <= 1:
-                    column += map(d.__sub__, map(bool, nonzero_pairings(t, w_ann, rows)))
-                elif w.dim == 1 or n - d <= 1:
-                    column += map(w.dim.__sub__, map(bool, nonzero_pairings(t, w.rows, anns)))
-                elif 2 in (d, len(w_ann)):
-                    column += map(d.__sub__, _two_line_ranks(t, w_ann, rows))
-                else:
-                    # S . Ann(W)^T is 3 x 3 or larger: one pass per row of S
-                    # and row of Ann(W) for the whole group, then one rank
-                    # per S
-                    entries = [zip(*(pairings(t, a, f) for a in w_ann)) for f in rows]
-                    column += (d - rank(t, matrix) for matrix in zip(*entries))
-            table[w] = column
+        for w_dim, level in self.lattice.levels.items():
+            for w, w_ann in zip(level, self.lattice.annihilators(w_dim)):
+                columns = []
+                for d, rows, anns in groups:
+                    if d == 1 or len(w_ann) <= 1:
+                        column = map(d.__sub__, map(bool, nonzero_pairings(t, w_ann, rows)))
+                    elif w_dim == 1 or n - d <= 1:
+                        column = map(w_dim.__sub__, map(bool, nonzero_pairings(t, w.rows, anns)))
+                    elif 2 in (d, len(w_ann)):
+                        column = map(d.__sub__, _two_line_ranks(t, w_ann, rows))
+                    else:
+                        # S . Ann(W)^T is 3 x 3 or larger: one pass per row
+                        # of S and row of Ann(W) for the whole level, then
+                        # one rank per S
+                        entries = [zip(*(pairings(t, a, f) for a in w_ann)) for f in rows]
+                        column = (d - rank(t, matrix) for matrix in zip(*entries))
+                    columns.append(list(column))
+                table[w] = columns
         return table
 
     @cached_property
-    def destabilizer_table(self) -> DestabilizerTable:
-        """The negative entries of the point x test slope matrix, a test's
-        column at a time.
+    def destabilizer_table(self) -> list[tuple[tuple[int, Fraction], ...]]:
+        """Per point, the negative entries of its row of the point x test
+        slope matrix, (test index, slope) pairs in test order, filled a
+        test's column at a time.
 
         ``filtration_pairing`` sums a_i b_j over the graded pieces; summed by
         parts it is sum_ij alpha_i beta_j dim(F_i cap G_j) with alpha_i =
@@ -332,44 +300,39 @@ class VerifierContext:
         denominators times that of the test weights', so every pairing is an
         integer P and the slope is -P / scale.
 
-        A test's column takes a few passes: its chain's incidence columns
-        weighted by beta and summed, one value per point subspace; per chain
-        level, those values weighted by alpha and gathered per point by
+        A test's column takes a few C-level passes per chain level: the
+        level's incidence columns of the test's chain, weighted by alpha
+        times beta and added by ``map``, gathered per point by
         ``itemgetter``; the levels' shares added by one chain of ``map``s;
         and ``compress`` over the sums past -const, the points whose total
         is positive.  Only those hits are visited, each appended to its
         point's row with its slope."""
         points, weights, tests = self.points, self.weights, self.tests
-        if not points:
-            return DestabilizerTable([], [()] * len(tests))
         point_scale = lcm(*(w.denominator for w in weights))
         test_scale = lcm(*(w.denominator for t in tests for w in t.weights))
         scale = point_scale * test_scale
         *alpha, alpha_last = _weight_steps(weights, point_scale)
-        alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0]))
-        levels = list(zip(alpha, self.level_gathers))
+        alpha_dims = sum(map(mul, alpha, self.point_levels.levels))
+        levels = list(enumerate(zip(alpha, self.level_gathers)))
         inc = self.incidence
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in points]
-        columns: list[tuple[int, ...]] = []
         slopes: dict[int, Fraction] = {}
         for k, test in enumerate(tests):
             *beta, beta_last = _weight_steps(test.weights, test_scale)
             const = beta_last * alpha_dims + alpha_last * (
                 sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * self.n
             )
-            g = [0] * len(self.point_spaces)
-            for b, w in zip(beta, test.chain):
-                g = [x + b * c for x, c in zip(g, inc[w])]
-            shares = [gather([a * x for x in g]) for a, gather in levels]
+            shares = []
+            for i, (a, gather) in levels:
+                weighted = [map((a * b).__mul__, inc[w][i]) for b, w in zip(beta, test.chain)]
+                shares.append(gather(list(reduce(partial(map, add), weighted))))
             sums = list(reduce(partial(map, add), shares or [(0,) * len(points)]))
-            hits = tuple(compress(range(len(points)), map(lt, repeat(-const), sums)))
-            for i in hits:
+            for i in compress(range(len(points)), map(lt, repeat(-const), sums)):
                 total = const + sums[i]
                 if total not in slopes:
                     slopes[total] = Fraction(-total, scale)
                 rows[i].append((k, slopes[total]))
-            columns.append(hits)
-        return DestabilizerTable([tuple(r) for r in rows], columns)
+        return [tuple(r) for r in rows]
 
     @cached_property
     def standard_subspaces(self) -> tuple[Subspace, ...]:
@@ -383,6 +346,18 @@ class VerifierContext:
         filtration, in ``standard_subspaces`` order (split model only)."""
         index = {t.chain[0]: k for k, t in enumerate(self.tests)}
         return tuple(index[e] for e in self.standard_subspaces)
+
+    @cached_property
+    def standard_hits(self) -> list[frozenset[int]]:
+        """Per coordinate subspace, in ``standard_subspaces`` order, the
+        points its coweight filtration destabilizes: one pass over the
+        destabilizer table's rows (split model only)."""
+        hits: dict[int, list[int]] = {k: [] for k in self.standard_tests}
+        for i, row in enumerate(self.destabilizer_table):
+            for k, _ in row:
+                if k in hits:
+                    hits[k].append(i)
+        return [frozenset(hits[k]) for k in self.standard_tests]
 
     @cached_property
     def bruhat_partition(self) -> dict:
@@ -426,12 +401,12 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
         lattice = _rational_subspaces(gd, tower, budget)
         tests = [subspace_coweight_filtration(s) for level in lattice.levels.values() for s in level]
     else:
-        lattice, tests = None, _rational_chambers(gd, tower, budget)
-    points = model.points(tower)
+        lattice, tests = _rational_chambers(gd, tower, budget)
+    point_levels, points = model.points(tower)
     assert len(points) == model.size(), len(points)
     return VerifierContext(gd=gd, m=m, tower=tower, n=gd.datum.ambient_dim, mode=mode,
-                           weights=mu_flag_type(gd.mu.coords)[0], points=points, tests=tests,
-                           lattice=lattice)
+                           weights=mu_flag_type(gd.mu.coords)[0], point_levels=point_levels,
+                           points=points, tests=tests, lattice=lattice)
 
 
 def _rational_subspaces(gd: GroupData, tower: FieldTower, budget: int) -> FlagLevels:
@@ -442,19 +417,22 @@ def _rational_subspaces(gd: GroupData, tower: FieldTower, budget: int) -> FlagLe
     over = next((c for c in (gaussian_binomial(n, d, q) for d in range(1, n)) if c > budget), None)
     if over is not None:
         raise BudgetError(f"{over} subspaces exceed budget {budget}")
-    return FlagLevels(tower, n, range(1, n), subfield_deg=1)
+    return subspace_levels(tower, n, range(1, n), subfield_deg=1)
 
 
-def _rational_chambers(gd: GroupData, tower: FieldTower, budget: int) -> list[FlagPoint]:
+def _rational_chambers(gd: GroupData, tower: FieldTower, budget: int) -> tuple[FlagLevels, list[FlagPoint]]:
     """The rational chambers of U_3, its flags fixed by one step of the
-    twisted Frobenius, as tests; their count q^3 + 1 is refused past the
-    budget before any is enumerated."""
+    twisted Frobenius: the ``FlagLevels`` of their lines and planes, and
+    the chambers as tests.  Their count q^3 + 1 is refused past the budget
+    before any is enumerated."""
     q, n = gd.q, gd.datum.ambient_dim
     if q**3 + 1 > budget:
         raise BudgetError(f"{q**3 + 1} chambers exceed budget {budget}")
-    chambers = enumerate_twisted_fixed_flags(tower, conj_power=1)
+    lattice, chambers = enumerate_twisted_fixed_flags(tower, conj_power=1)
     assert len(chambers) == q**3 + 1, len(chambers)
-    return [FlagPoint(chain=c, weights=(Fraction(1), Fraction(0), Fraction(-1)), n=n) for c in chambers]
+    lines, planes = lattice.levels.values()
+    weights = (Fraction(1), Fraction(0), Fraction(-1))
+    return lattice, [FlagPoint(chain=(lines[a], planes[b]), weights=weights, n=n) for a, b in chambers]
 
 
 # an int past 2^14286 has over 4,300 digits, more than Python prints by
@@ -480,13 +458,14 @@ class PointModel(NamedTuple):
     ``ext`` is the degree over F_q of the tower they live in.  A non-central
     mu has ``size()`` > q^e points, e its ``past``, named by ``noun`` in a
     refusal; a central mu has the one empty flag and ``past`` None.
-    ``points(tower)`` lists them on that tower."""
+    ``points(tower)`` lists them on that tower: the ``FlagLevels`` of their
+    subspaces, and each point as its positions in those levels."""
 
     ext: int
     past: int | None
     noun: str
     size: Callable[[], int]
-    points: Callable[[FieldTower], list[tuple[Subspace, ...]]]
+    points: Callable[[FieldTower], tuple[FlagLevels, list[tuple[int, ...]]]]
 
 
 def _point_model(gd: GroupData, m: int) -> PointModel:
@@ -496,7 +475,11 @@ def _point_model(gd: GroupData, m: int) -> PointModel:
     F_(q^s)."""
     _, dims = mu_flag_type(gd.mu.coords)
     q, s, n = gd.q, gd.e_degree * m, gd.datum.ambient_dim
-    flags = lambda tower: enumerate_flag_points(tower, n, dims)
+
+    def flags(tower):
+        levels = subspace_levels(tower, n, dims)
+        return levels, enumerate_flag_points(levels, n, dims)
+
     if verifier_mode(gd) == "u3" and s % 2:
         model = PointModel(2 * s, 3 * s, "chambers", lambda: q ** (3 * s) + 1,
                            lambda tower: enumerate_twisted_fixed_flags(tower, conj_power=s))
@@ -547,7 +530,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
     if verifier_mode(gd) == "u3":
         # every proper rational parabolic is a Borel subgroup: the chambers
         # are the rational tests
-        return {empty: len(_rational_chambers(gd, tower, budget)), **dict.fromkeys(rest, 1)}
+        return {empty: len(_rational_chambers(gd, tower, budget)[1]), **dict.fromkeys(rest, 1)}
     n, orbits = gd.datum.ambient_dim, gd.orbits_delta.orbits
     flag_types = {I: tuple(d for d in range(1, n) if all(d - 1 not in orbits[o] for o in I)) for I in sets}
     # every label set's flags are counted, so their sum is what the budget bounds
@@ -562,7 +545,7 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
 
 def is_semistable(ctx: VerifierContext, index: int) -> SlopeReport:
     """Slope verdict for one enumerated point; slope 0 counts as semistable."""
-    row = ctx.destabilizer_table.rows[index]
+    row = ctx.destabilizer_table[index]
     return SlopeReport(point_index=index, destabilizers=tuple((ctx.tests[k], v) for k, v in row))
 
 
@@ -572,7 +555,7 @@ def brute_force_ss_count(ctx: VerifierContext) -> int:
 
 def semistable_indices(ctx: VerifierContext) -> list[int]:
     """The points whose rows of the destabilizer table are empty."""
-    rows = ctx.destabilizer_table.rows
+    rows = ctx.destabilizer_table
     return list(compress(range(len(rows)), map(not_, rows)))
 
 
@@ -584,9 +567,9 @@ def per_point_rows(ctx: VerifierContext) -> list[dict]:
             "semistable": not row,
             "destabilizer_count": len(row),
             "worst_slope": min((v for _, v in row), default=None),
-            "chain": [[list(r) for r in s.rows] for s in x],
+            "chain": [[list(r) for r in s.rows] for s in ctx.chain(i)],
         }
-        for i, (x, row) in enumerate(zip(ctx.points, ctx.destabilizer_table.rows))
+        for i, row in enumerate(ctx.destabilizer_table)
     ]
 
 
@@ -612,13 +595,12 @@ def points_csv(ctx: VerifierContext) -> str:
 
 def y_I_points(ctx: VerifierContext, I: frozenset[int]) -> frozenset[int]:
     """Indices of points with negative slope against every standard coweight
-    whose orbit lies outside I: the intersection of those tests' columns of
-    the destabilizer table.  The test filtration of the standard subspace
+    whose orbit lies outside I: the intersection of those tests' sets of
+    hits (``standard_hits``).  The test filtration of the standard subspace
     E_{k+1} is the filtration of the k-th standard coweight."""
     if ctx.mode != "split":
         raise ValueError("stratification check requires a split instance")
-    columns = ctx.destabilizer_table.columns
-    wanted = [columns[ctx.standard_tests[k]] for k in range(ctx.gd.d_prime) if k not in I]
+    wanted = [ctx.standard_hits[k] for k in range(ctx.gd.d_prime) if k not in I]
     if not wanted:
         return frozenset(range(len(ctx.points)))
     first, *rest = wanted
@@ -640,25 +622,27 @@ def bruhat_cells(ctx: VerifierContext) -> dict:
     A chain's cell is read from its B-orbit invariant: per subspace, the
     dimensions of its intersections with the coordinate flag E_1 ...
     E_(n-1).  Every E_d is a test subspace and every chain subspace here
-    is a point's (a representative's coordinate flag is a rational point),
-    so each dimension is an incidence entry, and each point subspace's
-    dimensions are zipped once from the E_d's incidence columns.  The
-    points' invariants are gathered from those, one chain level per pass;
+    is in the points' levels (a representative's coordinate flag is a
+    rational point, found by ``position``), so each dimension is an
+    incidence entry, and each point subspace's dimensions are zipped once,
+    level by level, from the E_d's incidence columns.  The points'
+    invariants are gathered by their positions, one chain level per pass;
     a central mu's one empty chain has the empty invariant."""
     if ctx.mode != "split":
         raise ValueError("cell decomposition requires a split instance")
     gd = ctx.gd
-    dims = list(zip(*(ctx.incidence[e] for e in ctx.standard_subspaces)))
-    ids = ctx.point_spaces
+    dims = [list(zip(*columns)) for columns in zip(*(ctx.incidence[e] for e in ctx.standard_subspaces))]
+    position = ctx.point_levels.position
     cells: dict = {p: [] for p in gd.mu_orbit}
     cell_of = {}
     for p in gd.mu_orbit:
         coords = itertools.accumulate((-c for c in p.labels), initial=0)
-        inv = tuple(dims[ids[s]] for s in coordinate_filtration(ctx.tower, coords).chain)
+        chain = coordinate_filtration(ctx.tower, coords).chain
+        inv = tuple(level[position[s]] for level, s in zip(dims, chain))
         if inv in cell_of:
             raise AssertionError("distinct representatives share a cell invariant")
         cell_of[inv] = cells[p]
-    gathered = [gather(dims) for gather in ctx.level_gathers]
+    gathered = [gather(level) for gather, level in zip(ctx.level_gathers, dims)]
     invariants = zip(*gathered) if gathered else repeat((), len(ctx.points))
     for i, inv in enumerate(invariants):
         if inv not in cell_of:
@@ -742,7 +726,7 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
     n = ctx.n
     for _ in range(samples):
         index = rng.randrange(len(ctx.points))
-        x = FlagPoint(chain=ctx.points[index], weights=ctx.weights, n=n)
+        x = FlagPoint(chain=ctx.chain(index), weights=ctx.weights, n=n)
         d = rng.randrange(1, n)
         test = ctx.tests[ctx.standard_tests[d - 1]]
         g = random_parabolic_element(ctx.tower, n, d, rng)

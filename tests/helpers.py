@@ -19,6 +19,7 @@ from perdom.cohom import (
 )
 from perdom.finflag import (
     FieldTower,
+    FlagLevels,
     Subspace,
     _is_irreducible,
     _poly_mod,
@@ -634,6 +635,26 @@ def frobenius_point(x: tuple[Subspace, ...], tower: FieldTower,
     return tuple(frobenius_subspace(tower, s, 1) for s in x)
 
 
+def flag_chains(levels: FlagLevels, flags) -> list[tuple[Subspace, ...]]:
+    """Flags given as positions, the i-th in the i-th level of ``levels``,
+    decoded into their chains of subspaces."""
+    return [tuple(level[k] for level, k in zip(levels.levels.values(), x)) for x in flags]
+
+
+def point_chains(ctx: VerifierContext) -> list[tuple[Subspace, ...]]:
+    """Every point of a verifier context as its chain of subspaces."""
+    return flag_chains(ctx.point_levels, ctx.points)
+
+
+def levels_of(tower: FieldTower, subspaces) -> FlagLevels:
+    """The distinct subspaces of a family, grouped by dimension in order of
+    first appearance, as one ``FlagLevels``."""
+    levels: dict[int, list[Subspace]] = {}
+    for s in dict.fromkeys(subspaces):
+        levels.setdefault(s.dim, []).append(s)
+    return FlagLevels(tower, levels)
+
+
 def weighted_point(ctx: VerifierContext, x: tuple[Subspace, ...]) -> FlagPoint:
     """A point's chain with mu's weights, as the reference ``slope`` takes it."""
     return FlagPoint(chain=x, weights=ctx.weights, n=ctx.n)
@@ -644,9 +665,10 @@ def frobenius_equivariance_holds(ctx: VerifierContext) -> bool:
     points and, fixing every rational test, keeps each point's row of
     destabilizers."""
     hermitian = HermitianData(tower=ctx.tower, n=ctx.n) if ctx.mode == "u3" else None
-    lookup = {x: i for i, x in enumerate(ctx.points)}
-    table = ctx.destabilizer_table.rows
-    for i, x in enumerate(ctx.points):
+    chains = point_chains(ctx)
+    lookup = {x: i for i, x in enumerate(chains)}
+    table = ctx.destabilizer_table
+    for i, x in enumerate(chains):
         j = lookup.get(frobenius_point(x, ctx.tower, hermitian))
         if j is None or table[i] != table[j]:
             return False
@@ -666,21 +688,20 @@ def destabilizer_rows_by_point(ctx: VerifierContext) -> list[tuple]:
     test_scale = math.lcm(*(w.denominator for t in ctx.tests for w in t.weights))
     scale = point_scale * test_scale
     *alpha, alpha_last = _weight_steps(weights, point_scale)
-    alpha_dims = sum(a * s.dim for a, s in zip(alpha, points[0]))
-    positions = [[ctx.point_spaces[x[i]] for x in points] for i in range(len(alpha))]
+    alpha_dims = sum(a * s.dim for a, s in zip(alpha, ctx.chain(0)))
     rows: list[list] = [[] for _ in points]
     for k, test in enumerate(ctx.tests):
         *beta, beta_last = _weight_steps(test.weights, test_scale)
         const = beta_last * alpha_dims + alpha_last * (
             sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * ctx.n
         )
-        g = [0] * len(ctx.point_spaces)
-        for b, w in zip(beta, test.chain):
-            g = [x + b * c for x, c in zip(g, ctx.incidence[w])]
         totals = [const] * len(points)
-        for a, ids in zip(alpha, positions):
+        for i, (a, level) in enumerate(zip(alpha, ctx.point_levels.levels.values())):
+            g = [0] * len(level)
+            for b, w in zip(beta, test.chain):
+                g = [x + b * c for x, c in zip(g, ctx.incidence[w][i])]
             h = [a * x for x in g]
-            totals = [t + h[s] for t, s in zip(totals, ids)]
+            totals = [t + h[x[i]] for t, x in zip(totals, points)]
         for i, total in enumerate(totals):
             if total > 0:
                 rows[i].append((k, Fraction(-total, scale)))
@@ -697,10 +718,11 @@ def y_I_points_by_row(ctx: VerifierContext, rows, I: frozenset[int]) -> frozense
 
 def relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
     """B-orbit invariant of a chain: per subspace, its intersection
-    dimensions with E_1 ... E_(n-1), read from the incidence table."""
+    dimensions with E_1 ... E_(n-1), read from the incidence table at the
+    subspace's index in its level."""
     columns = [ctx.incidence[e] for e in ctx.standard_subspaces]
-    ids = ctx.point_spaces
-    return tuple(tuple(col[ids[s]] for col in columns) for s in chain)
+    index = ctx.point_levels.position
+    return tuple(tuple(col[i][index[s]] for col in columns) for i, s in enumerate(chain))
 
 
 def bruhat_cells_by_point(ctx: VerifierContext, position=relative_position) -> dict:
@@ -714,7 +736,7 @@ def bruhat_cells_by_point(ctx: VerifierContext, position=relative_position) -> d
         rep_invariants[p] = inv
     cells: dict = {p: [] for p in ctx.gd.mu_orbit}
     by_inv = {inv: p for p, inv in rep_invariants.items()}
-    for i, x in enumerate(ctx.points):
+    for i, x in enumerate(point_chains(ctx)):
         cells[by_inv[position(ctx, x)]].append(i)
     return cells
 

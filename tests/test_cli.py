@@ -316,6 +316,11 @@ def test_verify_points_csv_unwritable_is_a_spec_error(tmp_path, capsys):
     code, out, err = run(["verify", "--spec", path, "--m", "2", "--points-csv", str(csv_path)], capsys)
     assert code == cli.EXIT_SPEC and out == ""
     assert err.startswith(f"spec error: --points-csv: cannot write {csv_path}: ")
+    # an empty path, given either way, is a path that cannot be written
+    for option in (["--points-csv", ""], ["--points-csv="]):
+        code, out, err = run(["verify", "--spec", path, "--m", "2", *option], capsys)
+        assert code == cli.EXIT_SPEC and out == "", option
+        assert err.startswith("spec error: --points-csv: cannot write : "), option
 
 
 @pytest.mark.parametrize("spec", [SL3, U3])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import INSTANCES, instance, reference_t_x, verifier
+from helpers import INSTANCES, instance, point_chains, reference_t_x, verifier
 from perdom import cli
 from perdom import complex as complex_module
 from perdom.complex import (
@@ -88,7 +88,7 @@ def test_t_x_standard_flag_contains_both_subspaces():
     ctx = verifier("a2_reg", 1)
     std = next(
         i
-        for i, x in enumerate(ctx.points)
+        for i, x in enumerate(point_chains(ctx))
         if x[0].rows == ((1, 0, 0),) and x[1].rows == ((1, 0, 0), (0, 1, 0))
     )
     c = build_t_x(ctx, std)
@@ -192,7 +192,7 @@ def test_sweep_builds_a_complex_only_for_each_non_semistable_point(monkeypatch):
     rep = acyclicity_sweep(ctx)
     assert 0 < rep.non_semistable < rep.total_points
     assert len(built) == rep.non_semistable
-    assert sorted(built) == [i for i, row in enumerate(ctx.destabilizer_table.rows) if row]
+    assert sorted(built) == [i for i, row in enumerate(ctx.destabilizer_table) if row]
 
 
 def _old_key(test):
@@ -218,5 +218,10 @@ def test_t_x_equals_the_per_model_construction(source, m):
             continue
         c = build_t_x(ctx, i)
         keys, simplices = reference_t_x(ctx, i)
-        assert tuple(map(_old_key, c.vertex_keys)) == keys, (source, m, i)
-        assert c.simplices == simplices, (source, m, i)
+        # the vertices come in the order of the point's row, the reference's
+        # sorted by its own key: the same complex up to that relabelling
+        assert c.vertex_keys == tuple(t for t, _ in is_semistable(ctx, i).destabilizers)
+        assert sorted(map(_old_key, c.vertex_keys)) == list(keys), (source, m, i)
+        index = [keys.index(_old_key(t)) for t in c.vertex_keys]
+        relabelled = tuple(tuple(sorted(tuple(index[v] for v in s) for s in level)) for level in c.simplices)
+        assert relabelled == simplices, (source, m, i)

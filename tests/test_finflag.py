@@ -12,6 +12,7 @@ from helpers import (
     WalkedTower,
     contains,
     field_nullspace,
+    flag_chains,
     find_irreducible_by_lists,
     frobenius_point,
     frobenius_subspace,
@@ -35,6 +36,7 @@ from perdom.finflag import (
     rank,
     rref,
     subspace_from_rows,
+    subspace_levels,
 )
 from perdom.rootdata import BudgetError
 from perdom.semistable import FlagPoint, build_verifier, mu_flag_type
@@ -315,18 +317,19 @@ def test_mu_flag_type():
 def test_flag_counts():
     t2 = make_tower(2, 1)
     _, dims = mu_flag_type([1, 0, -1])
-    assert len(enumerate_flag_points(t2, 3, dims)) == 21
+    assert len(enumerate_flag_points(subspace_levels(t2, 3, dims), 3, dims)) == 21
     _, dims = mu_flag_type([2, -1, -1])
-    assert len(enumerate_flag_points(t2, 3, dims)) == 7
+    assert len(enumerate_flag_points(subspace_levels(t2, 3, dims), 3, dims)) == 7
     t4 = make_tower(4, 1)
     _, dims = mu_flag_type([1, -1])
-    assert len(enumerate_flag_points(t4, 2, dims)) == 5
+    assert len(enumerate_flag_points(subspace_levels(t4, 2, dims), 2, dims)) == 5
 
 
 def test_frobenius_point_cycles_divide_m():
     t = make_tower(2, 3)
     _, dims = mu_flag_type([1, -1])
-    points = enumerate_flag_points(t, 2, dims)
+    levels = subspace_levels(t, 2, dims)
+    points = flag_chains(levels, enumerate_flag_points(levels, 2, dims))
     index = {x: i for i, x in enumerate(points)}
     for x in points:
         cur = x
@@ -373,7 +376,7 @@ def test_twisted_fixed_flags_over_a_subfield_are_the_rational_chambers():
     # (3, 1) checks the odd-q point path; test_semistable covers q = 2, m = 1, 2, 3
     for q, m in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
         h = HermitianData(tower=make_tower(q, 2 * m), n=3)
-        chambers = enumerate_twisted_fixed_flags(h.tower, conj_power=1)
+        chambers = flag_chains(*enumerate_twisted_fixed_flags(h.tower, conj_power=1))
         assert len(chambers) == q**3 + 1
         assert all(h.is_fixed(x, 1) for x in chambers)
         assert all(contains(h.tower, plane, line) for line, plane in chambers)
@@ -392,7 +395,8 @@ def test_twisted_frobenius_squares_to_plain():
     t = make_tower(2, 2)
     h = HermitianData(tower=t, n=3)
     _, dims = mu_flag_type([1, 0, -1])
-    for x in enumerate_flag_points(t, 3, dims)[:40]:
+    levels = subspace_levels(t, 3, dims)
+    for x in flag_chains(levels, enumerate_flag_points(levels, 3, dims))[:40]:
         twice = h.twisted_frobenius(h.twisted_frobenius(x))
         plain2 = frobenius_point(frobenius_point(x, t), t)
         assert twice == plain2

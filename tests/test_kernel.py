@@ -24,6 +24,8 @@ from helpers import (  # noqa: E402
     lies_in,
     meet_dim,
     nullspace,
+    flag_chains,
+    levels_of,
     pairwise_flag_points,
     solve_in_span,
 )
@@ -307,8 +309,12 @@ def subspace_families(draw):
 @given(subspace_families())
 def test_incidence_equals_intersection_dim(case):
     t, n, points, tests = case
+    # the incidence reads the two families of subspaces, not the points
     ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
-                          points=points, tests=tests)
+                          point_levels=levels_of(t, (s for (s,) in points)), points=[], tests=tests,
+                          lattice=levels_of(t, (f.chain[0] for f in tests)))
+    point_spaces = [s for level in ctx.point_levels.levels.values() for s in level]
+    assert set(point_spaces) == {s for (s,) in points}
     # every entry is a nonzero pairing or read from 2 x 2 minors, but where
     # S . Ann(W)^T is 3 x 3 or larger and neither subspace is a line or a
     # hyperplane: a 3-space against a plane of 5-space, or against a plane
@@ -317,12 +323,14 @@ def test_incidence_equals_intersection_dim(case):
         ctx.incidence
     assert ranked.call_count == sum(
         s.dim >= 3 and n - w.dim >= 3 and w.dim >= 2 and n - s.dim >= 2
-        for w in ctx.incidence for s in ctx.point_spaces
+        for w in ctx.incidence for s in point_spaces
     )
-    for w, column in ctx.incidence.items():
-        assert len(column) == len(ctx.point_spaces)
-        for s, k in ctx.point_spaces.items():
-            assert column[k] == intersection_dim(t, s, w), (s, w)
+    assert set(ctx.incidence) == {f.chain[0] for f in tests}
+    for w, columns in ctx.incidence.items():
+        assert sum(map(len, columns)) == len(point_spaces)
+        for column, level in zip(columns, ctx.point_levels.levels.values(), strict=True):
+            for k, s in enumerate(level):
+                assert column[k] == intersection_dim(t, s, w), (s, w)
 
 
 # (q, extension degree, n): F_q inside F_(q^m), with q = 4 not prime
@@ -332,7 +340,7 @@ LATTICE_CASES = [(2, 2, 3), (2, 3, 3), (3, 2, 3), (4, 2, 3), (2, 2, 4)]
 @pytest.mark.parametrize("q,m,n", LATTICE_CASES)
 def test_rational_lattice_inclusions_equal_the_pairwise_rank(q, m, n):
     t = make_tower(q, m)
-    lattice = finflag.FlagLevels(t, n, range(1, n), subfield_deg=1)
+    lattice = finflag.subspace_levels(t, n, range(1, n), subfield_deg=1)
     for lo, hi in itertools.combinations(range(1, n), 2):
         expected = [
             [j for j, w in enumerate(lattice.levels[hi]) if contains(t, w, s)]
@@ -366,9 +374,10 @@ def test_flag_points_equal_the_pairwise_filter(n, dims, q, ext, sub):
     # and filtered over F_q inside F_(q^ext): q is prime, so F_q's elements
     # are the same integers in both
     t = make_tower(q, sub or ext)
-    got = enumerate_flag_points(t, n, dims)
+    levels = finflag.subspace_levels(t, n, dims)
+    got = flag_chains(levels, enumerate_flag_points(levels, n, dims))
     assert got == pairwise_flag_points(make_tower(q, ext), n, dims, subfield_deg=sub)
-    assert finflag.FlagLevels(t, n, dims).count(dims) == len(got)
+    assert finflag.subspace_levels(t, n, dims).count(dims) == len(got)
 
 
 CHAMBER_CASES = [(2, 1, 1), (2, 3, 1), (2, 3, 3), (3, 1, 1), (3, 2, 1), (4, 1, 1), (5, 1, 1)]
@@ -379,7 +388,7 @@ def test_twisted_fixed_lines_are_the_isotropic_lines(q, m, conj_power):
     h = HermitianData(tower=make_tower(q, 2 * m), n=3)
     lines = enumerate_subspaces(h.tower, 3, 1, 2 * conj_power)
     isotropic = [s for s in lines if hermitian_form(h, s.rows[0], s.rows[0], conj_power) == 0]
-    flags = enumerate_twisted_fixed_flags(h.tower, conj_power)
+    flags = flag_chains(*enumerate_twisted_fixed_flags(h.tower, conj_power))
     assert [line for line, _ in flags] == isotropic
 
 
@@ -392,19 +401,24 @@ def test_chamber_planes_are_the_hermitian_perps(q, m, conj_power, monkeypatch):
     calls = []
     monkeypatch.setattr(finflag, "rref", lambda *args: calls.append(args))
     monkeypatch.setattr(finflag, "enumerate_subspaces", lambda *args: calls.append(args))
-    flags = enumerate_twisted_fixed_flags(h.tower, conj_power)
+    levels, chambers = enumerate_twisted_fixed_flags(h.tower, conj_power)
     monkeypatch.undo()
     assert not calls
+    assert chambers == [(k, k) for k in range(len(chambers))]
+    flags = flag_chains(levels, chambers)
     assert len(flags) == len({line for line, _ in flags}) > 1
     for line, plane in flags:
         assert plane == h.perp(line, conj_power), line
         assert rref(h.tower, plane.rows)[0] == plane.rows
+    # the planes' annihilators, written from the isotropy pass's rows, are
+    # those ``annihilator`` reads off each plane's echelon rows
+    assert levels.annihilators(2) == [annihilator(h.tower, plane) for _, plane in flags]
 
 
 def test_u3_verifier_computes_each_plane_annihilator_once(monkeypatch):
-    # the chamber listing shows each plane contains its line through the
-    # isotropy pass, so Ann of a chamber's plane comes only from the verifier
-    # context, shared between the tests and the points where both have it
+    # the chamber listing writes each plane's annihilator from its isotropy
+    # pass, so no chamber plane, of the points or of the tests, goes
+    # through ``annihilator``, and the levels' rows are its
     counts = collections.Counter()
 
     def counting(tower, sub):
@@ -412,9 +426,11 @@ def test_u3_verifier_computes_each_plane_annihilator_once(monkeypatch):
         return annihilator(tower, sub)
 
     monkeypatch.setattr(finflag, "annihilator", counting)
-    monkeypatch.setattr(semistable, "annihilator", counting)
     ctx = semistable.build_verifier(helpers.instance("u3_reg"), 3)
-    ctx.point_annihilators  # the cached Ann of every point plane
-    planes = {x[1] for x in ctx.points} | {t.chain[1] for t in ctx.tests}
+    ctx.incidence  # reads the Ann of every point plane and test subspace
+    monkeypatch.undo()
+    planes = {x[1] for x in helpers.point_chains(ctx)} | {t.chain[1] for t in ctx.tests}
     assert len(planes) == 2**9 + 1
-    assert {counts[p] for p in planes} == {1}
+    assert {counts[p] for p in planes} == {0}
+    for levels in (ctx.point_levels, ctx.lattice):
+        assert levels.annihilators(2) == [annihilator(ctx.tower, p) for p in levels.levels[2]]

@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,17 +18,19 @@ from helpers import (
     frobenius_equivariance_holds,
     instance,
     is_k_rational,
+    levels_of,
     matrix_times_subspace,
     orbit_weight,
     pairwise_flag_points,
+    point_chains,
     table,
     verifier,
     weighted_point,
     y_I_points_by_row,
 )
-from perdom import finflag, semistable
-from perdom.cohom import build_group_data, label_sets, lefschetz_series
-from perdom.complex import build_t_x
+from perdom import cli, finflag, semistable
+from perdom.cohom import assemble_cohomology, build_group_data, label_sets, lefschetz_series
+from perdom.complex import acyclicity_sweep, build_t_x
 from perdom.finflag import (
     Subspace,
     enumerate_subspaces,
@@ -39,7 +42,6 @@ from perdom.finflag import (
 )
 from perdom.rootdata import DEFAULT_BUDGET
 from perdom.semistable import (
-    DestabilizerTable,
     FlagPoint,
     VerifierContext,
     brute_force_ss_count,
@@ -124,10 +126,11 @@ def test_subspace_coweight_filtration_rejects_trivial():
 
 def test_slope_examples_p1():
     ctx = verifier("a1_reg", 1)
-    own = ctx.points.index(
-        next(x for x in ctx.points if x[0].rows == ((1, 0),))
+    chains = point_chains(ctx)
+    own = chains.index(
+        next(x for x in chains if x[0].rows == ((1, 0),))
     )
-    point = weighted_point(ctx, ctx.points[own])
+    point = weighted_point(ctx, chains[own])
     same = next(t for t in ctx.tests if t.chain[0].rows == ((1, 0),))
     other = next(t for t in ctx.tests if t.chain[0].rows == ((0, 1),))
     assert slope(ctx.tower, point, same) == -1
@@ -136,7 +139,7 @@ def test_slope_examples_p1():
 
 def test_slope_scales_with_positive_multiples():
     ctx = verifier("a1_reg", 2)
-    point = weighted_point(ctx, ctx.points[0])
+    point = weighted_point(ctx, ctx.chain(0))
     test = ctx.tests[0]
     scaled = FlagPoint(
         chain=test.chain, weights=tuple(Fraction(3, 2) * w for w in test.weights), n=test.n
@@ -149,7 +152,7 @@ def test_semistable_p1_over_f4():
     verdicts = [is_semistable(ctx, i).verdict for i in range(len(ctx.points))]
     assert sum(verdicts) == 2
     # the three rational points are exactly the unstable ones
-    for i, x in enumerate(ctx.points):
+    for i, x in enumerate(point_chains(ctx)):
         assert verdicts[i] == (not is_k_rational(x[0], ctx.tower))
 
 
@@ -157,7 +160,7 @@ def test_semistable_p2_avoids_rational_lines():
     ctx = verifier("a2_min", 2)
     rational_planes = [t.chain[0] for t in ctx.tests if t.chain[0].dim == 2]
 
-    for i, x in enumerate(ctx.points):
+    for i, x in enumerate(point_chains(ctx)):
         on_rational_line = any(contains(ctx.tower, p, x[0]) for p in rational_planes)
         assert is_semistable(ctx, i).verdict == (not on_rational_line)
 
@@ -191,7 +194,7 @@ def test_u3_points_are_twisted_fixed(m):
     ctx = verifier("u3_reg", m)
     s = ctx.gd.e_degree * m
     h = HermitianData(tower=ctx.tower, n=ctx.n)
-    assert all(h.is_fixed(x, s) for x in ctx.points)
+    assert all(h.is_fixed(x, s) for x in point_chains(ctx))
 
 
 def test_u3_reflex_degree_two_instance():
@@ -208,7 +211,7 @@ def test_y_stratum_sl2():
     ctx = verifier("a1_reg", 1)
     y0 = y_I_points(ctx, frozenset())
     assert len(y0) == 1
-    point = weighted_point(ctx, ctx.points[next(iter(y0))])
+    point = weighted_point(ctx, ctx.chain(next(iter(y0))))
     std = coordinate_filtration(ctx.tower, orbit_weight(ctx.gd, 0).coords)
     assert slope(ctx.tower, point, std) == -1
     assert y_I_points(ctx, frozenset({0})) == frozenset(range(len(ctx.points)))
@@ -244,7 +247,7 @@ def test_nonsemistable_set_is_union_of_translated_strata():
         ctx = verifier(name, m)
         union = set()
         for test in ctx.tests:
-            for i, point in enumerate(ctx.points):
+            for i, point in enumerate(point_chains(ctx)):
                 if slope(ctx.tower, weighted_point(ctx, point), test) < 0:
                     union.add(i)
         ss = set(semistable_indices(ctx))
@@ -265,12 +268,13 @@ def test_parabolic_invariance_sample_reads_each_verdict_against_the_reference_sl
     # reference slope of some sampled point against its test contradicts
     ctx = build_verifier(instance("a2_reg"), 2)
     assert parabolic_invariance_sample(ctx, seed=1234, samples=25)
-    ctx.destabilizer_table = DestabilizerTable(rows=[()] * len(ctx.points), columns=[()] * len(ctx.tests))
+    ctx.destabilizer_table = [()] * len(ctx.points)
     assert not parabolic_invariance_sample(ctx, seed=1234, samples=25)
 
 
 def test_a_point_is_its_chain_and_no_flag_point_is_built_per_point(monkeypatch):
-    # mu's weights live once on the context: building the verifier, its
+    # a point is its tuple of positions in its model's levels, and mu's
+    # weights live once on the context: building the verifier, its
     # destabilizer table, the cell checks and the spot check make as many
     # weighted flags at m = 2 (105 points) as at m = 1 (21 points)
     built = collections.Counter()
@@ -287,7 +291,8 @@ def test_a_point_is_its_chain_and_no_flag_point_is_built_per_point(monkeypatch):
         ctx.destabilizer_table
         assert all(ok for _, ok, _ in cell_checks(ctx))
         assert parabolic_invariance_sample(ctx, seed=0)
-        assert all(type(x) is tuple and all(type(s) is Subspace for s in x) for x in ctx.points)
+        assert all(type(x) is tuple and all(type(k) is int for k in x) for x in ctx.points)
+        assert all(type(s) is Subspace for x in point_chains(ctx) for s in x)
         assert ctx.weights == (1, 0, -1)
         sizes[m] = len(ctx.points)
     assert sizes == {1: 21, 2: 105}
@@ -352,7 +357,7 @@ def test_one_incidence_pass_per_context(monkeypatch):
 
         monkeypatch.setattr(semistable, name, wrapper)
 
-    original_annihilator = semistable.annihilator
+    original_annihilator = finflag.annihilator
     annihilated = collections.Counter()
     ann_of = {}
 
@@ -369,7 +374,9 @@ def test_one_incidence_pass_per_context(monkeypatch):
         passes.append((vectors, families))
         return original_nonzero(tower, vectors, families)
 
-    monkeypatch.setattr(semistable, "annihilator", counted_annihilator)
+    # the context computes no annihilator itself: it reads its two
+    # ``FlagLevels``', so ``semistable`` has no ``annihilator`` to patch
+    assert not hasattr(semistable, "annihilator")
     monkeypatch.setattr(semistable, "nonzero_pairings", counted_nonzero)
     counted("slope")
     counted("bruhat_cells")
@@ -378,7 +385,8 @@ def test_one_incidence_pass_per_context(monkeypatch):
     ctx = build_verifier(gd, 2)  # fresh, so no consumer has filled its caches
     # every pass of the rational lattice's ``FlagLevels.above``, and every
     # annihilator of its levels, counted from here on: the point enumeration
-    # ran its own levels through the same routines
+    # ran its own levels through the same routines, and computed its planes'
+    # annihilators there
     lattice_passes = []
     original_lattice_nonzero = finflag.nonzero_pairings
 
@@ -398,8 +406,14 @@ def test_one_incidence_pass_per_context(monkeypatch):
     for i in range(len(ctx.points)):
         if not is_semistable(ctx, i).verdict:
             build_t_x(ctx, i)
-    point_spaces = {s for x in ctx.points for s in x}
+    point_spaces = {s for x in point_chains(ctx) for s in x}
     test_spaces = {t.chain[0] for t in ctx.tests}
+    # the points' levels' annihilators, computed while enumerating the flags;
+    # a rational plane keeps the lattice's, which its passes carry
+    for d, level in ctx.point_levels.levels.items():
+        if d >= 2:
+            for s, a in zip(level, ctx.point_levels.annihilators(d)):
+                ann_of.setdefault(s, a)
 
     # decode each pass: the subspace W whose rows or annihilator it pairs,
     # and the members of the family, by their rows or by their annihilators
@@ -439,11 +453,49 @@ def test_one_incidence_pass_per_context(monkeypatch):
     assert calls == {"bruhat_cells": 1}
     assert set(inclusions.values()) == {1}
     assert set(inclusions) == {(w, s.dim) for w in test_spaces for s in test_spaces if s.dim < w.dim}
-    # each annihilator at most once, shared where a point subspace is a test
-    # subspace too, and none for a point line that is not one
+    # from here on, each rational subspace's annihilator once, in the
+    # lattice, and none for a point subspace that is not rational
     assert set(annihilated.values()) == {1}
     assert point_spaces & test_spaces and set(annihilated) <= point_spaces | test_spaces
     assert not any(annihilated[s] for s in point_spaces - test_spaces if s.dim == 1)
+
+
+def test_each_family_of_subspaces_computes_each_annihilator_once(monkeypatch):
+    # every call of ``finflag.annihilator`` from before the verifier is
+    # built, per (tower, subspace), credited to the ``FlagLevels`` whose
+    # ``annihilators`` made it: the points' levels compute each point
+    # subspace's at most once, the rational lattice each rational
+    # subspace's at most once, and the context none itself
+    calls = collections.Counter()
+    owners = []
+    original_annihilator = finflag.annihilator
+    original_level_annihilators = finflag.FlagLevels.annihilators
+
+    def counted(tower, sub):
+        calls[owners[-1] if owners else None, tower, sub] += 1
+        return original_annihilator(tower, sub)
+
+    def owned(levels, d):
+        owners.append(levels)
+        try:
+            return original_level_annihilators(levels, d)
+        finally:
+            owners.pop()
+
+    monkeypatch.setattr(finflag, "annihilator", counted)
+    monkeypatch.setattr(finflag.FlagLevels, "annihilators", owned)
+    gd = cli.instantiate(cli.load_spec(str(Path(__file__).resolve().parent.parent / "bench" / "specs" / "sl4_mid.json")))
+    ctx = build_verifier(gd, 2)
+    assert brute_force_ss_count(ctx) == lefschetz_series(gd, assemble_cohomology(gd), 2)
+    assert all(ok for _, ok, _ in cell_checks(ctx))
+    assert parabolic_invariance_sample(ctx, seed=0)
+    assert acyclicity_sweep(ctx).all_acyclic
+    assert {owner for owner, _, _ in calls} == {ctx.point_levels, ctx.lattice}
+    assert set(calls.values()) == {1}
+    for owner in (ctx.point_levels, ctx.lattice):
+        members = {s for level in owner.levels.values() for s in level}
+        assert {sub for o, tower, sub in calls if o is owner} <= members
+        assert {tower for o, tower, _ in calls if o is owner} == {ctx.tower}
 
 
 def test_standard_subspaces_built_once_per_context(monkeypatch):
@@ -485,17 +537,16 @@ def test_bruhat_cells_read_the_incidence_table():
 
 
 def assert_bulk_passes_match_the_oracles(ctx, cells=True):
-    """The table, its columns, the semistable points, every stratum and,
-    with ``cells``, the Bruhat cells, order and content, against the
-    per-point oracles."""
-    table = ctx.destabilizer_table
+    """The table, the semistable points, the standard tests' hits, every
+    stratum and, with ``cells``, the Bruhat cells, order and content,
+    against the per-point oracles."""
     rows = destabilizer_rows_by_point(ctx)
-    assert table.rows == rows
-    assert table.columns == [
-        tuple(i for i, row in enumerate(rows) if k in dict(row)) for k in range(len(ctx.tests))
-    ]
+    assert ctx.destabilizer_table == rows
     assert semistable_indices(ctx) == [i for i, row in enumerate(rows) if not row]
     if ctx.mode == "split":
+        assert ctx.standard_hits == [
+            frozenset(i for i, row in enumerate(rows) if k in dict(row)) for k in ctx.standard_tests
+        ]
         for I in label_sets(ctx.gd):
             assert y_I_points(ctx, I) == y_I_points_by_row(ctx, rows, I), sorted(I)
         if cells:
@@ -546,8 +597,10 @@ def test_bulk_passes_on_one_point_gather_a_tuple(name):
     full = verifier(name, 1)
     for x in full.points:
         ctx = VerifierContext(gd=full.gd, m=1, tower=full.tower, n=full.n, mode=full.mode,
-                              weights=full.weights, points=[x], tests=full.tests, lattice=full.lattice)
-        assert all(len(gather(list(range(len(ctx.point_spaces))))) == 1 for gather in ctx.level_gathers)
+                              weights=full.weights, point_levels=full.point_levels, points=[x],
+                              tests=full.tests, lattice=full.lattice)
+        levels = ctx.point_levels.levels.values()
+        assert all(len(gather(list(range(len(level))))) == 1 for gather, level in zip(ctx.level_gathers, levels))
         assert_bulk_passes_match_the_oracles(ctx, cells=False)
 
 
@@ -556,9 +609,14 @@ def test_incidence_matches_intersection_dim(name, m):
     from perdom.finflag import intersection_dim
 
     ctx = verifier(name, m)
-    for w, column in ctx.incidence.items():
-        for s, k in ctx.point_spaces.items():
-            assert column[k] == intersection_dim(ctx.tower, s, w), (name, s, w)
+    assert list(ctx.incidence) == [w for level in ctx.lattice.levels.values() for w in level]
+    assert set(ctx.incidence) == {w for t in ctx.tests for w in t.chain}
+    for w, columns in ctx.incidence.items():
+        assert len(columns) == len(ctx.point_levels.levels)
+        for column, level in zip(columns, ctx.point_levels.levels.values()):
+            assert len(column) == len(level)
+            for k, s in enumerate(level):
+                assert column[k] == intersection_dim(ctx.tower, s, w), (name, s, w)
 
 
 def test_incidence_ranks_the_larger_matrices():
@@ -568,28 +626,32 @@ def test_incidence_ranks_the_larger_matrices():
     # minors with no ``rank``
     gd = build_group_data([("A", 4)], [1, 1, 0, 0, 0], 2)
     ctx = build_verifier(gd, 1)
-    assert len(ctx.point_spaces) == 155 and len(ctx.test_annihilators) == 372
+    assert [len(level) for level in ctx.point_levels.levels.values()] == [155]
+    assert sum(map(len, ctx.lattice.levels.values())) == len(ctx.lattice.position) == 372
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
     assert ranked.call_count == 0
-    for w, column in ctx.incidence.items():
-        for s, k in ctx.point_spaces.items():
+    (planes,) = ctx.point_levels.levels.values()
+    for w, (column,) in ctx.incidence.items():
+        for k, s in enumerate(planes):
             assert column[k] == intersection_dim(ctx.tower, s, w), (s, w)
     # 3-spaces of F_2^6 against 3-spaces: S . Ann(W)^T is 3 x 3, read
     # through ``rank``, once per pair.  Every 31st of the 1,395 3-spaces,
     # alternately points and tests
     t, n = make_tower(2, 1), 6
     spaces = enumerate_subspaces(t, n, 3)[::31]
-    points = [(s,) for s in spaces[::2]]
+    point_levels = levels_of(t, spaces[::2])
+    points = [(k,) for k in range(len(spaces[::2]))]
     tests = [subspace_coweight_filtration(w) for w in spaces[1::2]]
     ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
-                          points=points, tests=tests)
+                          point_levels=point_levels, points=points, tests=tests,
+                          lattice=levels_of(t, spaces[1::2]))
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
     assert ranked.call_count == len(points) * len(tests) > 0
-    assert {column[k] for column in ctx.incidence.values() for k in ctx.point_spaces.values()} == {0, 1, 2}
-    for w, column in ctx.incidence.items():
-        for s, k in ctx.point_spaces.items():
+    assert {x for (column,) in ctx.incidence.values() for x in column} == {0, 1, 2}
+    for w, (column,) in ctx.incidence.items():
+        for k, s in enumerate(spaces[::2]):
             assert column[k] == intersection_dim(t, s, w), (s, w)
 
 
@@ -602,8 +664,8 @@ def test_incidence_ranks_the_larger_matrices():
 )
 def test_destabilizer_table_matches_direct_pairing(name, m):
     ctx = verifier(name, m)
-    for i, point in enumerate(ctx.points):
-        row = dict(ctx.destabilizer_table.rows[i])
+    for i, point in enumerate(point_chains(ctx)):
+        row = dict(ctx.destabilizer_table[i])
         assert list(row) == sorted(row)
         for k, test in enumerate(ctx.tests):
             value = slope(ctx.tower, weighted_point(ctx, point), test)
@@ -620,7 +682,7 @@ def test_y_stratum_against_coordinate_filtrations(name, m):
     gd = ctx.gd
     negative = {
         k: {
-            i for i, x in enumerate(ctx.points)
+            i for i, x in enumerate(point_chains(ctx))
             if slope(ctx.tower, weighted_point(ctx, x),
                      coordinate_filtration(ctx.tower, orbit_weight(gd, k).coords)) < 0
         }
