@@ -1,12 +1,13 @@
 """Destabilizing subcomplexes of the rational Tits complex and their homology.
 
-The vertices are a point's destabilizing rational tests, in the order of
-its row of the destabilizer table, the simplices the chains of tests, each
-test's last subspace strictly inside the next one's first, as the tests'
-``FlagLevels.above`` lists them.  For the special linear group a test is one subspace, so these are
-chains under inclusion; for the quasi-split unitary group on 3 variables a
-test is a chamber, and a plane lies in no line, so the subcomplex is its
-vertex set.  Homology is reduced and rational, by exact rank computation.
+The vertices are a point's destabilizing rational tests, by index in the
+order of its row of the destabilizer table, the simplices the chains of
+tests, each test's last subspace strictly inside the next one's first, as
+the lattice's ``above`` lists them at the tests' positions.  For the
+special linear group a test is one subspace, so these are chains under
+inclusion; for the quasi-split unitary group on 3 variables a test is a
+chamber, and a plane lies in no line, so the subcomplex is its vertex set.
+Homology is reduced and rational, by exact rank computation.
 
 A sweep skips the semistable points, whose rows of the destabilizer table
 are empty, and builds every other point's complex from its own
@@ -28,7 +29,8 @@ class SemistablePointError(ValueError):
 
 
 class TitsSubcomplex(NamedTuple):
-    """Simplices grouped by dimension; a simplex is a tuple of vertex indices."""
+    """Simplices grouped by dimension; a simplex is a tuple of indices into
+    ``vertex_keys``, which are the vertices' test indices."""
 
     vertex_keys: tuple
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
@@ -42,27 +44,25 @@ def build_t_x(ctx: VerifierContext, index: int) -> TitsSubcomplex:
     """The subcomplex spanned by everything that destabilizes one point, its
     vertices the destabilizing tests in the order of the point's row: test
     order, level by level, so a subspace comes before every larger one."""
-    report = is_semistable(ctx, index)
-    if report.verdict:
+    row = is_semistable(ctx, index)
+    if not row:
         raise SemistablePointError(f"point {index} is semistable; the complex is empty")
-    tests = [t for t, _ in report.destabilizers]
-    return TitsSubcomplex(vertex_keys=tuple(tests), simplices=_chain_simplices(ctx, tests))
+    keys = tuple(k for k, _ in row)
+    return TitsSubcomplex(vertex_keys=keys, simplices=_chain_simplices(ctx, [ctx.tests[k][0] for k in keys]))
 
 
-def _chain_simplices(ctx: VerifierContext, tests: list) -> tuple:
-    """All chains of tests, each test's last subspace strictly inside the next
-    one's first, per simplex dimension, the inclusions read from the tests'
-    ``FlagLevels.above``.  Comparing dimensions first keeps a model whose
-    tests never chain, as U_3's chambers, a plane after a line, from
-    asking."""
-    n = len(tests)
-    lasts = [t.chain[-1] for t in tests]
-    lattice = ctx.lattice
-    position = lattice.position
+def _chain_simplices(ctx: VerifierContext, chains: list) -> tuple:
+    """All chains of tests, given by their position chains, each test's last
+    subspace strictly inside the next one's first, per simplex dimension,
+    the inclusions read from the lattice's ``above`` at their positions.
+    Comparing dimensions first keeps a model whose tests never chain, as
+    U_3's chambers, a plane after a line, from asking."""
+    n = len(chains)
+    lasts = [c[-1] for c in chains]
+    above = ctx.lattice.above
     below = [
-        [j for j in range(i) if lasts[j].dim < first.dim
-         and position[first] in lattice.above(lasts[j].dim, first.dim)[position[lasts[j]]]]
-        for i, first in enumerate(t.chain[0] for t in tests)
+        [j for j, (lo, k) in enumerate(lasts[:i]) if lo < hi and pos in above(lo, hi)[k]]
+        for i, (hi, pos) in enumerate(c[0] for c in chains)
     ]
     levels: list[list[tuple[int, ...]]] = [[(i,) for i in range(n)]]
     while True:
@@ -116,15 +116,14 @@ def reduced_homology(complex_: TitsSubcomplex) -> tuple[int, ...]:
 
 
 def _composes_to_zero(a, b) -> bool:
+    """Whether a b = 0, each column of b read from its nonzero entries."""
     if not a or not a[0] or not b or not b[0]:
         return True
-    rows_a, cols_a = len(a), len(a[0])
-    cols_b = len(b[0])
-    assert len(b) == cols_a
-    for i in range(rows_a):
-        for j in range(cols_b):
-            if sum(a[i][k] * b[k][j] for k in range(cols_a)) != 0:
-                return False
+    assert len(b) == len(a[0])
+    for column in zip(*b):
+        entries = [(k, x) for k, x in enumerate(column) if x]
+        if any(sum(row[k] * x for k, x in entries) for row in a):
+            return False
     return True
 
 

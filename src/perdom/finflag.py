@@ -646,9 +646,11 @@ def enumerate_flag_points(levels: FlagLevels, n: int, dims) -> list[tuple[int, .
     """All flags with the given proper dimensions through ``levels``, which
     hold every subspace of the n-space over the whole tower in those
     dimensions (``subspace_levels``), each flag its positions in the levels;
-    with no dimensions, the one empty chain."""
+    with no dimensions, the one empty chain.  The levels' containment lists
+    are dropped once read."""
     chains = levels.chains(dims)
     assert len(chains) == flag_count(n, dims, levels.tower.size)
+    levels._above.clear()
     return chains
 
 

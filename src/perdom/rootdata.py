@@ -87,7 +87,8 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q: the nonzero rows and their pivot columns.
 
     The one exact elimination loop.  Entries may be ints or Fractions; only
-    the pivots are inverted, and each normalized row comes back as Fractions.
+    the pivots are inverted, a row is updated only at the pivot row's nonzero
+    columns, and each normalized row comes back as Fractions.
     """
     work = [list(r) for r in rows if any(r)]
     ncols = len(work[0]) if work else 0
@@ -102,10 +103,12 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
         work[r], work[piv] = work[piv], work[r]
         inv = Fraction(1, work[r][col])
         row = work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            f = work[i][col]
+        entries = [(j, y) for j, y in enumerate(row) if y]
+        for i, other in enumerate(work):
+            f = other[col]
             if i != r and f:
-                work[i] = [x - f * y for x, y in zip(work[i], row)]
+                for j, y in entries:
+                    other[j] -= f * y
         pivots.append(col)
     return work[: len(pivots)], pivots
 

@@ -6,8 +6,8 @@ holds every budget check of the model, each made before its enumeration;
 ``finflag`` enumerates whatever it is asked.  A point is semistable when
 its weighted flag pairs non-negatively against every rational test
 filtration: the rational subspaces for split SL_n, the rational chambers
-for quasi-split U_3.  The tests are ``FlagPoint``s, weighted flags with
-their own decreasing weights.
+for quasi-split U_3.  A test is its chain of (dimension, position) pairs
+in the tests' subspaces (``lattice``) with its own decreasing weights.
 
 A verifier run reads two families of subspaces, each one
 ``finflag.FlagLevels`` that computes each member's annihilator once: the
@@ -190,15 +190,6 @@ def slope(tower: FieldTower, point: FlagPoint, test: FlagPoint) -> Fraction:
 # ---------------------------------------------------------------------------
 # verifier context
 
-class SlopeReport(NamedTuple):
-    point_index: int
-    destabilizers: tuple[tuple[FlagPoint, Fraction], ...]
-
-    @property
-    def verdict(self) -> bool:
-        return not self.destabilizers
-
-
 def _gather(ids) -> Callable:
     """``itemgetter(*ids)``, which returns a tuple even for one index."""
     if len(ids) == 1:
@@ -229,13 +220,14 @@ class VerifierContext:
     is one ``FlagLevels``.  ``point_levels`` has one level per chain
     member, and a point is its tuple of positions, the i-th in the i-th
     level, with mu's weights (``weights``) held once; ``chain(i)`` decodes
-    one for a report or the reference ``slope``.  ``lattice`` holds the
-    tests' subspaces: the rational ones of split SL_n in test order, whose
-    ``above`` lists the complexes chain tests by, or U_3's chambers."""
+    one for a report or the reference ``slope``.  A test is a (chain,
+    weights) pair, its chain (dimension, position) pairs in ``lattice``:
+    the rational subspaces of split SL_n, whose ``above`` lists the
+    complexes chain tests by, or U_3's chambers' lines and planes."""
 
     def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
                  weights: tuple[Fraction, ...], point_levels: FlagLevels,
-                 points: list[tuple[int, ...]], tests: list[FlagPoint], lattice: FlagLevels):
+                 points: list[tuple[int, ...]], tests: list[tuple[tuple, tuple]], lattice: FlagLevels):
         self.gd, self.m, self.tower, self.n, self.mode = gd, m, tower, n, mode
         self.weights, self.point_levels, self.points = weights, point_levels, points
         self.tests, self.lattice = tests, lattice
@@ -253,9 +245,10 @@ class VerifierContext:
         return [_gather(list(map(itemgetter(i), self.points))) for i in levels]
 
     @cached_property
-    def incidence(self) -> dict[Subspace, list[list[int]]]:
-        """Per test subspace W, one column per point level: dim(S cap W) for
-        every member S, in level order.  Each distinct pair is read once, a
+    def incidence(self) -> dict[tuple[int, int], list[list[int]]]:
+        """Per test subspace W, keyed by its (dimension, position) in
+        ``lattice``, one column per point level: dim(S cap W) for every
+        member S, in level order.  Each distinct pair is read once, a
         level of point subspaces per kernel pass, with the annihilators the
         two ``FlagLevels`` hold."""
         t, n, points = self.tower, self.n, self.point_levels
@@ -266,7 +259,7 @@ class VerifierContext:
         ]
         table = {}
         for w_dim, level in self.lattice.levels.items():
-            for w, w_ann in zip(level, self.lattice.annihilators(w_dim)):
+            for k, (w, w_ann) in enumerate(zip(level, self.lattice.annihilators(w_dim))):
                 columns = []
                 for d, rows, anns in groups:
                     if d == 1 or len(w_ann) <= 1:
@@ -282,7 +275,7 @@ class VerifierContext:
                         entries = [zip(*(pairings(t, a, f) for a in w_ann)) for f in rows]
                         column = (d - rank(t, matrix) for matrix in zip(*entries))
                     columns.append(list(column))
-                table[w] = columns
+                table[w_dim, k] = columns
         return table
 
     @cached_property
@@ -309,7 +302,7 @@ class VerifierContext:
         point's row with its slope."""
         points, weights, tests = self.points, self.weights, self.tests
         point_scale = lcm(*(w.denominator for w in weights))
-        test_scale = lcm(*(w.denominator for t in tests for w in t.weights))
+        test_scale = lcm(*(w.denominator for _, tw in tests for w in tw))
         scale = point_scale * test_scale
         *alpha, alpha_last = _weight_steps(weights, point_scale)
         alpha_dims = sum(map(mul, alpha, self.point_levels.levels))
@@ -317,14 +310,14 @@ class VerifierContext:
         inc = self.incidence
         rows: list[list[tuple[int, Fraction]]] = [[] for _ in points]
         slopes: dict[int, Fraction] = {}
-        for k, test in enumerate(tests):
-            *beta, beta_last = _weight_steps(test.weights, test_scale)
+        for k, (chain, test_weights) in enumerate(tests):
+            *beta, beta_last = _weight_steps(test_weights, test_scale)
             const = beta_last * alpha_dims + alpha_last * (
-                sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * self.n
+                sum(b * d for b, (d, _) in zip(beta, chain)) + beta_last * self.n
             )
             shares = []
             for i, (a, gather) in levels:
-                weighted = [map((a * b).__mul__, inc[w][i]) for b, w in zip(beta, test.chain)]
+                weighted = [map((a * b).__mul__, inc[w][i]) for b, w in zip(beta, chain)]
                 shares.append(gather(list(reduce(partial(map, add), weighted))))
             sums = list(reduce(partial(map, add), shares or [(0,) * len(points)]))
             for i in compress(range(len(points)), map(lt, repeat(-const), sums)):
@@ -344,8 +337,9 @@ class VerifierContext:
     def standard_tests(self) -> tuple[int, ...]:
         """Per coordinate subspace, the index in ``tests`` of its coweight
         filtration, in ``standard_subspaces`` order (split model only)."""
-        index = {t.chain[0]: k for k, t in enumerate(self.tests)}
-        return tuple(index[e] for e in self.standard_subspaces)
+        index = {chain: k for k, (chain, _) in enumerate(self.tests)}
+        position = self.lattice.position
+        return tuple(index[((e.dim, position[e]),)] for e in self.standard_subspaces)
 
     @cached_property
     def standard_hits(self) -> list[frozenset[int]]:
@@ -397,11 +391,7 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
         raise ValueError("m must be at least 1")
     model = check_verifier_budget(gd, m, budget)
     tower = make_tower(gd.q, model.ext)
-    if mode == "split":
-        lattice = _rational_subspaces(gd, tower, budget)
-        tests = [subspace_coweight_filtration(s) for level in lattice.levels.values() for s in level]
-    else:
-        lattice, tests = _rational_chambers(gd, tower, budget)
+    lattice, tests = (_rational_subspaces if mode == "split" else _rational_chambers)(gd, tower, budget)
     point_levels, points = model.points(tower)
     assert len(points) == model.size(), len(points)
     return VerifierContext(gd=gd, m=m, tower=tower, n=gd.datum.ambient_dim, mode=mode,
@@ -409,30 +399,32 @@ def build_verifier(gd: GroupData, m: int, budget: int = DEFAULT_BUDGET) -> Verif
                            points=points, tests=tests, lattice=lattice)
 
 
-def _rational_subspaces(gd: GroupData, tower: FieldTower, budget: int) -> FlagLevels:
+def _rational_subspaces(gd: GroupData, tower: FieldTower, budget: int) -> tuple[FlagLevels, list[tuple]]:
     """The rational subspaces of split SL_n, the proper subspaces over F_q
-    inside the tower, level by level with their inclusions.  The first level
-    past the budget is refused before anything is enumerated."""
+    inside the tower, level by level with their inclusions, and as tests,
+    in level order, with the weights of the coweight (n - d, -d) / n.  The
+    first level past the budget is refused before anything is enumerated."""
     q, n = gd.q, gd.datum.ambient_dim
     over = next((c for c in (gaussian_binomial(n, d, q) for d in range(1, n)) if c > budget), None)
     if over is not None:
         raise BudgetError(f"{over} subspaces exceed budget {budget}")
-    return subspace_levels(tower, n, range(1, n), subfield_deg=1)
+    lattice = subspace_levels(tower, n, range(1, n), subfield_deg=1)
+    return lattice, [(((d, k),), (Fraction(n - d, n), Fraction(-d, n)))
+                     for d, level in lattice.levels.items() for k in range(len(level))]
 
 
-def _rational_chambers(gd: GroupData, tower: FieldTower, budget: int) -> tuple[FlagLevels, list[FlagPoint]]:
+def _rational_chambers(gd: GroupData, tower: FieldTower, budget: int) -> tuple[FlagLevels, list[tuple]]:
     """The rational chambers of U_3, its flags fixed by one step of the
     twisted Frobenius: the ``FlagLevels`` of their lines and planes, and
-    the chambers as tests.  Their count q^3 + 1 is refused past the budget
-    before any is enumerated."""
-    q, n = gd.q, gd.datum.ambient_dim
+    the chambers as tests with weights (1, 0, -1).  Their count q^3 + 1 is
+    refused past the budget before any is enumerated."""
+    q = gd.q
     if q**3 + 1 > budget:
         raise BudgetError(f"{q**3 + 1} chambers exceed budget {budget}")
     lattice, chambers = enumerate_twisted_fixed_flags(tower, conj_power=1)
     assert len(chambers) == q**3 + 1, len(chambers)
-    lines, planes = lattice.levels.values()
     weights = (Fraction(1), Fraction(0), Fraction(-1))
-    return lattice, [FlagPoint(chain=(lines[a], planes[b]), weights=weights, n=n) for a, b in chambers]
+    return lattice, [(((1, a), (2, b)), weights) for a, b in chambers]
 
 
 # an int past 2^14286 has over 4,300 digits, more than Python prints by
@@ -539,14 +531,15 @@ def rational_point_counts(gd: GroupData, budget: int) -> dict[frozenset[int], in
         raise BudgetError(f"{total} flags exceed budget {budget}")
     # each level is enumerated once and the chains are counted level by
     # level from its containment lists, with no flag built
-    flags = _rational_subspaces(gd, tower, budget)
+    flags, _ = _rational_subspaces(gd, tower, budget)
     return {I: flags.count(dims) for I, dims in flag_types.items()}
 
 
-def is_semistable(ctx: VerifierContext, index: int) -> SlopeReport:
-    """Slope verdict for one enumerated point; slope 0 counts as semistable."""
-    row = ctx.destabilizer_table[index]
-    return SlopeReport(point_index=index, destabilizers=tuple((ctx.tests[k], v) for k, v in row))
+def is_semistable(ctx: VerifierContext, index: int) -> tuple[tuple[int, Fraction], ...]:
+    """The point's destabilizers, its row of (test index, slope) pairs with
+    negative slope: empty exactly when it is semistable (slope 0 counts as
+    semistable)."""
+    return ctx.destabilizer_table[index]
 
 
 def brute_force_ss_count(ctx: VerifierContext) -> int:
@@ -631,7 +624,8 @@ def bruhat_cells(ctx: VerifierContext) -> dict:
     if ctx.mode != "split":
         raise ValueError("cell decomposition requires a split instance")
     gd = ctx.gd
-    dims = [list(zip(*columns)) for columns in zip(*(ctx.incidence[e] for e in ctx.standard_subspaces))]
+    columns = [ctx.incidence[w] for k in ctx.standard_tests for w in ctx.tests[k][0]]
+    dims = [list(zip(*level)) for level in zip(*columns)]
     position = ctx.point_levels.position
     cells: dict = {p: [] for p in gd.mu_orbit}
     cell_of = {}
@@ -728,14 +722,14 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
         index = rng.randrange(len(ctx.points))
         x = FlagPoint(chain=ctx.chain(index), weights=ctx.weights, n=n)
         d = rng.randrange(1, n)
-        test = ctx.tests[ctx.standard_tests[d - 1]]
+        test = subspace_coweight_filtration(ctx.standard_subspaces[d - 1])
         g = random_parabolic_element(ctx.tower, n, d, rng)
         gx = apply_matrix_to_point(ctx.tower, g, x)
         before = slope(ctx.tower, x, test)
         after = slope(ctx.tower, gx, test)
         if before != after:
             return False
-        listed = (v for t, v in is_semistable(ctx, index).destabilizers if t is test)
+        listed = (v for k, v in is_semistable(ctx, index) if k == ctx.standard_tests[d - 1])
         if next(listed, 0) != min(before, 0):
             return False
     return True

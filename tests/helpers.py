@@ -646,6 +646,27 @@ def point_chains(ctx: VerifierContext) -> list[tuple[Subspace, ...]]:
     return flag_chains(ctx.point_levels, ctx.points)
 
 
+def rational_filtrations(ctx: VerifierContext) -> list[FlagPoint]:
+    """Every rational test of a verifier context as the weighted flag of its
+    subspaces, its position chain decoded through ``ctx.lattice``."""
+    levels = ctx.lattice.levels
+    return [FlagPoint(chain=tuple(levels[d][k] for d, k in chain), weights=weights, n=ctx.n)
+            for chain, weights in ctx.tests]
+
+
+def position_tests(lattice: FlagLevels, filtrations) -> list[tuple[tuple, tuple]]:
+    """Weighted flags of ``lattice``'s members as a context's tests: each
+    chain as its (dimension, position) pairs, with its weights."""
+    position = lattice.position
+    return [(tuple((s.dim, position[s]) for s in f.chain), f.weights) for f in filtrations]
+
+
+def incidence_by_subspace(ctx: VerifierContext) -> dict[Subspace, list[list[int]]]:
+    """The incidence table keyed by each test subspace itself, decoded
+    through ``ctx.lattice``, in the table's order."""
+    return {ctx.lattice.levels[d][k]: columns for (d, k), columns in ctx.incidence.items()}
+
+
 def levels_of(tower: FieldTower, subspaces) -> FlagLevels:
     """The distinct subspaces of a family, grouped by dimension in order of
     first appearance, as one ``FlagLevels``."""
@@ -685,12 +706,14 @@ def destabilizer_rows_by_point(ctx: VerifierContext) -> list[tuple]:
     point."""
     points, weights = ctx.points, ctx.weights
     point_scale = math.lcm(*(w.denominator for w in weights))
-    test_scale = math.lcm(*(w.denominator for t in ctx.tests for w in t.weights))
+    tests = rational_filtrations(ctx)
+    inc = incidence_by_subspace(ctx)
+    test_scale = math.lcm(*(w.denominator for t in tests for w in t.weights))
     scale = point_scale * test_scale
     *alpha, alpha_last = _weight_steps(weights, point_scale)
     alpha_dims = sum(a * s.dim for a, s in zip(alpha, ctx.chain(0)))
     rows: list[list] = [[] for _ in points]
-    for k, test in enumerate(ctx.tests):
+    for k, test in enumerate(tests):
         *beta, beta_last = _weight_steps(test.weights, test_scale)
         const = beta_last * alpha_dims + alpha_last * (
             sum(b * w.dim for b, w in zip(beta, test.chain)) + beta_last * ctx.n
@@ -699,7 +722,7 @@ def destabilizer_rows_by_point(ctx: VerifierContext) -> list[tuple]:
         for i, (a, level) in enumerate(zip(alpha, ctx.point_levels.levels.values())):
             g = [0] * len(level)
             for b, w in zip(beta, test.chain):
-                g = [x + b * c for x, c in zip(g, ctx.incidence[w][i])]
+                g = [x + b * c for x, c in zip(g, inc[w][i])]
             h = [a * x for x in g]
             totals = [t + h[x[i]] for t, x in zip(totals, points)]
         for i, total in enumerate(totals):
@@ -711,7 +734,7 @@ def destabilizer_rows_by_point(ctx: VerifierContext) -> list[tuple]:
 def y_I_points_by_row(ctx: VerifierContext, rows, I: frozenset[int]) -> frozenset[int]:
     """The points whose row of ``rows`` lists the test of every standard
     subspace E_(k+1) with k outside I, one set of test indices per point."""
-    test_of = {t.chain[0]: j for j, t in enumerate(ctx.tests)}
+    test_of = {t.chain[0]: j for j, t in enumerate(rational_filtrations(ctx))}
     wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
     return frozenset(i for i, row in enumerate(rows) if wanted <= {j for j, _ in row})
 
@@ -720,7 +743,8 @@ def relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
     """B-orbit invariant of a chain: per subspace, its intersection
     dimensions with E_1 ... E_(n-1), read from the incidence table at the
     subspace's index in its level."""
-    columns = [ctx.incidence[e] for e in ctx.standard_subspaces]
+    inc = incidence_by_subspace(ctx)
+    columns = [inc[e] for e in ctx.standard_subspaces]
     index = ctx.point_levels.position
     return tuple(tuple(col[i][index[s]] for col in columns) for i, s in enumerate(chain))
 
@@ -749,10 +773,11 @@ def reference_t_x(ctx: VerifierContext, index: int) -> tuple[tuple, tuple]:
     """Vertex keys and simplices of a non-semistable point's complex: a
     split key is ("subspace", dim, rows), a unitary one ("chamber", line
     rows, plane rows), each model's vertices sorted by its own key."""
-    report = is_semistable(ctx, index)
-    assert not report.verdict, index
+    tests = rational_filtrations(ctx)
+    destabilizers = [tests[k] for k, _ in is_semistable(ctx, index)]
+    assert destabilizers, index
     if ctx.mode == "split":
-        subs = sorted({t.chain[0] for t, _ in report.destabilizers}, key=lambda s: (s.dim, s.rows))
+        subs = sorted({t.chain[0] for t in destabilizers}, key=lambda s: (s.dim, s.rows))
         keys = tuple(("subspace", s.dim, s.rows) for s in subs)
         # by elimination per pair, apart from ``FlagLevels.above``
         below = [[j for j in range(i) if contains(ctx.tower, subs[i], subs[j])] for i in range(len(subs))]
@@ -763,6 +788,6 @@ def reference_t_x(ctx: VerifierContext, index: int) -> tuple[tuple, tuple]:
                 break
             levels.append(nxt)
         return keys, tuple(tuple(level) for level in levels)
-    flags = sorted({t for t, _ in report.destabilizers}, key=lambda f: tuple(s.rows for s in f.chain))
+    flags = sorted(set(destabilizers), key=lambda f: tuple(s.rows for s in f.chain))
     keys = tuple(("chamber",) + tuple(s.rows for s in f.chain) for f in flags)
     return keys, (tuple((i,) for i in range(len(flags))),)

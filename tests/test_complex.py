@@ -1,13 +1,15 @@
 """Destabilizing subcomplexes and their reduced rational homology."""
 
 import collections
+import itertools
 from pathlib import Path
 
 import pytest
 
-from helpers import INSTANCES, instance, point_chains, reference_t_x, verifier
+from helpers import INSTANCES, instance, point_chains, rational_filtrations, reference_t_x, verifier
 from perdom import cli
 from perdom import complex as complex_module
+from perdom.finflag import FlagLevels
 from perdom.complex import (
     SemistablePointError,
     TitsSubcomplex,
@@ -62,6 +64,30 @@ def test_boundary_of_boundary_vanishes():
             assert sum(d1[i][k] * d2[k][j] for k in range(inner)) == 0
 
 
+def test_homology_refuses_a_boundary_that_does_not_square_to_zero(monkeypatch):
+    # the solid tetrahedron: one sign flipped anywhere in any boundary past
+    # the augmentation leaves a face whose boundary's boundary is nonzero
+    c = TitsSubcomplex(
+        vertex_keys=(0, 1, 2, 3),
+        simplices=tuple(tuple(itertools.combinations(range(4), k)) for k in range(1, 5)),
+    )
+    assert reduced_homology(c) == (0, 0, 0, 0)
+    mats = boundary_matrices(c)
+    flips = 0
+    for k in range(1, len(mats)):
+        for i, row in enumerate(mats[k]):
+            for j, x in enumerate(row):
+                if not x:
+                    continue
+                flipped = [[list(r) for r in m] for m in mats]
+                flipped[k][i][j] = -x
+                monkeypatch.setattr(complex_module, "boundary_matrices", lambda _, f=flipped: f)
+                with pytest.raises(AssertionError, match="boundary of boundary is nonzero"):
+                    reduced_homology(c)
+                flips += 1
+    assert flips == 6 * 2 + 4 * 3 + 1 * 4
+
+
 def test_build_rejects_semistable_points():
     ctx = verifier("a1_reg", 2)
     ss = semistable_indices(ctx)
@@ -92,7 +118,8 @@ def test_t_x_standard_flag_contains_both_subspaces():
         if x[0].rows == ((1, 0, 0),) and x[1].rows == ((1, 0, 0), (0, 1, 0))
     )
     c = build_t_x(ctx, std)
-    dims = sorted(t.chain[0].dim for t in c.vertex_keys)
+    tests = rational_filtrations(ctx)
+    dims = sorted(tests[k].chain[0].dim for k in c.vertex_keys)
     assert 1 in dims and 2 in dims
     assert all(b == 0 for b in reduced_homology(c))
 
@@ -100,7 +127,7 @@ def test_t_x_standard_flag_contains_both_subspaces():
 def test_u3_complexes_are_single_chambers():
     ctx = verifier("u3_reg", 2)
     for i in range(len(ctx.points)):
-        if is_semistable(ctx, i).verdict:
+        if not is_semistable(ctx, i):
             continue
         c = build_t_x(ctx, i)
         assert c.num_vertices == 1
@@ -110,7 +137,7 @@ def test_u3_complexes_are_single_chambers():
 def test_euler_characteristic_consistency():
     ctx = verifier("a2_reg", 2)
     for i in range(0, len(ctx.points), 7):
-        if is_semistable(ctx, i).verdict:
+        if not is_semistable(ctx, i):
             continue
         c = build_t_x(ctx, i)
         betti = reduced_homology(c)
@@ -163,7 +190,7 @@ def test_sweep_reports_every_point_of_a_cyclic_complex(monkeypatch):
     ctx = verifier("a2_reg", 2)
     shared = collections.Counter(
         build_t_x(ctx, i).simplices for i in range(len(ctx.points))
-        if not is_semistable(ctx, i).verdict
+        if is_semistable(ctx, i)
     )
     bad, count = shared.most_common(1)[0]
     assert count > 1
@@ -176,6 +203,26 @@ def test_sweep_reports_every_point_of_a_cyclic_complex(monkeypatch):
     first = acyclicity_sweep(ctx, fail_fast=True)
     assert first.violations == rep.violations[:1]
     assert first.per_point[-1] == rep.violations[0]
+
+
+@pytest.mark.parametrize("name,m", [("a2_reg", 2), ("a3_mid", 1), ("a3_reg", 1), ("u3_reg", 2)])
+def test_a_sweep_reads_no_position_in_the_lattice(monkeypatch, name, m):
+    # a test is its chain of positions in the lattice, so once the
+    # destabilizer table is built the complexes read inclusions from the
+    # lattice's ``above`` at those positions, looking up no subspace
+    ctx = build_verifier(instance(name), m)
+    ctx.destabilizer_table
+    lattice, original = ctx.lattice, FlagLevels.position
+
+    def guarded(levels):
+        if levels is lattice:
+            raise AssertionError("the lattice's position was read")
+        return original.func(levels)
+
+    monkeypatch.setattr(FlagLevels, "position", property(guarded))
+    rep = acyclicity_sweep(ctx)
+    assert rep.all_acyclic and rep.non_semistable > 0
+    assert any(len(row["simplices"]) > 1 for row in rep.per_point) == (ctx.mode == "split")
 
 
 def test_sweep_builds_a_complex_only_for_each_non_semistable_point(monkeypatch):
@@ -213,15 +260,16 @@ VERIFIER_CATALOG = [name for name in INSTANCES if verifier_mode(instance(name)) 
 def test_t_x_equals_the_per_model_construction(source, m):
     gd = cli.instantiate(cli.load_spec(str(ROOT / source))) if source.endswith(".json") else instance(source)
     ctx = build_verifier(gd, m)
+    tests = rational_filtrations(ctx)
     for i in range(len(ctx.points)):
-        if is_semistable(ctx, i).verdict:
+        if not is_semistable(ctx, i):
             continue
         c = build_t_x(ctx, i)
         keys, simplices = reference_t_x(ctx, i)
         # the vertices come in the order of the point's row, the reference's
         # sorted by its own key: the same complex up to that relabelling
-        assert c.vertex_keys == tuple(t for t, _ in is_semistable(ctx, i).destabilizers)
-        assert sorted(map(_old_key, c.vertex_keys)) == list(keys), (source, m, i)
-        index = [keys.index(_old_key(t)) for t in c.vertex_keys]
+        assert c.vertex_keys == tuple(k for k, _ in is_semistable(ctx, i))
+        assert sorted(_old_key(tests[k]) for k in c.vertex_keys) == list(keys), (source, m, i)
+        index = [keys.index(_old_key(tests[k])) for k in c.vertex_keys]
         relabelled = tuple(tuple(sorted(tuple(index[v] for v in s) for s in level)) for level in c.simplices)
         assert relabelled == simplices, (source, m, i)

@@ -6,6 +6,7 @@ against the per-pair oracles of ``helpers``."""
 import collections
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -49,19 +50,27 @@ from perdom.rootdata import mat_inv, mat_mul, row_reduce  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 entries = st.integers(min_value=-3, max_value=3)
+# mostly zeros and otherwise +-1, as the boundary matrices of a complex are
+sparse_entries = st.sampled_from((0, 0, 0, 1, -1))
 
 
 def matrices(min_rows=1, max_rows=4, min_cols=1, max_cols=5):
-    return st.integers(min_rows, max_rows).flatmap(
-        lambda r: st.integers(min_cols, max_cols).flatmap(
-            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+    """Small integer matrices, dense or sparse with entries +-1."""
+    return st.sampled_from((entries, sparse_entries)).flatmap(
+        lambda e: st.integers(min_rows, max_rows).flatmap(
+            lambda r: st.integers(min_cols, max_cols).flatmap(
+                lambda c: st.lists(st.lists(e, min_size=c, max_size=c), min_size=r, max_size=r)
+            )
         )
     )
 
 
 def square_matrices(max_n=4):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    """Small square integer matrices, dense or sparse with entries +-1."""
+    return st.sampled_from((entries, sparse_entries)).flatmap(
+        lambda e: st.integers(1, max_n).flatmap(
+            lambda n: st.lists(st.lists(e, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
     )
 
 
@@ -106,6 +115,7 @@ def test_row_rank_equals_column_rank(a):
 def test_reduced_rows_are_echelon_with_unit_pivots(a):
     rows, pivots = row_reduce(a)
     assert len(rows) == len(pivots)
+    assert all(type(x) is Fraction for row in rows for x in row)
     assert pivots == sorted(set(pivots))
     for r, p in enumerate(pivots):
         assert [row[p] for row in rows] == [int(i == r) for i in range(len(rows))]
@@ -310,9 +320,10 @@ def subspace_families(draw):
 def test_incidence_equals_intersection_dim(case):
     t, n, points, tests = case
     # the incidence reads the two families of subspaces, not the points
+    lattice = levels_of(t, (f.chain[0] for f in tests))
     ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
-                          point_levels=levels_of(t, (s for (s,) in points)), points=[], tests=tests,
-                          lattice=levels_of(t, (f.chain[0] for f in tests)))
+                          point_levels=levels_of(t, (s for (s,) in points)), points=[],
+                          tests=helpers.position_tests(lattice, tests), lattice=lattice)
     point_spaces = [s for level in ctx.point_levels.levels.values() for s in level]
     assert set(point_spaces) == {s for (s,) in points}
     # every entry is a nonzero pairing or read from 2 x 2 minors, but where
@@ -321,12 +332,14 @@ def test_incidence_equals_intersection_dim(case):
     # or 3-space of 6-space
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
+    incidence = helpers.incidence_by_subspace(ctx)
     assert ranked.call_count == sum(
         s.dim >= 3 and n - w.dim >= 3 and w.dim >= 2 and n - s.dim >= 2
-        for w in ctx.incidence for s in point_spaces
+        for w in incidence for s in point_spaces
     )
-    assert set(ctx.incidence) == {f.chain[0] for f in tests}
-    for w, columns in ctx.incidence.items():
+    assert set(ctx.incidence) == {chain[0] for chain, _ in ctx.tests}
+    assert set(incidence) == {f.chain[0] for f in tests}
+    for w, columns in incidence.items():
         assert sum(map(len, columns)) == len(point_spaces)
         for column, level in zip(columns, ctx.point_levels.levels.values(), strict=True):
             for k, s in enumerate(level):
@@ -429,7 +442,7 @@ def test_u3_verifier_computes_each_plane_annihilator_once(monkeypatch):
     ctx = semistable.build_verifier(helpers.instance("u3_reg"), 3)
     ctx.incidence  # reads the Ann of every point plane and test subspace
     monkeypatch.undo()
-    planes = {x[1] for x in helpers.point_chains(ctx)} | {t.chain[1] for t in ctx.tests}
+    planes = {x[1] for x in helpers.point_chains(ctx)} | {t.chain[1] for t in helpers.rational_filtrations(ctx)}
     assert len(planes) == 2**9 + 1
     assert {counts[p] for p in planes} == {0}
     for levels in (ctx.point_levels, ctx.lattice):

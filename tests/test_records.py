@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import instance, table, verifier
+from helpers import instance, rational_filtrations, table, verifier
 from perdom.cohom import dim_v
 from perdom.rootdata import LatticeVec
 from perdom.semistable import FlagPoint
@@ -42,7 +42,7 @@ def _examples():
     """One record of each immutable kind, with its field names in order; the
     first six are the kinds kept in sets and dict keys."""
     gd = instance("u3_reg")
-    test = verifier("a2_reg", 1).tests[0]
+    test = rational_filtrations(verifier("a2_reg", 1))[0]
     summand = table("u3_reg").summands[0]
     return [
         (test.chain[0], ("rows", "ncols")),

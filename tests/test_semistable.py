@@ -15,6 +15,7 @@ from helpers import (
     bruhat_cells_by_point,
     contains,
     destabilizer_rows_by_point,
+    incidence_by_subspace,
     frobenius_equivariance_holds,
     instance,
     is_k_rational,
@@ -23,6 +24,8 @@ from helpers import (
     orbit_weight,
     pairwise_flag_points,
     point_chains,
+    position_tests,
+    rational_filtrations,
     table,
     verifier,
     weighted_point,
@@ -131,8 +134,9 @@ def test_slope_examples_p1():
         next(x for x in chains if x[0].rows == ((1, 0),))
     )
     point = weighted_point(ctx, chains[own])
-    same = next(t for t in ctx.tests if t.chain[0].rows == ((1, 0),))
-    other = next(t for t in ctx.tests if t.chain[0].rows == ((0, 1),))
+    tests = rational_filtrations(ctx)
+    same = next(t for t in tests if t.chain[0].rows == ((1, 0),))
+    other = next(t for t in tests if t.chain[0].rows == ((0, 1),))
     assert slope(ctx.tower, point, same) == -1
     assert slope(ctx.tower, point, other) == 1
 
@@ -140,7 +144,7 @@ def test_slope_examples_p1():
 def test_slope_scales_with_positive_multiples():
     ctx = verifier("a1_reg", 2)
     point = weighted_point(ctx, ctx.chain(0))
-    test = ctx.tests[0]
+    test = rational_filtrations(ctx)[0]
     scaled = FlagPoint(
         chain=test.chain, weights=tuple(Fraction(3, 2) * w for w in test.weights), n=test.n
     )
@@ -149,7 +153,7 @@ def test_slope_scales_with_positive_multiples():
 
 def test_semistable_p1_over_f4():
     ctx = verifier("a1_reg", 2)
-    verdicts = [is_semistable(ctx, i).verdict for i in range(len(ctx.points))]
+    verdicts = [not is_semistable(ctx, i) for i in range(len(ctx.points))]
     assert sum(verdicts) == 2
     # the three rational points are exactly the unstable ones
     for i, x in enumerate(point_chains(ctx)):
@@ -158,11 +162,11 @@ def test_semistable_p1_over_f4():
 
 def test_semistable_p2_avoids_rational_lines():
     ctx = verifier("a2_min", 2)
-    rational_planes = [t.chain[0] for t in ctx.tests if t.chain[0].dim == 2]
+    rational_planes = [t.chain[0] for t in rational_filtrations(ctx) if t.chain[0].dim == 2]
 
     for i, x in enumerate(point_chains(ctx)):
         on_rational_line = any(contains(ctx.tower, p, x[0]) for p in rational_planes)
-        assert is_semistable(ctx, i).verdict == (not on_rational_line)
+        assert (not is_semistable(ctx, i)) == (not on_rational_line)
 
 
 def test_semistable_central_everything():
@@ -171,12 +175,30 @@ def test_semistable_central_everything():
     assert brute_force_ss_count(ctx) == 1
 
 
+@pytest.mark.parametrize("name,m", [("a1_reg", 1), ("a2_reg", 2), ("a3_mid", 1), ("u3_reg", 1), ("u3_reg", 2)])
+def test_tests_are_lattice_positions_with_their_weights(name, m):
+    # a test is its chain of (dimension, position) pairs in the lattice with
+    # its weights: decoded, the coweight filtration of each rational subspace
+    # in level order, or each rational chamber of U_3 with weights (1, 0, -1)
+    ctx = verifier(name, m)
+    levels = ctx.lattice.levels
+    assert all(type(d) is int and type(k) is int for chain, _ in ctx.tests for d, k in chain)
+    if ctx.mode == "split":
+        expected = [subspace_coweight_filtration(s) for level in levels.values() for s in level]
+    else:
+        _, chambers = finflag.enumerate_twisted_fixed_flags(ctx.tower, conj_power=1)
+        expected = [FlagPoint(chain=(levels[1][a], levels[2][b]), weights=(Fraction(1), Fraction(0), Fraction(-1)), n=3)
+                    for a, b in chambers]
+    assert rational_filtrations(ctx) == expected
+    assert all(type(w) is Fraction for _, weights in ctx.tests for w in weights)
+
+
 def test_slope_report_contents():
     ctx = verifier("a1_reg", 1)
-    report = is_semistable(ctx, 0)
-    assert not report.verdict
-    assert all(value < 0 for _, value in report.destabilizers)
-    assert len(report.destabilizers) == 1
+    row = is_semistable(ctx, 0)
+    assert row  # not semistable
+    assert all(value < 0 for _, value in row)
+    assert len(row) == 1
 
 
 def test_brute_force_examples():
@@ -246,7 +268,7 @@ def test_nonsemistable_set_is_union_of_translated_strata():
     for name, m in (("a2_min", 2), ("u3_reg", 2)):
         ctx = verifier(name, m)
         union = set()
-        for test in ctx.tests:
+        for test in rational_filtrations(ctx):
             for i, point in enumerate(point_chains(ctx)):
                 if slope(ctx.tower, weighted_point(ctx, point), test) < 0:
                     union.add(i)
@@ -404,10 +426,10 @@ def test_one_incidence_pass_per_context(monkeypatch):
             y_I_points(ctx, frozenset(I))
             assert bruhat_cells_check(ctx, frozenset(I))[0]
     for i in range(len(ctx.points)):
-        if not is_semistable(ctx, i).verdict:
+        if is_semistable(ctx, i):
             build_t_x(ctx, i)
     point_spaces = {s for x in point_chains(ctx) for s in x}
-    test_spaces = {t.chain[0] for t in ctx.tests}
+    test_spaces = {t.chain[0] for t in rational_filtrations(ctx)}
     # the points' levels' annihilators, computed while enumerating the flags;
     # a rational plane keeps the lattice's, which its passes carry
     for d, level in ctx.point_levels.levels.items():
@@ -609,9 +631,11 @@ def test_incidence_matches_intersection_dim(name, m):
     from perdom.finflag import intersection_dim
 
     ctx = verifier(name, m)
-    assert list(ctx.incidence) == [w for level in ctx.lattice.levels.values() for w in level]
-    assert set(ctx.incidence) == {w for t in ctx.tests for w in t.chain}
-    for w, columns in ctx.incidence.items():
+    incidence = incidence_by_subspace(ctx)
+    assert list(ctx.incidence) == [(d, k) for d, level in ctx.lattice.levels.items() for k in range(len(level))]
+    assert list(incidence) == [w for level in ctx.lattice.levels.values() for w in level]
+    assert set(incidence) == {w for t in rational_filtrations(ctx) for w in t.chain}
+    for w, columns in incidence.items():
         assert len(columns) == len(ctx.point_levels.levels)
         for column, level in zip(columns, ctx.point_levels.levels.values()):
             assert len(column) == len(level)
@@ -632,7 +656,7 @@ def test_incidence_ranks_the_larger_matrices():
         ctx.incidence
     assert ranked.call_count == 0
     (planes,) = ctx.point_levels.levels.values()
-    for w, (column,) in ctx.incidence.items():
+    for w, (column,) in incidence_by_subspace(ctx).items():
         for k, s in enumerate(planes):
             assert column[k] == intersection_dim(ctx.tower, s, w), (s, w)
     # 3-spaces of F_2^6 against 3-spaces: S . Ann(W)^T is 3 x 3, read
@@ -642,15 +666,15 @@ def test_incidence_ranks_the_larger_matrices():
     spaces = enumerate_subspaces(t, n, 3)[::31]
     point_levels = levels_of(t, spaces[::2])
     points = [(k,) for k in range(len(spaces[::2]))]
-    tests = [subspace_coweight_filtration(w) for w in spaces[1::2]]
+    lattice = levels_of(t, spaces[1::2])
+    tests = position_tests(lattice, (subspace_coweight_filtration(w) for w in spaces[1::2]))
     ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
-                          point_levels=point_levels, points=points, tests=tests,
-                          lattice=levels_of(t, spaces[1::2]))
+                          point_levels=point_levels, points=points, tests=tests, lattice=lattice)
     with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
         ctx.incidence
     assert ranked.call_count == len(points) * len(tests) > 0
     assert {x for (column,) in ctx.incidence.values() for x in column} == {0, 1, 2}
-    for w, (column,) in ctx.incidence.items():
+    for w, (column,) in incidence_by_subspace(ctx).items():
         for k, s in enumerate(spaces[::2]):
             assert column[k] == intersection_dim(t, s, w), (s, w)
 
@@ -664,10 +688,11 @@ def test_incidence_ranks_the_larger_matrices():
 )
 def test_destabilizer_table_matches_direct_pairing(name, m):
     ctx = verifier(name, m)
+    tests = rational_filtrations(ctx)
     for i, point in enumerate(point_chains(ctx)):
         row = dict(ctx.destabilizer_table[i])
         assert list(row) == sorted(row)
-        for k, test in enumerate(ctx.tests):
+        for k, test in enumerate(tests):
             value = slope(ctx.tower, weighted_point(ctx, point), test)
             assert (k in row) == (value < 0)
             if value < 0:
