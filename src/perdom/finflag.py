@@ -25,14 +25,16 @@ C-level ``map`` pass for the products and one for the sum, which is XOR
 when p = 2 and the Zech ``add`` otherwise.  ``dots`` pairs two families
 member by member, capping each sum of logs at log 0, and
 ``nonzero_pairings`` says which members of a family of subspaces lie in W
-from the rows of Ann(W).  ``annihilator`` reads Ann(W) off W's echelon
-rows with no elimination.  Every family of subspaces is one
-``FlagLevels``, its members numbered by their positions in their levels,
-and a flag is its tuple of positions, with no weights, extended a level at
-a time: one ``nonzero_pairings`` pass per member of the next level, its
-annihilator computed once, finds the members of the previous level inside
-it, and these containment lists (``above``) are the inclusions among the
-members.  ``subspace_levels`` lists every subspace over the tower or, with
+from the rows of Ann(W), and ``pairing_ranks`` ranks each member's matrix
+of pairings with a few vectors by its minors.  ``annihilator`` reads
+Ann(W) off W's echelon rows with no elimination.  Every family of
+subspaces is one ``FlagLevels``, each member's annihilator and each
+level's kernel families built once, and a flag is its tuple of positions,
+extended a level at a time: one ``nonzero_pairings`` pass per member of
+the next level finds the members of the previous level inside it
+(``above``).  ``intersections`` reads dim(S cap W) for two families'
+levels from the smaller of S . Ann(W)^T and W . Ann(S)^T.
+``subspace_levels`` lists every subspace over the tower or, with
 ``subfield_deg``, over a subfield, as the rational subspaces are.  The
 unitary group's chambers (``enumerate_twisted_fixed_flags``) are listed in
 closed form: the isotropic lines come from grouping the subfield by trace,
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import compress, product, repeat
+from itertools import combinations, compress, product, repeat
 from math import gcd
 from operator import add, mul, not_, or_, xor
 from typing import NamedTuple
@@ -512,6 +514,27 @@ def nonzero_pairings(tower: FieldTower, vectors, families):
     return reduce(partial(map, or_), [pairings(tower, a, f) for a in vectors for f in families])
 
 
+def pairing_ranks(tower: FieldTower, vectors, families):
+    """Per member of ``row_families``, the rank of its rows' pairings with
+    ``vectors``: the number of sizes at which some minor is nonzero, each
+    expanded along its first row by one ``map`` per product and per sum for
+    the whole family.  One vector or one row is ``nonzero_pairings``."""
+    if len(vectors) == 1 or len(families) == 1:
+        return map(bool, nonzero_pairings(tower, vectors, families))
+    x = [[list(pairings(tower, a, f)) for a in vectors] for f in families]
+    minors = {((i,), (j,)): entry for i, row in enumerate(x) for j, entry in enumerate(row)}
+    ranks = map(any, zip(*minors.values()))
+    for size in range(2, min(len(x), len(vectors)) + 1):
+        smaller, minors = minors, {}
+        for rows, cols in product(combinations(range(len(x)), size), combinations(range(len(vectors)), size)):
+            terms = [map(tower.mul, x[rows[0]][c], smaller[rows[1:], cols[:j] + cols[j + 1:]])
+                     for j, c in enumerate(cols)]
+            plus, minus = (reduce(partial(map, tower.add), terms[sign::2]) for sign in (0, 1))
+            minors[rows, cols] = list(map(tower.sub, plus, minus))
+        ranks = map(add, ranks, map(any, zip(*minors.values())))
+    return ranks
+
+
 def gaussian_binomial(n: int, k: int, Q: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -569,16 +592,18 @@ def flag_count(n: int, dims, Q: int) -> int:
 class FlagLevels:
     """Families of subspaces of one space by dimension (``levels``, a dict
     from each dimension to its members), a member addressed by its index in
-    its level.  Each member's annihilator is computed once, unless given,
-    and ``above`` lists which members of a larger dimension contain each
-    one of a smaller: enough to list or count the flags through the levels,
-    each its tuple of positions, or to read the inclusions among them."""
+    its level.  Each member's annihilator (unless given) and each level's
+    kernel families are built once; ``intersections`` reads dim(S cap W)
+    against another family's level, and ``above`` lists which members of a
+    larger dimension contain each one of a smaller: enough to list or count
+    the flags, each its tuple of positions, or to read the inclusions."""
 
     def __init__(self, tower: FieldTower, levels: dict[int, list[Subspace]],
                  annihilators: dict[int, list[tuple]] | None = None):
         self.tower = tower
         self.levels = dict(sorted(levels.items()))
         self._annihilators = dict(annihilators or {})
+        self._families: dict[tuple[int, bool], list] = {}
         self._above: dict[tuple[int, int], list[list[int]]] = {}
 
     @cached_property
@@ -594,13 +619,31 @@ class FlagLevels:
             self._annihilators[d] = [annihilator(self.tower, w) for w in self.levels[d]]
         return self._annihilators[d]
 
+    def families(self, d: int, ann: bool = False) -> list:
+        """The members of dimension d as ``row_families``, by their echelon
+        rows or, with ``ann``, by their annihilators, built on first use."""
+        if (d, ann) not in self._families:
+            rows = self.annihilators(d) if ann else [s.rows for s in self.levels[d]]
+            self._families[d, ann] = row_families(self.tower, rows)
+        return self._families[d, ann]
+
+    def intersections(self, d: int, other: FlagLevels, w: int) -> list[list[int]]:
+        """Per member W of ``other``'s level w, dim(S cap W) for each S of
+        level d: d - rank(S . Ann(W)^T), or w - rank(W . Ann(S)^T) if its
+        min(rows, cols) is smaller, by one ``pairing_ranks`` per W."""
+        n = other.levels[w][0].ncols
+        if min(d, n - w) <= min(w, n - d):
+            dim, vectors, families = d, other.annihilators(w), self.families(d)
+        else:
+            dim, vectors, families = w, [s.rows for s in other.levels[w]], self.families(d, ann=True)
+        return [list(map(dim.__sub__, pairing_ranks(self.tower, v, families))) for v in vectors]
+
     def above(self, lo: int, hi: int) -> list[list[int]]:
         """Per member of dimension lo, the indices of those of dimension hi
         containing it, in level order: one ``nonzero_pairings`` pass of each
         hi-member's annihilator against the whole lo level."""
         if (lo, hi) not in self._above:
-            t, lower = self.tower, self.levels[lo]
-            families = row_families(t, (s.rows for s in lower))
+            t, lower, families = self.tower, self.levels[lo], self.families(lo)
             above: list[list[int]] = [[] for _ in lower]
             for j, ann in enumerate(self.annihilators(hi)):
                 inside = map(not_, nonzero_pairings(t, ann, families))

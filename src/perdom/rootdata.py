@@ -83,12 +83,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+_ZERO = Fraction(0)
+
+
 def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q: the nonzero rows and their pivot columns.
 
     The one exact elimination loop.  Entries may be ints or Fractions; only
-    the pivots are inverted, a row is updated only at the pivot row's nonzero
-    columns, and each normalized row comes back as Fractions.
+    the pivots are inverted, a pivot row is scaled only at its nonzero
+    entries, a row is updated only at the pivot row's nonzero columns, and
+    each normalized row comes back as Fractions.
     """
     work = [list(r) for r in rows if any(r)]
     ncols = len(work[0]) if work else 0
@@ -102,7 +106,7 @@ def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
             continue
         work[r], work[piv] = work[piv], work[r]
         inv = Fraction(1, work[r][col])
-        row = work[r] = [x * inv for x in work[r]]
+        row = work[r] = [x * inv if x else _ZERO for x in work[r]]
         entries = [(j, y) for j, y in enumerate(row) if y]
         for i, other in enumerate(work):
             f = other[col]

@@ -22,18 +22,11 @@ reference ``slope``.
 Every point is paired with every test, but the pairing depends only on the
 dimensions dim(S cap W) of a point's chain subspace S and a test's subspace
 W.  A verifier context therefore builds one incidence table over the
-members of the two families, read as dim(S cap W) = dim S - rank(S .
-Ann(W)^T) = dim W - rank(W . Ann(S)^T) from the side where the matrix is
-one row or one column: S's rows when S is a line or W a hyperplane, W's
-rows when W is a line or S a hyperplane.  There an entry is a test for a
-nonzero pairing.  A test subspace's column is filled a point level at a
-time by ``finflag``'s pairing kernel: one pass pairs one vector with every
-member of the level.  Where S . Ann(W)^T has two rows or two columns (a
-plane against any subspace, or any subspace against a 3-space of
-5-space), its rank is whether some entry is nonzero plus whether some
-2 x 2 minor is, read from the same passes.  Only an S . Ann(W)^T of 3 x 3
-or larger, from 3-spaces against planes of 5-space on, goes through
-``rank``, with entries the same kernel reads.  Summed by parts, a slope is
+members of the two families, a point level against a lattice level at a
+time (``FlagLevels.intersections``): dim(S cap W) = dim S - rank(S .
+Ann(W)^T) = dim W - rank(W . Ann(S)^T), from the matrix with the smaller
+min(rows, cols), ranked by its minors for a whole point level at once.
+Up to 5-space no minor is larger than 2 x 2.  Summed by parts, a slope is
 a weighted read of that table (``VerifierContext.destabilizer_table``).
 The weights are scaled to integers, so the whole slope matrix is integer
 arithmetic and a ``Fraction`` is built only for the negative slopes it
@@ -78,10 +71,8 @@ from .finflag import (
     intersection_dim,
     log_columns,
     make_tower,
-    nonzero_pairings,
     pairings,
     rank,
-    row_families,
     subspace_from_rows,
     subspace_levels,
 )
@@ -198,21 +189,6 @@ def _gather(ids) -> Callable:
     return itemgetter(*ids)
 
 
-def _two_line_ranks(tower: FieldTower, vectors, families):
-    """Per member of ``families``, the rank of the matrix pairing its rows
-    with ``vectors``, which has two rows or two columns: [some entry is
-    nonzero] + [some 2 x 2 minor is nonzero], from one ``pairings`` pass per
-    entry for the whole family."""
-    x = [[list(pairings(tower, a, f)) for a in vectors] for f in families]
-    mul, sub = tower.mul, tower.sub
-    minors = [
-        map(sub, map(mul, x[i][k], x[j][l]), map(mul, x[i][l], x[j][k]))
-        for i, j in itertools.combinations(range(len(x)), 2)
-        for k, l in itertools.combinations(range(len(vectors)), 2)
-    ]
-    return map(add, map(any, zip(*itertools.chain.from_iterable(x))), map(any, zip(*minors)))
-
-
 class VerifierContext:
     """The points over the degree-m extension of the reflex field, the
     rational test filtrations (``tests``) and the tables read from them,
@@ -248,35 +224,11 @@ class VerifierContext:
     def incidence(self) -> dict[tuple[int, int], list[list[int]]]:
         """Per test subspace W, keyed by its (dimension, position) in
         ``lattice``, one column per point level: dim(S cap W) for every
-        member S, in level order.  Each distinct pair is read once, a
-        level of point subspaces per kernel pass, with the annihilators the
-        two ``FlagLevels`` hold."""
-        t, n, points = self.tower, self.n, self.point_levels
-        groups = [
-            (d, row_families(t, (s.rows for s in subs)),
-             row_families(t, points.annihilators(d)) if d >= 2 else None)
-            for d, subs in points.levels.items()
-        ]
-        table = {}
-        for w_dim, level in self.lattice.levels.items():
-            for k, (w, w_ann) in enumerate(zip(level, self.lattice.annihilators(w_dim))):
-                columns = []
-                for d, rows, anns in groups:
-                    if d == 1 or len(w_ann) <= 1:
-                        column = map(d.__sub__, map(bool, nonzero_pairings(t, w_ann, rows)))
-                    elif w_dim == 1 or n - d <= 1:
-                        column = map(w_dim.__sub__, map(bool, nonzero_pairings(t, w.rows, anns)))
-                    elif 2 in (d, len(w_ann)):
-                        column = map(d.__sub__, _two_line_ranks(t, w_ann, rows))
-                    else:
-                        # S . Ann(W)^T is 3 x 3 or larger: one pass per row
-                        # of S and row of Ann(W) for the whole level, then
-                        # one rank per S
-                        entries = [zip(*(pairings(t, a, f) for a in w_ann)) for f in rows]
-                        column = (d - rank(t, matrix) for matrix in zip(*entries))
-                    columns.append(list(column))
-                table[w_dim, k] = columns
-        return table
+        member S, in level order, by ``FlagLevels.intersections``."""
+        points, lattice = self.point_levels, self.lattice
+        columns = {w: [points.intersections(d, lattice, w) for d in points.levels] for w in lattice.levels}
+        return {(w, k): [column[k] for column in columns[w]]
+                for w, level in lattice.levels.items() for k in range(len(level))}
 
     @cached_property
     def destabilizer_table(self) -> list[tuple[tuple[int, Fraction], ...]]:

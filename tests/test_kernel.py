@@ -295,6 +295,28 @@ def test_annihilator_is_a_basis_of_the_nullspace(case):
 
 
 @st.composite
+def pairing_matrices(draw):
+    """k nonzero vectors and a family of members of m rows each, k, m <= 4:
+    each member pairs to a k x m matrix, and its rows may be zero."""
+    t = draw(st.sampled_from(FIELDS))
+    n, k, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    element = st.one_of(st.just(0), st.integers(0, t.size - 1))
+    vector = st.lists(element, min_size=n, max_size=n)
+    vectors = draw(st.lists(vector.filter(any), min_size=k, max_size=k))
+    members = draw(st.lists(st.lists(vector, min_size=m, max_size=m), min_size=1, max_size=6))
+    return t, vectors, members
+
+
+@SETTINGS
+@given(pairing_matrices())
+def test_pairing_ranks_equal_the_rank_of_each_pairing_matrix(case):
+    # over F_3 and F_9 the signs of the minors' expansion matter
+    t, vectors, members = case
+    ranks = finflag.pairing_ranks(t, vectors, finflag.row_families(t, members))
+    assert list(ranks) == [field_rank(t, [[_dot(t, a, r) for a in vectors] for r in rows]) for rows in members]
+
+
+@st.composite
 def subspace_families(draw):
     """Random subspaces of dimension 1 to 3 of a 2- to 6-space, as the
     one-subspace chains of a points family and of a tests family."""
@@ -326,17 +348,13 @@ def test_incidence_equals_intersection_dim(case):
                           tests=helpers.position_tests(lattice, tests), lattice=lattice)
     point_spaces = [s for level in ctx.point_levels.levels.values() for s in level]
     assert set(point_spaces) == {s for (s,) in points}
-    # every entry is a nonzero pairing or read from 2 x 2 minors, but where
-    # S . Ann(W)^T is 3 x 3 or larger and neither subspace is a line or a
-    # hyperplane: a 3-space against a plane of 5-space, or against a plane
-    # or 3-space of 6-space
-    with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
+    # every entry is read from the minors of S . Ann(W)^T or W . Ann(S)^T,
+    # a 3-space against a 3-space of 6-space from 3 x 3 ones, with no rank
+    with mock.patch.object(finflag, "rank", wraps=finflag.rank) as ranked, \
+            mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked_here:
         ctx.incidence
     incidence = helpers.incidence_by_subspace(ctx)
-    assert ranked.call_count == sum(
-        s.dim >= 3 and n - w.dim >= 3 and w.dim >= 2 and n - s.dim >= 2
-        for w in incidence for s in point_spaces
-    )
+    assert ranked.call_count == ranked_here.call_count == 0
     assert set(ctx.incidence) == {chain[0] for chain, _ in ctx.tests}
     assert set(incidence) == {f.chain[0] for f in tests}
     for w, columns in incidence.items():

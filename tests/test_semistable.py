@@ -388,21 +388,28 @@ def test_one_incidence_pass_per_context(monkeypatch):
         ann_of[sub] = original_annihilator(tower, sub)
         return ann_of[sub]
 
-    # every kernel pass: the vectors of one subspace against a family
+    # every incidence pass: the vectors of one subspace against a family,
+    # ranked by ``finflag.pairing_ranks``, which reads a single vector or
+    # row through ``nonzero_pairings``
     passes = []
-    original_nonzero = semistable.nonzero_pairings
+    in_ranks = []
+    original_ranks = finflag.pairing_ranks
 
-    def counted_nonzero(tower, vectors, families):
+    def counted_ranks(tower, vectors, families):
         passes.append((vectors, families))
-        return original_nonzero(tower, vectors, families)
+        in_ranks.append(1)
+        try:
+            return list(original_ranks(tower, vectors, families))
+        finally:
+            in_ranks.pop()
 
     # the context computes no annihilator itself: it reads its two
     # ``FlagLevels``', so ``semistable`` has no ``annihilator`` to patch
     assert not hasattr(semistable, "annihilator")
-    monkeypatch.setattr(semistable, "nonzero_pairings", counted_nonzero)
+    monkeypatch.setattr(finflag, "pairing_ranks", counted_ranks)
     counted("slope")
     counted("bruhat_cells")
-    counted("pairings")  # the rank reads, which 3-space never needs
+    counted("pairings")
     gd = instance("a2_reg")
     ctx = build_verifier(gd, 2)  # fresh, so no consumer has filled its caches
     # every pass of the rational lattice's ``FlagLevels.above``, and every
@@ -413,7 +420,8 @@ def test_one_incidence_pass_per_context(monkeypatch):
     original_lattice_nonzero = finflag.nonzero_pairings
 
     def counted_lattice_nonzero(tower, vectors, families):
-        lattice_passes.append((vectors, families))
+        if not in_ranks:
+            lattice_passes.append((vectors, families))
         return original_lattice_nonzero(tower, vectors, families)
 
     monkeypatch.setattr(finflag, "nonzero_pairings", counted_lattice_nonzero)
@@ -652,16 +660,17 @@ def test_incidence_ranks_the_larger_matrices():
     ctx = build_verifier(gd, 1)
     assert [len(level) for level in ctx.point_levels.levels.values()] == [155]
     assert sum(map(len, ctx.lattice.levels.values())) == len(ctx.lattice.position) == 372
-    with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
+    with mock.patch.object(finflag, "rank", wraps=finflag.rank) as ranked:
         ctx.incidence
     assert ranked.call_count == 0
     (planes,) = ctx.point_levels.levels.values()
     for w, (column,) in incidence_by_subspace(ctx).items():
         for k, s in enumerate(planes):
             assert column[k] == intersection_dim(ctx.tower, s, w), (s, w)
-    # 3-spaces of F_2^6 against 3-spaces: S . Ann(W)^T is 3 x 3, read
-    # through ``rank``, once per pair.  Every 31st of the 1,395 3-spaces,
-    # alternately points and tests
+    # 3-spaces of F_2^6 against 3-spaces: S . Ann(W)^T is 3 x 3, read from
+    # its 3 x 3 minor, one ``pairing_ranks`` per test for the whole level,
+    # with no ``rank``.  Every 31st of the 1,395 3-spaces, alternately
+    # points and tests
     t, n = make_tower(2, 1), 6
     spaces = enumerate_subspaces(t, n, 3)[::31]
     point_levels = levels_of(t, spaces[::2])
@@ -670,13 +679,47 @@ def test_incidence_ranks_the_larger_matrices():
     tests = position_tests(lattice, (subspace_coweight_filtration(w) for w in spaces[1::2]))
     ctx = VerifierContext(gd=None, m=1, tower=t, n=n, mode="split", weights=(1, 0),
                           point_levels=point_levels, points=points, tests=tests, lattice=lattice)
-    with mock.patch.object(semistable, "rank", wraps=semistable.rank) as ranked:
+    shapes = []
+    original_ranks = finflag.pairing_ranks
+
+    def shaped(tower, vectors, families):
+        shapes.append((len(vectors), len(families)))
+        return original_ranks(tower, vectors, families)
+
+    with mock.patch.object(finflag, "rank", wraps=finflag.rank) as ranked, \
+            mock.patch.object(finflag, "pairing_ranks", shaped):
         ctx.incidence
-    assert ranked.call_count == len(points) * len(tests) > 0
+    assert ranked.call_count == 0
+    assert shapes == [(3, 3)] * len(tests) and tests
     assert {x for (column,) in ctx.incidence.values() for x in column} == {0, 1, 2}
     for w, (column,) in incidence_by_subspace(ctx).items():
         for k, s in enumerate(spaces[::2]):
             assert column[k] == intersection_dim(t, s, w), (s, w)
+
+
+def test_incidence_reads_the_smaller_pairing_matrix():
+    # the 3-spaces of F_2^5 against the rational subspaces: each pair of
+    # levels is read from the side of the smaller min(rows, cols), so no
+    # minor is larger than 2 x 2 and no ``rank`` runs.  Lines and planes W
+    # take W . Ann(S)^T (1 x 2 and 2 x 2), 3-spaces and hyperplanes
+    # S . Ann(W)^T (3 x 2 and 3 x 1), one call per test subspace
+    ctx = build_verifier(build_group_data([("A", 4)], [1, 1, 1, 0, 0], 2), 1)
+    shapes = collections.Counter()
+    original_ranks = finflag.pairing_ranks
+
+    def shaped(tower, vectors, families):
+        shapes[len(vectors), len(families)] += 1
+        return original_ranks(tower, vectors, families)
+
+    with mock.patch.object(finflag, "rank", wraps=finflag.rank) as ranked, \
+            mock.patch.object(finflag, "pairing_ranks", shaped):
+        ctx.incidence
+    assert ranked.call_count == 0
+    assert all(min(shape) <= 2 for shape in shapes)
+    assert shapes == {(1, 2): 31, (2, 2): 155, (2, 3): 155, (1, 3): 31}
+    (spaces,) = ctx.point_levels.levels.values()
+    for w, (column,) in itertools.islice(incidence_by_subspace(ctx).items(), None, None, 7):
+        assert column == [intersection_dim(ctx.tower, s, w) for s in spaces], w
 
 
 @pytest.mark.parametrize(
