@@ -7,13 +7,14 @@ the lattice's ``above`` lists them at the tests' positions.  For the
 special linear group a test is one subspace, so these are chains under
 inclusion; for the quasi-split unitary group on 3 variables a test is a
 chamber, and a plane lies in no line, so the subcomplex is its vertex set.
-Homology is reduced and rational, by exact rank computation.
+Homology is reduced and rational, by exact rank computation: a k-simplex
+is its k + 1 signed faces, one row of ``row_reduce`` per simplex.
 
 A sweep skips the semistable points, whose rows of the destabilizer table
 are empty, and builds every other point's complex from its own
-destabilizers, but computes homology, and its check that the boundary
-squares to zero, once per distinct simplices tuple: both depend on nothing
-else, and many points share one.
+destabilizers, but computes homology, and its check that the signed faces
+of each simplex's faces cancel, once per distinct simplices tuple: both
+depend on nothing else, and many points share one.
 """
 
 from __future__ import annotations
@@ -79,50 +80,38 @@ def _chain_simplices(ctx: VerifierContext, chains: list) -> tuple:
     return tuple(tuple(level) for level in levels)
 
 
-def boundary_matrices(complex_: TitsSubcomplex) -> list[list[list[int]]]:
-    """Boundary maps including the augmentation in degree 0."""
-    mats = []
-    aug = [[1 for _ in complex_.simplices[0]]] if complex_.simplices else [[]]
-    mats.append(aug)
-    for k in range(1, len(complex_.simplices)):
-        lower_index = {s: i for i, s in enumerate(complex_.simplices[k - 1])}
-        rows = len(complex_.simplices[k - 1])
-        mat = [[0] * len(complex_.simplices[k]) for _ in range(rows)]
-        for col, simplex in enumerate(complex_.simplices[k]):
-            for drop in range(len(simplex)):
-                face = simplex[:drop] + simplex[drop + 1 :]
-                mat[lower_index[face]][col] = (-1) ** drop
-        mats.append(mat)
-    return mats
+def boundary_matrices(complex_: TitsSubcomplex) -> list[list[dict[int, int]]]:
+    """Each simplex's signed faces, per simplex dimension: a k-simplex is
+    ``{index of its face in dimension k - 1: (-1)^d}``, the face dropping its
+    d-th vertex, and a vertex is the augmentation's ``{0: 1}``."""
+    maps = [[{0: 1} for _ in level] for level in complex_.simplices[:1]]
+    for lower, level in zip(complex_.simplices, complex_.simplices[1:]):
+        index = {s: i for i, s in enumerate(lower)}
+        maps.append([{index[s[:d] + s[d + 1 :]]: (-1) ** d for d in range(len(s))} for s in level])
+    return maps
 
 
 def reduced_homology(complex_: TitsSubcomplex) -> tuple[int, ...]:
-    """Reduced rational Betti numbers, one per simplex dimension present."""
+    """Reduced rational Betti numbers, one per simplex dimension present,
+    each face map ranked by its simplices' faces (rank of the transpose)."""
     if complex_.num_vertices == 0:
         raise ValueError("empty complex")
-    mats = boundary_matrices(complex_)
-    ranks = [len(row_reduce(m)[1]) for m in mats]
+    faces = boundary_matrices(complex_)
     # check the complex property while we are at it
-    for k in range(len(mats) - 1):
-        if not _composes_to_zero(mats[k], mats[k + 1]):
-            raise AssertionError("boundary of boundary is nonzero")
-    betti = []
-    for k, level in enumerate(complex_.simplices):
-        dim_ck = len(level)
-        rank_in = ranks[k]
-        rank_out = ranks[k + 1] if k + 1 < len(mats) else 0
-        betti.append(dim_ck - rank_in - rank_out)
-    return tuple(betti)
+    if not all(map(_composes_to_zero, faces, faces[1:])):
+        raise AssertionError("boundary of boundary is nonzero")
+    ranks = [len(row_reduce(f)) for f in faces] + [0]
+    return tuple(len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(complex_.simplices))
 
 
-def _composes_to_zero(a, b) -> bool:
-    """Whether a b = 0, each column of b read from its nonzero entries."""
-    if not a or not a[0] or not b or not b[0]:
-        return True
-    assert len(b) == len(a[0])
-    for column in zip(*b):
-        entries = [(k, x) for k, x in enumerate(column) if x]
-        if any(sum(row[k] * x for k, x in entries) for row in a):
+def _composes_to_zero(lower: list[dict[int, int]], upper: list[dict[int, int]]) -> bool:
+    """Whether the signed faces of each simplex's signed faces cancel."""
+    for simplex in upper:
+        total: dict[int, int] = {}
+        for f, sign in simplex.items():
+            for g, x in lower[f].items():
+                total[g] = total.get(g, 0) + sign * x
+        if any(total.values()):
             return False
     return True
 

@@ -40,7 +40,7 @@ DEFAULT_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Q, with one elimination kernel
+# small exact linear algebra over Q, with one sparse elimination kernel
 
 def frac_vec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
@@ -86,44 +86,52 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 _ZERO = Fraction(0)
 
 
-def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: the nonzero rows and their pivot columns.
+def row_reduce(rows) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form over Q, rows in and out by their nonzero
+    entries: ``{column: entry}`` dicts of ints or Fractions in, each pivot
+    column, in order, mapped to its reduced row of Fractions out.
 
-    The one exact elimination loop.  Entries may be ints or Fractions; only
-    the pivots are inverted, a pivot row is scaled only at its nonzero
-    entries, a row is updated only at the pivot row's nonzero columns, and
-    each normalized row comes back as Fractions.
+    The one exact elimination loop.  Each row in turn is cleared at the
+    pivots kept so far, scaled to a unit pivot at its first remaining
+    column, and cleared from the rows kept before it, read at its nonzero
+    entries alone; the arithmetic stays in ints while the pivots are +-1.
     """
-    work = [list(r) for r in rows if any(r)]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
+    kept: dict[int, dict] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        for p in [c for c in row if c in kept]:
+            _subtract(row, row[p], kept[p])
+        if not row:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Fraction(1, work[r][col])
-        row = work[r] = [x * inv if x else _ZERO for x in work[r]]
-        entries = [(j, y) for j, y in enumerate(row) if y]
-        for i, other in enumerate(work):
-            f = other[col]
-            if i != r and f:
-                for j, y in entries:
-                    other[j] -= f * y
-        pivots.append(col)
-    return work[: len(pivots)], pivots
+        col = min(row)
+        piv = row[col]
+        inv = piv if piv in (1, -1) else Fraction(1, piv)
+        row = {c: x * inv for c, x in row.items()}
+        for other in kept.values():
+            if col in other:
+                _subtract(other, other[col], row)
+        kept[col] = row
+    return {p: {c: Fraction(x) for c, x in kept[p].items()} for p in sorted(kept)}
+
+
+def _subtract(row: dict, f, pivot_row: dict) -> None:
+    """row -= f * pivot_row, in place, keeping only nonzero entries."""
+    for c, y in pivot_row.items():
+        x = row.get(c, 0) - f * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
 def mat_inv(m: Matrix) -> Matrix:
-    """Exact inverse, read off the reduced form of ``[m | 1]``."""
+    """Exact inverse: the reduced rows of ``[m | 1]`` have the pivots 0 to
+    n - 1 exactly when m is invertible, and hold its inverse past column n."""
     n = len(m)
-    rows, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    if pivots != list(range(n)):
+    rows = row_reduce({**{j: x for j, x in enumerate(row) if x}, n + i: 1} for i, row in enumerate(m))
+    if list(rows) != list(range(n)):
         raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(row.get(n + j, _ZERO) for j in range(n)) for row in rows.values())
 
 
 # ---------------------------------------------------------------------------

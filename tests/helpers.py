@@ -312,9 +312,18 @@ def form_dual(gram, chi: LatticeVec) -> LatticeVec:
     return LatticeVec(COCHARACTER, mat_vec(mat_inv(gram), chi.coords))
 
 
+def dense_row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """``row_reduce`` on dense rows: the reduced rows, dense, and their
+    pivot columns."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    reduced = row_reduce({j: x for j, x in enumerate(r) if x} for r in rows)
+    return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in reduced.values()], list(reduced)
+
+
 def nullspace(rows, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the vectors dot-orthogonal to every row, one per free column."""
-    reduced, pivots = row_reduce(rows)
+    reduced, pivots = dense_row_reduce(rows)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
@@ -331,7 +340,7 @@ def solve_in_span(vectors, target):
     The vectors must be linearly independent (they are simple roots).
     """
     k = len(vectors)
-    rows, pivots = row_reduce([list(v) + [t] for v, t in zip(zip(*vectors), target)])
+    rows, pivots = dense_row_reduce([list(v) + [t] for v, t in zip(zip(*vectors), target)])
     if pivots[:k] != list(range(k)):
         raise ValueError("dependent vectors")
     if len(pivots) > k:
@@ -767,7 +776,8 @@ def bruhat_cells_by_point(ctx: VerifierContext, position=relative_position) -> d
 
 # ---------------------------------------------------------------------------
 # the destabilizing complex, built per model: subspaces chained by inclusion
-# for SL_n, a bare vertex set of chambers for U_3
+# for SL_n, a bare vertex set of chambers for U_3; and its homology from the
+# dense boundary matrices
 
 def reference_t_x(ctx: VerifierContext, index: int) -> tuple[tuple, tuple]:
     """Vertex keys and simplices of a non-semistable point's complex: a
@@ -791,3 +801,39 @@ def reference_t_x(ctx: VerifierContext, index: int) -> tuple[tuple, tuple]:
     flags = sorted(set(destabilizers), key=lambda f: tuple(s.rows for s in f.chain))
     keys = tuple(("chamber",) + tuple(s.rows for s in f.chain) for f in flags)
     return keys, (tuple((i,) for i in range(len(flags))),)
+
+
+def dense_boundary_matrices(simplices) -> list[list[list[int]]]:
+    """The boundary maps as dense matrices, a row per face and a column per
+    simplex, with the augmentation in degree 0."""
+    mats = [[[1] * len(simplices[0])]]
+    for lower, level in zip(simplices, simplices[1:]):
+        index = {s: i for i, s in enumerate(lower)}
+        mat = [[0] * len(level) for _ in lower]
+        for col, s in enumerate(level):
+            for d in range(len(s)):
+                mat[index[s[:d] + s[d + 1 :]]][col] = (-1) ** d
+        mats.append(mat)
+    return mats
+
+
+def gauss_rank(mat) -> int:
+    """Rank over Q by Gauss elimination in Fractions, apart from ``rootdata``."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_reduced_homology(simplices) -> tuple[int, ...]:
+    """Reduced rational Betti numbers from the dense boundary matrices."""
+    ranks = [gauss_rank(m) for m in dense_boundary_matrices(simplices)] + [0]
+    return tuple(len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(simplices))

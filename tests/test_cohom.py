@@ -1,6 +1,7 @@
 """Sign sets, table assembly, dimension polynomials, point-count series."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from helpers import (
@@ -314,6 +315,19 @@ def test_lefschetz_closed_forms():
         for m in (1, 2, 3):
             expected = q ** (2 * m) - (q * q + q) * q**m + q**3
             assert lefschetz_series(gd, tbl, m) == expected
+
+
+def test_lefschetz_series_counts_drinfelds_space():
+    # A_(n-1) with mu = (1,0,...,0): a point is a line, semistable exactly
+    # when it lies in no rational hyperplane, so the count is
+    # prod_(i=1)^(n-1) (q^m - q^i); dually for mu = (0,...,0,-1)
+    for n in range(2, 10):
+        for mu in ([1] + [0] * (n - 1), [0] * (n - 1) + [-1]):
+            for q in (2, 3, 4, 5):
+                gd = build_group_data([("A", n - 1)], mu, q)
+                tbl = assemble_cohomology(gd)
+                for m in range(1, 5):
+                    assert lefschetz_series(gd, tbl, m) == math.prod(q**m - q**i for i in range(1, n)), (n, mu, q, m)
 
 
 def test_lefschetz_orbit_gating_u3():

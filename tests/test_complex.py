@@ -9,6 +9,7 @@ import pytest
 from helpers import INSTANCES, instance, point_chains, rational_filtrations, reference_t_x, verifier
 from perdom import cli
 from perdom import complex as complex_module
+from perdom.cohom import build_group_data
 from perdom.finflag import FlagLevels
 from perdom.complex import (
     SemistablePointError,
@@ -18,6 +19,7 @@ from perdom.complex import (
     build_t_x,
     reduced_homology,
 )
+from perdom.rootdata import row_reduce
 from perdom.semistable import build_verifier, is_semistable, semistable_indices, verifier_mode
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,14 +56,12 @@ def test_boundary_of_boundary_vanishes():
         vertex_keys=(0, 1, 2),
         simplices=(((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),)),
     )
-    mats = boundary_matrices(c)
-    d1, d2 = mats[1], mats[2]
-    rows = len(d1)
-    cols = len(d2[0])
-    inner = len(d2)
-    for i in range(rows):
-        for j in range(cols):
-            assert sum(d1[i][k] * d2[k][j] for k in range(inner)) == 0
+    faces = boundary_matrices(c)
+    d1, d2 = faces[1], faces[2]
+    # each triangle's faces' faces, entry by entry over the vertices
+    for triangle in d2:
+        for i in range(len(c.simplices[0])):
+            assert sum(x * d1[k].get(i, 0) for k, x in triangle.items()) == 0
 
 
 def test_homology_refuses_a_boundary_that_does_not_square_to_zero(monkeypatch):
@@ -72,20 +72,37 @@ def test_homology_refuses_a_boundary_that_does_not_square_to_zero(monkeypatch):
         simplices=tuple(tuple(itertools.combinations(range(4), k)) for k in range(1, 5)),
     )
     assert reduced_homology(c) == (0, 0, 0, 0)
-    mats = boundary_matrices(c)
+    faces = boundary_matrices(c)
     flips = 0
-    for k in range(1, len(mats)):
-        for i, row in enumerate(mats[k]):
-            for j, x in enumerate(row):
-                if not x:
-                    continue
-                flipped = [[list(r) for r in m] for m in mats]
-                flipped[k][i][j] = -x
+    for k in range(1, len(faces)):
+        for i, simplex in enumerate(faces[k]):
+            for face, x in simplex.items():
+                flipped = [[dict(s) for s in level] for level in faces]
+                flipped[k][i][face] = -x
                 monkeypatch.setattr(complex_module, "boundary_matrices", lambda _, f=flipped: f)
                 with pytest.raises(AssertionError, match="boundary of boundary is nonzero"):
                     reduced_homology(c)
                 flips += 1
     assert flips == 6 * 2 + 4 * 3 + 1 * 4
+
+
+def test_homology_ranks_each_simplex_by_its_faces(monkeypatch):
+    # SL_5 with mu = (1,1,1,0,0) at m = 1: the first unstable point's
+    # complex reaches the kernel as one row per k-simplex, its k + 1 faces
+    ctx = build_verifier(build_group_data([("A", 4)], [1, 1, 1, 0, 0], 2), 1)
+    c = build_t_x(ctx, next(i for i, row in enumerate(ctx.destabilizer_table) if row))
+    assert tuple(map(len, c.simplices)) == (60, 290, 420, 189)
+    received = []
+
+    def recording(rows):
+        received.append(list(rows))
+        return row_reduce(received[-1])
+
+    monkeypatch.setattr(complex_module, "row_reduce", recording)
+    assert reduced_homology(c) == (0, 0, 0, 0)
+    assert [len(rows) for rows in received] == [len(level) for level in c.simplices]
+    for k, rows in enumerate(received):
+        assert all(isinstance(row, dict) and len(row) <= k + 1 for row in rows), k
 
 
 def test_build_rejects_semistable_points():

@@ -1,7 +1,8 @@
 """Properties of the exact elimination kernels: ``row_reduce`` over Q with its
-read-offs, ``finflag.rref`` over finite fields with the annihilator reads of
-intersections and containment built on it, and ``finflag``'s pairing kernel
-against the per-pair oracles of ``helpers``."""
+read-offs and the reduced homology ranked by it, ``finflag.rref`` over finite
+fields with the annihilator reads of intersections and containment built on
+it, and ``finflag``'s pairing kernel against the per-pair oracles of
+``helpers``."""
 
 import collections
 import itertools
@@ -20,6 +21,8 @@ from helpers import (  # noqa: E402
     _dot,
     HermitianData,
     contains,
+    dense_reduced_homology,
+    dense_row_reduce,
     field_nullspace,
     hermitian_form,
     lies_in,
@@ -45,6 +48,7 @@ from perdom.finflag import (  # noqa: E402
     rref,
     subspace_from_rows,
 )
+from perdom.complex import TitsSubcomplex, reduced_homology  # noqa: E402
 from perdom.semistable import FlagPoint, VerifierContext  # noqa: E402
 from perdom.rootdata import mat_inv, mat_mul, row_reduce  # noqa: E402
 
@@ -75,7 +79,7 @@ def square_matrices(max_n=4):
 
 
 def rank(rows) -> int:
-    return len(row_reduce(rows)[1])
+    return len(dense_row_reduce(rows)[1])
 
 
 def det(m) -> int:
@@ -113,7 +117,10 @@ def test_row_rank_equals_column_rank(a):
 @SETTINGS
 @given(matrices())
 def test_reduced_rows_are_echelon_with_unit_pivots(a):
-    rows, pivots = row_reduce(a)
+    # the kernel's own rows, by their nonzero entries, and their dense view
+    sparse = row_reduce({j: x for j, x in enumerate(r) if x} for r in a)
+    assert all(type(x) is Fraction and x for row in sparse.values() for x in row.values())
+    rows, pivots = dense_row_reduce(a)
     assert len(rows) == len(pivots)
     assert all(type(x) is Fraction for row in rows for x in row)
     assert pivots == sorted(set(pivots))
@@ -149,6 +156,27 @@ def test_solve_in_span_reproduces_target(vectors, coeffs):
     # off the span: add a nonzero vector orthogonal to every given vector
     for w in nullspace(vectors, len(vectors[0])):
         assert solve_in_span(vectors, [t + x for t, x in zip(target, w)]) is None
+
+
+@st.composite
+def face_closed_complexes(draw):
+    """The downward closure of up to 6 random subsets of range(6), its
+    vertices renumbered in order and its simplices sorted per dimension."""
+    tops = draw(st.lists(st.frozensets(st.integers(0, 5), min_size=1), min_size=1, max_size=6))
+    faces = {f for top in tops for k in range(1, len(top) + 1) for f in itertools.combinations(sorted(top), k)}
+    vertices = sorted(v for (v,) in (f for f in faces if len(f) == 1))
+    index = {v: i for i, v in enumerate(vertices)}
+    simplices = tuple(
+        tuple(sorted(tuple(index[v] for v in f) for f in faces if len(f) == k))
+        for k in range(1, max(map(len, faces)) + 1)
+    )
+    return TitsSubcomplex(vertex_keys=tuple(vertices), simplices=simplices)
+
+
+@SETTINGS
+@given(face_closed_complexes())
+def test_reduced_homology_equals_the_dense_oracle(c):
+    assert reduced_homology(c) == dense_reduced_homology(c.simplices)
 
 
 # ---------------------------------------------------------------------------
