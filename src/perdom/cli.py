@@ -392,11 +392,7 @@ def cmd_sweep(spec: GroupSpec, fmt: str, m_list: list[int], fail_fast: bool) -> 
                     "non_semistable": sweep.non_semistable,
                     "all_acyclic": sweep.all_acyclic,
                     "violations": list(sweep.violations),
-                    "per_point": [
-                        {"point": d["point"], "simplices": list(d["simplices"]),
-                         "betti": list(d["betti"])}
-                        for d in sweep.per_point
-                    ],
+                    "per_point": list(sweep.per_point),
                 }
             )
             ok = ok and sweep.all_acyclic

@@ -34,10 +34,11 @@ reports.  The table is filled a test's column at a time in C-level
 passes: each chain level's entries are gathered per point, by its
 positions, with ``itemgetter`` and added by ``map``, and the positive
 totals are picked by ``compress``, so only the points a test destabilizes
-are visited.  The semistable points are its empty rows, a stratum is an
-intersection of the standard coweights' tests' hits, read from the rows in
-one pass, and the Bruhat cells gather each point's invariant from the
-coordinate subspaces' incidence columns.
+are visited.  The semistable points are its empty rows.  The Bruhat cells
+gather each point's invariant from the coordinate subspaces' incidence
+columns, and a point's stratum is the set of standard coweights whose tests
+miss it, read off its row: one pass counts the points per (cell, stratum),
+and every label set's cell check is a sum over those counts.
 ``filtration_pairing`` and ``slope`` compute the same numbers directly
 from two ``FlagPoint``s and stay as the reference.  The lattice's
 ``above`` lists are the inclusions the destabilizing complexes chain by,
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
@@ -58,7 +60,7 @@ from math import lcm
 from operator import add, gt, itemgetter, lt, mul, not_
 from typing import Callable, NamedTuple
 
-from .cohom import GroupData, label_sets
+from .cohom import GroupData, label_sets, omega_I
 from .finflag import (
     FieldTower,
     FlagLevels,
@@ -199,7 +201,10 @@ class VerifierContext:
     one for a report or the reference ``slope``.  A test is a (chain,
     weights) pair, its chain (dimension, position) pairs in ``lattice``:
     the rational subspaces of split SL_n, whose ``above`` lists the
-    complexes chain tests by, or U_3's chambers' lines and planes."""
+    complexes chain tests by, or U_3's chambers' lines and planes.  A split
+    context counts its points once per (Bruhat cell, set of standard
+    coweights that miss them) pair (``cell_strata``) for every label set's
+    cell check."""
 
     def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
                  weights: tuple[Fraction, ...], point_levels: FlagLevels,
@@ -294,21 +299,17 @@ class VerifierContext:
         return tuple(index[((e.dim, position[e]),)] for e in self.standard_subspaces)
 
     @cached_property
-    def standard_hits(self) -> list[frozenset[int]]:
-        """Per coordinate subspace, in ``standard_subspaces`` order, the
-        points its coweight filtration destabilizes: one pass over the
-        destabilizer table's rows (split model only)."""
-        hits: dict[int, list[int]] = {k: [] for k in self.standard_tests}
-        for i, row in enumerate(self.destabilizer_table):
-            for k, _ in row:
-                if k in hits:
-                    hits[k].append(i)
-        return [frozenset(hits[k]) for k in self.standard_tests]
-
-    @cached_property
-    def bruhat_partition(self) -> dict:
-        """``bruhat_cells`` of this context, computed once for every label set."""
-        return bruhat_cells(self)
+    def cell_strata(self) -> dict:
+        """Per Bruhat cell, by its representative, its points counted by
+        missed set, a point's missed set being its stratum: the standard
+        coweights k whose test (E_(k+1)'s) is absent from its destabilizer
+        row.  One pass over ``bruhat_cells`` and the rows (split model only)."""
+        cells, rows, standard = bruhat_cells(self), self.destabilizer_table, self.standard_tests
+        every = frozenset(range(len(standard)))
+        # a test off the coordinate flag reads as None, which no missed set holds
+        coweight_of, first = {t: k for k, t in enumerate(standard)}.get, itemgetter(0)
+        return {p: Counter(every.difference(map(coweight_of, map(first, rows[i]))) for i in cell)
+                for p, cell in cells.items()}
 
 
 def _weight_steps(weights, scale: int) -> list[int]:
@@ -504,20 +505,6 @@ def semistable_indices(ctx: VerifierContext) -> list[int]:
     return list(compress(range(len(rows)), map(not_, rows)))
 
 
-def per_point_rows(ctx: VerifierContext) -> list[dict]:
-    """Full slope reports, one row per enumerated point."""
-    return [
-        {
-            "point": i,
-            "semistable": not row,
-            "destabilizer_count": len(row),
-            "worst_slope": min((v for _, v in row), default=None),
-            "chain": [[list(r) for r in s.rows] for s in ctx.chain(i)],
-        }
-        for i, row in enumerate(ctx.destabilizer_table)
-    ]
-
-
 def points_csv(ctx: VerifierContext) -> str:
     """Per-point verdicts as CSV, slopes in exact rational notation."""
     import csv
@@ -526,31 +513,14 @@ def points_csv(ctx: VerifierContext) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["point", "semistable", "destabilizer_count", "worst_slope", "chain"])
-    for row in per_point_rows(ctx):
-        worst = "" if row["worst_slope"] is None else str(row["worst_slope"])
-        writer.writerow(
-            [row["point"], int(row["semistable"]), row["destabilizer_count"], worst,
-             repr(row["chain"])]
-        )
+    for i, row in enumerate(ctx.destabilizer_table):
+        worst = min((v for _, v in row), default="")
+        writer.writerow([i, int(not row), len(row), worst, [[list(r) for r in s.rows] for s in ctx.chain(i)]])
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # stratification by untwisted coweights, and its Bruhat cell description
-
-def y_I_points(ctx: VerifierContext, I: frozenset[int]) -> frozenset[int]:
-    """Indices of points with negative slope against every standard coweight
-    whose orbit lies outside I: the intersection of those tests' sets of
-    hits (``standard_hits``).  The test filtration of the standard subspace
-    E_{k+1} is the filtration of the k-th standard coweight."""
-    if ctx.mode != "split":
-        raise ValueError("stratification check requires a split instance")
-    wanted = [ctx.standard_hits[k] for k in range(ctx.gd.d_prime) if k not in I]
-    if not wanted:
-        return frozenset(range(len(ctx.points)))
-    first, *rest = wanted
-    return frozenset(first).intersection(*rest)
-
 
 def standard_subspace(tower: FieldTower, n: int, d: int) -> Subspace:
     """The span E_d of the first d coordinate vectors of the n-space."""
@@ -598,25 +568,23 @@ def bruhat_cells(ctx: VerifierContext) -> dict:
 
 
 def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
-    """Set equality of the stratum against the union of its Bruhat cells,
-    plus the per-cell point count q^(m * length)."""
-    gd = ctx.gd
-    from .cohom import omega_I
-
-    cells = ctx.bruhat_partition
+    """The stratum Y_I, the points destabilized by every standard coweight
+    outside I, against the union of the cells of ``omega_I``, plus the
+    per-cell point count q^(m * length).  A point lies in Y_I exactly when
+    its missed set lies in I, so every number is a sum over
+    ``ctx.cell_strata``, and the two sets are equal exactly when "missed
+    set in I" and "cell allowed by I" agree on every (cell, missed set)."""
+    gd, strata = ctx.gd, ctx.cell_strata
     q, m = gd.q, ctx.m
-    sizes_ok = all(len(idx) == q ** (m * p.length) for p, idx in cells.items())
-    allowed = {o.rep for o in omega_I(gd, I)}
-    union: set[int] = set()
-    for p, idx in cells.items():
-        if p in allowed:
-            union.update(idx)
-    y_set = y_I_points(ctx, I)
-    return (union == set(y_set)) and sizes_ok, {
-        "y_count": len(y_set),
-        "cell_union_count": len(union),
+    orbits = omega_I(gd, I)
+    allowed = {o.rep for o in orbits}
+    sizes_ok = all(strata[p].total() == q ** (m * p.length) for p in gd.mu_orbit)
+    match = all((missed <= I) == (p in allowed) for p, counts in strata.items() for missed in counts)
+    return match and sizes_ok, {
+        "y_count": sum(n for counts in strata.values() for missed, n in counts.items() if missed <= I),
+        "cell_union_count": sum(counts.total() for p, counts in strata.items() if p in allowed),
         "sizes_ok": sizes_ok,
-        "expected_count": sum(q ** (m * o.rep.length) for o in omega_I(gd, I)),
+        "expected_count": sum(q ** (m * o.rep.length) for o in orbits),
     }
 
 

@@ -16,6 +16,7 @@ from perdom.cohom import (
     DimPoly,
     assemble_cohomology,
     build_group_data,
+    omega_I,
 )
 from perdom.finflag import (
     FieldTower,
@@ -746,6 +747,17 @@ def y_I_points_by_row(ctx: VerifierContext, rows, I: frozenset[int]) -> frozense
     test_of = {t.chain[0]: j for j, t in enumerate(rational_filtrations(ctx))}
     wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
     return frozenset(i for i, row in enumerate(rows) if wanted <= {j for j, _ in row})
+
+
+def cell_row_by_point(ctx: VerifierContext, y, cells: dict, I: frozenset[int]) -> tuple[bool, int, int]:
+    """The cell check's verdict, y_count and cell_union_count for I, from
+    sets of points: the stratum ``y`` against the union of the cells of
+    ``omega_I`` in ``cells``, a list of points per representative, with
+    every cell's size checked against q^(m * length)."""
+    q, m = ctx.gd.q, ctx.m
+    union = {i for o in omega_I(ctx.gd, I) for i in cells[o.rep]}
+    sizes_ok = all(len(idx) == q ** (m * p.length) for p, idx in cells.items())
+    return set(y) == union and sizes_ok, len(y), len(union)
 
 
 def relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):

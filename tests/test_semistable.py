@@ -13,6 +13,7 @@ from helpers import (
     INSTANCES,
     HermitianData,
     bruhat_cells_by_point,
+    cell_row_by_point,
     contains,
     destabilizer_rows_by_point,
     incidence_by_subspace,
@@ -32,7 +33,7 @@ from helpers import (
     y_I_points_by_row,
 )
 from perdom import cli, finflag, semistable
-from perdom.cohom import assemble_cohomology, build_group_data, label_sets, lefschetz_series
+from perdom.cohom import assemble_cohomology, build_group_data, label_sets, lefschetz_series, omega_I
 from perdom.complex import acyclicity_sweep, build_t_x
 from perdom.finflag import (
     Subspace,
@@ -62,7 +63,6 @@ from perdom.semistable import (
     slope,
     subspace_coweight_filtration,
     verifier_mode,
-    y_I_points,
 )
 
 
@@ -229,26 +229,33 @@ def test_u3_reflex_degree_two_instance():
     assert brute_force_ss_count(ctx) == lefschetz_series(gd, table("u3_min"), 1) == 12
 
 
+def cell_row(ctx, I):
+    """``bruhat_cells_check``'s verdict, y_count and cell_union_count for I."""
+    ok, detail = bruhat_cells_check(ctx, I)
+    return ok, detail["y_count"], detail["cell_union_count"]
+
+
 def test_y_stratum_sl2():
     ctx = verifier("a1_reg", 1)
-    y0 = y_I_points(ctx, frozenset())
+    cells = bruhat_cells_by_point(ctx)
+    y0 = y_I_points_by_row(ctx, ctx.destabilizer_table, frozenset())
     assert len(y0) == 1
+    assert cell_row(ctx, frozenset()) == cell_row_by_point(ctx, y0, cells, frozenset())
     point = weighted_point(ctx, ctx.chain(next(iter(y0))))
     std = coordinate_filtration(ctx.tower, orbit_weight(ctx.gd, 0).coords)
     assert slope(ctx.tower, point, std) == -1
-    assert y_I_points(ctx, frozenset({0})) == frozenset(range(len(ctx.points)))
+    everything = range(len(ctx.points))
+    assert cell_row(ctx, frozenset({0})) == cell_row_by_point(ctx, everything, cells, frozenset({0}))
 
 
 def test_y_stratum_counts_sl3():
     gd = instance("a2_reg")
     for m in (1, 2):
         ctx = verifier("a2_reg", m)
-        from perdom.cohom import omega_I
-
         for k in range(gd.d_prime + 1):
             for I in itertools.combinations(range(gd.d_prime), k):
                 expected = sum(2 ** (m * o.rep.length) for o in omega_I(gd, frozenset(I)))
-                assert len(y_I_points(ctx, frozenset(I))) == expected
+                assert bruhat_cells_check(ctx, frozenset(I))[1]["y_count"] == expected
 
 
 def test_bruhat_cells_match_strata():
@@ -431,7 +438,6 @@ def test_one_incidence_pass_per_context(monkeypatch):
     assert frobenius_equivariance_holds(ctx)
     for k in range(gd.d_prime + 1):
         for I in itertools.combinations(range(gd.d_prime), k):
-            y_I_points(ctx, frozenset(I))
             assert bruhat_cells_check(ctx, frozenset(I))[0]
     for i in range(len(ctx.points)):
         if is_semistable(ctx, i):
@@ -539,16 +545,19 @@ def test_standard_subspaces_built_once_per_context(monkeypatch):
     monkeypatch.setattr(semistable, "standard_subspace", counted)
     gd = instance("a3_mid")
     ctx = build_verifier(gd, 1)
-    cells = ctx.bruhat_partition
+    strata = ctx.cell_strata
     for k in range(gd.d_prime + 1):
         for I in itertools.combinations(range(gd.d_prime), k):
-            y_I_points(ctx, frozenset(I))
+            bruhat_cells_check(ctx, frozenset(I))
     assert parabolic_invariance_sample(ctx, seed=1)
+    cells = semistable.bruhat_cells(ctx)
     assert built == {1: 1, 2: 1, 3: 1}
-    # the same partition with E_1 ... E_3 rebuilt on every read
+    # the same cells and strata with E_1 ... E_3 rebuilt on every read
     uncached = property(semistable.VerifierContext.standard_subspaces.func)
     monkeypatch.setattr(semistable.VerifierContext, "standard_subspaces", uncached)
-    assert semistable.bruhat_cells(build_verifier(gd, 1)) == cells
+    rebuilt = build_verifier(gd, 1)
+    assert semistable.bruhat_cells(rebuilt) == cells
+    assert rebuilt.cell_strata == strata
     assert built[1] > 1
 
 
@@ -567,20 +576,23 @@ def test_bruhat_cells_read_the_incidence_table():
 
 
 def assert_bulk_passes_match_the_oracles(ctx, cells=True):
-    """The table, the semistable points, the standard tests' hits, every
-    stratum and, with ``cells``, the Bruhat cells, order and content,
-    against the per-point oracles."""
+    """The table, the semistable points, each cell's points by the standard
+    coweights they miss, every label set's cell check, by its stratum, and,
+    with ``cells``, the Bruhat cells, order and content, against the
+    per-point oracles.  Without ``cells`` the strata are read against the
+    context's own cells."""
     rows = destabilizer_rows_by_point(ctx)
     assert ctx.destabilizer_table == rows
     assert semistable_indices(ctx) == [i for i, row in enumerate(rows) if not row]
     if ctx.mode == "split":
-        assert ctx.standard_hits == [
-            frozenset(i for i, row in enumerate(rows) if k in dict(row)) for k in ctx.standard_tests
-        ]
+        partition = bruhat_cells_by_point(ctx) if cells else semistable.bruhat_cells(ctx)
+        missed = [frozenset(j for j, k in enumerate(ctx.standard_tests) if k not in dict(row)) for row in rows]
+        assert ctx.cell_strata == {p: collections.Counter(missed[i] for i in idx) for p, idx in partition.items()}
         for I in label_sets(ctx.gd):
-            assert y_I_points(ctx, I) == y_I_points_by_row(ctx, rows, I), sorted(I)
+            y = y_I_points_by_row(ctx, rows, I)
+            assert cell_row(ctx, I) == cell_row_by_point(ctx, y, partition, I), sorted(I)
         if cells:
-            assert list(semistable.bruhat_cells(ctx).items()) == list(bruhat_cells_by_point(ctx).items())
+            assert list(semistable.bruhat_cells(ctx).items()) == list(partition.items())
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -632,6 +644,39 @@ def test_bulk_passes_on_one_point_gather_a_tuple(name):
         levels = ctx.point_levels.levels.values()
         assert all(len(gather(list(range(len(level))))) == 1 for gather, level in zip(ctx.level_gathers, levels))
         assert_bulk_passes_match_the_oracles(ctx, cells=False)
+
+
+@pytest.mark.parametrize("name,m,q", [
+    *((name, 1, None) for name in ("a1_reg", "a1_double", "a2_reg", "a2_min", "a2_min2", "a3_mid", "a3_reg", "a3_min")),
+    ("a2_reg", 2, None), ("a2_min", 2, None), ("a3_mid", 2, None), ("a3_mid", 1, 3),
+])
+def test_cell_check_reports_tampered_strata(name, m, q):
+    # a fresh context in which each destabilized point's row gains a drawn
+    # standard test it lacks, or loses it while another test stays, so no
+    # row is left empty and the semistable count stands: the strata leave
+    # the union of their cells, and every label set's row still equals the
+    # set-based oracle, a mismatch among them
+    ctx = build_verifier(instance(name, q), m)
+    semistable_count = brute_force_ss_count(ctx)
+    rng = random.Random(f"{name}-{m}-{q}")
+    rows = []
+    for row in ctx.destabilizer_table:
+        tests = dict(row)
+        k = rng.choice(ctx.standard_tests)
+        if row and k not in tests:
+            tests[k] = Fraction(-1)
+        elif len(tests) > 1:
+            del tests[k]
+        rows.append(tuple(sorted(tests.items())))
+    ctx.destabilizer_table = rows
+    assert brute_force_ss_count(ctx) == semistable_count
+    cells = bruhat_cells_by_point(ctx)
+    verdicts = []
+    for I in label_sets(ctx.gd):
+        expected = cell_row_by_point(ctx, y_I_points_by_row(ctx, rows, I), cells, I)
+        assert cell_row(ctx, I) == expected, sorted(I)
+        verdicts.append(expected[0])
+    assert not all(verdicts)
 
 
 @pytest.mark.parametrize("name,m", [("a2_reg", 2), ("u3_reg", 2), ("a3_mid", 1), ("a3_reg", 1)])
@@ -756,13 +801,15 @@ def test_y_stratum_against_coordinate_filtrations(name, m):
         }
         for k in range(gd.d_prime)
     }
+    cells = bruhat_cells_by_point(ctx)
     for r in range(gd.d_prime + 1):
         for I in itertools.combinations(range(gd.d_prime), r):
             expected = set(range(len(ctx.points)))
             for k in range(gd.d_prime):
                 if k not in I:
                     expected &= negative[k]
-            assert y_I_points(ctx, frozenset(I)) == expected, (name, m, I)
+            I = frozenset(I)
+            assert cell_row(ctx, I) == cell_row_by_point(ctx, expected, cells, I), (name, m, I)
 
 
 def test_sl4_full_flags_m2_count_and_cells():
