@@ -102,6 +102,11 @@ class GroupData:
         return sum(b * c for b, c in zip(self.sign_rows[orbit_index], point.labels))
 
     @cached_property
+    def minimal_label_sets(self) -> tuple[frozenset[int], ...]:
+        """``minimal_I`` of each W-orbit, in ``worbits`` order, computed once."""
+        return tuple(minimal_I(self, o) for o in self.worbits)
+
+    @cached_property
     def dim_polys(self) -> dict[frozenset[int], tuple[DimPoly, DimPoly]]:
         """``all_dim_polys`` of this instance, computed once."""
         return all_dim_polys(self)
@@ -153,7 +158,7 @@ def label_sets(gd: GroupData) -> list[frozenset[int]]:
 def omega_I(gd: GroupData, I: frozenset[int]) -> tuple[WOrbit, ...]:
     """Orbits whose pairing against every coweight outside I is strictly
     positive: those whose minimal label set lies in I."""
-    return tuple(o for o in gd.worbits if minimal_I(gd, o) <= I)
+    return tuple(o for o, J in zip(gd.worbits, gd.minimal_label_sets) if J <= I)
 
 
 def minimal_I(gd: GroupData, orbit: WOrbit) -> frozenset[int]:
@@ -183,8 +188,7 @@ def _summand_sort_key(s: CohomologySummand):
 def assemble_cohomology(gd: GroupData) -> CohomologyTable:
     """One summand per orbit, placed by length and by the size of its label set."""
     summands = []
-    for orbit in gd.worbits:
-        I = minimal_I(gd, orbit)
+    for orbit, I in zip(gd.worbits, gd.minimal_label_sets):
         degree = 2 * orbit.length + (gd.d_prime - len(I))
         summands.append(
             CohomologySummand(

@@ -35,7 +35,9 @@ the next level finds the members of the previous level inside it
 (``above``).  ``intersections`` reads dim(S cap W) for two families'
 levels from the smaller of S . Ann(W)^T and W . Ann(S)^T.
 ``subspace_levels`` lists every subspace over the tower or, with
-``subfield_deg``, over a subfield, as the rational subspaces are.  The
+``subfield_deg``, over a subfield, as the rational subspaces are; the
+first member of each level is the coordinate subspace, the first pivot
+pattern with every free entry 0.  The
 unitary group's chambers (``enumerate_twisted_fixed_flags``) are listed in
 closed form: the isotropic lines come from grouping the subfield by trace,
 with no line of the projective plane built only to be dropped, and each
@@ -46,7 +48,7 @@ the line's entries.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, compress, product, repeat
 from math import gcd
 from operator import add, mul, not_, or_, xor
@@ -596,7 +598,9 @@ class FlagLevels:
     kernel families are built once; ``intersections`` reads dim(S cap W)
     against another family's level, and ``above`` lists which members of a
     larger dimension contain each one of a smaller: enough to list or count
-    the flags, each its tuple of positions, or to read the inclusions."""
+    the flags, each its tuple of positions, or to read the inclusions.  A
+    member is addressed by position only: no map leads from a subspace
+    back to its index."""
 
     def __init__(self, tower: FieldTower, levels: dict[int, list[Subspace]],
                  annihilators: dict[int, list[tuple]] | None = None):
@@ -605,12 +609,6 @@ class FlagLevels:
         self._annihilators = dict(annihilators or {})
         self._families: dict[tuple[int, bool], list] = {}
         self._above: dict[tuple[int, int], list[list[int]]] = {}
-
-    @cached_property
-    def position(self) -> dict[Subspace, int]:
-        """Each member's index in its level, one map for every level, built
-        on first use."""
-        return {s: k for level in self.levels.values() for k, s in enumerate(level)}
 
     def annihilators(self, d: int) -> list[tuple]:
         """Ann(W) for each member W of dimension d, in level order, computed

@@ -34,11 +34,14 @@ reports.  The table is filled a test's column at a time in C-level
 passes: each chain level's entries are gathered per point, by its
 positions, with ``itemgetter`` and added by ``map``, and the positive
 totals are picked by ``compress``, so only the points a test destabilizes
-are visited.  The semistable points are its empty rows.  The Bruhat cells
-gather each point's invariant from the coordinate subspaces' incidence
-columns, and a point's stratum is the set of standard coweights whose tests
-miss it, read off its row: one pass counts the points per (cell, stratum),
-and every label set's cell check is a sum over those counts.
+are visited.  The semistable points are its empty rows.  A Bruhat cell is
+its B-orbit invariant against the coordinate flag, each E_d the first
+member of lattice level d: a point's is gathered from the E_d's incidence
+columns, and a representative's is a count over its coordinates
+(``cell_invariant``), with no subspace built.  A point's stratum is the set
+of standard coweights whose tests miss it, read off its row: one
+``Counter`` counts the points per (cell, stratum), and every label set's
+cell check is a sum over those counts.
 ``filtration_pairing`` and ``slope`` compute the same numbers directly
 from two ``FlagPoint``s and stay as the reference.  The lattice's
 ``above`` lists are the inclusions the destabilizing complexes chain by,
@@ -158,23 +161,6 @@ def subspace_coweight_filtration(sub: Subspace) -> FlagPoint:
     return FlagPoint(chain=(sub,), weights=(Fraction(n - d, n), Fraction(-d, n)), n=n)
 
 
-def coordinate_filtration(tower: FieldTower, coords) -> FlagPoint:
-    """Weighted flag of a torus cocharacter: coordinate spans by weight level.
-
-    The level of the least weight spans every coordinate, so it is the whole
-    space and not part of the chain."""
-    coords = [Fraction(c) for c in coords]
-    n = len(coords)
-    weights = sorted(set(coords), reverse=True)
-    chain = tuple(
-        subspace_from_rows(
-            tower, [[int(j == i) for j in range(n)] for i, c in enumerate(coords) if c >= w], n
-        )
-        for w in weights[:-1]
-    )
-    return FlagPoint(chain=chain, weights=tuple(weights), n=n)
-
-
 def slope(tower: FieldTower, point: FlagPoint, test: FlagPoint) -> Fraction:
     """Hilbert-Mumford weight: minus the filtration pairing."""
     return -filtration_pairing(tower, point, test)
@@ -202,9 +188,10 @@ class VerifierContext:
     weights) pair, its chain (dimension, position) pairs in ``lattice``:
     the rational subspaces of split SL_n, whose ``above`` lists the
     complexes chain tests by, or U_3's chambers' lines and planes.  A split
-    context counts its points once per (Bruhat cell, set of standard
-    coweights that miss them) pair (``cell_strata``) for every label set's
-    cell check."""
+    context reads the coordinate flag's tests at the lattice levels'
+    offsets (``standard_tests``) and counts its points once per (Bruhat
+    cell, set of standard coweights that miss them) pair (``cell_strata``)
+    for every label set's cell check."""
 
     def __init__(self, gd: GroupData, m: int, tower: FieldTower, n: int, mode: str,
                  weights: tuple[Fraction, ...], point_levels: FlagLevels,
@@ -285,31 +272,40 @@ class VerifierContext:
         return [tuple(r) for r in rows]
 
     @cached_property
-    def standard_subspaces(self) -> tuple[Subspace, ...]:
-        """The coordinate subspaces E_1 ... E_{n-1}; ``[d - 1]`` is E_d, the
-        span of the first d coordinate vectors."""
-        return tuple(standard_subspace(self.tower, self.n, d) for d in range(1, self.n))
-
-    @cached_property
     def standard_tests(self) -> tuple[int, ...]:
-        """Per coordinate subspace, the index in ``tests`` of its coweight
-        filtration, in ``standard_subspaces`` order (split model only)."""
-        index = {chain: k for k, (chain, _) in enumerate(self.tests)}
-        position = self.lattice.position
-        return tuple(index[((e.dim, position[e]),)] for e in self.standard_subspaces)
+        """Per coordinate subspace E_d, the index in ``tests`` of its coweight
+        filtration: E_d leads level d of ``lattice``, and the tests list the
+        levels in order, so it is the level's offset (split model only)."""
+        return tuple(itertools.accumulate(map(len, self.lattice.levels.values()), initial=0))[:-1]
 
     @cached_property
-    def cell_strata(self) -> dict:
-        """Per Bruhat cell, by its representative, its points counted by
-        missed set, a point's missed set being its stratum: the standard
-        coweights k whose test (E_(k+1)'s) is absent from its destabilizer
-        row.  One pass over ``bruhat_cells`` and the rows (split model only)."""
-        cells, rows, standard = bruhat_cells(self), self.destabilizer_table, self.standard_tests
-        every = frozenset(range(len(standard)))
+    def cell_strata(self) -> Counter:
+        """The points counted per (Bruhat cell, missed set) pair, a cell by
+        its representative.  A point's missed set is its stratum: the
+        standard coweights k whose test (E_(k+1)'s) is absent from its
+        destabilizer row.  A cell is its B-orbit invariant, per chain
+        subspace its intersection dimensions with the coordinate flag E_1
+        ... E_(n-1): a point's is gathered by its positions from the E_d's
+        incidence columns, one chain level per pass, and a representative's
+        is counted from its coordinates (``cell_invariant``).  Split model
+        only."""
+        if self.mode != "split":
+            raise ValueError("cell decomposition requires a split instance")
+        cell_of: dict = {}
+        for p in self.gd.mu_orbit:
+            if cell_of.setdefault(cell_invariant(p.labels), p) is not p:
+                raise AssertionError("distinct representatives share a cell invariant")
+        columns = [self.incidence[d, 0] for d in self.lattice.levels]
+        gathered = [gather(list(zip(*level))) for gather, level in zip(self.level_gathers, zip(*columns))]
+        invariants = zip(*gathered) if gathered else repeat((), len(self.points))
+        every = frozenset(range(len(self.standard_tests)))
         # a test off the coordinate flag reads as None, which no missed set holds
-        coweight_of, first = {t: k for k, t in enumerate(standard)}.get, itemgetter(0)
-        return {p: Counter(every.difference(map(coweight_of, map(first, rows[i]))) for i in cell)
-                for p, cell in cells.items()}
+        coweight_of, first = {t: k for k, t in enumerate(self.standard_tests)}.get, itemgetter(0)
+        missed = (every.difference(map(coweight_of, map(first, row))) for row in self.destabilizer_table)
+        counts = Counter(zip(invariants, missed))
+        if not {inv for inv, _ in counts} <= cell_of.keys():
+            raise AssertionError("point outside every Bruhat cell")
+        return Counter({(cell_of[inv], missed): n for (inv, missed), n in counts.items()})
 
 
 def _weight_steps(weights, scale: int) -> list[int]:
@@ -362,6 +358,10 @@ def _rational_subspaces(gd: GroupData, tower: FieldTower, budget: int) -> tuple[
     if over is not None:
         raise BudgetError(f"{over} subspaces exceed budget {budget}")
     lattice = subspace_levels(tower, n, range(1, n), subfield_deg=1)
+    # E_d, the span of the first d coordinate vectors, leads level d: the
+    # first pivot pattern, every free entry 0
+    unit = full_space(tower, n).rows
+    assert all(level[0].rows == unit[:d] for d, level in lattice.levels.items())
     return lattice, [(((d, k),), (Fraction(n - d, n), Fraction(-d, n)))
                      for d, level in lattice.levels.items() for k in range(len(level))]
 
@@ -522,67 +522,40 @@ def points_csv(ctx: VerifierContext) -> str:
 # ---------------------------------------------------------------------------
 # stratification by untwisted coweights, and its Bruhat cell description
 
-def standard_subspace(tower: FieldTower, n: int, d: int) -> Subspace:
-    """The span E_d of the first d coordinate vectors of the n-space."""
-    return subspace_from_rows(tower, [[int(j == i) for j in range(n)] for i in range(d)], n)
-
-
-def bruhat_cells(ctx: VerifierContext) -> dict:
-    """Partition of the points into cells indexed by Kostant representatives,
-    each given by its point ``w mu`` of mu's W-orbit; the cell of ``w mu``
-    holds the coordinate flag of its weight levels.  In type A the labels
-    are ``c_i = v_i - v_(i+1)``, so their negated prefix sums are the
-    coordinates of ``w mu`` up to a constant, which leaves the flag as is.
-
-    A chain's cell is read from its B-orbit invariant: per subspace, the
-    dimensions of its intersections with the coordinate flag E_1 ...
-    E_(n-1).  Every E_d is a test subspace and every chain subspace here
-    is in the points' levels (a representative's coordinate flag is a
-    rational point, found by ``position``), so each dimension is an
-    incidence entry, and each point subspace's dimensions are zipped once,
-    level by level, from the E_d's incidence columns.  The points'
-    invariants are gathered by their positions, one chain level per pass;
-    a central mu's one empty chain has the empty invariant."""
-    if ctx.mode != "split":
-        raise ValueError("cell decomposition requires a split instance")
-    gd = ctx.gd
-    columns = [ctx.incidence[w] for k in ctx.standard_tests for w in ctx.tests[k][0]]
-    dims = [list(zip(*level)) for level in zip(*columns)]
-    position = ctx.point_levels.position
-    cells: dict = {p: [] for p in gd.mu_orbit}
-    cell_of = {}
-    for p in gd.mu_orbit:
-        coords = itertools.accumulate((-c for c in p.labels), initial=0)
-        chain = coordinate_filtration(ctx.tower, coords).chain
-        inv = tuple(level[position[s]] for level, s in zip(dims, chain))
-        if inv in cell_of:
-            raise AssertionError("distinct representatives share a cell invariant")
-        cell_of[inv] = cells[p]
-    gathered = [gather(level) for gather, level in zip(ctx.level_gathers, dims)]
-    invariants = zip(*gathered) if gathered else repeat((), len(ctx.points))
-    for i, inv in enumerate(invariants):
-        if inv not in cell_of:
-            raise AssertionError("point outside every Bruhat cell")
-        cell_of[inv].append(i)
-    return cells
+def cell_invariant(labels) -> tuple[tuple[int, ...], ...]:
+    """The B-orbit invariant of the Bruhat cell of ``w mu``, given by its
+    labels.  In type A the labels are ``c_i = v_i - v_(i+1)``, so their
+    negated prefix sums are the coordinates v of ``w mu`` up to a constant,
+    which leaves its flag as is.  The cell holds the coordinate flag F of
+    v's weight levels, F_w spanned by the e_j with v_j >= w, so
+    dim(F_w cap E_d) = #{j < d : v_j >= w}: per weight but the least, in
+    decreasing order, one count per d = 1 ... n - 1.  A central mu has the
+    empty invariant."""
+    v = list(itertools.accumulate((-c for c in labels), initial=0))
+    return tuple(tuple(sum(x >= w for x in v[:d]) for d in range(1, len(v)))
+                 for w in sorted(set(v), reverse=True)[:-1])
 
 
 def bruhat_cells_check(ctx: VerifierContext, I: frozenset[int]):
     """The stratum Y_I, the points destabilized by every standard coweight
     outside I, against the union of the cells of ``omega_I``, plus the
     per-cell point count q^(m * length).  A point lies in Y_I exactly when
-    its missed set lies in I, so every number is a sum over
-    ``ctx.cell_strata``, and the two sets are equal exactly when "missed
-    set in I" and "cell allowed by I" agree on every (cell, missed set)."""
+    its missed set lies in I, so every number, each cell's size too, is a
+    sum over the (cell, missed set) counts of ``ctx.cell_strata``, and the
+    two sets are equal exactly when "missed set in I" and "cell allowed by
+    I" agree on every pair."""
     gd, strata = ctx.gd, ctx.cell_strata
     q, m = gd.q, ctx.m
     orbits = omega_I(gd, I)
     allowed = {o.rep for o in orbits}
-    sizes_ok = all(strata[p].total() == q ** (m * p.length) for p in gd.mu_orbit)
-    match = all((missed <= I) == (p in allowed) for p, counts in strata.items() for missed in counts)
+    sizes = Counter()
+    for (p, _), n in strata.items():
+        sizes[p] += n
+    sizes_ok = all(sizes[p] == q ** (m * p.length) for p in gd.mu_orbit)
+    match = all((missed <= I) == (p in allowed) for p, missed in strata)
     return match and sizes_ok, {
-        "y_count": sum(n for counts in strata.values() for missed, n in counts.items() if missed <= I),
-        "cell_union_count": sum(counts.total() for p, counts in strata.items() if p in allowed),
+        "y_count": sum(n for (_, missed), n in strata.items() if missed <= I),
+        "cell_union_count": sum(n for (p, _), n in strata.items() if p in allowed),
         "sizes_ok": sizes_ok,
         "expected_count": sum(q ** (m * o.rep.length) for o in orbits),
     }
@@ -642,7 +615,7 @@ def parabolic_invariance_sample(ctx: VerifierContext, seed: int, samples: int = 
         index = rng.randrange(len(ctx.points))
         x = FlagPoint(chain=ctx.chain(index), weights=ctx.weights, n=n)
         d = rng.randrange(1, n)
-        test = subspace_coweight_filtration(ctx.standard_subspaces[d - 1])
+        test = subspace_coweight_filtration(ctx.lattice.levels[d][0])
         g = random_parabolic_element(ctx.tower, n, d, rng)
         gx = apply_matrix_to_point(ctx.tower, g, x)
         before = slope(ctx.tower, x, test)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -53,7 +54,6 @@ from perdom.semistable import (
     VerifierContext,
     _weight_steps,
     build_verifier,
-    coordinate_filtration,
     is_semistable,
 )
 from perdom.weyl import act, nonzero_entries, reflect_labels
@@ -664,10 +664,15 @@ def rational_filtrations(ctx: VerifierContext) -> list[FlagPoint]:
             for chain, weights in ctx.tests]
 
 
+def subspace_positions(levels: FlagLevels) -> dict[Subspace, int]:
+    """Each member of a family of subspaces by its index in its level."""
+    return {s: k for level in levels.levels.values() for k, s in enumerate(level)}
+
+
 def position_tests(lattice: FlagLevels, filtrations) -> list[tuple[tuple, tuple]]:
     """Weighted flags of ``lattice``'s members as a context's tests: each
     chain as its (dimension, position) pairs, with its weights."""
-    position = lattice.position
+    position = subspace_positions(lattice)
     return [(tuple((s.dim, position[s]) for s in f.chain), f.weights) for f in filtrations]
 
 
@@ -745,7 +750,7 @@ def y_I_points_by_row(ctx: VerifierContext, rows, I: frozenset[int]) -> frozense
     """The points whose row of ``rows`` lists the test of every standard
     subspace E_(k+1) with k outside I, one set of test indices per point."""
     test_of = {t.chain[0]: j for j, t in enumerate(rational_filtrations(ctx))}
-    wanted = {test_of[ctx.standard_subspaces[k]] for k in range(ctx.gd.d_prime) if k not in I}
+    wanted = {test_of[standard_subspaces(ctx.tower, ctx.n)[k]] for k in range(ctx.gd.d_prime) if k not in I}
     return frozenset(i for i, row in enumerate(rows) if wanted <= {j for j, _ in row})
 
 
@@ -760,30 +765,76 @@ def cell_row_by_point(ctx: VerifierContext, y, cells: dict, I: frozenset[int]) -
     return set(y) == union and sizes_ok, len(y), len(union)
 
 
+def coordinate_filtration(tower: FieldTower, coords) -> FlagPoint:
+    """Weighted flag of a torus cocharacter: coordinate spans by weight level,
+    each by elimination.  The level of the least weight spans every
+    coordinate, so it is the whole space and not part of the chain."""
+    coords = [Fraction(c) for c in coords]
+    n = len(coords)
+    weights = sorted(set(coords), reverse=True)
+    chain = tuple(
+        subspace_from_rows(
+            tower, [[int(j == i) for j in range(n)] for i, c in enumerate(coords) if c >= w], n
+        )
+        for w in weights[:-1]
+    )
+    return FlagPoint(chain=chain, weights=tuple(weights), n=n)
+
+
+@functools.lru_cache(maxsize=None)
+def standard_subspaces(tower: FieldTower, n: int) -> tuple[Subspace, ...]:
+    """The coordinate subspaces E_1 ... E_(n-1) by elimination, apart from
+    the lattice; ``[d - 1]`` is E_d, the span of the first d coordinate
+    vectors."""
+    return tuple(coordinate_filtration(tower, [1] * d + [0] * (n - d)).chain[0] for d in range(1, n))
+
+
+@functools.lru_cache(maxsize=2)
+def _coordinate_columns(ctx: VerifierContext):
+    """The E_d's incidence columns, in d order, and each point subspace's
+    index in its level, by a map built here; cached, as
+    ``relative_position`` reads them once per point."""
+    inc = incidence_by_subspace(ctx)
+    return [inc[e] for e in standard_subspaces(ctx.tower, ctx.n)], subspace_positions(ctx.point_levels)
+
+
 def relative_position(ctx: VerifierContext, chain: tuple[Subspace, ...]):
     """B-orbit invariant of a chain: per subspace, its intersection
     dimensions with E_1 ... E_(n-1), read from the incidence table at the
     subspace's index in its level."""
-    inc = incidence_by_subspace(ctx)
-    columns = [inc[e] for e in ctx.standard_subspaces]
-    index = ctx.point_levels.position
+    columns, index = _coordinate_columns(ctx)
     return tuple(tuple(col[i][index[s]] for col in columns) for i, s in enumerate(chain))
+
+
+def representative_invariants(ctx: VerifierContext, position=relative_position) -> dict:
+    """Per cell representative ``w mu``, the invariant computed by
+    ``position`` for the coordinate flag of its coordinates, the negated
+    prefix sums of its labels."""
+    flags = {p: coordinate_filtration(ctx.tower, itertools.accumulate((-c for c in p.labels), initial=0))
+             for p in ctx.gd.mu_orbit}
+    return {p: position(ctx, flag.chain) for p, flag in flags.items()}
 
 
 def bruhat_cells_by_point(ctx: VerifierContext, position=relative_position) -> dict:
     """The Bruhat partition, each point's invariant computed by ``position``
     on its own and looked up among the representatives'."""
-    rep_invariants = {}
-    for p in ctx.gd.mu_orbit:
-        coords = itertools.accumulate((-c for c in p.labels), initial=0)
-        inv = position(ctx, coordinate_filtration(ctx.tower, coords).chain)
-        assert inv not in rep_invariants.values()
-        rep_invariants[p] = inv
-    cells: dict = {p: [] for p in ctx.gd.mu_orbit}
+    rep_invariants = representative_invariants(ctx, position)
     by_inv = {inv: p for p, inv in rep_invariants.items()}
+    assert len(by_inv) == len(rep_invariants)
+    cells: dict = {p: [] for p in ctx.gd.mu_orbit}
     for i, x in enumerate(point_chains(ctx)):
         cells[by_inv[position(ctx, x)]].append(i)
     return cells
+
+
+def strata_by_point(ctx: VerifierContext, rows, cells: dict) -> collections.Counter:
+    """The points counted per (cell, missed set), from a partition into cells
+    and each point's row of (test index, slope) pairs: its missed set holds
+    the k whose standard subspace E_(k+1)'s test is absent from the row."""
+    test_of = {t.chain[0]: j for j, t in enumerate(rational_filtrations(ctx))}
+    standard = [test_of[e] for e in standard_subspaces(ctx.tower, ctx.n)]
+    missed = [frozenset(k for k, j in enumerate(standard) if j not in dict(row)) for row in rows]
+    return collections.Counter((p, missed[i]) for p, idx in cells.items() for i in idx)
 
 
 # ---------------------------------------------------------------------------

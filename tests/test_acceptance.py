@@ -13,6 +13,7 @@ from fractions import Fraction
 from helpers import (
     INSTANCES,
     STRICT_SHAPE,
+    coordinate_filtration,
     form_dual,
     form_value,
     instance,
@@ -39,7 +40,6 @@ from perdom.semistable import (
     brute_force_ss_count,
     bruhat_cells_check,
     build_verifier,
-    coordinate_filtration,
     filtration_pairing,
 )
 from perdom.finflag import make_tower

@@ -10,7 +10,7 @@ from helpers import INSTANCES, instance, point_chains, rational_filtrations, ref
 from perdom import cli
 from perdom import complex as complex_module
 from perdom.cohom import build_group_data
-from perdom.finflag import FlagLevels
+from perdom.finflag import FlagLevels, Subspace
 from perdom.complex import (
     SemistablePointError,
     TitsSubcomplex,
@@ -226,17 +226,16 @@ def test_sweep_reports_every_point_of_a_cyclic_complex(monkeypatch):
 def test_a_sweep_reads_no_position_in_the_lattice(monkeypatch, name, m):
     # a test is its chain of positions in the lattice, so once the
     # destabilizer table is built the complexes read inclusions from the
-    # lattice's ``above`` at those positions, looking up no subspace
+    # lattice's ``above`` at those positions, looking up no subspace: no
+    # subspace is hashed, and no family of subspaces has a position map
     ctx = build_verifier(instance(name), m)
     ctx.destabilizer_table
-    lattice, original = ctx.lattice, FlagLevels.position
+    assert not hasattr(FlagLevels, "position")
 
-    def guarded(levels):
-        if levels is lattice:
-            raise AssertionError("the lattice's position was read")
-        return original.func(levels)
+    def guarded(sub):
+        raise AssertionError("a subspace was looked up")
 
-    monkeypatch.setattr(FlagLevels, "position", property(guarded))
+    monkeypatch.setattr(Subspace, "__hash__", guarded)
     rep = acyclicity_sweep(ctx)
     assert rep.all_acyclic and rep.non_semistable > 0
     assert any(len(row["simplices"]) > 1 for row in rep.per_point) == (ctx.mode == "split")

@@ -15,6 +15,7 @@ from helpers import (
     bruhat_cells_by_point,
     cell_row_by_point,
     contains,
+    coordinate_filtration,
     destabilizer_rows_by_point,
     incidence_by_subspace,
     frobenius_equivariance_holds,
@@ -27,13 +28,16 @@ from helpers import (
     point_chains,
     position_tests,
     rational_filtrations,
+    representative_invariants,
+    standard_subspaces,
+    strata_by_point,
     table,
     verifier,
     weighted_point,
     y_I_points_by_row,
 )
 from perdom import cli, finflag, semistable
-from perdom.cohom import assemble_cohomology, build_group_data, label_sets, lefschetz_series, omega_I
+from perdom.cohom import GroupData, assemble_cohomology, build_group_data, label_sets, lefschetz_series, omega_I
 from perdom.complex import acyclicity_sweep, build_t_x
 from perdom.finflag import (
     Subspace,
@@ -53,7 +57,6 @@ from perdom.semistable import (
     build_verifier,
     cell_checks,
     check_verifier_budget,
-    coordinate_filtration,
     filtration_pairing,
     is_semistable,
     parabolic_invariance_sample,
@@ -415,7 +418,7 @@ def test_one_incidence_pass_per_context(monkeypatch):
     assert not hasattr(semistable, "annihilator")
     monkeypatch.setattr(finflag, "pairing_ranks", counted_ranks)
     counted("slope")
-    counted("bruhat_cells")
+    counted("cell_invariant")
     counted("pairings")
     gd = instance("a2_reg")
     ctx = build_verifier(gd, 2)  # fresh, so no consumer has filled its caches
@@ -486,7 +489,7 @@ def test_one_incidence_pass_per_context(monkeypatch):
     # the slopes read from the table rather than from ``slope``
     assert set(pairs.values()) == {1}
     assert len(pairs) == len(point_spaces) * len(test_spaces) == 42 * 14
-    assert calls == {"bruhat_cells": 1}
+    assert calls == {"cell_invariant": len(gd.mu_orbit)}
     assert set(inclusions.values()) == {1}
     assert set(inclusions) == {(w, s.dim) for w in test_spaces for s in test_spaces if s.dim < w.dim}
     # from here on, each rational subspace's annihilator once, in the
@@ -535,64 +538,112 @@ def test_each_family_of_subspaces_computes_each_annihilator_once(monkeypatch):
 
 
 def test_standard_subspaces_built_once_per_context(monkeypatch):
-    built = collections.Counter()
-    original = semistable.standard_subspace
-
-    def counted(tower, n, d):
-        built[d] += 1
-        return original(tower, n, d)
-
-    monkeypatch.setattr(semistable, "standard_subspace", counted)
+    # each E_d is built once, by the lattice, as the first member of its
+    # level d; its test leads the level's tests, and neither the cell checks
+    # nor the spot check builds it again: the cell checks make no
+    # elimination at all
     gd = instance("a3_mid")
     ctx = build_verifier(gd, 1)
-    strata = ctx.cell_strata
-    for k in range(gd.d_prime + 1):
-        for I in itertools.combinations(range(gd.d_prime), k):
-            bruhat_cells_check(ctx, frozenset(I))
+    unit = standard_subspaces(ctx.tower, ctx.n)
+    assert [level[0] for level in ctx.lattice.levels.values()] == list(unit)
+    assert ctx.standard_tests == (0, 15, 50)
+    assert [ctx.tests[k] for k in ctx.standard_tests] == position_tests(
+        ctx.lattice, map(semistable.subspace_coweight_filtration, unit))
+    with mock.patch.object(finflag, "rref", wraps=finflag.rref) as eliminated:
+        checks = cell_checks(ctx)
+    assert eliminated.call_count == 0
+    assert all(ok for _, ok, _ in checks)
+    read = []
+    original = semistable.subspace_coweight_filtration
+
+    def spy(sub):
+        read.append(sub)
+        return original(sub)
+
+    monkeypatch.setattr(semistable, "subspace_coweight_filtration", spy)
     assert parabolic_invariance_sample(ctx, seed=1)
-    cells = semistable.bruhat_cells(ctx)
-    assert built == {1: 1, 2: 1, 3: 1}
-    # the same cells and strata with E_1 ... E_3 rebuilt on every read
-    uncached = property(semistable.VerifierContext.standard_subspaces.func)
-    monkeypatch.setattr(semistable.VerifierContext, "standard_subspaces", uncached)
-    rebuilt = build_verifier(gd, 1)
-    assert semistable.bruhat_cells(rebuilt) == cells
-    assert rebuilt.cell_strata == strata
-    assert built[1] > 1
+    assert read and all(sub is ctx.lattice.levels[sub.dim][0] for sub in read)
 
 
 def test_bruhat_cells_read_the_incidence_table():
-    # the cells gathered from the incidence columns equal those of each
-    # point's intersection dimensions computed by elimination
+    # the strata counted from the cells gathered off the incidence columns
+    # equal those of each point's intersection dimensions computed by
+    # elimination
     def direct(ctx, chain):
         return tuple(
-            tuple(intersection_dim(ctx.tower, e, s) for e in ctx.standard_subspaces) for s in chain
+            tuple(intersection_dim(ctx.tower, e, s) for e in standard_subspaces(ctx.tower, ctx.n)) for s in chain
         )
 
     for name, m in (("a2_reg", 2), ("a3_mid", 1), ("a3_reg", 1)):
-        gd = instance(name)
-        expected = bruhat_cells_by_point(build_verifier(gd, m), direct)
-        assert semistable.bruhat_cells(build_verifier(gd, m)) == expected, name
+        ctx = build_verifier(instance(name), m)
+        cells = bruhat_cells_by_point(ctx, direct)
+        assert ctx.cell_strata == strata_by_point(ctx, ctx.destabilizer_table, cells), name
 
 
-def assert_bulk_passes_match_the_oracles(ctx, cells=True):
-    """The table, the semistable points, each cell's points by the standard
-    coweights they miss, every label set's cell check, by its stratum, and,
-    with ``cells``, the Bruhat cells, order and content, against the
-    per-point oracles.  Without ``cells`` the strata are read against the
-    context's own cells."""
+SPLIT_SPECS = {path.name: path for folder in ("specs", "bench/specs", "tests/golden/verifier_specs")
+               for path in sorted((Path(__file__).resolve().parent.parent / folder).glob("*.json"))
+               if verifier_mode(cli.instantiate(cli.load_spec(str(path)))) == "split"}
+SL5_CELLS = "sl5_(2,2,1,0,-1)"
+
+
+@pytest.mark.parametrize("case,m", [
+    *((name, m) for name in INSTANCES if verifier_mode(instance(name)) == "split" for m in (1, 2)),
+    *((name, m) for name in SPLIT_SPECS for m in (1, 2)),
+    (SL5_CELLS, 1),
+])
+def test_counted_cell_invariants_equal_the_incidence_reads(case, m):
+    # each representative's invariant counted from its coordinates equals
+    # the one read through the incidence table at its coordinate flag,
+    # built by elimination and found by a position map of the tests' own;
+    # E_d leads every lattice level, and its test is the level's first
+    if case == SL5_CELLS:
+        gd = build_group_data([("A", 4)], [2, 2, 1, 0, -1], 2)
+    elif case in SPLIT_SPECS:
+        gd = cli.instantiate(cli.load_spec(str(SPLIT_SPECS[case])))
+    else:
+        gd = instance(case)
+    ctx = verifier(case, m) if case in INSTANCES else build_verifier(gd, m)
+    counted = {p: semistable.cell_invariant(p.labels) for p in gd.mu_orbit}
+    assert counted == representative_invariants(ctx), case
+    unit = standard_subspaces(ctx.tower, ctx.n)
+    assert [level[0] for level in ctx.lattice.levels.values()] == list(unit)
+    assert [ctx.tests[k] for k in ctx.standard_tests] == position_tests(
+        ctx.lattice, map(semistable.subspace_coweight_filtration, unit))
+
+
+def test_minimal_label_sets_are_computed_once_per_orbit(monkeypatch):
+    # SL5 (2,2,1,0,-1), m = 1: the table and all 16 label sets' cell checks
+    # read each W-orbit's minimal label set from the group data, d' scaled
+    # pairings per orbit in all
+    gd = build_group_data([("A", 4)], [2, 2, 1, 0, -1], 2)
+    ctx = build_verifier(gd, 1)
+    paired = collections.Counter()
+    original = GroupData.scaled_pairing
+
+    def counted(self, point, k):
+        paired[point] += 1
+        return original(self, point, k)
+
+    monkeypatch.setattr(GroupData, "scaled_pairing", counted)
+    assemble_cohomology(gd)
+    checks = cell_checks(ctx)
+    assert len(checks) == 16 and all(ok for _, ok, _ in checks)
+    assert paired == {o.rep: gd.d_prime for o in gd.worbits}
+
+
+def assert_bulk_passes_match_the_oracles(ctx):
+    """The table, the semistable points, the points counted per (cell,
+    missed set), and every label set's cell check, by its stratum, against
+    the per-point oracles, the cells from ``bruhat_cells_by_point``."""
     rows = destabilizer_rows_by_point(ctx)
     assert ctx.destabilizer_table == rows
     assert semistable_indices(ctx) == [i for i, row in enumerate(rows) if not row]
     if ctx.mode == "split":
-        partition = bruhat_cells_by_point(ctx) if cells else semistable.bruhat_cells(ctx)
-        missed = [frozenset(j for j, k in enumerate(ctx.standard_tests) if k not in dict(row)) for row in rows]
-        assert ctx.cell_strata == {p: collections.Counter(missed[i] for i in idx) for p, idx in partition.items()}
+        partition = bruhat_cells_by_point(ctx)
+        assert ctx.cell_strata == strata_by_point(ctx, rows, partition)
         for I in label_sets(ctx.gd):
             y = y_I_points_by_row(ctx, rows, I)
             assert cell_row(ctx, I) == cell_row_by_point(ctx, y, partition, I), sorted(I)
-        if cells:
-            assert list(semistable.bruhat_cells(ctx).items()) == list(partition.items())
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -633,9 +684,8 @@ def test_bulk_passes_match_the_oracles_on_u3_chambers(q, m):
 @pytest.mark.parametrize("name", ["a1_reg", "a2_reg", "a2_min"])
 def test_bulk_passes_on_one_point_gather_a_tuple(name):
     # with one point each chain level gathers one index, where itemgetter
-    # would return the entry itself rather than a tuple of one.  A single
-    # point is no Bruhat partition: the representatives' coordinate flags
-    # are not among its subspaces, so the cells are left out
+    # would return the entry itself rather than a tuple of one; the point
+    # lands in its cell alone, so that cell's size check fails on both sides
     full = verifier(name, 1)
     for x in full.points:
         ctx = VerifierContext(gd=full.gd, m=1, tower=full.tower, n=full.n, mode=full.mode,
@@ -643,7 +693,7 @@ def test_bulk_passes_on_one_point_gather_a_tuple(name):
                               tests=full.tests, lattice=full.lattice)
         levels = ctx.point_levels.levels.values()
         assert all(len(gather(list(range(len(level))))) == 1 for gather, level in zip(ctx.level_gathers, levels))
-        assert_bulk_passes_match_the_oracles(ctx, cells=False)
+        assert_bulk_passes_match_the_oracles(ctx)
 
 
 @pytest.mark.parametrize("name,m,q", [
@@ -704,7 +754,7 @@ def test_incidence_ranks_the_larger_matrices():
     gd = build_group_data([("A", 4)], [1, 1, 0, 0, 0], 2)
     ctx = build_verifier(gd, 1)
     assert [len(level) for level in ctx.point_levels.levels.values()] == [155]
-    assert sum(map(len, ctx.lattice.levels.values())) == len(ctx.lattice.position) == 372
+    assert sum(map(len, ctx.lattice.levels.values())) == len(set().union(*ctx.lattice.levels.values())) == 372
     with mock.patch.object(finflag, "rank", wraps=finflag.rank) as ranked:
         ctx.incidence
     assert ranked.call_count == 0
